@@ -2,18 +2,22 @@
 //!
 //! Two sections, both machine-recorded as JSON Lines:
 //!
-//! 1. The preconditioner ladder (none / Jacobi / low-energy / + coarse
-//!    vertex solve / + RHS-projection warm starts) on the ablation mesh —
-//!    total CG iterations AND median wall time over a sequence of slowly
-//!    varying rough right-hand sides, one record per rung.
+//! 1. The preconditioner ladder on the condensed system (none / Jacobi /
+//!    low-energy / + coarse vertex solve / + RHS-projection warm starts)
+//!    on the ablation mesh, one ladder per polynomial order — total CG
+//!    iterations AND median wall time over a sequence of slowly varying
+//!    rough right-hand sides, one record per rung.
 //! 2. A short Navier–Stokes run on the default engine configuration with
-//!    the per-step pressure/viscous iteration telemetry the solver now
+//!    the per-step pressure/viscous iteration telemetry the solver
 //!    exposes, one record for the run.
 //!
-//! `--smoke` shrinks polynomial order and solve counts for CI shape
-//! checks (the JSON schema is identical).
+//! A run replaces `BENCH_sem.json`; every row is stamped with
+//! `host_cores`, `threads` and `commit`. `--smoke` shrinks polynomial
+//! order and solve counts for CI shape checks (the JSON schema is
+//! identical) and writes `target/BENCH_sem.smoke.json` instead, so the
+//! gate never touches the committed rows.
 
-use nkg_bench::{append_jsonl, header, time_median};
+use nkg_bench::{header, time_median, write_jsonl};
 use nkg_mesh::quad::QuadMesh;
 use nkg_sem::precon::{EllipticSolver, PreconKind};
 use nkg_sem::space2d::Space2d;
@@ -61,7 +65,7 @@ fn rhs_sequence(space: &Space2d, nsolves: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-fn ladder(out: &str, p: usize, nsolves: usize, reps: usize) {
+fn ladder(out: &mut Vec<String>, p: usize, nsolves: usize, reps: usize) {
     let rungs: [(&str, PreconKind, usize); 5] = [
         ("none", PreconKind::None, 0),
         ("jacobi", PreconKind::Jacobi, 0),
@@ -112,13 +116,10 @@ fn ladder(out: &str, p: usize, nsolves: usize, reps: usize) {
             "{:>16} {:>12} {:>12} {:>12} {:>12.4}",
             label, total, first, last, secs
         );
-        append_jsonl(
-            out,
-            &format!(
-                "{{\"bench\":\"sem_precon\",\"p\":{p},\"dof\":{},\"rung\":\"{label}\",\"solves\":{nsolves},\"iters_total\":{total},\"iters_first\":{first},\"iters_last\":{last},\"secs\":{secs:.6}}}",
-                space.nglobal
-            ),
-        );
+        out.push(format!(
+            "{{\"bench\":\"sem_precon\",\"p\":{p},\"dof\":{},\"rung\":\"{label}\",\"solves\":{nsolves},\"iters_total\":{total},\"iters_first\":{first},\"iters_last\":{last},\"secs\":{secs:.6}}}",
+            space.nglobal
+        ));
         if label == "le+coarse+proj" && jacobi_total > 0 {
             println!(
                 "{:>16} {:.1}x fewer iterations than Jacobi",
@@ -129,7 +130,7 @@ fn ladder(out: &str, p: usize, nsolves: usize, reps: usize) {
     }
 }
 
-fn ns_telemetry(out: &str, p: usize, steps: usize) {
+fn ns_telemetry(out: &mut Vec<String>, p: usize, steps: usize) {
     let mesh = QuadMesh::rectangle(2, 2, 0.0, 1.0, 0.0, 1.0);
     let space = Space2d::new(mesh, p, false);
     let cfg = NsConfig {
@@ -173,25 +174,27 @@ fn ns_telemetry(out: &str, p: usize, steps: usize) {
             .collect::<Vec<_>>()
             .join(",")
     };
-    append_jsonl(
-        out,
-        &format!(
-            "{{\"bench\":\"sem_ns\",\"p\":{p},\"steps\":{steps},\"precon\":\"le+coarse\",\"proj_depth\":8,\"pressure_iters\":[{}],\"viscous_iters\":[{}],\"max_residual\":{max_res:.3e},\"breakdown_steps\":{breakdowns},\"secs\":{secs:.6}}}",
-            join(&press),
-            join(&visc)
-        ),
-    );
+    out.push(format!(
+        "{{\"bench\":\"sem_ns\",\"p\":{p},\"steps\":{steps},\"precon\":\"le+coarse\",\"proj_depth\":8,\"pressure_iters\":[{}],\"viscous_iters\":[{}],\"max_residual\":{max_res:.3e},\"breakdown_steps\":{breakdowns},\"secs\":{secs:.6}}}",
+        join(&press),
+        join(&visc)
+    ));
 }
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let out = "BENCH_sem.json";
-    if smoke {
-        ladder(out, 4, 6, 1);
-        ns_telemetry(out, 3, 4);
+    let mut rows = Vec::new();
+    let out = if smoke {
+        ladder(&mut rows, 4, 6, 1);
+        ns_telemetry(&mut rows, 3, 4);
+        std::fs::create_dir_all("target").expect("create target/");
+        "target/BENCH_sem.smoke.json"
     } else {
-        ladder(out, 8, 12, 3);
-        ns_telemetry(out, 6, 20);
-    }
-    println!("\n(records appended to {out})");
+        ladder(&mut rows, 4, 12, 3);
+        ladder(&mut rows, 8, 12, 3);
+        ns_telemetry(&mut rows, 6, 20);
+        "BENCH_sem.json"
+    };
+    write_jsonl(out, &rows);
+    println!("\n({} records written to {out})", rows.len());
 }

@@ -48,9 +48,30 @@ pub fn effective_threads() -> usize {
     rayon::current_num_threads()
 }
 
-/// Prefix a single-object JSON record with the host facts every benchmark
-/// row must carry: logical core count and effective thread count. Records
-/// not shaped like a JSON object pass through unchanged.
+/// `git describe --always --dirty` of the checkout the benchmark ran in
+/// (`"unknown"` outside a git checkout), looked up once.
+pub fn commit() -> &'static str {
+    static COMMIT: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+    COMMIT.get_or_init(|| {
+        std::process::Command::new("git")
+            .args(["describe", "--always", "--dirty"])
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+            .map(|s| s.trim().to_string())
+            .filter(|s| {
+                !s.is_empty()
+                    && s.chars()
+                        .all(|c| c.is_ascii_alphanumeric() || "-._".contains(c))
+            })
+            .unwrap_or_else(|| "unknown".to_string())
+    })
+}
+
+/// Prefix a single-object JSON record with the facts every benchmark row
+/// must carry: logical core count, effective thread count and commit.
+/// Records not shaped like a JSON object pass through unchanged.
 fn stamp_host(record: &str) -> String {
     match record.strip_prefix('{') {
         Some(rest) => {
@@ -60,9 +81,10 @@ fn stamp_host(record: &str) -> String {
                 ","
             };
             format!(
-                "{{\"host_cores\":{},\"threads\":{}{sep}{rest}",
+                "{{\"host_cores\":{},\"threads\":{},\"commit\":\"{}\"{sep}{rest}",
                 host_cores(),
-                effective_threads()
+                effective_threads(),
+                commit()
             )
         }
         None => record.to_string(),
@@ -83,6 +105,14 @@ pub fn append_jsonl(path: &str, record: &str) {
         .unwrap_or_else(|e| panic!("open {path}: {e}"));
     let record = stamp_host(record);
     writeln!(f, "{record}").unwrap_or_else(|e| panic!("append to {path}: {e}"));
+}
+
+/// Overwrite `path` with `records`, one stamped JSON line each. Use for
+/// benchmarks that emit several rows per run of which only the latest run
+/// matters (e.g. `BENCH_sem.json`): rerunning replaces, never duplicates.
+pub fn write_jsonl(path: &str, records: &[String]) {
+    let body: String = records.iter().map(|r| stamp_host(r) + "\n").collect();
+    std::fs::write(path, body).unwrap_or_else(|e| panic!("write {path}: {e}"));
 }
 
 /// Overwrite `path` with a single consolidated JSON document, stamped

@@ -78,11 +78,28 @@ pub fn pcg(
 /// workspace buffers are already at least `b.len()` long.
 #[allow(clippy::too_many_arguments)]
 pub fn pcg_ws(
+    apply: impl FnMut(&[f64], &mut [f64]),
+    precond: impl FnMut(&[f64], &mut [f64]),
+    b: &[f64],
+    x: &mut [f64],
+    tol: f64,
+    max_iter: usize,
+    ws: &mut CgWorkspace,
+) -> CgResult {
+    let bnorm = par_dot(b, b).sqrt().max(1e-300);
+    pcg_until(apply, precond, b, x, tol * bnorm, max_iter, ws)
+}
+
+/// [`pcg_ws`] stopping on the absolute residual norm `‖r‖₂ ≤ threshold`,
+/// for callers whose tolerance is relative to something other than `‖b‖`
+/// (the condensed engine measures against the uncondensed RHS).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn pcg_until(
     mut apply: impl FnMut(&[f64], &mut [f64]),
     mut precond: impl FnMut(&[f64], &mut [f64]),
     b: &[f64],
     x: &mut [f64],
-    tol: f64,
+    threshold: f64,
     max_iter: usize,
     ws: &mut CgWorkspace,
 ) -> CgResult {
@@ -101,9 +118,8 @@ pub fn pcg_ws(
     for i in 0..n {
         r[i] = b[i] - ap[i];
     }
-    let bnorm = par_dot(b, b).sqrt().max(1e-300);
     let mut rnorm = par_dot(r, r).sqrt();
-    if rnorm <= tol * bnorm {
+    if rnorm <= threshold {
         return CgResult {
             iterations: 0,
             residual: rnorm,
@@ -130,7 +146,7 @@ pub fn pcg_ws(
         par_axpy(alpha, p, x);
         par_axpy(-alpha, ap, r);
         rnorm = par_dot(r, r).sqrt();
-        if rnorm <= tol * bnorm {
+        if rnorm <= threshold {
             return CgResult {
                 iterations: it,
                 residual: rnorm,

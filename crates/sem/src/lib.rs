@@ -15,8 +15,11 @@
 //!   coupled-step evaluation is a short dense dot product;
 //! * [`space2d`] / [`space3d`] — continuous-Galerkin discretizations on
 //!   quadrilateral / hexahedral meshes: global numbering (with optional
-//!   streamwise periodicity), curvilinear geometric factors, Helmholtz
-//!   operators, Jacobi preconditioning and Dirichlet lifting;
+//!   streamwise periodicity), curvilinear geometric factors and matrix-free
+//!   Helmholtz operators;
+//! * [`precon`] — the persistent elliptic engine: static condensation onto
+//!   the element boundaries, PCG with low-energy and coarse-vertex
+//!   preconditioning, successive-RHS projection warm starts;
 //! * [`ns2d`] / [`ns3d`] — unsteady incompressible Navier–Stokes via the
 //!   stiffly-stable velocity-correction splitting (Karniadakis–Israeli–
 //!   Orszag), order 1–2 in time;
@@ -46,9 +49,6 @@ pub use basis::GllBasis;
 pub use cg::{pcg, pcg_ws, CgResult, CgWorkspace};
 pub use interp::InterpTable;
 pub use ns2d::{NsConfig, NsSolver2d, StepSolveStats};
-pub use precon::{
-    ApplyScratch, DirichletMask, EllipticSolver, EllipticSpace, LowEnergyPrecon, PreconKind,
-    Preconditioner, SolveStats,
-};
+pub use precon::{ApplyScratch, EllipticSolver, EllipticSpace, PreconKind, SolveStats};
 pub use space2d::Space2d;
 pub use space3d::Space3d;

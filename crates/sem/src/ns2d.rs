@@ -18,7 +18,7 @@
 //! [`NsSolver2d::set_velocity_override`] — that is exactly how the paper's
 //! inter-patch and continuum→atomistic conditions enter the solver.
 
-use crate::precon::{EllipticSolver, PreconKind};
+use crate::precon::{ApplyScratch, EllipticSolver, PreconKind};
 use crate::space2d::Space2d;
 use nkg_ckpt::{CkptError, Dec, Enc, Snapshot};
 use nkg_mesh::quad::BoundaryTag;
@@ -54,16 +54,6 @@ impl Default for NsConfig {
             precon: PreconKind::LowEnergyCoarse,
             proj_depth: 8,
         }
-    }
-}
-
-/// Stable numeric code of a [`PreconKind`] for snapshot fingerprints.
-pub(crate) fn precon_code(k: PreconKind) -> u64 {
-    match k {
-        PreconKind::None => 0,
-        PreconKind::Jacobi => 1,
-        PreconKind::LowEnergy => 2,
-        PreconKind::LowEnergyCoarse => 3,
     }
 }
 
@@ -111,40 +101,46 @@ impl StepSolveStats {
     }
 }
 
-/// Encode one engine's projection bases (per slot, age order).
-pub(crate) fn snapshot_proj(enc: &mut Enc, state: &crate::precon::ProjState) {
-    enc.put(state.len() as u64);
-    for slot in state {
-        enc.put(slot.len() as u64);
-        for (w, aw) in slot {
-            enc.put_slice(w);
-            enc.put_slice(aw);
-        }
-    }
+/// Buffers of one [`NsSolver2d::step`], allocated once so stepping does
+/// not touch the heap.
+struct StepWorkspace {
+    grad: ApplyScratch,
+    /// Advection terms of the current fields; swapped into the history at
+    /// the end of the step.
+    nu: Vec<f64>,
+    nv: Vec<f64>,
+    ustar: Vec<f64>,
+    vstar: Vec<f64>,
+    /// Outputs of the latest gradient.
+    gx: Vec<f64>,
+    gy: Vec<f64>,
+    div: Vec<f64>,
+    /// Weak right-hand side of the solve in progress.
+    rhs: Vec<f64>,
+    /// Dirichlet values at `vel_dofs` / the pressure engine's Dirichlet set.
+    ubc: Vec<f64>,
+    vbc: Vec<f64>,
+    pbc: Vec<f64>,
 }
 
-/// Decode projection bases written by [`snapshot_proj`]; every vector must
-/// have length `n`.
-pub(crate) fn restore_proj(
-    dec: &mut Dec<'_>,
-    n: usize,
-) -> Result<crate::precon::ProjState, CkptError> {
-    let nslots = dec.take::<u64>()? as usize;
-    let mut state = Vec::with_capacity(nslots.min(16));
-    for _ in 0..nslots {
-        let nvec = dec.take::<u64>()? as usize;
-        let mut slot = Vec::with_capacity(nvec.min(1 << 10));
-        for _ in 0..nvec {
-            let w = dec.take_vec::<f64>()?;
-            let aw = dec.take_vec::<f64>()?;
-            if w.len() != n || aw.len() != n {
-                return Err(CkptError::Malformed("projection basis length"));
-            }
-            slot.push((w, aw));
+impl StepWorkspace {
+    fn new(n: usize, n_vel_bc: usize, n_p_bc: usize) -> Self {
+        let field = || vec![0.0f64; n];
+        Self {
+            grad: ApplyScratch::new(),
+            nu: field(),
+            nv: field(),
+            ustar: field(),
+            vstar: field(),
+            gx: field(),
+            gy: field(),
+            div: field(),
+            rhs: field(),
+            ubc: vec![0.0; n_vel_bc],
+            vbc: vec![0.0; n_vel_bc],
+            pbc: vec![0.0; n_p_bc],
         }
-        state.push(slot);
     }
-    Ok(state)
 }
 
 type VelBcFn = Box<dyn Fn(f64, f64, f64) -> (f64, f64) + Send + Sync>;
@@ -188,6 +184,7 @@ pub struct NsSolver2d {
     /// changes (the order-1 → order-2 ramp after the first step).
     v_engine: Option<EllipticSolver>,
     last_stats: StepSolveStats,
+    ws: StepWorkspace,
 }
 
 impl NsSolver2d {
@@ -233,9 +230,7 @@ impl NsSolver2d {
         Self {
             space,
             cfg,
-            vel_dofs,
             vel_bc: Box::new(vel_bc),
-            p_dofs,
             p_bc: Box::new(p_bc),
             force: Box::new(force),
             overrides: HashMap::new(),
@@ -253,6 +248,9 @@ impl NsSolver2d {
             p_engine,
             v_engine: None,
             last_stats: StepSolveStats::default(),
+            ws: StepWorkspace::new(n, vel_dofs.len(), p_pin.len()),
+            vel_dofs,
+            p_dofs,
         }
     }
 
@@ -297,20 +295,6 @@ impl NsSolver2d {
         &self.cfg
     }
 
-    /// Advection term `N(u) = (u·∇)u` in collocation form.
-    fn advection(&self, u: &[f64], v: &[f64]) -> (Vec<f64>, Vec<f64>) {
-        let (ux, uy) = self.space.gradient(u);
-        let (vx, vy) = self.space.gradient(v);
-        let n = self.space.nglobal;
-        let mut nu = vec![0.0; n];
-        let mut nv = vec![0.0; n];
-        for i in 0..n {
-            nu[i] = u[i] * ux[i] + v[i] * uy[i];
-            nv[i] = u[i] * vx[i] + v[i] * vy[i];
-        }
-        (nu, nv)
-    }
-
     /// Advance one time step.
     pub fn step(&mut self) {
         let n = self.space.nglobal;
@@ -322,104 +306,80 @@ impl NsSolver2d {
             1 => (1.0, [1.0, 0.0], [1.0, 0.0]),
             _ => (1.5, [2.0, -0.5], [2.0, -1.0]),
         };
+        let Self {
+            space, ws, u, v, p, ..
+        } = self;
 
-        // --- Step 1: explicit advection + force.
-        let (nu0, nv0) = self.advection(&self.u, &self.v);
-        let mut ustar = vec![0.0f64; n];
-        let mut vstar = vec![0.0f64; n];
+        // --- Step 1: explicit advection `N(u) = (u·∇)u` in collocation
+        // form, plus force.
+        space.gradient_ws(u, &mut ws.gx, &mut ws.gy, &mut ws.grad);
         for i in 0..n {
-            let fu;
-            let fv;
-            {
-                let [x, y] = self.space.coords[i];
-                let f = (self.force)(x, y, t_new);
-                fu = f.0;
-                fv = f.1;
-            }
+            ws.nu[i] = u[i] * ws.gx[i] + v[i] * ws.gy[i];
+        }
+        space.gradient_ws(v, &mut ws.gx, &mut ws.gy, &mut ws.grad);
+        for i in 0..n {
+            ws.nv[i] = u[i] * ws.gx[i] + v[i] * ws.gy[i];
+        }
+        for i in 0..n {
+            let [x, y] = space.coords[i];
             // Force is evaluated at t^{n+1} directly (no extrapolation).
-            ustar[i] = alpha[0] * self.u[i]
+            let (fu, fv) = (self.force)(x, y, t_new);
+            ws.ustar[i] = alpha[0] * u[i]
                 + alpha[1] * self.u_prev[i]
-                + dt * (-(beta[0] * nu0[i] + beta[1] * self.nu_hist[0][i]) + fu);
-            vstar[i] = alpha[0] * self.v[i]
+                + dt * (-(beta[0] * ws.nu[i] + beta[1] * self.nu_hist[0][i]) + fu);
+            ws.vstar[i] = alpha[0] * v[i]
                 + alpha[1] * self.v_prev[i]
-                + dt * (-(beta[0] * nv0[i] + beta[1] * self.nv_hist[0][i]) + fv);
+                + dt * (-(beta[0] * ws.nv[i] + beta[1] * self.nv_hist[0][i]) + fv);
         }
 
         // --- Step 2: pressure Poisson  ∇²p = ∇·u*/Δt.
-        let (dux, _) = self.space.gradient(&ustar);
-        let (_, dvy) = self.space.gradient(&vstar);
-        let mut div = vec![0.0f64; n];
+        space.gradient_ws(&ws.ustar, &mut ws.div, &mut ws.gy, &mut ws.grad);
+        space.gradient_ws(&ws.vstar, &mut ws.gx, &mut ws.gy, &mut ws.grad);
         for i in 0..n {
-            div[i] = (dux[i] + dvy[i]) / dt;
+            ws.div[i] = (ws.div[i] + ws.gy[i]) / dt;
         }
         // Weak RHS of  -∇²p = -div :  b = -M·div.
-        let mdiv = self.space.apply_mass(&div);
-        let b: Vec<f64> = mdiv.iter().map(|&x| -x).collect();
-        let p_vals: Vec<f64> = if self.p_dofs.is_empty() {
-            // Pure Neumann problem: the engine pins DoF 0 at zero.
-            vec![0.0]
-        } else {
-            self.p_dofs
-                .iter()
-                .map(|&g| {
-                    if let Some(&pv) = self.p_overrides.get(&g) {
-                        pv
-                    } else {
-                        let [x, y] = self.space.coords[g];
-                        (self.p_bc)(x, y, t_new)
-                    }
-                })
-                .collect()
-        };
-        let pres = self
-            .p_engine
-            .solve_into(&self.space, &b, &p_vals, &mut self.p, 0);
-        self.cg_iterations += pres.cg.iterations;
+        space.apply_mass_into(&ws.div, &mut ws.rhs);
+        ws.rhs.iter_mut().for_each(|b| *b = -*b);
+        // Pure Neumann problem: the engine pins DoF 0 and `pbc` stays its
+        // initial single zero.
+        for (val, &g) in ws.pbc.iter_mut().zip(&self.p_dofs) {
+            *val = match self.p_overrides.get(&g) {
+                Some(&pv) => pv,
+                None => {
+                    let [x, y] = space.coords[g];
+                    (self.p_bc)(x, y, t_new)
+                }
+            };
+        }
+        let pres = self.p_engine.solve_into(space, &ws.rhs, &ws.pbc, p, 0);
 
         // Projection: ũ = u* − Δt ∇p.
-        let (px, py) = self.space.gradient(&self.p);
+        space.gradient_ws(p, &mut ws.gx, &mut ws.gy, &mut ws.grad);
         for i in 0..n {
-            ustar[i] -= dt * px[i];
-            vstar[i] -= dt * py[i];
+            ws.ustar[i] -= dt * ws.gx[i];
+            ws.vstar[i] -= dt * ws.gy[i];
         }
 
         // --- Step 3: viscous Helmholtz  (−∇² + λ) u^{n+1} = λ_ν ũ.
         let lambda = gamma0 / (self.cfg.nu * dt);
         let scale = 1.0 / (self.cfg.nu * dt);
-        let bu: Vec<f64> = self
-            .space
-            .apply_mass(&ustar)
-            .iter()
-            .map(|&x| x * scale)
-            .collect();
-        let bv: Vec<f64> = self
-            .space
-            .apply_mass(&vstar)
-            .iter()
-            .map(|&x| x * scale)
-            .collect();
-        let (ubc, vbc): (Vec<f64>, Vec<f64>) = self
-            .vel_dofs
-            .iter()
-            .map(|&g| {
-                if let Some(&(ou, ov)) = self.overrides.get(&g) {
-                    (ou, ov)
-                } else {
-                    let [x, y] = self.space.coords[g];
+        for ((ub, vb), &g) in ws.ubc.iter_mut().zip(&mut ws.vbc).zip(&self.vel_dofs) {
+            (*ub, *vb) = match self.overrides.get(&g) {
+                Some(&o) => o,
+                None => {
+                    let [x, y] = space.coords[g];
                     (self.vel_bc)(x, y, t_new)
                 }
-            })
-            .unzip();
+            };
+        }
         // The viscous engine is rebuilt whenever λ changes (the order ramp
         // after the first step); a rebuild discards the projection bases,
         // which a changed operator invalidates anyway.
-        let rebuild = match &self.v_engine {
-            None => true,
-            Some(e) => e.lambda().to_bits() != lambda.to_bits(),
-        };
-        if rebuild {
-            self.v_engine = Some(EllipticSolver::new(
-                &self.space,
+        let ve = match &mut self.v_engine {
+            Some(e) if e.lambda().to_bits() == lambda.to_bits() => e,
+            stale => stale.insert(EllipticSolver::new(
+                space,
                 lambda,
                 &self.vel_dofs,
                 self.cfg.precon,
@@ -427,16 +387,19 @@ impl NsSolver2d {
                 self.cfg.max_iter,
                 2,
                 self.cfg.proj_depth,
-            ));
-        }
+            )),
+        };
         // Rotate the velocity history first so the solves can write the
         // fields in place.
-        self.u_prev.copy_from_slice(&self.u);
-        self.v_prev.copy_from_slice(&self.v);
-        let ve = self.v_engine.as_mut().expect("viscous engine just built");
-        let ures = ve.solve_into(&self.space, &bu, &ubc, &mut self.u, 0);
-        let vres = ve.solve_into(&self.space, &bv, &vbc, &mut self.v, 1);
-        self.cg_iterations += ures.cg.iterations + vres.cg.iterations;
+        self.u_prev.copy_from_slice(u);
+        self.v_prev.copy_from_slice(v);
+        space.apply_mass_into(&ws.ustar, &mut ws.rhs);
+        ws.rhs.iter_mut().for_each(|b| *b *= scale);
+        let ures = ve.solve_into(space, &ws.rhs, &ws.ubc, u, 0);
+        space.apply_mass_into(&ws.vstar, &mut ws.rhs);
+        ws.rhs.iter_mut().for_each(|b| *b *= scale);
+        let vres = ve.solve_into(space, &ws.rhs, &ws.vbc, v, 1);
+        self.cg_iterations += pres.cg.iterations + ures.cg.iterations + vres.cg.iterations;
         self.last_stats = StepSolveStats {
             pressure_iterations: pres.cg.iterations,
             pressure_residual: pres.cg.residual,
@@ -448,8 +411,8 @@ impl NsSolver2d {
         };
 
         // Rotate the advection histories.
-        self.nu_hist[0] = nu0;
-        self.nv_hist[0] = nv0;
+        std::mem::swap(&mut self.nu_hist[0], &mut ws.nu);
+        std::mem::swap(&mut self.nv_hist[0], &mut ws.nv);
         self.time = t_new;
         self.steps += 1;
     }
@@ -485,7 +448,7 @@ impl Snapshot for NsSolver2d {
         enc.put(self.cfg.time_order as u64);
         enc.put(self.cfg.tol);
         enc.put(self.cfg.max_iter as u64);
-        enc.put(precon_code(self.cfg.precon));
+        enc.put(self.cfg.precon.code());
         enc.put(self.cfg.proj_depth as u64);
         enc.put(self.space.nglobal as u64);
         enc.put_slice(&self.vel_dofs);
@@ -524,13 +487,13 @@ impl Snapshot for NsSolver2d {
         // Projection warm-start bases: without them a resumed run would
         // take different CG trajectories than the original (the fields
         // would still converge, but not bitwise-identically).
-        snapshot_proj(enc, &self.p_engine.proj_export());
+        self.p_engine.snapshot_proj(enc);
         match &self.v_engine {
             None => enc.put(0u64),
             Some(e) => {
                 enc.put(1u64);
                 enc.put(e.lambda());
-                snapshot_proj(enc, &e.proj_export());
+                e.snapshot_proj(enc);
             }
         }
         self.last_stats.snapshot_into(enc);
@@ -553,7 +516,7 @@ impl Snapshot for NsSolver2d {
         if dec.take::<u64>()? as usize != self.cfg.max_iter {
             return Err(mismatch("iteration cap"));
         }
-        if dec.take::<u64>()? != precon_code(self.cfg.precon) {
+        if dec.take::<u64>()? != self.cfg.precon.code() {
             return Err(mismatch("preconditioner"));
         }
         if dec.take::<u64>()? as usize != self.cfg.proj_depth {
@@ -604,12 +567,10 @@ impl Snapshot for NsSolver2d {
             p_overrides.insert(k, pv);
         }
         self.p_overrides = p_overrides;
-        let p_state = restore_proj(dec, n)?;
-        self.p_engine.proj_import(&p_state);
+        self.p_engine.restore_proj(dec)?;
         self.v_engine = None;
         if dec.take::<u64>()? != 0 {
             let lambda: f64 = dec.take()?;
-            let v_state = restore_proj(dec, n)?;
             let mut eng = EllipticSolver::new(
                 &self.space,
                 lambda,
@@ -620,7 +581,7 @@ impl Snapshot for NsSolver2d {
                 2,
                 self.cfg.proj_depth,
             );
-            eng.proj_import(&v_state);
+            eng.restore_proj(dec)?;
             self.v_engine = Some(eng);
         }
         self.last_stats = StepSolveStats::restore_from(dec)?;

@@ -2,7 +2,7 @@
 //! velocity-correction splitting as [`crate::ns2d`], on structured hex
 //! SEM spaces.
 
-use crate::precon::EllipticSolver;
+use crate::precon::{ApplyScratch, EllipticSolver};
 use crate::space3d::Space3d;
 use nkg_mesh::quad::BoundaryTag;
 use std::collections::HashMap;
@@ -19,7 +19,6 @@ pub struct NsSolver3d {
     cfg: NsConfig,
     vel_dofs: Vec<usize>,
     vel_bc: VelBcFn3,
-    p_dofs: Vec<usize>,
     force: ForceFn3,
     overrides: HashMap<usize, [f64; 3]>,
     /// Velocity components.
@@ -38,6 +37,27 @@ pub struct NsSolver3d {
     /// Persistent viscous engine (3 slots); rebuilt when λ changes.
     v_engine: Option<EllipticSolver>,
     last_stats: StepSolveStats,
+    ws: StepWorkspace3,
+}
+
+/// Buffers of one [`NsSolver3d::step`], allocated once so stepping does
+/// not touch the heap.
+struct StepWorkspace3 {
+    grad_ws: ApplyScratch,
+    /// Advection terms of the current fields; swapped into the history at
+    /// the end of the step.
+    adv: [Vec<f64>; 3],
+    star: [Vec<f64>; 3],
+    /// Output of the latest gradient.
+    grad: [Vec<f64>; 3],
+    div: Vec<f64>,
+    /// Weak right-hand side of the solve in progress.
+    rhs: Vec<f64>,
+    /// Dirichlet values at `vel_dofs`, and one component of them.
+    bc: Vec<[f64; 3]>,
+    bc_comp: Vec<f64>,
+    /// Homogeneous pressure Dirichlet data.
+    pbc: Vec<f64>,
 }
 
 impl NsSolver3d {
@@ -56,11 +76,8 @@ impl NsSolver3d {
         let vel_dofs = space.boundary_dofs(&vel_tags);
         let p_dofs = space.boundary_dofs(&p_tags);
         let n = space.nglobal;
-        let p_pin = if p_dofs.is_empty() {
-            vec![0]
-        } else {
-            p_dofs.clone()
-        };
+        // Pure-Neumann pressure: pin DoF 0 to fix the nullspace.
+        let p_pin = if p_dofs.is_empty() { vec![0] } else { p_dofs };
         let p_engine = EllipticSolver::new(
             &space,
             0.0,
@@ -74,9 +91,7 @@ impl NsSolver3d {
         Self {
             space,
             cfg,
-            vel_dofs,
             vel_bc: Box::new(vel_bc),
-            p_dofs,
             force: Box::new(force),
             overrides: HashMap::new(),
             vel: std::array::from_fn(|_| vec![0.0; n]),
@@ -89,6 +104,18 @@ impl NsSolver3d {
             p_engine,
             v_engine: None,
             last_stats: StepSolveStats::default(),
+            ws: StepWorkspace3 {
+                grad_ws: ApplyScratch::new(),
+                adv: std::array::from_fn(|_| vec![0.0; n]),
+                star: std::array::from_fn(|_| vec![0.0; n]),
+                grad: std::array::from_fn(|_| vec![0.0; n]),
+                div: vec![0.0; n],
+                rhs: vec![0.0; n],
+                bc: vec![[0.0; 3]; vel_dofs.len()],
+                bc_comp: vec![0.0; vel_dofs.len()],
+                pbc: vec![0.0; p_pin.len()],
+            },
+            vel_dofs,
         }
     }
 
@@ -121,20 +148,6 @@ impl NsSolver3d {
         &self.vel_dofs
     }
 
-    fn advection(&self) -> [Vec<f64>; 3] {
-        let n = self.space.nglobal;
-        let grads: Vec<[Vec<f64>; 3]> = (0..3).map(|c| self.space.gradient(&self.vel[c])).collect();
-        std::array::from_fn(|c| {
-            let mut out = vec![0.0; n];
-            for i in 0..n {
-                out[i] = self.vel[0][i] * grads[c][0][i]
-                    + self.vel[1][i] * grads[c][1][i]
-                    + self.vel[2][i] * grads[c][2][i];
-            }
-            out
-        })
-    }
-
     /// Advance one time step.
     pub fn step(&mut self) {
         let n = self.space.nglobal;
@@ -145,64 +158,62 @@ impl NsSolver3d {
             1 => (1.0, [1.0, 0.0], [1.0, 0.0]),
             _ => (1.5, [2.0, -0.5], [2.0, -1.0]),
         };
-        let adv = self.advection();
-        let mut star: [Vec<f64>; 3] = std::array::from_fn(|_| vec![0.0; n]);
+        let Self {
+            space, ws, vel, p, ..
+        } = self;
+        // Advection `(u·∇)u` in collocation form.
+        for c in 0..3 {
+            space.gradient_ws(&vel[c], &mut ws.grad, &mut ws.grad_ws);
+            for i in 0..n {
+                ws.adv[c][i] = vel[0][i] * ws.grad[0][i]
+                    + vel[1][i] * ws.grad[1][i]
+                    + vel[2][i] * ws.grad[2][i];
+            }
+        }
         for i in 0..n {
-            let [x, y, z] = self.space.coords[i];
+            let [x, y, z] = space.coords[i];
             let f = (self.force)(x, y, z, t_new);
             for c in 0..3 {
-                star[c][i] = alpha[0] * self.vel[c][i]
+                ws.star[c][i] = alpha[0] * vel[c][i]
                     + alpha[1] * self.vel_prev[c][i]
-                    + dt * (-(beta[0] * adv[c][i] + beta[1] * self.adv_prev[c][i]) + f[c]);
+                    + dt * (-(beta[0] * ws.adv[c][i] + beta[1] * self.adv_prev[c][i]) + f[c]);
             }
         }
         // Pressure Poisson.
-        let gx = self.space.gradient(&star[0]);
-        let gy = self.space.gradient(&star[1]);
-        let gz = self.space.gradient(&star[2]);
-        let mut div = vec![0.0; n];
-        for i in 0..n {
-            div[i] = (gx[0][i] + gy[1][i] + gz[2][i]) / dt;
+        ws.div.fill(0.0);
+        for c in 0..3 {
+            space.gradient_ws(&ws.star[c], &mut ws.grad, &mut ws.grad_ws);
+            for i in 0..n {
+                ws.div[i] += ws.grad[c][i];
+            }
         }
-        let mdiv = self.space.apply_mass(&div);
-        let b: Vec<f64> = mdiv.iter().map(|&x| -x).collect();
-        let p_vals: Vec<f64> = if self.p_dofs.is_empty() {
-            vec![0.0]
-        } else {
-            vec![0.0; self.p_dofs.len()]
-        };
-        let pres = self
-            .p_engine
-            .solve_into(&self.space, &b, &p_vals, &mut self.p, 0);
+        ws.div.iter_mut().for_each(|d| *d /= dt);
+        space.apply_mass_into(&ws.div, &mut ws.rhs);
+        ws.rhs.iter_mut().for_each(|b| *b = -*b);
+        let pres = self.p_engine.solve_into(space, &ws.rhs, &ws.pbc, p, 0);
         self.cg_iterations += pres.cg.iterations;
-        let pg = self.space.gradient(&self.p);
+        space.gradient_ws(p, &mut ws.grad, &mut ws.grad_ws);
         for c in 0..3 {
             for i in 0..n {
-                star[c][i] -= dt * pg[c][i];
+                ws.star[c][i] -= dt * ws.grad[c][i];
             }
         }
         // Viscous solves.
         let lambda = gamma0 / (self.cfg.nu * dt);
         let scale = 1.0 / (self.cfg.nu * dt);
-        let bc_vals: Vec<[f64; 3]> = self
-            .vel_dofs
-            .iter()
-            .map(|&g| {
-                if let Some(&v) = self.overrides.get(&g) {
-                    v
-                } else {
-                    let [x, y, z] = self.space.coords[g];
+        for (val, &g) in ws.bc.iter_mut().zip(&self.vel_dofs) {
+            *val = match self.overrides.get(&g) {
+                Some(&v) => v,
+                None => {
+                    let [x, y, z] = space.coords[g];
                     (self.vel_bc)(x, y, z, t_new)
                 }
-            })
-            .collect();
-        let rebuild = match &self.v_engine {
-            None => true,
-            Some(e) => e.lambda().to_bits() != lambda.to_bits(),
-        };
-        if rebuild {
-            self.v_engine = Some(EllipticSolver::new(
-                &self.space,
+            };
+        }
+        let ve = match &mut self.v_engine {
+            Some(e) if e.lambda().to_bits() == lambda.to_bits() => e,
+            stale => stale.insert(EllipticSolver::new(
+                space,
                 lambda,
                 &self.vel_dofs,
                 self.cfg.precon,
@@ -210,23 +221,20 @@ impl NsSolver3d {
                 self.cfg.max_iter,
                 3,
                 self.cfg.proj_depth,
-            ));
-        }
+            )),
+        };
         let mut visc_iters = 0;
         let mut visc_res = 0.0f64;
         let mut visc_proj = 0;
         let mut breakdown = pres.cg.breakdown;
         for c in 0..3 {
-            let bw: Vec<f64> = self
-                .space
-                .apply_mass(&star[c])
-                .iter()
-                .map(|&x| x * scale)
-                .collect();
-            let vals: Vec<f64> = bc_vals.iter().map(|v| v[c]).collect();
-            self.vel_prev[c].copy_from_slice(&self.vel[c]);
-            let ve = self.v_engine.as_mut().expect("viscous engine just built");
-            let res = ve.solve_into(&self.space, &bw, &vals, &mut self.vel[c], c);
+            space.apply_mass_into(&ws.star[c], &mut ws.rhs);
+            ws.rhs.iter_mut().for_each(|b| *b *= scale);
+            for (val, bc) in ws.bc_comp.iter_mut().zip(&ws.bc) {
+                *val = bc[c];
+            }
+            self.vel_prev[c].copy_from_slice(&vel[c]);
+            let res = ve.solve_into(space, &ws.rhs, &ws.bc_comp, &mut vel[c], c);
             self.cg_iterations += res.cg.iterations;
             visc_iters += res.cg.iterations;
             visc_res = visc_res.max(res.cg.residual);
@@ -242,7 +250,7 @@ impl NsSolver3d {
             viscous_proj_dim: visc_proj,
             breakdown,
         };
-        self.adv_prev = adv;
+        std::mem::swap(&mut self.adv_prev, &mut ws.adv);
         self.time = t_new;
         self.steps += 1;
     }

@@ -1,0 +1,152 @@
+//! Small dense kernels (row-major) under the condensed engine: Cholesky,
+//! explicit SPD inverses, and the matrix–vector products every
+//! per-iteration operation reduces to.
+//!
+//! Inverses are stored explicitly so applying one is a run of independent
+//! [`nkg_simd::dot`]s the compiler vectorises, where a triangular solve is
+//! a chain of dependent divisions.
+
+use nkg_simd::{axpy, dot};
+
+/// In-place lower Cholesky of a row-major `n×n` SPD matrix. Returns false
+/// (leaving `a` partially overwritten) when a non-positive pivot shows the
+/// matrix is not numerically SPD.
+fn cholesky_in_place(a: &mut [f64], n: usize) -> bool {
+    for i in 0..n {
+        for j in 0..=i {
+            let mut s = a[i * n + j];
+            for k in 0..j {
+                s -= a[i * n + k] * a[j * n + k];
+            }
+            if i == j {
+                if s <= 0.0 {
+                    return false;
+                }
+                a[i * n + i] = s.sqrt();
+            } else {
+                a[i * n + j] = s / a[j * n + j];
+            }
+        }
+    }
+    true
+}
+
+/// Overwrite the SPD matrix `a` with its inverse `L⁻ᵀL⁻¹` (exactly
+/// symmetric: the upper triangle is mirrored from the lower). Returns
+/// false, leaving `a` unspecified, when `a` is not numerically SPD.
+pub(super) fn spd_inverse_in_place(a: &mut [f64], n: usize) -> bool {
+    if !cholesky_in_place(a, n) {
+        return false;
+    }
+    // `lt` holds (L⁻¹)ᵀ: row `j` is column `j` of L⁻¹, filled by forward
+    // substitution on the unit vector `e_j`, so both products below run
+    // over contiguous slices.
+    let mut lt = vec![0.0f64; n * n];
+    for j in 0..n {
+        lt[j * n + j] = 1.0 / a[j * n + j];
+        for i in j + 1..n {
+            let s = dot(&a[i * n + j..i * n + i], &lt[j * n + j..j * n + i]);
+            lt[j * n + i] = -s / a[i * n + i];
+        }
+    }
+    for i in 0..n {
+        for j in 0..=i {
+            let s = dot(&lt[i * n + i..(i + 1) * n], &lt[j * n + i..(j + 1) * n]);
+            a[i * n + j] = s;
+            a[j * n + i] = s;
+        }
+    }
+    true
+}
+
+/// `y = A x` for row-major `A` (`y.len()` rows, `x.len()` columns).
+#[inline]
+pub(super) fn gemv(a: &[f64], x: &[f64], y: &mut [f64]) {
+    let n = x.len();
+    debug_assert_eq!(a.len(), n * y.len());
+    if n == 0 {
+        y.fill(0.0);
+        return;
+    }
+    for (yi, row) in y.iter_mut().zip(a.chunks_exact(n)) {
+        *yi = dot(row, x);
+    }
+}
+
+/// `y −= Aᵀ x` for row-major `A` (`x.len()` rows, `y.len()` columns).
+#[inline]
+pub(super) fn gemv_t_sub(a: &[f64], x: &[f64], y: &mut [f64]) {
+    let n = y.len();
+    debug_assert_eq!(a.len(), n * x.len());
+    if n == 0 {
+        return;
+    }
+    for (&xk, row) in x.iter().zip(a.chunks_exact(n)) {
+        axpy(-xk, row, y);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `AᵀA + I` for a fixed `A`.
+    fn spd(n: usize) -> Vec<f64> {
+        let a0: Vec<f64> = (0..n * n)
+            .map(|i| ((i * 7 + 3) % 11) as f64 * 0.1)
+            .collect();
+        let mut m = vec![0.0; n * n];
+        for i in 0..n {
+            for j in 0..n {
+                let mut s = if i == j { 1.0 } else { 0.0 };
+                for k in 0..n {
+                    s += a0[k * n + i] * a0[k * n + j];
+                }
+                m[i * n + j] = s;
+            }
+        }
+        m
+    }
+
+    #[test]
+    fn inverse_times_matrix_is_identity() {
+        for n in [1usize, 4, 9] {
+            let m = spd(n);
+            let mut inv = m.clone();
+            assert!(spd_inverse_in_place(&mut inv, n));
+            let mut col = vec![0.0; n];
+            for j in 0..n {
+                let mj: Vec<f64> = (0..n).map(|i| m[i * n + j]).collect();
+                gemv(&inv, &mj, &mut col);
+                for (i, &v) in col.iter().enumerate() {
+                    let want = if i == j { 1.0 } else { 0.0 };
+                    assert!((v - want).abs() < 1e-10, "n={n} ({i},{j}): {v}");
+                }
+                for i in 0..n {
+                    assert_eq!(inv[i * n + j].to_bits(), inv[j * n + i].to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn indefinite_matrix_rejected() {
+        let mut a = vec![1.0, 0.0, 0.0, -1.0];
+        assert!(!cholesky_in_place(&mut a, 2));
+        let mut b = vec![1.0, 0.0, 0.0, -1.0];
+        assert!(!spd_inverse_in_place(&mut b, 2));
+    }
+
+    #[test]
+    fn transposed_product_matches_rowwise() {
+        let (rows, cols) = (3usize, 5usize);
+        let a: Vec<f64> = (0..rows * cols).map(|i| (i as f64).sin()).collect();
+        let x = [0.5, -1.25, 2.0];
+        let mut y = vec![1.0; cols];
+        gemv_t_sub(&a, &x, &mut y);
+        for (j, &yj) in y.iter().enumerate() {
+            let want = 1.0 - (0..rows).map(|i| a[i * cols + j] * x[i]).sum::<f64>();
+            assert!((yj - want).abs() < 1e-14);
+        }
+    }
+}

@@ -194,13 +194,19 @@ impl Space2d {
     /// matrix: `out = M u`.
     pub fn apply_mass(&self, u: &[f64]) -> Vec<f64> {
         let mut out = vec![0.0; self.nglobal];
+        self.apply_mass_into(u, &mut out);
+        out
+    }
+
+    /// [`Space2d::apply_mass`] into a caller-provided output.
+    pub fn apply_mass_into(&self, u: &[f64], out: &mut [f64]) {
+        out.fill(0.0);
         for (e, map) in self.gmap.iter().enumerate() {
             let g = &self.geom[e];
             for (k, &gid) in map.iter().enumerate() {
                 out[gid] += g.mass[k] * u[gid];
             }
         }
-        out
     }
 
     /// Domain integral of a nodal field.
@@ -338,31 +344,6 @@ impl Space2d {
         }
     }
 
-    /// Assembled diagonal of the Helmholtz operator (for Jacobi
-    /// preconditioning).
-    pub fn helmholtz_diagonal(&self, lambda: f64) -> Vec<f64> {
-        let n = self.basis.n();
-        let d = &self.basis.d;
-        let mut diag = vec![0.0f64; self.nglobal];
-        for (e, map) in self.gmap.iter().enumerate() {
-            let g = &self.geom[e];
-            for j in 0..n {
-                for i in 0..n {
-                    let k = j * n + i;
-                    let mut v = 0.0;
-                    for m in 0..n {
-                        v += g.g11[j * n + m] * d[m * n + i] * d[m * n + i];
-                        v += g.g22[m * n + i] * d[m * n + j] * d[m * n + j];
-                    }
-                    v += 2.0 * g.g12[k] * d[i * n + i] * d[j * n + j];
-                    v += lambda * g.mass[k];
-                    diag[map[k]] += v;
-                }
-            }
-        }
-        diag
-    }
-
     /// Collocation gradient of a global field: per-element tensor
     /// derivatives mapped to physical space, averaged at shared DoFs.
     /// Returns `(du/dx, du/dy)` as global vectors.
@@ -433,7 +414,7 @@ impl Space2d {
 
     /// Solve the Helmholtz problem `-∇²u + λu = f` (weak form) with
     /// Dirichlet data on the DoFs listed in `dirichlet` (values from
-    /// `bc_value`), Jacobi-preconditioned CG.
+    /// `bc_value`), by a one-shot condensed engine on the Jacobi rung.
     ///
     /// `rhs_weak` must already be in weak form (e.g. from
     /// [`Space2d::weak_rhs`]). Returns the solution and CG diagnostics.
@@ -446,9 +427,6 @@ impl Space2d {
         tol: f64,
         max_iter: usize,
     ) -> (Vec<f64>, CgResult) {
-        // One-shot engine: identical arithmetic to the historical inline
-        // solver (see `precon::tests::engine_matches_legacy_solver_bitwise`)
-        // without the per-iteration `p.to_vec()` clone.
         let mut eng = EllipticSolver::new(
             self,
             lambda,
@@ -537,10 +515,6 @@ impl EllipticSpace for Space2d {
         Space2d::apply_helmholtz_ws(self, lambda, u, out, ws);
     }
 
-    fn helmholtz_diag(&self, lambda: f64) -> Vec<f64> {
-        self.helmholtz_diagonal(lambda)
-    }
-
     fn elem_matrix(&self, e: usize, lambda: f64, out: &mut [f64], ws: &mut ApplyScratch) {
         let nloc = self.nloc();
         assert!(out.len() >= nloc * nloc);
@@ -564,6 +538,13 @@ impl EllipticSpace for Space2d {
             for k in 0..nloc {
                 out[k * nloc + l] = ol[k];
             }
+        }
+    }
+
+    fn elem_geom_bits(&self, e: usize, out: &mut Vec<u64>) {
+        let g = &self.geom[e];
+        for f in [&g.g11, &g.g12, &g.g22, &g.mass] {
+            out.extend(f.iter().map(|v| v.to_bits()));
         }
     }
 
@@ -649,6 +630,9 @@ fn elem_geometry(mesh: &QuadMesh, verts: [usize; 4], basis: &GllBasis) -> ElemGe
     let n = basis.n();
     let nloc = n * n;
     let vc: Vec<[f64; 2]> = verts.iter().map(|&v| mesh.coords[v]).collect();
+    let sub = |a: usize, b: usize| [vc[a][0] - vc[b][0], vc[a][1] - vc[b][1]];
+    // The two ξ-edges (η = ∓1), then the two η-edges (ξ = ∓1).
+    let edge = [sub(1, 0), sub(2, 3), sub(3, 0), sub(2, 1)];
     let mut g = ElemGeom {
         g11: vec![0.0; nloc],
         g12: vec![0.0; nloc],
@@ -665,35 +649,26 @@ fn elem_geometry(mesh: &QuadMesh, verts: [usize; 4], basis: &GllBasis) -> ElemGe
         for i in 0..n {
             let (xi, eta) = (basis.points[i], basis.points[j]);
             let k = j * n + i;
-            // Bilinear shape functions and their derivatives.
+            // Bilinear shape functions.
             let nfun = [
                 0.25 * (1.0 - xi) * (1.0 - eta),
                 0.25 * (1.0 + xi) * (1.0 - eta),
                 0.25 * (1.0 + xi) * (1.0 + eta),
                 0.25 * (1.0 - xi) * (1.0 + eta),
             ];
-            let dxi = [
-                -0.25 * (1.0 - eta),
-                0.25 * (1.0 - eta),
-                0.25 * (1.0 + eta),
-                -0.25 * (1.0 + eta),
-            ];
-            let deta = [
-                -0.25 * (1.0 - xi),
-                -0.25 * (1.0 + xi),
-                0.25 * (1.0 + xi),
-                0.25 * (1.0 - xi),
-            ];
             let (mut x, mut y) = (0.0, 0.0);
-            let (mut x_xi, mut y_xi, mut x_eta, mut y_eta) = (0.0, 0.0, 0.0, 0.0);
             for a in 0..4 {
                 x += nfun[a] * vc[a][0];
                 y += nfun[a] * vc[a][1];
-                x_xi += dxi[a] * vc[a][0];
-                y_xi += dxi[a] * vc[a][1];
-                x_eta += deta[a] * vc[a][0];
-                y_eta += deta[a] * vc[a][1];
             }
+            // The Jacobian from the edge vectors, not the vertex positions:
+            // translating an element leaves its edge vectors — and with
+            // them every geometric factor — bitwise unchanged, which is
+            // what lets congruent elements share condensed products.
+            let x_xi = 0.25 * ((1.0 - eta) * edge[0][0] + (1.0 + eta) * edge[1][0]);
+            let y_xi = 0.25 * ((1.0 - eta) * edge[0][1] + (1.0 + eta) * edge[1][1]);
+            let x_eta = 0.25 * ((1.0 - xi) * edge[2][0] + (1.0 + xi) * edge[3][0]);
+            let y_eta = 0.25 * ((1.0 - xi) * edge[2][1] + (1.0 + xi) * edge[3][1]);
             let jac = x_xi * y_eta - x_eta * y_xi;
             assert!(
                 jac > 1e-14,
@@ -862,25 +837,6 @@ mod tests {
         s.apply_helmholtz(0.0, &u, &mut au);
         for (i, &a) in au.iter().enumerate() {
             assert!(a.abs() < 1e-10, "dof {i}: {a}");
-        }
-    }
-
-    #[test]
-    fn diagonal_matches_operator_probe() {
-        let s = channel(2, 1, 3);
-        let diag = s.helmholtz_diagonal(1.5);
-        let n = s.nglobal;
-        for gid in [0usize, 3, n / 2, n - 1] {
-            let mut e = vec![0.0; n];
-            e[gid] = 1.0;
-            let mut ae = vec![0.0; n];
-            s.apply_helmholtz(1.5, &e, &mut ae);
-            assert!(
-                (ae[gid] - diag[gid]).abs() < 1e-10 * diag[gid].abs().max(1.0),
-                "dof {gid}: probe {} vs diag {}",
-                ae[gid],
-                diag[gid]
-            );
         }
     }
 

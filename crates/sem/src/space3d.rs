@@ -130,13 +130,19 @@ impl Space3d {
     /// Assembled diagonal-mass product `M u`.
     pub fn apply_mass(&self, u: &[f64]) -> Vec<f64> {
         let mut out = vec![0.0; self.nglobal];
+        self.apply_mass_into(u, &mut out);
+        out
+    }
+
+    /// [`Space3d::apply_mass`] into a caller-provided output.
+    pub fn apply_mass_into(&self, u: &[f64], out: &mut [f64]) {
+        out.fill(0.0);
         for (e, map) in self.gmap.iter().enumerate() {
             let g = &self.geom[e];
             for (k, &gidx) in map.iter().enumerate() {
                 out[gidx] += g.mass[k] * u[gidx];
             }
         }
-        out
     }
 
     /// Domain integral of a nodal field.
@@ -285,37 +291,6 @@ impl Space3d {
         }
     }
 
-    /// Assembled operator diagonal for Jacobi preconditioning.
-    pub fn helmholtz_diagonal(&self, lambda: f64) -> Vec<f64> {
-        let n = self.basis.n();
-        let d = &self.basis.d;
-        let mut diag = vec![0.0f64; self.nglobal];
-        for (e, map) in self.gmap.iter().enumerate() {
-            let g = &self.geom[e];
-            for kz in 0..n {
-                for ky in 0..n {
-                    for kx in 0..n {
-                        let loc = (kz * n + ky) * n + kx;
-                        let mut v = lambda * g.mass[loc];
-                        for m in 0..n {
-                            v += g.g[0][(kz * n + ky) * n + m] * d[m * n + kx] * d[m * n + kx];
-                            v += g.g[3][(kz * n + m) * n + kx] * d[m * n + ky] * d[m * n + ky];
-                            v += g.g[5][(m * n + ky) * n + kx] * d[m * n + kz] * d[m * n + kz];
-                        }
-                        let dk = d[kx * n + kx];
-                        let dj = d[ky * n + ky];
-                        let di = d[kz * n + kz];
-                        v += 2.0 * g.g[1][loc] * dk * dj;
-                        v += 2.0 * g.g[2][loc] * dk * di;
-                        v += 2.0 * g.g[4][loc] * dj * di;
-                        diag[map[loc]] += v;
-                    }
-                }
-            }
-        }
-        diag
-    }
-
     /// Collocation gradient, averaged at shared DoFs: `(∂u/∂x, ∂u/∂y, ∂u/∂z)`.
     pub fn gradient(&self, u: &[f64]) -> [Vec<f64>; 3] {
         let mut out = [
@@ -396,8 +371,9 @@ impl Space3d {
         out.into_iter().collect()
     }
 
-    /// Helmholtz solve with Dirichlet lifting and Jacobi-preconditioned CG,
-    /// mirroring [`crate::space2d::Space2d::solve_helmholtz`].
+    /// Helmholtz solve with Dirichlet lifting by a one-shot condensed engine
+    /// on the Jacobi rung, mirroring
+    /// [`crate::space2d::Space2d::solve_helmholtz`].
     pub fn solve_helmholtz(
         &self,
         lambda: f64,
@@ -407,8 +383,6 @@ impl Space3d {
         tol: f64,
         max_iter: usize,
     ) -> (Vec<f64>, CgResult) {
-        // One-shot engine, Jacobi rung: same arithmetic as the historical
-        // inline solver without its per-iteration `p.to_vec()` clone.
         let mut eng = EllipticSolver::new(
             self,
             lambda,
@@ -446,10 +420,6 @@ impl EllipticSpace for Space3d {
         Space3d::apply_helmholtz_ws(self, lambda, u, out, ws);
     }
 
-    fn helmholtz_diag(&self, lambda: f64) -> Vec<f64> {
-        self.helmholtz_diagonal(lambda)
-    }
-
     fn elem_matrix(&self, e: usize, lambda: f64, out: &mut [f64], ws: &mut ApplyScratch) {
         let nloc = self.nloc();
         assert!(out.len() >= nloc * nloc);
@@ -462,6 +432,13 @@ impl EllipticSpace for Space3d {
             for k in 0..nloc {
                 out[k * nloc + l] = ol[k];
             }
+        }
+    }
+
+    fn elem_geom_bits(&self, e: usize, out: &mut Vec<u64>) {
+        let g = &self.geom[e];
+        for f in g.g.iter().chain([&g.mass]) {
+            out.extend(f.iter().map(|v| v.to_bits()));
         }
     }
 
@@ -572,25 +549,32 @@ fn elem_geometry3(mesh: &HexMesh, verts: [usize; 8], basis: &GllBasis) -> ElemGe
                 let loc = (kz * n + ky) * n + kx;
                 let r = [basis.points[kx], basis.points[ky], basis.points[kz]];
                 let mut x = [0.0f64; 3];
-                // jac[a][b] = ∂x_a/∂ξ_b
-                let mut jac = [[0.0f64; 3]; 3];
                 for (a, s) in signs.iter().enumerate() {
-                    let f = [
-                        0.5 * (1.0 + s[0] * r[0]),
-                        0.5 * (1.0 + s[1] * r[1]),
-                        0.5 * (1.0 + s[2] * r[2]),
-                    ];
-                    let df = [0.5 * s[0], 0.5 * s[1], 0.5 * s[2]];
-                    let shape = f[0] * f[1] * f[2];
-                    let dshape = [
-                        df[0] * f[1] * f[2],
-                        f[0] * df[1] * f[2],
-                        f[0] * f[1] * df[2],
-                    ];
+                    let shape =
+                        0.125 * (1.0 + s[0] * r[0]) * (1.0 + s[1] * r[1]) * (1.0 + s[2] * r[2]);
                     for c in 0..3 {
                         x[c] += shape * vc[a][c];
-                        for b in 0..3 {
-                            jac[c][b] += dshape[b] * vc[a][c];
+                    }
+                }
+                // jac[a][b] = ∂x_a/∂ξ_b, from the four edge vectors along
+                // axis b weighted by the bilinear shape of the other two
+                // axes — not from the vertex positions, so a translated
+                // element has bitwise the same geometric factors and
+                // congruent elements can share condensed products.
+                let mut jac = [[0.0f64; 3]; 3];
+                for b in 0..3 {
+                    let (o1, o2) = ((b + 1) % 3, (b + 2) % 3);
+                    for (lo, s) in signs.iter().enumerate() {
+                        if s[b] > 0.0 {
+                            continue;
+                        }
+                        let hi = signs
+                            .iter()
+                            .position(|t| t[b] > 0.0 && t[o1] == s[o1] && t[o2] == s[o2])
+                            .expect("every −1 vertex has a +1 partner along each axis");
+                        let wgt = 0.125 * (1.0 + s[o1] * r[o1]) * (1.0 + s[o2] * r[o2]);
+                        for c in 0..3 {
+                            jac[c][b] += wgt * (vc[hi][c] - vc[lo][c]);
                         }
                     }
                 }
@@ -686,22 +670,6 @@ mod tests {
         let vau: f64 = v.iter().zip(&au).map(|(a, b)| a * b).sum();
         let uav: f64 = u.iter().zip(&av).map(|(a, b)| a * b).sum();
         assert!((vau - uav).abs() < 1e-8 * vau.abs().max(1.0));
-    }
-
-    #[test]
-    fn diagonal_matches_probe() {
-        let s = box_space(1, 1, 2, 2);
-        let diag = s.helmholtz_diagonal(0.7);
-        for gid in [0usize, 5, s.nglobal / 2, s.nglobal - 1] {
-            let mut e = vec![0.0; s.nglobal];
-            e[gid] = 1.0;
-            let mut ae = vec![0.0; s.nglobal];
-            s.apply_helmholtz(0.7, &e, &mut ae);
-            assert!(
-                (ae[gid] - diag[gid]).abs() < 1e-10 * diag[gid].abs().max(1.0),
-                "dof {gid}"
-            );
-        }
     }
 
     #[test]

@@ -58,4 +58,8 @@ cargo run --release -q -p nkg-bench --bin bench_serve -- --bitwise
 echo "== serve-scheduler smoke: 16 jobs, 2 priority classes, scripted preemption, golden hash vs FIFO =="
 cargo run --release -q -p nkg-bench --bin bench_serve -- --sched-smoke
 
+echo "== bench_e2e: its own workspace, so build, unit-test and smoke it here =="
+cargo test --manifest-path bench_e2e/Cargo.toml --offline -q
+bash bench_e2e/run.sh --smoke
+
 echo "All checks passed."
