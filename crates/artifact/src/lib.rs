@@ -565,12 +565,12 @@ impl ArtifactCache {
             }
         }
         let mut w = SnapshotWriter::new();
-        w.add(tag4(b"AKND"), kind.as_bytes().to_vec());
+        w.add(tag4(b"AKND"), kind.as_bytes());
         let mut kb = Vec::with_capacity(16);
         kb.extend_from_slice(&key.0[0].to_le_bytes());
         kb.extend_from_slice(&key.0[1].to_le_bytes());
-        w.add(tag4(b"AKEY"), kb);
-        w.add(tag4(b"ABDY"), body);
+        w.add(tag4(b"AKEY"), &kb);
+        w.add(tag4(b"ABDY"), &body);
         let _ = w.write_atomic(&path);
     }
 

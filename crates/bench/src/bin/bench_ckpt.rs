@@ -1,20 +1,40 @@
-//! Checkpoint write/restore latency and size at production-shaped scale:
-//! a DPD domain with N ≈ 1e5 particles (ρ = 3) plus its open boundary,
-//! snapshotted through the `nkg-ckpt` container (CRC32 per section, atomic
-//! temp + rename) and restored into a freshly constructed sim.
+//! What a checkpoint costs, split the way `NektarG::run_to` splits it:
+//! encode (on the solver thread), seal (the CRC32 pass) and commit
+//! (rotate + temp write + fsync + rename, both on the committer thread),
+//! for two states —
 //!
-//! Appends one JSON record per run to `BENCH_ckpt.json` (JSON Lines) and
-//! prints the same numbers to stdout.
+//! * `coupled_io`: the `bench_e2e` workload of that name (2 p=4 patches,
+//!   a 3 456-particle DPD box with 8 192 interface bins, WPOD), where
+//!   `boundary_stall_ms` is what `run_to` itself waits at a checkpoint
+//!   boundary: the time a checkpointing window spends outside both solver
+//!   tasks and the exchange, minus the same for a window that takes no
+//!   checkpoint (medians, Overlapped policy, checkpoint every second
+//!   exchange);
+//! * `dpd_1e5`: a DPD box of N ≈ 1e5 particles (ρ = 3) with its open
+//!   boundary, the production-shaped snapshot size.
+//!
+//! The first row is the CRC32 throughput the seal and every validation
+//! run at, next to a bytewise table CRC kept here as the yardstick.
+//!
+//! Overwrites `BENCH_ckpt.json` (one stamped JSON line per row) and prints
+//! the same numbers. `--smoke` runs every leg at toy size and writes
+//! `target/BENCH_ckpt.smoke.json` instead.
 
-use nkg_bench::{append_jsonl, header, time_median};
-use nkg_ckpt::{SnapshotFile, SnapshotWriter};
+use nkg_bench::{header, time_median, write_jsonl};
+use nkg_ckpt::crc32::crc32;
+use nkg_ckpt::{prev_path, SnapshotFile, SnapshotWriter};
+use nkg_coupling::atomistic::{AtomisticDomain, Embedding};
+use nkg_coupling::metasolver::{CheckpointPolicy, ExecutionPolicy};
+use nkg_coupling::multipatch::poiseuille_multipatch;
+use nkg_coupling::{NektarG, TimeProgression, UnitScaling};
 use nkg_dpd::inflow::OpenBoundaryX;
-use nkg_dpd::sim::{DpdConfig, DpdSim, WallGeometry};
+use nkg_dpd::sim::{BinSampler, DpdConfig, DpdSim, ForceBackend, WallGeometry};
 use nkg_dpd::Box3;
+use std::path::Path;
 
-fn build(n_target: usize) -> DpdSim {
-    // Slab channel sized for ρ = 3 at the requested count, with an open
-    // x boundary so the snapshot carries the full coupling surface state.
+/// Slab channel sized for ρ = 3 at the requested count, with an open x
+/// boundary so the snapshot carries the full coupling surface state.
+fn dpd_box(n_target: usize) -> DpdSim {
     let l = (n_target as f64 / 3.0).cbrt();
     let bx = Box3::new([0.0; 3], [l; 3], [false, false, true]);
     let cfg = DpdConfig {
@@ -29,52 +49,249 @@ fn build(n_target: usize) -> DpdSim {
     sim
 }
 
+/// The `coupled_io` scenario of `bench_e2e` (its smoke shape with
+/// `smoke`), Overlapped.
+fn coupled_io(smoke: bool) -> NektarG {
+    let (nu, force) = (0.5, 0.4);
+    let (nx, ny, dpd_box, bins) = if smoke {
+        (12, 2, [8.0, 8.0, 4.0], (64, 2))
+    } else {
+        (24, 4, [12.0, 12.0, 8.0], (2048, 4))
+    };
+    let continuum = poiseuille_multipatch(6.0, 1.0, nx, ny, 2, 4, nu, force, 5e-3);
+    let cfg = DpdConfig {
+        seed: 31,
+        ..Default::default()
+    };
+    let bx = Box3::new([0.0; 3], dpd_box, [false, false, true]);
+    let mut sim = DpdSim::new(cfg, bx, WallGeometry::SlabY);
+    sim.force_backend = ForceBackend::Parallel;
+    sim.fill_solvent();
+    let mut ob = OpenBoundaryX::new(bins.0, bins.1, cfg.density, cfg.kbt, [0.0; 3], 0);
+    ob.target_count = Some(sim.particles.len());
+    sim.set_open_x(ob);
+    let embedding = Embedding {
+        origin_ns: [2.5, 0.35],
+        scaling: UnitScaling {
+            unit_ns: 1.0,
+            unit_dpd: 0.05,
+            nu_ns: nu,
+            nu_dpd: 0.85,
+        },
+    };
+    NektarG::new(
+        continuum,
+        AtomisticDomain::new(sim, embedding),
+        TimeProgression::new(1, 1),
+    )
+    .with_wpod(
+        BinSampler::new(1, 6, 0, 2),
+        nkg_wpod::window::WindowPod::new(8, 8, 2.0),
+    )
+    .with_policy(ExecutionPolicy::Overlapped)
+}
+
+/// The yardstick: one table, one byte per step.
+fn crc32_bytewise(bytes: &[u8]) -> u32 {
+    let table: [u32; 256] = std::array::from_fn(|i| {
+        (0..8).fold(i as u32, |c, _| {
+            if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            }
+        })
+    });
+    !bytes.iter().fold(!0u32, |c, &b| {
+        table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8)
+    })
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    assert!(!xs.is_empty());
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// Encode / seal / commit / restore of one state, in milliseconds.
+struct Split {
+    bytes: u64,
+    encode_ms: f64,
+    seal_ms: f64,
+    commit_ms: f64,
+    restore_ms: f64,
+}
+
+/// `encode` replaces the writer's content; `restore` reads the file at
+/// `path`, validates it and restores it into a constructed instance.
+fn split(
+    reps: usize,
+    path: &Path,
+    encode: impl Fn(&mut SnapshotWriter),
+    mut restore: impl FnMut(),
+) -> Split {
+    let _ = std::fs::remove_file(path);
+    let _ = std::fs::remove_file(prev_path(path));
+    // One reused image, as in `run_to`; the first pass sizes it.
+    let mut w = SnapshotWriter::new();
+    encode(&mut w);
+    let (mut encode_s, mut seal_s, mut commit_s) = (Vec::new(), Vec::new(), Vec::new());
+    let mut bytes = 0;
+    for _ in 0..reps {
+        encode_s.push(time_median(1, || encode(&mut w)));
+        seal_s.push(time_median(1, || {
+            std::hint::black_box(w.seal());
+        }));
+        commit_s.push(time_median(1, || {
+            bytes = w.write_rotating(path).expect("checkpoint commit");
+        }));
+    }
+    let restore_s = time_median(reps, &mut restore);
+    Split {
+        bytes,
+        encode_ms: median(encode_s) * 1e3,
+        seal_ms: median(seal_s) * 1e3,
+        commit_ms: median(commit_s) * 1e3,
+        restore_ms: restore_s * 1e3,
+    }
+}
+
+impl Split {
+    fn print(&self, state: &str) {
+        let mib = self.bytes as f64 / (1024.0 * 1024.0);
+        println!("{state}: snapshot {} bytes ({mib:.2} MiB)", self.bytes);
+        for (phase, ms) in [
+            ("encode into the image (solver thread)", self.encode_ms),
+            ("seal: CRC32 of every section", self.seal_ms),
+            ("commit: rotate + write + fsync + rename", self.commit_ms),
+            ("read + validate + restore", self.restore_ms),
+        ] {
+            println!("  {phase:<42} {ms:>9.3} ms  {:>8.1} MiB/s", mib / ms * 1e3);
+        }
+    }
+
+    fn json(&self, state: &str, reps: usize, extra: &str) -> String {
+        format!(
+            "{{\"bench\":\"ckpt_pipeline\",\"state\":\"{state}\",\"reps\":{reps},\
+             \"snapshot_bytes\":{},\"encode_ms\":{:.4},\"seal_ms\":{:.4},\
+             \"commit_ms\":{:.4},\"restore_ms\":{:.4}{extra}}}",
+            self.bytes, self.encode_ms, self.seal_ms, self.commit_ms, self.restore_ms
+        )
+    }
+}
+
+/// What `run_to` waits at a checkpoint boundary, from its own window
+/// timings: the part of a window outside both solver tasks and the
+/// exchange, checkpointing windows minus the others.
+fn boundary_stall_ms(smoke: bool, path: &Path, steps: usize) -> f64 {
+    let _ = std::fs::remove_file(path);
+    let _ = std::fs::remove_file(prev_path(path));
+    let mut ng = coupled_io(smoke);
+    let every = 2;
+    let report = ng
+        .run_to(steps, Some(&CheckpointPolicy::new(path, every)), None)
+        .expect("checkpointed run");
+    let (mut with, mut without) = (Vec::new(), Vec::new());
+    // Window i opens with exchange i + 1; a checkpoint precedes it when i
+    // completed exchanges is a positive multiple of `every`.
+    for (i, w) in report.window_timings.iter().enumerate() {
+        // Overlapped: the two tasks run side by side.
+        let outside = w.window_s - w.exchange_s - w.continuum_s.max(w.atomistic_s);
+        if i > 0 && i % every as usize == 0 {
+            with.push(outside);
+        } else {
+            without.push(outside);
+        }
+    }
+    (median(with) - median(without)) * 1e3
+}
+
 fn main() {
-    let n_target = 100_000usize;
-    let reps = 5;
-    let mut sim = build(n_target);
-    // A few steps so the snapshot captures a mid-run state (forces, flux
-    // debt, step counters), not a freshly filled box.
+    let smoke = std::env::args().any(|a| a == "--smoke");
+    let (reps, n_target, crc_len, steps) = if smoke {
+        (3, 2_000, 1 << 16, 12)
+    } else {
+        (15, 100_000, 1 << 20, 80)
+    };
+    let dir = std::env::temp_dir().join(format!("nkg_bench_ckpt_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create bench temp dir");
+    let mut rows = Vec::new();
+
+    header("CRC32 throughput (IEEE polynomial)");
+    let buf: Vec<u8> = (0..crc_len as u32)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+        .collect();
+    assert_eq!(
+        crc32(&buf),
+        crc32_bytewise(&buf),
+        "CRC implementations disagree"
+    );
+    let mbs = |s: f64| crc_len as f64 / s / 1e6;
+    let sliced = mbs(time_median(reps, || {
+        std::hint::black_box(crc32(std::hint::black_box(&buf)));
+    }));
+    let bytewise = mbs(time_median(reps, || {
+        std::hint::black_box(crc32_bytewise(std::hint::black_box(&buf)));
+    }));
+    println!("slicing-by-8 (nkg_ckpt::crc32)   {sliced:>9.1} MB/s");
+    println!("bytewise table (yardstick)       {bytewise:>9.1} MB/s");
+    println!(
+        "ratio                            {:>9.2}x",
+        sliced / bytewise
+    );
+    rows.push(format!(
+        "{{\"bench\":\"ckpt_crc32\",\"buffer_bytes\":{crc_len},\"reps\":{reps},\
+         \"crc_mb_per_s\":{sliced:.1},\"bytewise_mb_per_s\":{bytewise:.1},\
+         \"speedup\":{:.2}}}",
+        sliced / bytewise
+    ));
+
+    header("Checkpoint pipeline: encode / seal / commit / restore");
+    let mut ng = coupled_io(smoke);
+    ng.run(4); // a mid-run state: forces, flux debt, projection bases
+    let path = dir.join("coupled_io.nkgc");
+    let mut fresh = coupled_io(smoke);
+    let s = split(
+        reps,
+        &path,
+        |w| ng.encode_image(w),
+        || fresh.restore_from(&path).expect("checkpoint restore"),
+    );
+    s.print("coupled_io");
+    let stall = boundary_stall_ms(smoke, &dir.join("stall.nkgc"), steps);
+    println!(
+        "  {:<42} {stall:>9.3} ms",
+        "boundary stall inside run_to (Overlapped)"
+    );
+    rows.push(s.json(
+        "coupled_io",
+        reps,
+        &format!(",\"run_steps\":{steps},\"boundary_stall_ms\":{stall:.4}"),
+    ));
+
+    let mut sim = dpd_box(n_target);
+    // A few steps so the snapshot captures a mid-run state, not a freshly
+    // filled box.
     for _ in 0..3 {
         sim.step();
     }
-    let n = sim.particles.len();
-
-    header(&format!("nkg-ckpt snapshot round trip, N = {n} (ρ = 3)"));
-
-    let dir = std::env::temp_dir().join("nkg_bench_ckpt");
-    std::fs::create_dir_all(&dir).expect("create bench temp dir");
-    let path = dir.join("bench.nkgc");
-
-    // Serialize-only (no I/O): container assembly + CRC32.
-    let t_encode = time_median(reps, || {
-        let mut w = SnapshotWriter::new();
-        w.add_snapshot(&sim);
-        std::hint::black_box(w.to_bytes());
-    });
-
-    // Full atomic write: temp sibling + fsync + rename.
-    let mut bytes_written = 0u64;
-    let t_write = time_median(reps, || {
-        let mut w = SnapshotWriter::new();
-        w.add_snapshot(&sim);
-        bytes_written = w.write_atomic(&path).expect("checkpoint write");
-    });
-
-    // Validate + restore into a compatibly constructed fresh sim.
-    let t_restore = time_median(reps, || {
-        let mut fresh = build(n_target);
-        let file = SnapshotFile::read_from(&path).expect("checkpoint read");
-        file.restore_into(&mut fresh).expect("checkpoint restore");
-        std::hint::black_box(&fresh);
-    });
-
-    // Restore fidelity check: bitwise positions after one more step each.
-    let mut fresh = build(n_target);
-    SnapshotFile::read_from(&path)
-        .unwrap()
-        .restore_into(&mut fresh)
-        .unwrap();
+    let path = dir.join("dpd_box.nkgc");
+    let mut fresh = dpd_box(n_target);
+    let s = split(
+        reps.min(5),
+        &path,
+        |w| {
+            w.clear();
+            w.add_snapshot(&sim);
+        },
+        || {
+            SnapshotFile::read_from(&path)
+                .and_then(|f| f.restore_into(&mut fresh))
+                .expect("checkpoint restore")
+        },
+    );
+    s.print("dpd_1e5");
+    // Restore fidelity: bitwise positions after one more step each.
     sim.step();
     fresh.step();
     let bitwise = sim
@@ -84,25 +301,22 @@ fn main() {
         .zip(&fresh.particles.pos_aos())
         .all(|(a, b)| (0..3).all(|k| a[k].to_bits() == b[k].to_bits()));
     assert!(bitwise, "restored sim diverged from the original");
+    println!("  bitwise continuation after restore: verified");
+    rows.push(s.json(
+        "dpd_1e5",
+        reps.min(5),
+        &format!(
+            ",\"n_particles\":{},\"bitwise_continuation\":true",
+            sim.particles.len()
+        ),
+    ));
 
-    let mib = bytes_written as f64 / (1024.0 * 1024.0);
-    println!("snapshot size                       {bytes_written} bytes ({mib:.2} MiB)");
-    println!("phase                                s (median of {reps})   MiB/s");
-    for (name, t) in [
-        ("encode (container + CRC32)", t_encode),
-        ("write_atomic (fsync + rename)", t_write),
-        ("read + validate + restore", t_restore),
-    ] {
-        println!("{name:<34}  {t:>9.4}          {:>8.1}", mib / t);
-    }
-    println!("bitwise continuation after restore: verified");
-
-    let record = format!(
-        "{{\"bench\":\"ckpt_round_trip\",\"n_particles\":{n},\"reps\":{reps},\
-         \"snapshot_bytes\":{bytes_written},\
-         \"encode_seconds\":{t_encode:.6},\"write_seconds\":{t_write:.6},\
-         \"restore_seconds\":{t_restore:.6},\"bitwise_continuation\":true}}"
-    );
-    append_jsonl("BENCH_ckpt.json", &record);
-    println!("\nappended record to BENCH_ckpt.json");
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = if smoke {
+        "target/BENCH_ckpt.smoke.json"
+    } else {
+        "BENCH_ckpt.json"
+    };
+    write_jsonl(out, &rows);
+    println!("\nwrote {out}");
 }

@@ -9,8 +9,8 @@
 //!  2. rayon pool-size sweep of the overlapped policy with the overlap
 //!     efficiency read from the per-window timing telemetry;
 //!  3. per-exchange interface evaluation microbenchmark: donor-element
-//!     scan vs table row dot product, for both the patch-interface DoFs
-//!     and the atomistic bin midpoints.
+//!     scan vs table row dot product over the patch-interface DoFs (the
+//!     atomistic exchange has no scan path to compare against).
 //!
 //! Emits `BENCH_meta.json` (JSON Lines) in the current directory and
 //! prints the same numbers to stdout.
@@ -53,8 +53,6 @@ fn make_metasolver(policy: ExecutionPolicy, tables: bool) -> NektarG {
     let mut ob = OpenBoundaryX::new(2048, 4, 3.0, 1.0, [0.0; 3], 0);
     ob.target_count = Some(sim.particles.len());
     sim.set_open_x(ob);
-    // Embed late in patch 0's span: the legacy locate scan walks most of
-    // the donor's elements before finding the containing one.
     let embedding = Embedding {
         origin_ns: [2.5, 0.35],
         scaling: UnitScaling {
@@ -64,8 +62,7 @@ fn make_metasolver(policy: ExecutionPolicy, tables: bool) -> NektarG {
             nu_dpd: 0.85,
         },
     };
-    let mut atom = AtomisticDomain::new(sim, embedding);
-    atom.use_interp_tables = tables;
+    let atom = AtomisticDomain::new(sim, embedding);
     NektarG::new(mp, atom, TimeProgression::new(1, 1))
         .with_wpod(
             BinSampler::new(1, 6, 0, 2),
@@ -179,8 +176,6 @@ fn main() {
     header("Per-exchange interface evaluation: donor scan vs table");
     let mp = continuum();
     let queries = mp.interface_queries();
-    let atom = make_metasolver(ExecutionPolicy::Serial, true).atomistic;
-    let mids = atom.bin_midpoints_ns.clone();
     // Patch-interface DoFs against their donor patches (use patch 0's
     // donor = patch 1 and vice versa through eval_velocity's scan).
     let t_scan = time_median(reps, || {
@@ -189,19 +184,11 @@ fn main() {
             let (u, _) = mp.eval_velocity(x, y).unwrap();
             acc += u;
         }
-        for &[x, y] in &mids {
-            let (u, _) = mp.eval_velocity(x, y).unwrap();
-            acc += u;
-        }
         std::hint::black_box(acc);
     });
-    // The tables the assembled multipatch/atomistic domains hold.
+    // The table the assembled multipatch holds.
     let space = &mp.patches[0].space;
-    let all: Vec<[f64; 2]> = queries
-        .iter()
-        .map(|&(_, p)| p)
-        .chain(mids.iter().copied())
-        .collect();
+    let all: Vec<[f64; 2]> = queries.iter().map(|&(_, p)| p).collect();
     let table = InterpTable::build(space, &all);
     let t_table = time_median(reps, || {
         let mut acc = 0.0;

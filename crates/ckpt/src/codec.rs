@@ -10,10 +10,12 @@
 use crate::CkptError;
 use nkg_mci::wire::Wire;
 
-/// Append-only encoder for one section payload.
+/// Append-only encoder. Free-standing it builds one payload; inside a
+/// [`crate::SnapshotWriter`] it is the whole snapshot image, and each
+/// component encodes its section straight into the image's tail.
 #[derive(Debug, Default)]
 pub struct Enc {
-    buf: Vec<u8>,
+    pub(crate) buf: Vec<u8>,
 }
 
 impl Enc {
@@ -29,6 +31,7 @@ impl Enc {
 
     /// Append a slice with a `u64` length prefix.
     pub fn put_slice<T: Wire>(&mut self, xs: &[T]) {
+        self.buf.reserve(8 + xs.len() * T::SIZE);
         (xs.len() as u64).put(&mut self.buf);
         for &x in xs {
             x.put(&mut self.buf);
@@ -38,16 +41,6 @@ impl Enc {
     /// Append a boolean as one byte.
     pub fn put_bool(&mut self, b: bool) {
         self.put(b as u8);
-    }
-
-    /// Bytes encoded so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been encoded.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// Finish, yielding the payload bytes.
@@ -95,10 +88,12 @@ impl<'a> Dec<'a> {
         if self.remaining() < bytes {
             return Err(CkptError::Truncated);
         }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.take::<T>()?);
-        }
+        let end = self.off + bytes;
+        let out = self.buf[self.off..end]
+            .chunks_exact(T::SIZE)
+            .map(T::get)
+            .collect();
+        self.off = end;
         Ok(out)
     }
 

@@ -1,11 +1,19 @@
-//! CRC-32 (IEEE 802.3 reflected polynomial 0xEDB88320), table-driven.
+//! CRC-32 (IEEE 802.3 reflected polynomial 0xEDB88320), slicing-by-8.
 //!
 //! Guards every checkpoint section against bit rot and torn writes. The
 //! polynomial matches zlib/`cksum -o 3`, so section checksums can be
 //! cross-checked with standard tools while debugging a snapshot by hand.
+//!
+//! Eight bytes are folded per iteration through eight 256-entry tables:
+//! `TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so
+//! the eight lookups of one iteration are independent of each other and
+//! only their XOR feeds the next iteration (≈ 2.0 GB/s against 0.37 GB/s
+//! for one table and one byte per step, `bench_ckpt`'s first row). The
+//! bytes are read with `from_le_bytes` on a `chunks_exact(8)` window — no
+//! alignment requirement, no `unsafe`.
 
-const fn make_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn make_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -18,19 +26,44 @@ const fn make_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static TABLE: [u32; 256] = make_table();
+static TABLES: [[u32; 256]; 8] = make_tables();
 
 /// CRC-32 of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        // Only `lo` waits for the previous iteration. The four `hi`
+        // lookups go first and the XORs form a tree, which keeps them off
+        // the loop-carried chain: written as one left-to-right chain the
+        // same eight lookups run at 1.5 instead of 2.0 GB/s.
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        let y = (t[3][(hi & 0xFF) as usize] ^ t[2][((hi >> 8) & 0xFF) as usize])
+            ^ (t[1][((hi >> 16) & 0xFF) as usize] ^ t[0][(hi >> 24) as usize]);
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ c;
+        let x = (t[7][(lo & 0xFF) as usize] ^ t[6][((lo >> 8) & 0xFF) as usize])
+            ^ (t[5][((lo >> 16) & 0xFF) as usize] ^ t[4][(lo >> 24) as usize]);
+        c = x ^ y;
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }

@@ -47,6 +47,11 @@ impl FaultPlan {
         }
     }
 
+    /// Whether [`Self::tamper`] touches the file at all.
+    pub fn tampers(&self) -> bool {
+        self.corrupt_section.is_some() || self.truncate_tail.is_some()
+    }
+
     /// Apply the file-level faults (corruption, truncation) to a
     /// just-written checkpoint. Called by the run driver after each write.
     pub fn tamper(&self, path: &Path) -> Result<(), CkptError> {
@@ -103,8 +108,8 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join(name);
         let mut w = SnapshotWriter::new();
-        w.add(tag4(b"ONEA"), vec![1; 64]);
-        w.add(tag4(b"TWOB"), vec![2; 64]);
+        w.add(tag4(b"ONEA"), &[1; 64]);
+        w.add(tag4(b"TWOB"), &[2; 64]);
         w.write_atomic(&path).unwrap();
         path
     }

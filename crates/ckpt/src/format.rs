@@ -14,6 +14,7 @@
 //! renamed over the destination — a crash mid-write leaves the previous
 //! checkpoint intact.
 
+use crate::codec::Enc;
 use crate::crc32::crc32;
 use crate::{tag_name, CkptError, Snapshot};
 use std::fs;
@@ -33,92 +34,182 @@ pub const FORMAT_VERSION: u32 = 2;
 const HEADER_LEN: usize = 4 + 4 + 4;
 const SECTION_HEADER_LEN: usize = 4 + 8 + 4;
 
-/// Collects tagged sections and serializes them into one snapshot file.
-#[derive(Debug, Default)]
+/// Encodes tagged sections straight into one snapshot image.
+///
+/// The image is the file: header first, then each section's framing and
+/// payload, with components encoding into the image's tail through
+/// [`Enc`]. A section's length is patched in when the section closes and
+/// the section count on every add; the CRC fields stay zero until
+/// [`Self::seal`], so the one pass over the payload bytes can run off the
+/// thread that encoded them. [`Self::clear`] keeps the allocation, which
+/// is what lets a periodic checkpointer reuse one buffer for every
+/// generation.
+#[derive(Debug)]
 pub struct SnapshotWriter {
-    sections: Vec<(u32, Vec<u8>)>,
+    image: Enc,
+    sealed: bool,
+}
+
+impl Default for SnapshotWriter {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl SnapshotWriter {
     /// Empty writer.
     pub fn new() -> Self {
-        Self::default()
+        let mut w = Self {
+            image: Enc::new(),
+            sealed: false,
+        };
+        w.clear();
+        w
     }
 
-    /// Append a raw section. Tags must be unique within one snapshot.
-    pub fn add(&mut self, tag: u32, payload: Vec<u8>) {
+    /// Drop every section, keeping the image's allocation.
+    pub fn clear(&mut self) {
+        let buf = &mut self.image.buf;
+        buf.clear();
+        buf.extend_from_slice(&MAGIC);
+        buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        buf.extend_from_slice(&0u32.to_le_bytes());
+        self.sealed = false;
+    }
+
+    /// Append a section whose payload `encode` writes. Tags must be
+    /// unique within one snapshot.
+    pub fn add_with(&mut self, tag: u32, encode: impl FnOnce(&mut Enc)) {
         assert!(
-            !self.sections.iter().any(|(t, _)| *t == tag),
+            frames(&self.image.buf).all(|f| f.tag != tag),
             "duplicate section tag {}",
             tag_name(tag)
         );
-        self.sections.push((tag, payload));
+        let buf = &mut self.image.buf;
+        buf.extend_from_slice(&tag.to_le_bytes());
+        buf.extend_from_slice(&[0; 12]); // payload_len and crc32, patched below / at seal
+        let start = buf.len();
+        encode(&mut self.image);
+        let buf = &mut self.image.buf;
+        let len = (buf.len() - start) as u64;
+        buf[start - 12..start - 4].copy_from_slice(&len.to_le_bytes());
+        let count = u32::from_le_bytes(buf[8..12].try_into().unwrap()) + 1;
+        buf[8..12].copy_from_slice(&count.to_le_bytes());
+        self.sealed = false;
+    }
+
+    /// Append a raw section.
+    pub fn add(&mut self, tag: u32, payload: &[u8]) {
+        self.add_with(tag, |enc| enc.buf.extend_from_slice(payload));
     }
 
     /// Append a component's state as a section under its own tag.
     pub fn add_snapshot<T: Snapshot>(&mut self, x: &T) {
-        let mut enc = crate::codec::Enc::new();
-        x.snapshot(&mut enc);
-        self.add(T::TAG, enc.into_bytes());
+        self.add_with(T::TAG, |enc| x.snapshot(enc));
     }
 
-    /// Serialize the container to bytes.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let body: usize = self
-            .sections
-            .iter()
-            .map(|(_, p)| SECTION_HEADER_LEN + p.len())
-            .sum();
-        let mut out = Vec::with_capacity(HEADER_LEN + body);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
-        for (tag, payload) in &self.sections {
-            out.extend_from_slice(&tag.to_le_bytes());
-            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(&crc32(payload).to_le_bytes());
-            out.extend_from_slice(payload);
+    /// Patch every section's CRC32 into its framing and return the
+    /// finished image — exactly the bytes of the snapshot file.
+    pub fn seal(&mut self) -> &[u8] {
+        if !self.sealed {
+            let spans: Vec<Frame> = frames(&self.image.buf).collect();
+            let buf = &mut self.image.buf;
+            for f in spans {
+                let crc = crc32(&buf[f.payload.clone()]);
+                buf[f.payload.start - 4..f.payload.start].copy_from_slice(&crc.to_le_bytes());
+            }
+            self.sealed = true;
         }
-        out
+        &self.image.buf
     }
 
-    /// Atomically write the snapshot to `path` (temp sibling + fsync +
-    /// rename). Returns the number of bytes written.
-    pub fn write_atomic(&self, path: &Path) -> Result<u64, CkptError> {
-        let bytes = self.to_bytes();
-        let tmp = tmp_path(path);
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, path)?;
-        Ok(bytes.len() as u64)
+    /// Seal, then atomically write the snapshot to `path` (temp sibling +
+    /// fsync + rename). Returns the number of bytes written.
+    pub fn write_atomic(&mut self, path: &Path) -> Result<u64, CkptError> {
+        commit(self.seal(), path)
+    }
+
+    /// Seal, rotate the snapshot already at `path` to its `.prev` sibling
+    /// ([`rotate_previous`]), then write as [`Self::write_atomic`] does —
+    /// the last known-good generation survives a failure during (or
+    /// corruption after) the new write.
+    pub fn write_rotating(&mut self, path: &Path) -> Result<u64, CkptError> {
+        let image = self.seal();
+        rotate_previous(path)?;
+        commit(image, path)
     }
 }
 
-/// A fully validated snapshot loaded into memory.
+/// One section of a writer's own image.
+struct Frame {
+    tag: u32,
+    payload: Range<usize>,
+}
+
+/// Walk the sections of an image the writer assembled itself (framing
+/// trusted, CRC fields ignored).
+fn frames(buf: &[u8]) -> impl Iterator<Item = Frame> + '_ {
+    let mut off = HEADER_LEN;
+    std::iter::from_fn(move || {
+        if off >= buf.len() {
+            return None;
+        }
+        let tag = u32::from_le_bytes(buf[off..off + 4].try_into().unwrap());
+        let len = u64::from_le_bytes(buf[off + 4..off + 12].try_into().unwrap()) as usize;
+        let start = off + SECTION_HEADER_LEN;
+        off = start + len;
+        Some(Frame {
+            tag,
+            payload: start..off,
+        })
+    })
+}
+
+/// Write `image` to the temp sibling of `path`, fsync it and rename it
+/// over `path`. A failure at any step removes the temp file, so an
+/// uncommittable path leaves no residue next to the last good snapshot.
+fn commit(image: &[u8], path: &Path) -> Result<u64, CkptError> {
+    let tmp = tmp_path(path);
+    let written = (|| {
+        let mut f = fs::File::create(&tmp)?;
+        f.write_all(image)?;
+        f.sync_all()?;
+        drop(f);
+        fs::rename(&tmp, path)
+    })();
+    match written {
+        Ok(()) => Ok(image.len() as u64),
+        Err(e) => {
+            let _ = fs::remove_file(&tmp);
+            Err(e.into())
+        }
+    }
+}
+
+/// A fully validated snapshot loaded into memory: the image is owned
+/// once and sections are ranges into it.
 #[derive(Debug)]
 pub struct SnapshotFile {
-    sections: Vec<(u32, Vec<u8>)>,
+    image: Vec<u8>,
+    sections: Vec<(u32, Range<usize>)>,
 }
 
 impl SnapshotFile {
-    /// Parse and validate a snapshot image: magic, version, framing and
-    /// every per-section CRC.
+    /// Parse and validate an owned snapshot image: magic, version,
+    /// framing and every per-section CRC.
+    pub fn from_image(image: Vec<u8>) -> Result<Self, CkptError> {
+        let sections = scan(&image, true)?;
+        Ok(Self { image, sections })
+    }
+
+    /// [`Self::from_image`] on a copy of `bytes`.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CkptError> {
-        let ranges = scan(bytes, true)?;
-        Ok(Self {
-            sections: ranges
-                .into_iter()
-                .map(|(tag, r)| (tag, bytes[r].to_vec()))
-                .collect(),
-        })
+        Self::from_image(bytes.to_vec())
     }
 
     /// Read and validate a snapshot file.
     pub fn read_from(path: &Path) -> Result<Self, CkptError> {
-        Self::from_bytes(&fs::read(path)?)
+        Self::from_image(fs::read(path)?)
     }
 
     /// Tags present, in file order.
@@ -131,7 +222,7 @@ impl SnapshotFile {
         self.sections
             .iter()
             .find(|(t, _)| *t == tag)
-            .map(|(_, p)| p.as_slice())
+            .map(|(_, r)| &self.image[r.clone()])
             .ok_or(CkptError::MissingSection { tag })
     }
 
@@ -228,13 +319,14 @@ pub fn rank_path(path: &Path, rank: usize) -> PathBuf {
     }
 }
 
-/// Rotate: if `path` exists, rename it to [`prev_path`] so the next write
-/// cannot destroy the last known-good snapshot.
+/// Rotate: rename `path` to [`prev_path`] so the next write cannot
+/// destroy the last known-good snapshot. A missing `path` is "nothing to
+/// rotate", learned from the rename itself rather than a stat before it.
 pub fn rotate_previous(path: &Path) -> Result<(), CkptError> {
-    if path.exists() {
-        fs::rename(path, prev_path(path))?;
+    match fs::rename(path, prev_path(path)) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e.into()),
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -261,14 +353,14 @@ mod tests {
 
     fn sample() -> SnapshotWriter {
         let mut w = SnapshotWriter::new();
-        w.add(tag4(b"AAAA"), vec![1, 2, 3, 4, 5]);
-        w.add(tag4(b"BBBB"), vec![9; 100]);
+        w.add(tag4(b"AAAA"), &[1, 2, 3, 4, 5]);
+        w.add(tag4(b"BBBB"), &[9; 100]);
         w
     }
 
     #[test]
     fn round_trip_in_memory() {
-        let bytes = sample().to_bytes();
+        let bytes = sample().seal().to_vec();
         let f = SnapshotFile::from_bytes(&bytes).unwrap();
         assert_eq!(f.tags(), vec![tag4(b"AAAA"), tag4(b"BBBB")]);
         assert_eq!(f.payload(tag4(b"AAAA")).unwrap(), &[1, 2, 3, 4, 5]);
@@ -280,7 +372,7 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let mut bytes = sample().to_bytes();
+        let mut bytes = sample().seal().to_vec();
         bytes[0] = b'X';
         assert!(matches!(
             SnapshotFile::from_bytes(&bytes),
@@ -290,7 +382,7 @@ mod tests {
 
     #[test]
     fn version_mismatch_rejected_with_both_versions() {
-        let mut bytes = sample().to_bytes();
+        let mut bytes = sample().seal().to_vec();
         bytes[4] = 99;
         match SnapshotFile::from_bytes(&bytes) {
             Err(CkptError::Version { found, expected }) => {
@@ -303,7 +395,7 @@ mod tests {
 
     #[test]
     fn payload_corruption_names_the_section() {
-        let mut bytes = sample().to_bytes();
+        let mut bytes = sample().seal().to_vec();
         let n = bytes.len();
         bytes[n - 1] ^= 0xFF; // last byte of section BBBB
         match SnapshotFile::from_bytes(&bytes) {
@@ -314,7 +406,7 @@ mod tests {
 
     #[test]
     fn truncation_rejected() {
-        let bytes = sample().to_bytes();
+        let bytes = sample().seal().to_vec();
         for cut in [bytes.len() - 1, bytes.len() - 50, 10, 3] {
             assert!(
                 matches!(
@@ -330,7 +422,7 @@ mod tests {
     #[should_panic(expected = "duplicate section tag")]
     fn duplicate_tags_refused() {
         let mut w = sample();
-        w.add(tag4(b"AAAA"), vec![]);
+        w.add(tag4(b"AAAA"), &[]);
     }
 
     #[test]
@@ -346,7 +438,7 @@ mod tests {
         // Rotate, write a second generation: both must validate.
         rotate_previous(&path).unwrap();
         let mut w2 = SnapshotWriter::new();
-        w2.add(tag4(b"AAAA"), vec![7, 7]);
+        w2.add(tag4(b"AAAA"), &[7, 7]);
         w2.write_atomic(&path).unwrap();
         assert!(SnapshotFile::read_from(&path).is_ok());
         assert!(SnapshotFile::read_from(&prev_path(&path)).is_ok());
@@ -359,5 +451,61 @@ mod tests {
         );
         // No temp residue.
         assert!(!tmp_path(&path).exists());
+    }
+
+    #[test]
+    fn cleared_writer_reproduces_a_fresh_one() {
+        let fresh = sample().seal().to_vec();
+        let mut w = SnapshotWriter::new();
+        w.add(tag4(b"ZZZZ"), &[3; 4000]);
+        w.seal();
+        w.clear();
+        w.add(tag4(b"AAAA"), &[1, 2, 3, 4, 5]);
+        w.add_with(tag4(b"BBBB"), |enc| {
+            for _ in 0..100 {
+                enc.put(9u8);
+            }
+        });
+        assert_eq!(w.seal(), fresh.as_slice());
+        // Sealing twice changes nothing; adding after a seal reseals.
+        assert_eq!(w.seal(), fresh.as_slice());
+        w.add(tag4(b"CCCC"), &[]);
+        assert!(SnapshotFile::from_bytes(w.seal()).is_ok());
+    }
+
+    #[test]
+    fn rotating_nothing_is_not_an_error() {
+        let dir = std::env::temp_dir().join("nkg_ckpt_format_rotate_none");
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        rotate_previous(&dir.join("absent.nkgc")).unwrap();
+        // Any other rename failure still surfaces: a file cannot replace
+        // a non-empty directory.
+        let path = dir.join("snap.nkgc");
+        sample().write_atomic(&path).unwrap();
+        fs::create_dir_all(prev_path(&path).join("occupied")).unwrap();
+        assert!(matches!(rotate_previous(&path), Err(CkptError::Io(_))));
+    }
+
+    #[test]
+    fn failed_commit_leaves_no_temp_file() {
+        let dir = std::env::temp_dir().join("nkg_ckpt_format_failed_commit");
+        let _ = fs::remove_dir_all(&dir);
+        // The destination is a non-empty directory: the temp file is
+        // written and fsynced, the rename fails.
+        let path = dir.join("snap.nkgc");
+        fs::create_dir_all(path.join("occupied")).unwrap();
+        assert!(matches!(
+            sample().write_atomic(&path),
+            Err(CkptError::Io(_))
+        ));
+        assert!(!tmp_path(&path).exists());
+        // The destination's directory is gone: the temp file cannot even
+        // be created.
+        let orphan = dir.join("gone").join("snap.nkgc");
+        assert!(matches!(
+            sample().write_rotating(&orphan),
+            Err(CkptError::Io(_))
+        ));
     }
 }

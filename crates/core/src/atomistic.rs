@@ -24,8 +24,9 @@ use nkg_sem::precon::EllipticSpace;
 use std::sync::Arc;
 
 /// The preprocessing product of §3.3 step 2 as one immutable artifact:
-/// per interface bin midpoint, the donor patch id (first containing
-/// patch) and the donor-element Lagrange row. Cached under kind
+/// per midpoint of one y-row of interface bins (every z-slab repeats the
+/// row — the continuum is 2D), the donor patch id (first containing patch)
+/// and the donor-element Lagrange row. Cached under kind
 /// `"midpoint-interp"` keyed by the continuum patch fingerprints and the
 /// exact midpoint coordinate bits.
 #[derive(Debug, Clone)]
@@ -98,17 +99,19 @@ pub struct AtomisticDomain {
     /// History of interface continuity errors (one entry per exchange):
     /// RMS over bins of |u_NS − u_DPD→NS| at the interface.
     pub continuity_history: Vec<f64>,
-    /// Whether exchanges interpolate through the precomputed table
-    /// (bitwise identical to the per-exchange patch/element scan; off =
-    /// the scan, kept as the benchmark baseline).
-    pub use_interp_tables: bool,
-    /// Lazily built interpolation table over the static bin midpoints:
-    /// per midpoint, the donor patch (first containing patch, matching
-    /// [`Multipatch2d::eval_velocity`]'s scan order) and the donor-element
-    /// Lagrange row. Derived from static configuration — never
-    /// checkpointed, rebuilt (or cache-fetched) on first exchange after
-    /// construction.
+    /// Lazily built interpolation table over one y-row of the static bin
+    /// midpoints: per midpoint, the donor patch (first containing patch,
+    /// matching [`Multipatch2d::eval_velocity`]'s scan order) and the
+    /// donor-element Lagrange row. Derived from static configuration —
+    /// never checkpointed, rebuilt (or cache-fetched) on first exchange
+    /// after construction.
     interp: Option<Arc<MidpointInterp>>,
+    /// Exchange buffers, reused from call to call (never checkpointed):
+    /// the scaled targets of one y-row, and the inlet-buffer velocity sum
+    /// and particle count per bin.
+    row_targets: Vec<[f64; 3]>,
+    inlet_sums: Vec<[f64; 3]>,
+    inlet_counts: Vec<usize>,
 }
 
 impl AtomisticDomain {
@@ -139,33 +142,43 @@ impl AtomisticDomain {
             embedding,
             bin_midpoints_ns: mids,
             continuity_history: Vec::new(),
-            use_interp_tables: true,
             interp: None,
+            row_targets: Vec::new(),
+            inlet_sums: Vec::new(),
+            inlet_counts: Vec::new(),
         }
     }
 
+    /// One y-row of bin midpoints: the distinct interpolation points.
+    fn midpoint_row(&self) -> &[[f64; 2]] {
+        let (ny, _) = self.sim.open_x.as_ref().expect("open x boundary").bins;
+        &self.bin_midpoints_ns[..ny]
+    }
+
     /// Build (or rebuild) the midpoint interpolation table against
-    /// `continuum`: per midpoint, the first patch whose mesh contains it
-    /// — identical tie-break to [`Multipatch2d::eval_velocity`] — plus
-    /// the donor element and Lagrange weights.
+    /// `continuum`: per midpoint of the row, the first patch whose mesh
+    /// contains it — identical tie-break to
+    /// [`Multipatch2d::eval_velocity`] — plus the donor element and
+    /// Lagrange weights.
     fn build_interp(&mut self, continuum: &Multipatch2d) {
         let nloc = continuum.patches[0].space.nloc();
+        let row = self.midpoint_row();
         let key = {
             let mut h = KeyHasher::new("midpoint-interp");
             h.usize(nloc);
             for s in &continuum.patches {
                 h.key(s.space.fingerprint().expect("Space2d fp"));
             }
-            for &[x, y] in &self.bin_midpoints_ns {
+            for &[x, y] in row {
                 h.f64(x);
                 h.f64(y);
             }
             h.finish()
         };
         self.interp = Some(cached("midpoint-interp", key, || {
-            let mut pids = Vec::with_capacity(self.bin_midpoints_ns.len());
-            let mut table = InterpTable::with_capacity(nloc, self.bin_midpoints_ns.len());
-            for &[x, y] in &self.bin_midpoints_ns {
+            let mut pids = Vec::with_capacity(row.len());
+            let mut table = InterpTable::with_capacity(nloc, row.len());
+            for &[x, y] in row {
                 let pid = continuum
                     .patches
                     .iter()
@@ -181,36 +194,32 @@ impl AtomisticDomain {
     /// The exchange: interpolate the continuum velocity at each interface
     /// bin midpoint, scale with Eq. (1), impose as the DPD inflow targets.
     /// Records the continuity metric against the current DPD state.
+    ///
+    /// Only one y-row is interpolated; the z-slabs are copies of it, bit
+    /// for bit what interpolating every bin midpoint gives.
     pub fn exchange_from_continuum(&mut self, continuum: &Multipatch2d) {
         let vf = self.embedding.scaling.velocity_factor();
-        if self.use_interp_tables && self.interp.is_none() {
+        if self.interp.is_none() {
             self.build_interp(continuum);
         }
-        let mut targets = Vec::with_capacity(self.bin_midpoints_ns.len());
-        if self.use_interp_tables {
-            let mi = self.interp.as_ref().expect("table just built");
-            for (q, &pid) in mi.pids.iter().enumerate() {
-                let donor = &continuum.patches[pid];
-                let u = mi.table.eval(&donor.space, &donor.u, q).expect("table row");
-                let v = mi.table.eval(&donor.space, &donor.v, q).expect("table row");
-                targets.push([u * vf, v * vf, 0.0]);
-            }
-        } else {
-            for &[x, y] in &self.bin_midpoints_ns {
-                let (u, v) = continuum
-                    .eval_velocity(x, y)
-                    .expect("interface midpoint outside continuum domain");
-                targets.push([u * vf, v * vf, 0.0]);
-            }
+        let mi = self.interp.as_ref().expect("table just built");
+        self.row_targets.clear();
+        for (q, &pid) in mi.pids.iter().enumerate() {
+            let donor = &continuum.patches[pid];
+            let u = mi.table.eval(&donor.space, &donor.u, q).expect("table row");
+            let v = mi.table.eval(&donor.space, &donor.v, q).expect("table row");
+            self.row_targets.push([u * vf, v * vf, 0.0]);
         }
         // Continuity metric before imposing: compare DPD near-inlet bin
         // means (scaled back to NS units) with the fresh continuum values.
-        let dpd_means = self.inlet_bin_velocities();
+        inlet_sums(&self.sim, &mut self.inlet_sums, &mut self.inlet_counts);
+        let ny = self.row_targets.len();
         let mut err = 0.0;
         let mut cnt = 0;
-        for (t, m) in targets.iter().zip(&dpd_means) {
-            if let Some(mv) = m {
-                let du = t[0] / vf - mv[0] / vf;
+        for (b, (sum, &c)) in self.inlet_sums.iter().zip(&self.inlet_counts).enumerate() {
+            if c > 0 {
+                let mean_u = sum[0] / c as f64;
+                let du = self.row_targets[b % ny][0] / vf - mean_u / vf;
                 err += du * du;
                 cnt += 1;
             }
@@ -218,39 +227,21 @@ impl AtomisticDomain {
         if cnt > 0 {
             self.continuity_history.push((err / cnt as f64).sqrt());
         }
-        if let Some(ob) = &mut self.sim.open_x {
-            ob.set_targets(&targets);
+        let ob = self.sim.open_x.as_mut().expect("open x boundary");
+        assert_eq!(ob.target.len(), self.bin_midpoints_ns.len());
+        for slab in ob.target.chunks_exact_mut(ny) {
+            slab.copy_from_slice(&self.row_targets);
         }
     }
 
     /// Mean DPD velocity per inflow bin over the inlet buffer slab
     /// (`None` for empty bins).
     pub fn inlet_bin_velocities(&self) -> Vec<Option<[f64; 3]>> {
-        let ob = self.sim.open_x.as_ref().unwrap();
-        let nbins = ob.target.len();
-        let buf = 2.0 * self.sim.cfg.rc;
-        let mut sums = vec![[0.0f64; 3]; nbins];
-        let mut counts = vec![0usize; nbins];
-        for i in 0..self.sim.particles.len() {
-            let p = self.sim.particles.pos(i);
-            if p[0] < self.sim.bx.lo[0] + buf {
-                let b = ob.bin_of(&self.sim.bx, p[1], p[2]);
-                counts[b] += 1;
-                let v = self.sim.particles.vel(i);
-                for k in 0..3 {
-                    sums[b][k] += v[k];
-                }
-            }
-        }
-        (0..nbins)
-            .map(|b| {
-                if counts[b] == 0 {
-                    None
-                } else {
-                    let c = counts[b] as f64;
-                    Some([sums[b][0] / c, sums[b][1] / c, sums[b][2] / c])
-                }
-            })
+        let (mut sums, mut counts) = (Vec::new(), Vec::new());
+        inlet_sums(&self.sim, &mut sums, &mut counts);
+        sums.iter()
+            .zip(&counts)
+            .map(|(s, &c)| (c > 0).then(|| s.map(|x| x / c as f64)))
             .collect()
     }
 
@@ -258,6 +249,29 @@ impl AtomisticDomain {
     /// happened.
     pub fn latest_continuity_error(&self) -> Option<f64> {
         self.continuity_history.last().copied()
+    }
+}
+
+/// Velocity sum and particle count per inflow bin over the inlet buffer
+/// slab of `sim`, into buffers the caller owns.
+fn inlet_sums(sim: &DpdSim, sums: &mut Vec<[f64; 3]>, counts: &mut Vec<usize>) {
+    let ob = sim.open_x.as_ref().expect("open x boundary");
+    let nbins = ob.target.len();
+    sums.clear();
+    sums.resize(nbins, [0.0; 3]);
+    counts.clear();
+    counts.resize(nbins, 0);
+    let buf = 2.0 * sim.cfg.rc;
+    for i in 0..sim.particles.len() {
+        let p = sim.particles.pos(i);
+        if p[0] < sim.bx.lo[0] + buf {
+            let b = ob.bin_of(&sim.bx, p[1], p[2]);
+            counts[b] += 1;
+            let v = sim.particles.vel(i);
+            for k in 0..3 {
+                sums[b][k] += v[k];
+            }
+        }
     }
 }
 
@@ -435,45 +449,31 @@ mod tests {
         }
     }
 
+    /// The table path against the definition it replaces: every bin's
+    /// target equals `Multipatch2d::eval_velocity` at that bin's midpoint
+    /// (patch scan, element scan, fresh Lagrange weights), scaled — bit
+    /// for bit, on every exchange of a stepping run.
     #[test]
     fn table_exchange_matches_scan_bitwise() {
-        let mp = steady_continuum(20);
-        let mut with_table = make_domain();
-        let mut with_scan = make_domain();
-        with_scan.use_interp_tables = false;
+        let mut mp = steady_continuum(20);
+        let mut d = make_domain();
+        let vf = d.embedding.scaling.velocity_factor();
         for _ in 0..3 {
-            with_table.exchange_from_continuum(&mp);
-            with_scan.exchange_from_continuum(&mp);
+            d.exchange_from_continuum(&mp);
+            let targets = &d.sim.open_x.as_ref().unwrap().target;
+            assert_eq!(targets.len(), d.bin_midpoints_ns.len());
+            for (t, &[x, y]) in targets.iter().zip(&d.bin_midpoints_ns) {
+                let (u, v) = mp.eval_velocity(x, y).unwrap();
+                for (a, b) in t.iter().zip([u * vf, v * vf, 0.0]) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "targets diverged");
+                }
+            }
+            mp.step();
             for _ in 0..10 {
-                with_table.sim.step();
-                with_scan.sim.step();
+                d.sim.step();
             }
         }
-        let ta = &with_table.sim.open_x.as_ref().unwrap().target;
-        let tb = &with_scan.sim.open_x.as_ref().unwrap().target;
-        for (a, b) in ta.iter().zip(tb) {
-            for k in 0..3 {
-                assert_eq!(a[k].to_bits(), b[k].to_bits(), "targets diverged");
-            }
-        }
-        for (a, b) in with_table
-            .continuity_history
-            .iter()
-            .zip(&with_scan.continuity_history)
-        {
-            assert_eq!(a.to_bits(), b.to_bits(), "continuity diverged");
-        }
-        for (a, b) in with_table
-            .sim
-            .particles
-            .pos_aos()
-            .iter()
-            .zip(&with_scan.sim.particles.pos_aos())
-        {
-            for k in 0..3 {
-                assert_eq!(a[k].to_bits(), b[k].to_bits(), "positions diverged");
-            }
-        }
+        assert_eq!(d.continuity_history.len(), 3);
     }
 
     #[test]

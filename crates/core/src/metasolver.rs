@@ -26,14 +26,13 @@
 use crate::atomistic::AtomisticDomain;
 use crate::multipatch::Multipatch2d;
 use crate::progression::TimeProgression;
-use nkg_ckpt::{
-    prev_path, rotate_previous, CkptError, Dec, Enc, FaultPlan, Snapshot, SnapshotFile,
-    SnapshotWriter,
-};
+use nkg_ckpt::{prev_path, CkptError, Dec, Enc, FaultPlan, Snapshot, SnapshotFile, SnapshotWriter};
 use nkg_dpd::sim::BinSampler;
 use nkg_sem::ns2d::StepSolveStats;
 use nkg_wpod::window::{WindowPod, WindowResult};
 use std::path::{Path, PathBuf};
+use std::sync::mpsc;
+use std::thread::{Scope, ScopedJoinHandle};
 use std::time::Instant;
 
 /// How [`NektarG::run_to`] schedules the two solvers between exchanges.
@@ -468,6 +467,110 @@ pub enum ResumeSource {
     Fallback,
 }
 
+/// A committed image on its way back: the buffer for reuse, and whether
+/// the snapshot reached the disk.
+type Committed = (SnapshotWriter, Result<u64, CkptError>);
+
+/// The background half of [`NektarG::run_to`]'s periodic checkpoints.
+///
+/// One thread, spawned at the first due checkpoint inside the scope
+/// `run_to` opens and joined by [`Committer::finish`], commits the image
+/// it is handed — seal (the CRC pass), rotate the previous generation,
+/// temp write, fsync, rename — while the next window computes. Two images
+/// ping-pong between the run loop and the thread, and at most one commit
+/// is in flight: handing over the next image first waits for the last
+/// one, which is also where a failed commit surfaces.
+struct Committer<'scope, 'env> {
+    scope: &'scope Scope<'scope, 'env>,
+    policy: &'env CheckpointPolicy,
+    /// `None` until the first submit.
+    thread: Option<CommitterThread<'scope>>,
+    /// The image not in flight, once there is one.
+    spare: Option<SnapshotWriter>,
+    in_flight: bool,
+}
+
+struct CommitterThread<'scope> {
+    /// Images out; dropping it ends the thread.
+    jobs: mpsc::Sender<SnapshotWriter>,
+    /// Committed images back.
+    done: mpsc::Receiver<Committed>,
+    handle: ScopedJoinHandle<'scope, ()>,
+}
+
+impl<'scope, 'env> Committer<'scope, 'env> {
+    fn new(scope: &'scope Scope<'scope, 'env>, policy: &'env CheckpointPolicy) -> Self {
+        Self {
+            scope,
+            policy,
+            thread: None,
+            spare: None,
+            in_flight: false,
+        }
+    }
+
+    /// Encode `ng`'s state into the free image, then hand it to the
+    /// committer thread. Encoding overlaps the tail of the commit in
+    /// flight; the hand-over waits for it.
+    fn submit(&mut self, ng: &NektarG) -> Result<(), CkptError> {
+        let mut image = self.spare.take().unwrap_or_default();
+        ng.encode_image(&mut image);
+        // Drain point: one commit in flight, so rotation order holds.
+        self.drain()?;
+        let path = &self.policy.path;
+        let scope = self.scope;
+        let thread = self.thread.get_or_insert_with(|| {
+            let (jobs, todo) = mpsc::channel::<SnapshotWriter>();
+            let (finished, done) = mpsc::channel();
+            let handle = std::thread::Builder::new()
+                .name(COMMITTER_THREAD.into())
+                .spawn_scoped(scope, move || {
+                    for mut image in todo {
+                        let committed = image.write_rotating(path);
+                        if finished.send((image, committed)).is_err() {
+                            break;
+                        }
+                    }
+                })
+                .expect("spawn checkpoint committer thread");
+            CommitterThread { jobs, done, handle }
+        });
+        thread
+            .jobs
+            .send(image)
+            .expect("committer thread outlives its jobs");
+        self.in_flight = true;
+        Ok(())
+    }
+
+    /// Wait for the commit in flight, if any. Its failure is returned
+    /// exactly once, here.
+    fn drain(&mut self) -> Result<(), CkptError> {
+        if !self.in_flight {
+            return Ok(());
+        }
+        self.in_flight = false;
+        let thread = self.thread.as_ref().expect("in flight implies a thread");
+        let (image, committed) = thread.done.recv().expect("committer thread panicked");
+        self.spare = Some(image);
+        committed.map(drop)
+    }
+
+    /// Drain, then end and join the thread: when this returns the
+    /// committer is gone, not merely idle.
+    fn finish(mut self) -> Result<(), CkptError> {
+        let drained = self.drain();
+        if let Some(CommitterThread { jobs, handle, .. }) = self.thread.take() {
+            drop(jobs);
+            handle.join().expect("committer thread panicked");
+        }
+        drained
+    }
+}
+
+/// Name of the committer thread (15 bytes, the most Linux shows).
+pub const COMMITTER_THREAD: &str = "nkg-ckpt-commit";
+
 /// The coupled metasolver.
 pub struct NektarG {
     /// The macro-scale solver (multipatch continuum).
@@ -545,6 +648,17 @@ impl NektarG {
     /// The exchange schedule is absolute: exchanges fire before every step
     /// where [`TimeProgression::exchange_at`] holds, regardless of how the
     /// run is chopped into `run`/`run_to` calls or checkpoint restarts.
+    ///
+    /// Checkpoints: at a due boundary the run loop only *encodes* the
+    /// state into an image; a committer thread that lives for this call
+    /// seals and commits it while the next window computes. The call
+    /// waits for the commit in flight before handing over the next
+    /// image, before a [`FaultPlan`] tampers with the file, and before
+    /// returning — `Ok`, [`RunError::Killed`] or [`RunError::Ckpt`] — so
+    /// every snapshot taken is durable (or its failure reported) when
+    /// `run_to` returns, files and rotation order are those of calling
+    /// [`Self::checkpoint_rotating`] at the same boundaries, and a failed
+    /// commit surfaces no later than the next checkpoint boundary.
     pub fn run_to(
         &mut self,
         target_ns_step: usize,
@@ -554,17 +668,40 @@ impl NektarG {
         // Per-patch fan-out rides with the overlapped policy; both are
         // bitwise-equivalent to the serial reference.
         self.continuum.parallel = self.policy == ExecutionPolicy::Overlapped;
+        // The scope is what lets the committer borrow the policy's path,
+        // and what joins it should the loop unwind.
+        std::thread::scope(|scope| {
+            let mut committer = policy.map(|pol| Committer::new(scope, pol));
+            let run = self.run_windows(target_ns_step, committer.as_mut(), fault);
+            // Drain point: whatever ended the loop — the target, a kill, a
+            // checkpoint error — the commit in flight lands (or fails) and
+            // the committer is joined before the caller hears of it.
+            let finished = committer.map_or(Ok(()), Committer::finish);
+            finished.map_err(RunError::from).and(run)
+        })?;
+        Ok(self.report.clone())
+    }
+
+    /// The window loop of [`Self::run_to`].
+    fn run_windows(
+        &mut self,
+        target_ns_step: usize,
+        mut committer: Option<&mut Committer<'_, '_>>,
+        fault: Option<&FaultPlan>,
+    ) -> Result<(), RunError> {
         while self.report.ns_steps < target_ns_step {
             let step = self.report.ns_steps;
             let wstart = Instant::now();
             let mut exchange_s = 0.0;
             if self.progression.exchange_at(step) {
-                if let Some(pol) = policy {
+                if let Some(c) = committer.as_deref_mut() {
                     let done = self.report.exchanges as u64;
-                    if done > 0 && done.is_multiple_of(pol.every_k_exchanges) {
-                        self.checkpoint_rotating(&pol.path)?;
-                        if let Some(f) = fault {
-                            f.tamper(&pol.path)?;
+                    if done > 0 && done.is_multiple_of(c.policy.every_k_exchanges) {
+                        c.submit(self)?;
+                        if let Some(f) = fault.filter(|f| f.tampers()) {
+                            // Drain point: tampering needs the file.
+                            c.drain()?;
+                            f.tamper(&c.policy.path)?;
                         }
                     }
                 }
@@ -609,7 +746,7 @@ impl NektarG {
                 window_s: wstart.elapsed().as_secs_f64(),
             });
         }
-        Ok(self.report.clone())
+        Ok(())
     }
 
     /// The reference window ordering: per continuum step, the NS step and
@@ -706,10 +843,11 @@ impl NektarG {
         (continuum_s, atomistic_s)
     }
 
-    /// Write one run-level checkpoint (atomic temp + rename). Returns the
-    /// bytes written.
-    pub fn checkpoint(&self, path: &Path) -> Result<u64, CkptError> {
-        let mut w = SnapshotWriter::new();
+    /// Encode the run-level snapshot into `w`, replacing what it held.
+    /// This is the synchronous half of every checkpoint: it reads the
+    /// solver state, so it runs on the thread that owns the solvers.
+    pub fn encode_image(&self, w: &mut SnapshotWriter) {
+        w.clear();
         w.add_snapshot(&self.progression);
         w.add_snapshot(&self.continuum);
         w.add_snapshot(&self.atomistic);
@@ -718,28 +856,38 @@ impl NektarG {
             w.add_snapshot(sampler);
             w.add_snapshot(wpod);
         }
-        let mut enc = Enc::new();
-        enc.put_bool(self.wpod.is_some());
-        match &self.last_wpod {
-            None => enc.put_bool(false),
-            Some(res) => {
-                enc.put_bool(true);
-                enc.put_slice(&res.mean);
-                enc.put_slice(&res.fluctuation);
-                enc.put(res.split as u64);
-                enc.put_slice(&res.eigenvalues);
+        w.add_with(META_TAG, |enc| {
+            enc.put_bool(self.wpod.is_some());
+            match &self.last_wpod {
+                None => enc.put_bool(false),
+                Some(res) => {
+                    enc.put_bool(true);
+                    enc.put_slice(&res.mean);
+                    enc.put_slice(&res.fluctuation);
+                    enc.put(res.split as u64);
+                    enc.put_slice(&res.eigenvalues);
+                }
             }
-        }
-        w.add(META_TAG, enc.into_bytes());
+        });
+    }
+
+    /// Write one run-level checkpoint (atomic temp + rename), durable on
+    /// return. Returns the bytes written.
+    pub fn checkpoint(&self, path: &Path) -> Result<u64, CkptError> {
+        let mut w = SnapshotWriter::new();
+        self.encode_image(&mut w);
         w.write_atomic(path)
     }
 
     /// Rotate the existing snapshot at `path` to its `.prev` sibling, then
     /// write a fresh one — the last known-good generation survives a
-    /// failure during (or corruption after) the new write.
+    /// failure during (or corruption after) the new write. Encode and
+    /// commit are the two steps [`Self::run_to`] splits across threads;
+    /// here they run back to back and the snapshot is durable on return.
     pub fn checkpoint_rotating(&self, path: &Path) -> Result<u64, CkptError> {
-        rotate_previous(path)?;
-        self.checkpoint(path)
+        let mut w = SnapshotWriter::new();
+        self.encode_image(&mut w);
+        w.write_rotating(path)
     }
 
     /// Restore run state from a snapshot into this (compatibly

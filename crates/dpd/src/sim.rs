@@ -155,6 +155,20 @@ pub struct DpdSim {
     pub time: f64,
     /// Pair interactions in the last force evaluation (diagnostics).
     pub last_pair_count: u64,
+    control: ControlScratch,
+}
+
+/// Buffers of the open-boundary velocity control in
+/// [`DpdSim::compute_forces`], kept between calls (never snapshotted:
+/// every call starts and ends with `sums` and `counts` all zero).
+#[derive(Default)]
+struct ControlScratch {
+    /// Velocity sum and particle count per face bin.
+    sums: Vec<[f64; 3]>,
+    counts: Vec<usize>,
+    /// `(particle, bin)` of every particle in a face buffer, in particle
+    /// order; also the list of bins to zero again.
+    buffered: Vec<(usize, usize)>,
 }
 
 impl DpdSim {
@@ -182,6 +196,7 @@ impl DpdSim {
             step_count: 0,
             time: 0.0,
             last_pair_count: 0,
+            control: ControlScratch::default(),
             cfg,
             bx,
         }
@@ -407,33 +422,36 @@ impl DpdSim {
             if ob.control_gain > 0.0 {
                 let buf = self.cfg.rc;
                 // Per-bin mean velocity in the two buffers.
-                let nbins = ob.target.len();
-                let mut sums = vec![[0.0f64; 3]; nbins];
-                let mut cnts = vec![0usize; nbins];
-                let mut in_buffer = vec![usize::MAX; self.particles.len()];
+                let ControlScratch {
+                    sums,
+                    counts,
+                    buffered,
+                } = &mut self.control;
+                sums.resize(ob.target.len(), [0.0; 3]);
+                counts.resize(ob.target.len(), 0);
                 for i in 0..self.particles.len() {
                     let p = self.particles.pos(i);
                     if p[0] < xlo + buf || p[0] > xhi - buf {
                         let b = ob.bin_of(&self.bx, p[1], p[2]);
-                        in_buffer[i] = b;
-                        cnts[b] += 1;
+                        buffered.push((i, b));
+                        counts[b] += 1;
                         let v = self.particles.vel(i);
                         for k in 0..3 {
                             sums[b][k] += v[k];
                         }
                     }
                 }
-                for i in 0..self.particles.len() {
-                    let b = in_buffer[i];
-                    if b == usize::MAX || cnts[b] == 0 {
-                        continue;
-                    }
+                for &(i, b) in buffered.iter() {
                     let mut f = self.particles.force(i);
                     for k in 0..3 {
-                        let mean = sums[b][k] / cnts[b] as f64;
+                        let mean = sums[b][k] / counts[b] as f64;
                         f[k] += ob.control_gain * (ob.target[b][k] - mean);
                     }
                     self.particles.set_force(i, f);
+                }
+                for (_, b) in buffered.drain(..) {
+                    sums[b] = [0.0; 3];
+                    counts[b] = 0;
                 }
             }
         }

@@ -35,6 +35,11 @@ echo "== thread invariance: overlap suite, 1 rayon thread vs default pool =="
 RAYON_NUM_THREADS=1 cargo test -q -p nkg-coupling --test integration_overlap
 cargo test -q -p nkg-coupling --test integration_overlap
 
+echo "== checkpoint pipeline, 1 rayon thread vs default pool (one pool thread + continuum thread + committer is the oversubscribed corner) =="
+RAYON_NUM_THREADS=1 cargo test -q --test integration_ckpt --test integration_boundary
+cargo test -q --test integration_ckpt --test integration_boundary
+cargo run --release -q -p nkg-bench --bin bench_ckpt -- --smoke
+
 echo "== DPD bitwise thread invariance: parallel half sweep, 1 vs 4 rayon threads =="
 hash1=$(RAYON_NUM_THREADS=1 cargo run --release -q -p nkg-bench --bin dpd_force_hash | grep -o 'force_hash=0x[0-9a-f]*')
 hash4=$(RAYON_NUM_THREADS=4 cargo run --release -q -p nkg-bench --bin dpd_force_hash | grep -o 'force_hash=0x[0-9a-f]*')

@@ -4,8 +4,16 @@
 //! re-encoded bytes match the original byte-for-byte — deterministic
 //! canonical encodings (sorted override maps, bit-exact floats) make the
 //! byte comparison equivalent to deep state equality.
+//!
+//! Plus the two byte-level contracts of the container itself: the sliced
+//! CRC32 equals the bytewise definition, and `SnapshotWriter` lays out
+//! exactly the container the format documents (and PR 12's build wrote).
 
-use nektarg::ckpt::{restore_bytes, snapshot_bytes, CkptError, Snapshot};
+use nektarg::ckpt::crc32::crc32;
+use nektarg::ckpt::{
+    restore_bytes, snapshot_bytes, tag4, CkptError, Snapshot, SnapshotFile, SnapshotWriter,
+    FORMAT_VERSION,
+};
 use nektarg::coupling::atomistic::{AtomisticDomain, Embedding};
 use nektarg::coupling::metasolver::RunReport;
 use nektarg::coupling::multipatch::poiseuille_multipatch;
@@ -41,6 +49,110 @@ fn small_sim(seed: u64) -> DpdSim {
     ob.target_count = Some(sim.particles.len());
     sim.set_open_x(ob);
     sim
+}
+
+/// The definition the production CRC is checked against: one table, one
+/// byte per step, reflected IEEE polynomial.
+fn crc32_bytewise(bytes: &[u8]) -> u32 {
+    let table: [u32; 256] = std::array::from_fn(|i| {
+        (0..8).fold(i as u32, |c, _| {
+            if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            }
+        })
+    });
+    !bytes.iter().fold(!0u32, |c, &b| {
+        table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Slicing-by-8 equals the bytewise CRC for every length 0..4096 at
+    /// all eight start alignments (the 8-byte fold has a tail of 0..7
+    /// bytes and reads unaligned words).
+    #[test]
+    fn sliced_crc_equals_bytewise(raw in prop::collection::vec(0u16..256, 7..4103)) {
+        let buf: Vec<u8> = raw.iter().map(|&b| b as u8).collect();
+        for start in 0..8 {
+            let window = &buf[start..];
+            prop_assert_eq!(crc32(window), crc32_bytewise(window), "start {}", start);
+        }
+        // And every short length, where the tail loop does all the work.
+        for len in 0..buf.len().min(24) {
+            prop_assert_eq!(crc32(&buf[..len]), crc32_bytewise(&buf[..len]), "len {}", len);
+        }
+    }
+}
+
+#[test]
+fn crc_standard_vectors() {
+    assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+    assert_eq!(crc32(b""), 0);
+}
+
+/// What PR 12's build (`5ad2613`) returned from `SnapshotWriter::to_bytes`
+/// for the three sections of `writer_image_is_the_golden_container`.
+const GOLDEN_CONTAINER_HEX: &str = "\
+4e4b47430200000003000000414141410500000000000000f4990b470102030405454d505400000000000000\
+0000000000424242426400000000000000096b31aa030a11181f262d343b424950575e656c737a81888f969d\
+a4abb2b9c0c7ced5dce3eaf1f8ff060d141b222930373e454c535a61686f767d848b9299a0a7aeb5bcc3cad1\
+d8dfe6edf4fb020910171e252c333a41484f565d646b727980878e959ca3aab1b8";
+
+/// The single-image writer produces the documented container: header,
+/// then per section tag / length / CRC / payload, an empty section
+/// included — equal to the parent build's bytes and to a container
+/// assembled here from the layout alone.
+#[test]
+fn writer_image_is_the_golden_container() {
+    let sections: [(u32, Vec<u8>); 3] = [
+        (tag4(b"AAAA"), vec![1, 2, 3, 4, 5]),
+        (tag4(b"EMPT"), vec![]),
+        (
+            tag4(b"BBBB"),
+            (0..100u32).map(|i| (i * 7 + 3) as u8).collect(),
+        ),
+    ];
+    let mut w = SnapshotWriter::new();
+    w.add(sections[0].0, &sections[0].1);
+    w.add_with(sections[1].0, |_| {});
+    w.add_with(sections[2].0, |enc| {
+        for &b in &sections[2].1 {
+            enc.put(b);
+        }
+    });
+    let image = w.seal().to_vec();
+
+    let mut by_layout = b"NKGC".to_vec();
+    by_layout.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    by_layout.extend_from_slice(&(sections.len() as u32).to_le_bytes());
+    for (tag, payload) in &sections {
+        by_layout.extend_from_slice(&tag.to_le_bytes());
+        by_layout.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        by_layout.extend_from_slice(&crc32_bytewise(payload).to_le_bytes());
+        by_layout.extend_from_slice(payload);
+    }
+    assert_eq!(image, by_layout);
+
+    let golden: Vec<u8> = (0..GOLDEN_CONTAINER_HEX.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&GOLDEN_CONTAINER_HEX[i..i + 2], 16).unwrap())
+        .collect();
+    assert_eq!(FORMAT_VERSION, 2);
+    assert_eq!(image, golden);
+
+    let file = SnapshotFile::from_image(image).unwrap();
+    assert_eq!(
+        file.tags(),
+        sections.iter().map(|s| s.0).collect::<Vec<_>>()
+    );
+    for (tag, payload) in &sections {
+        assert_eq!(file.payload(*tag).unwrap(), payload.as_slice());
+    }
 }
 
 proptest! {
