@@ -4,7 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use nkg_dpd::cells::CellGrid;
-use nkg_dpd::force::{accumulate_pair_forces, accumulate_pair_forces_par, SpeciesMatrix};
+use nkg_dpd::force::{
+    accumulate_pair_forces, accumulate_pair_forces_par, SpeciesMatrix, SweepScratch,
+};
 use nkg_dpd::sim::{DpdConfig, DpdSim, WallGeometry};
 use nkg_dpd::Box3;
 
@@ -34,17 +36,40 @@ fn bench_force_paths(c: &mut Criterion) {
     let mut grid = CellGrid::new(bx, 1.0);
     grid.rebuild_soa(&sim.particles.x, &sim.particles.y, &sim.particles.z);
     let m = SpeciesMatrix::uniform(1, 25.0, 4.5);
+    let mut scratch = SweepScratch::default();
     let mut g = c.benchmark_group("dpd/forces");
     g.bench_function("serial_half_sweep", |b| {
         b.iter(|| {
             sim.particles.clear_forces();
-            accumulate_pair_forces(&mut sim.particles, &grid, &bx, &m, 1.0, 1.0, 0.01, 1, 1)
+            accumulate_pair_forces(
+                &mut sim.particles,
+                &grid,
+                &bx,
+                &m,
+                1.0,
+                1.0,
+                0.01,
+                1,
+                1,
+                &mut scratch,
+            )
         })
     });
-    g.bench_function("rayon_full_sweep", |b| {
+    g.bench_function("rayon_half_sweep", |b| {
         b.iter(|| {
             sim.particles.clear_forces();
-            accumulate_pair_forces_par(&mut sim.particles, &grid, &bx, &m, 1.0, 1.0, 0.01, 1, 1)
+            accumulate_pair_forces_par(
+                &mut sim.particles,
+                &grid,
+                &bx,
+                &m,
+                1.0,
+                1.0,
+                0.01,
+                1,
+                1,
+                &mut scratch,
+            )
         })
     });
     g.finish();

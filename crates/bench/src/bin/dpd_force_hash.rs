@@ -5,7 +5,7 @@
 //! thread-invariance contract.
 
 use nkg_dpd::cells::CellGrid;
-use nkg_dpd::force::{accumulate_pair_forces_par, SpeciesMatrix};
+use nkg_dpd::force::{accumulate_pair_forces_par, SpeciesMatrix, SweepScratch};
 use nkg_dpd::sim::{DpdConfig, DpdSim, WallGeometry};
 use nkg_dpd::Box3;
 
@@ -37,8 +37,18 @@ fn main() {
     let mut grid = CellGrid::new(bx, 1.0);
     grid.rebuild_soa(&sim.particles.x, &sim.particles.y, &sim.particles.z);
     sim.particles.clear_forces();
-    let hits =
-        accumulate_pair_forces_par(&mut sim.particles, &grid, &bx, &m, 1.0, 1.0, 0.01, 2026, 11);
+    let hits = accumulate_pair_forces_par(
+        &mut sim.particles,
+        &grid,
+        &bx,
+        &m,
+        1.0,
+        1.0,
+        0.01,
+        2026,
+        11,
+        &mut SweepScratch::default(),
+    );
     let p = &sim.particles;
     let hash = fnv1a(
         p.fx.iter()

@@ -36,6 +36,22 @@ pub fn time_median(reps: usize, mut f: impl FnMut()) -> f64 {
     samples[reps / 2]
 }
 
+/// On-CPU seconds of this process, summed over its live threads
+/// (`/proc/self/task/*/schedstat`, nanosecond resolution; 0 where the
+/// kernel does not expose it). Divide a difference by the wall time of
+/// the same interval to see how many cores a parallel section really got.
+pub fn cpu_seconds() -> f64 {
+    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+        return 0.0;
+    };
+    let ns: u64 = tasks
+        .flatten()
+        .filter_map(|t| std::fs::read_to_string(t.path().join("schedstat")).ok())
+        .filter_map(|s| s.split_whitespace().next()?.parse::<u64>().ok())
+        .sum();
+    ns as f64 * 1e-9
+}
+
 /// Number of logical cores on this host (1 if undeterminable).
 pub fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())

@@ -24,8 +24,8 @@ fn make_metasolver(policy: ExecutionPolicy) -> NektarG {
     let bx = Box3::new([0.0; 3], [6.0, 6.0, 3.0], [false, false, true]);
     let mut sim = DpdSim::new(cfg, bx, WallGeometry::SlabY);
     // Pin the sweep: `Auto` legitimately switches between the serial half
-    // sweep and the parallel full sweep at 1 vs >1 threads, and the two
-    // differ in summation order. The parallel full sweep is itself
+    // sweep and the parallel half sweep at 1 vs >1 threads, and the two
+    // differ in summation order. The parallel half sweep is itself
     // bitwise invariant for any pool width — the property under test.
     sim.force_backend = ForceBackend::Parallel;
     sim.fill_solvent();

@@ -1,21 +1,14 @@
 //! Cell-list neighbor search.
 //!
-//! Two implementations live here:
+//! [`CellGrid`] is a *compact, cell-sorted* (CSR) layout. `rebuild`
+//! counting-sorts particle indices by cell into one contiguous `order`
+//! array with a `starts` offset table, so a cell's occupants are a slice
+//! (`order[starts[c]..starts[c+1]]`). Forward-neighbor cells are
+//! precomputed per cell at construction (the geometry never changes), as
+//! deduplicated wrapped id lists, so periodic axes with 1 or 2 cells
+//! enumerate every wrapped pair exactly once (see `for_each_pair`).
 //!
-//! * [`CellGrid`] — the production structure: a *compact, cell-sorted*
-//!   (CSR) layout. `rebuild` counting-sorts particle indices by cell into
-//!   one contiguous `order` array with a `starts` offset table, so a cell's
-//!   occupants are a slice (`order[starts[c]..starts[c+1]]`) instead of a
-//!   pointer chase through per-particle `next` links. Neighbor cells are
-//!   precomputed per cell at construction (the geometry never changes), as
-//!   deduplicated wrapped id lists — which also fixes the small-box bug
-//!   where periodic axes with ≤ 2 cells dropped the wrapped neighbor
-//!   entirely (see `for_each_pair`).
-//! * [`LinkedCellGrid`] — the legacy head/next linked-list structure, kept
-//!   as a reference baseline for equivalence tests and benchmarks. It
-//!   retains the historical ≤ 2-cell limitation.
-//!
-//! Both assume the standard minimum-image validity condition `L ≥ 2 r_c`
+//! It assumes the standard minimum-image validity condition `L ≥ 2 r_c`
 //! on periodic axes (each pair interacts through at most one image).
 //!
 //! Enumeration order is deterministic: cells in id order, in-cell pairs in
@@ -56,11 +49,6 @@ pub struct CellGrid {
     /// any `dims` (including periodic axes with 1 or 2 cells).
     nbr_fwd: Vec<u32>,
     nbr_fwd_starts: Vec<u32>,
-    /// Full neighborhood per cell (flattened CSR): wrapped, deduplicated
-    /// ids including the cell itself, in fixed offset-scan order. Used by
-    /// the write-conflict-free full force sweep.
-    nbr_all: Vec<u32>,
-    nbr_all_starts: Vec<u32>,
 }
 
 impl CellGrid {
@@ -79,8 +67,7 @@ impl CellGrid {
             l[2] / dims[2] as f64,
         ];
         let ncell = dims[0] * dims[1] * dims[2];
-        let (nbr_fwd, nbr_fwd_starts, nbr_all, nbr_all_starts) =
-            build_neighbor_tables(dims, bx.periodic);
+        let (nbr_fwd, nbr_fwd_starts) = build_neighbor_tables(dims, bx.periodic);
         Self {
             bx,
             dims,
@@ -93,8 +80,6 @@ impl CellGrid {
             cursor: vec![0; ncell],
             nbr_fwd,
             nbr_fwd_starts,
-            nbr_all,
-            nbr_all_starts,
         }
     }
 
@@ -109,8 +94,7 @@ impl CellGrid {
     }
 
     /// Rebuild the CSR structure from AoS positions: one counting sort,
-    /// O(N). (Convenience wrapper over [`CellGrid::rebuild_soa`] for tests
-    /// and legacy-baseline comparisons.)
+    /// O(N). (Convenience wrapper over [`CellGrid::rebuild_soa`] for tests.)
     pub fn rebuild(&mut self, pos: &[[f64; 3]]) {
         self.rebuild_impl(pos.len(), |i| pos[i]);
     }
@@ -152,8 +136,7 @@ impl CellGrid {
     }
 
     /// Particle indices sorted by `(cell, index)` — the CSR `order` array
-    /// from the last `rebuild`. Applying this permutation to the particle
-    /// SoA makes neighbor traversal walk memory near-sequentially.
+    /// from the last `rebuild`.
     pub fn sorted_order(&self) -> &[usize] {
         &self.order
     }
@@ -228,11 +211,11 @@ impl CellGrid {
     /// precomputed forward neighbors. The callback performs the distance
     /// check itself (minimum-image).
     ///
-    /// Unlike the legacy linked-list grid, periodic axes with ≤ 2 cells
-    /// are handled correctly: the neighbor tables are built from the full
-    /// wrapped 26-neighborhood with duplicates removed and filtered to
-    /// `c2 > c`, so each adjacent cell pair — including pairs through a
-    /// 2-cell-wide periodic boundary — is visited exactly once.
+    /// Periodic axes with ≤ 2 cells are handled correctly: the neighbor
+    /// tables are built from the full wrapped 26-neighborhood with
+    /// duplicates removed and filtered to `c2 > c`, so each adjacent cell
+    /// pair — including pairs through a 2-cell-wide periodic boundary — is
+    /// visited exactly once.
     pub fn for_each_pair(&self, mut f: impl FnMut(usize, usize)) {
         for c in 0..self.ncell {
             let own = self.cell_particles(c);
@@ -255,44 +238,21 @@ impl CellGrid {
             }
         }
     }
-
-    /// Visit every particle in the (wrapped, deduplicated) 27-cell
-    /// neighborhood of position `p`, each exactly once, in a fixed order.
-    /// Used by the write-conflict-free full force sweep.
-    #[inline]
-    pub fn for_each_candidate(&self, p: [f64; 3], mut f: impl FnMut(usize)) {
-        let c = self.cell_of(p);
-        let lo = self.nbr_all_starts[c] as usize;
-        let hi = self.nbr_all_starts[c + 1] as usize;
-        for &c2 in &self.nbr_all[lo..hi] {
-            for &j in self.cell_particles(c2 as usize) {
-                f(j);
-            }
-        }
-    }
 }
 
-/// Precompute per-cell neighbor id lists (forward half and full sets).
-#[allow(clippy::type_complexity)]
-fn build_neighbor_tables(
-    dims: [usize; 3],
-    periodic: [bool; 3],
-) -> (Vec<u32>, Vec<u32>, Vec<u32>, Vec<u32>) {
+/// Precompute the per-cell forward-neighbor id lists (flattened CSR).
+fn build_neighbor_tables(dims: [usize; 3], periodic: [bool; 3]) -> (Vec<u32>, Vec<u32>) {
     let ncell = dims[0] * dims[1] * dims[2];
     assert!(ncell <= u32::MAX as usize, "cell count overflows u32 ids");
     let idims = [dims[0] as isize, dims[1] as isize, dims[2] as isize];
     let mut fwd = Vec::with_capacity(ncell * 13);
     let mut fwd_starts = Vec::with_capacity(ncell + 1);
-    let mut all = Vec::with_capacity(ncell * 27);
-    let mut all_starts = Vec::with_capacity(ncell + 1);
     fwd_starts.push(0u32);
-    all_starts.push(0u32);
     for c in 0..ncell {
         let cx = (c % dims[0]) as isize;
         let cy = ((c / dims[0]) % dims[1]) as isize;
         let cz = (c / (dims[0] * dims[1])) as isize;
         let fwd_base = fwd.len();
-        let all_base = all.len();
         for dz in -1..=1isize {
             for dy in -1..=1isize {
                 for dx in -1..=1isize {
@@ -312,9 +272,6 @@ fn build_neighbor_tables(
                     }
                     let id = (((q[2] as usize) * dims[1] + q[1] as usize) * dims[0] + q[0] as usize)
                         as u32;
-                    if !all[all_base..].contains(&id) {
-                        all.push(id);
-                    }
                     if id as usize > c && !fwd[fwd_base..].contains(&id) {
                         fwd.push(id);
                     }
@@ -322,153 +279,8 @@ fn build_neighbor_tables(
             }
         }
         fwd_starts.push(fwd.len() as u32);
-        all_starts.push(all.len() as u32);
     }
-    (fwd, fwd_starts, all, all_starts)
-}
-
-/// Legacy head/next linked-list cell grid, kept as the reference baseline
-/// for equivalence tests and benchmarks against the CSR [`CellGrid`].
-///
-/// Retains the historical limitation that periodic axes with ≤ 2 cells
-/// skip the wrapped neighbor (cross-boundary pairs are silently dropped
-/// there); compare against it only on grids with ≥ 3 cells per periodic
-/// axis.
-#[derive(Debug, Clone)]
-pub struct LinkedCellGrid {
-    bx: Box3,
-    /// Cells per axis.
-    pub dims: [usize; 3],
-    cell: [f64; 3],
-    head: Vec<usize>,
-    next: Vec<usize>,
-}
-
-const NONE: usize = usize::MAX;
-
-impl LinkedCellGrid {
-    /// Build the grid geometry for cutoff `rc` (no particles yet).
-    pub fn new(bx: Box3, rc: f64) -> Self {
-        assert!(rc > 0.0);
-        let l = bx.lengths();
-        let dims = [
-            (l[0] / rc).floor().max(1.0) as usize,
-            (l[1] / rc).floor().max(1.0) as usize,
-            (l[2] / rc).floor().max(1.0) as usize,
-        ];
-        let cell = [
-            l[0] / dims[0] as f64,
-            l[1] / dims[1] as f64,
-            l[2] / dims[2] as f64,
-        ];
-        let ncell = dims[0] * dims[1] * dims[2];
-        Self {
-            bx,
-            dims,
-            cell,
-            head: vec![NONE; ncell],
-            next: Vec::new(),
-        }
-    }
-
-    /// Cell index of a position (clamped to the box).
-    pub fn cell_of(&self, p: [f64; 3]) -> usize {
-        let mut c = [0usize; 3];
-        for k in 0..3 {
-            let t = ((p[k] - self.bx.lo[k]) / self.cell[k]).floor() as isize;
-            c[k] = t.clamp(0, self.dims[k] as isize - 1) as usize;
-        }
-        (c[2] * self.dims[1] + c[1]) * self.dims[0] + c[0]
-    }
-
-    /// Rebuild the linked lists from positions.
-    pub fn rebuild(&mut self, pos: &[[f64; 3]]) {
-        self.head.iter_mut().for_each(|h| *h = NONE);
-        self.next.clear();
-        self.next.resize(pos.len(), NONE);
-        for (i, &p) in pos.iter().enumerate() {
-            let c = self.cell_of(p);
-            self.next[i] = self.head[c];
-            self.head[c] = i;
-        }
-    }
-
-    /// Visit every unordered pair `(i, j)`: in-cell pairs plus pairs with
-    /// the 13 forward-neighbor cells (minimum-image aware). The callback
-    /// performs the distance check itself.
-    pub fn for_each_pair(&self, mut f: impl FnMut(usize, usize)) {
-        let [nx, ny, nz] = self.dims;
-        // 13 forward offsets + self-cell handled separately.
-        const OFFS: [[isize; 3]; 13] = [
-            [1, 0, 0],
-            [-1, 1, 0],
-            [0, 1, 0],
-            [1, 1, 0],
-            [-1, -1, 1],
-            [0, -1, 1],
-            [1, -1, 1],
-            [-1, 0, 1],
-            [0, 0, 1],
-            [1, 0, 1],
-            [-1, 1, 1],
-            [0, 1, 1],
-            [1, 1, 1],
-        ];
-        for cz in 0..nz {
-            for cy in 0..ny {
-                for cx in 0..nx {
-                    let c = (cz * ny + cy) * nx + cx;
-                    // In-cell pairs.
-                    let mut i = self.head[c];
-                    while i != NONE {
-                        let mut j = self.next[i];
-                        while j != NONE {
-                            f(i, j);
-                            j = self.next[j];
-                        }
-                        i = self.next[i];
-                    }
-                    // Cross-cell pairs.
-                    for off in OFFS {
-                        let mut q = [
-                            cx as isize + off[0],
-                            cy as isize + off[1],
-                            cz as isize + off[2],
-                        ];
-                        let dims = [nx as isize, ny as isize, nz as isize];
-                        let mut skip = false;
-                        for k in 0..3 {
-                            if q[k] < 0 || q[k] >= dims[k] {
-                                if self.bx.periodic[k] && dims[k] > 2 {
-                                    q[k] = (q[k] + dims[k]) % dims[k];
-                                } else {
-                                    // Historical ≤2-cell limitation (and
-                                    // non-periodic truncation).
-                                    skip = true;
-                                }
-                            }
-                        }
-                        if skip {
-                            continue;
-                        }
-                        let c2 = ((q[2] as usize) * ny + q[1] as usize) * nx + q[0] as usize;
-                        if c2 == c {
-                            continue;
-                        }
-                        let mut i = self.head[c];
-                        while i != NONE {
-                            let mut j = self.head[c2];
-                            while j != NONE {
-                                f(i, j);
-                                j = self.next[j];
-                            }
-                            i = self.next[i];
-                        }
-                    }
-                }
-            }
-        }
-    }
+    (fwd, fwd_starts)
 }
 
 #[cfg(test)]
@@ -520,22 +332,27 @@ mod tests {
         );
     }
 
+    /// The CSR enumeration visits every pair at most once and contains
+    /// exactly the brute-force O(N²) minimum-image pair set inside `rc`.
     #[test]
     fn pairs_match_brute_force_within_cutoff() {
-        // Deterministic scatter of points; compare pair sets for r < rc.
-        let pts = scatter(150, 7, 6.0);
-        for periodic in [false, true] {
-            let g = grid_with(&pts, periodic);
-            let bx = Box3::new([0.0; 3], [6.0; 3], [periodic; 3]);
-            let mut got = HashSet::new();
-            g.for_each_pair(|i, j| {
-                let d = bx.min_image(pts[i], pts[j]);
-                let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-                if r2 < 1.0 {
-                    got.insert((i.min(j), i.max(j)));
-                }
-            });
-            assert_eq!(got, brute_pairs(&pts, &bx, 1.0), "periodic={periodic}");
+        for (n, seed) in [(150, 7), (200, 23)] {
+            let pts = scatter(n, seed, 6.0);
+            for periodic in [false, true] {
+                let g = grid_with(&pts, periodic);
+                let bx = Box3::new([0.0; 3], [6.0; 3], [periodic; 3]);
+                let mut seen = HashSet::new();
+                let mut got = HashSet::new();
+                g.for_each_pair(|i, j| {
+                    assert!(seen.insert((i.min(j), i.max(j))), "duplicate pair {i},{j}");
+                    let d = bx.min_image(pts[i], pts[j]);
+                    let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+                    if r2 < 1.0 {
+                        got.insert((i.min(j), i.max(j)));
+                    }
+                });
+                assert_eq!(got, brute_pairs(&pts, &bx, 1.0), "periodic={periodic}");
+            }
         }
     }
 
@@ -566,9 +383,9 @@ mod tests {
         assert_eq!(g.sorted_order().len(), 3);
     }
 
-    /// Regression for the ≤2-cell periodic bug: in a 2-cell-wide periodic
-    /// box the legacy grid never visits pairs through the wrapped
-    /// boundary; the CSR grid must find them all.
+    /// In a 2-cell-wide periodic box the forward neighbor and the wrapped
+    /// backward neighbor are the same cell: the pairs through the wrapped
+    /// boundary must all be found, once.
     #[test]
     fn two_cell_periodic_box_finds_wrapped_pairs() {
         let bx = Box3::new([0.0; 3], [2.0, 2.0, 2.0], [true; 3]);
@@ -627,52 +444,6 @@ mod tests {
         // most once, and all brute-force pairs within rc must be present.
         for (i, j) in brute_pairs(&pts, &bx, 1.0) {
             assert!(seen.contains(&(i, j)), "missing pair {i},{j}");
-        }
-    }
-
-    #[test]
-    fn candidate_sweep_covers_neighborhood_once() {
-        let pts = scatter(120, 19, 6.0);
-        for periodic in [false, true] {
-            let g = grid_with(&pts, periodic);
-            let bx = Box3::new([0.0; 3], [6.0; 3], [periodic; 3]);
-            for (i, &p) in pts.iter().enumerate() {
-                let mut seen = HashSet::new();
-                g.for_each_candidate(p, |j| {
-                    assert!(seen.insert(j), "candidate {j} visited twice");
-                });
-                // All true neighbors of i must be among the candidates.
-                for j in 0..pts.len() {
-                    if j == i {
-                        continue;
-                    }
-                    let d = bx.min_image(p, pts[j]);
-                    if d[0] * d[0] + d[1] * d[1] + d[2] * d[2] < 1.0 {
-                        assert!(seen.contains(&j), "missing neighbor {j} of {i}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn csr_matches_legacy_linked_list_on_big_grid() {
-        let pts = scatter(200, 23, 6.0);
-        for periodic in [false, true] {
-            let bx = Box3::new([0.0; 3], [6.0; 3], [periodic; 3]);
-            let mut csr = CellGrid::new(bx, 1.0);
-            csr.rebuild(&pts);
-            let mut legacy = LinkedCellGrid::new(bx, 1.0);
-            legacy.rebuild(&pts);
-            let mut a = HashSet::new();
-            csr.for_each_pair(|i, j| {
-                a.insert((i.min(j), i.max(j)));
-            });
-            let mut b = HashSet::new();
-            legacy.for_each_pair(|i, j| {
-                b.insert((i.min(j), i.max(j)));
-            });
-            assert_eq!(a, b, "periodic={periodic}");
         }
     }
 }

@@ -54,17 +54,24 @@ impl Box3 {
     /// Wrap a position into the box along periodic axes (non-periodic axes
     /// are left untouched — walls/inflow handle those).
     pub fn wrap(&self, p: &mut [f64; 3]) {
-        let l = self.lengths();
         for k in 0..3 {
-            if self.periodic[k] {
-                while p[k] >= self.hi[k] {
-                    p[k] -= l[k];
-                }
-                while p[k] < self.lo[k] {
-                    p[k] += l[k];
-                }
+            p[k] = self.wrap_axis(k, p[k]);
+        }
+    }
+
+    /// [`Box3::wrap`] for one coordinate along axis `k`.
+    #[inline]
+    pub fn wrap_axis(&self, k: usize, mut x: f64) -> f64 {
+        if self.periodic[k] {
+            let l = self.hi[k] - self.lo[k];
+            while x >= self.hi[k] {
+                x -= l;
+            }
+            while x < self.lo[k] {
+                x += l;
             }
         }
+        x
     }
 
     /// Whether the point is inside (non-strict upper bound).

@@ -17,7 +17,7 @@
 //! (`seed ^ step·φ`) is hoisted out of the inner loop into
 //! [`PairParams::base`]; [`pair_noise`] remains bitwise identical.
 //!
-//! Three sweeps evaluate the identical pair kernel:
+//! Two sweeps evaluate the identical pair kernel:
 //!
 //! * [`accumulate_pair_forces`] — serial half-list sweep. Candidate
 //!   distances are precomputed per cell through the batched
@@ -32,13 +32,9 @@
 //!   spills out-of-range `−F` contributions to a replay list. Buffers are
 //!   reduced in fixed chunk order, so the result depends only on the grid
 //!   contents — never on the thread count.
-//! * [`accumulate_pair_forces_full_par`] — the historical full-list sweep
-//!   kept as a toggleable baseline: each particle independently sums over
-//!   its whole neighborhood (twice the pair work, write-conflict-free).
-//!   Because IEEE negation is exact and `ζ` is symmetric, the two
-//!   one-sided evaluations of a pair are bitwise equal-and-opposite, and
-//!   the order-preserving parallel collect makes the result independent of
-//!   the thread count.
+//!
+//! Both work out of a caller-owned [`SweepScratch`], so a steady-state
+//! sweep allocates nothing.
 
 use crate::cells::CellGrid;
 use crate::domain::Box3;
@@ -259,10 +255,9 @@ pub fn pair_force(
     Some(pair_force_from_d(prm, inp, matrix, d, r2, i, j))
 }
 
-/// Reusable gather/batch buffers for the cell sweep (one per thread of
-/// execution; kept out of the hot loop to avoid reallocation).
+/// Gather/batch buffers of one cell sweep (one per thread of execution).
 #[derive(Default)]
-struct SweepScratch {
+struct CellScratch {
     /// Candidate particle indices of the current cell neighborhood.
     idx: Vec<u32>,
     /// Gathered candidate coordinates (SoA).
@@ -274,6 +269,30 @@ struct SweepScratch {
     dy: Vec<f64>,
     dz: Vec<f64>,
     r2: Vec<f64>,
+}
+
+/// Working buffers and output of one chunk of the parallel half sweep.
+#[derive(Default)]
+struct ChunkScratch {
+    cell: CellScratch,
+    /// Dense `±F` accumulators for the chunk's own CSR range, indexed by
+    /// CSR position minus the chunk base.
+    own: Vec<[f64; 3]>,
+    /// `−F` contributions to particles outside the chunk's CSR range
+    /// (forward-neighbor cells of the chunk's last cells), replayed during
+    /// the ordered reduction.
+    spill: Vec<(u32, [f64; 3])>,
+    hits: u64,
+}
+
+/// Buffers of the pair sweeps, kept by the caller between calls so the
+/// sweeps stop allocating once the buffers have grown to the box's
+/// occupancy. Carries no state from one sweep to the next: each sweep
+/// clears what it uses.
+#[derive(Default)]
+pub struct SweepScratch {
+    serial: CellScratch,
+    chunks: Vec<ChunkScratch>,
 }
 
 /// Half-list sweep over the cell range `[clo, chi)`: every unordered pair
@@ -296,7 +315,7 @@ fn sweep_half_cells(
     grid: &CellGrid,
     clo: usize,
     chi: usize,
-    scratch: &mut SweepScratch,
+    scratch: &mut CellScratch,
     mut apply: impl FnMut(usize, usize, [f64; 3]),
 ) -> u64 {
     let l = bx.lengths();
@@ -379,6 +398,7 @@ pub fn accumulate_pair_forces(
     dt: f64,
     seed: u64,
     step: u64,
+    scratch: &mut SweepScratch,
 ) -> u64 {
     let prm = PairParams::new(rc, kbt, dt, seed, step);
     // Split borrows: read pos/vel/species, write the force components.
@@ -394,7 +414,6 @@ pub fn accumulate_pair_forces(
     let fx = &mut p.fx;
     let fy = &mut p.fy;
     let fz = &mut p.fz;
-    let mut scratch = SweepScratch::default();
     sweep_half_cells(
         &prm,
         bx,
@@ -403,7 +422,7 @@ pub fn accumulate_pair_forces(
         grid,
         0,
         grid.num_cells(),
-        &mut scratch,
+        &mut scratch.serial,
         |i, j, fv| {
             fx[i] += fv[0];
             fy[i] += fv[1];
@@ -413,18 +432,6 @@ pub fn accumulate_pair_forces(
             fz[j] -= fv[2];
         },
     )
-}
-
-/// Per-chunk output of the parallel half sweep.
-struct ChunkForces {
-    /// Dense `±F` accumulators for the chunk's own CSR range, indexed by
-    /// CSR position minus the chunk base.
-    own: Vec<[f64; 3]>,
-    /// `−F` contributions to particles outside the chunk's CSR range
-    /// (forward-neighbor cells of the chunk's last cells), replayed during
-    /// the ordered reduction.
-    spill: Vec<(u32, [f64; 3])>,
-    hits: u64,
 }
 
 /// Parallel half sweep: each unordered pair is computed once, `±F` lands
@@ -445,124 +452,70 @@ pub fn accumulate_pair_forces_par(
     dt: f64,
     seed: u64,
     step: u64,
+    scratch: &mut SweepScratch,
 ) -> u64 {
     use rayon::prelude::*;
     let prm = PairParams::new(rc, kbt, dt, seed, step);
-    let chunks = grid.balanced_cell_chunks(HALF_SWEEP_CHUNKS);
+    let ranges = grid.balanced_cell_chunks(HALF_SWEEP_CHUNKS);
     let rank = grid.rank();
     let order = grid.sorted_order();
     assert!(p.len() <= u32::MAX as usize, "particle count overflows u32");
-    let outs: Vec<ChunkForces> = {
-        let inp = PairInputs::of(p);
-        chunks
-            .par_iter()
-            .map(|&(clo, chi)| {
-                let base = grid.cell_start(clo);
-                let own_n = grid.cell_start(chi) - base;
-                let mut own = vec![[0.0f64; 3]; own_n];
-                let mut spill: Vec<(u32, [f64; 3])> = Vec::new();
-                let mut scratch = SweepScratch::default();
-                let hits = sweep_half_cells(
-                    &prm,
-                    bx,
-                    &inp,
-                    matrix,
-                    grid,
-                    clo,
-                    chi,
-                    &mut scratch,
-                    |i, j, fv| {
-                        let ri = rank[i] - base;
-                        own[ri][0] += fv[0];
-                        own[ri][1] += fv[1];
-                        own[ri][2] += fv[2];
-                        let rj = rank[j];
-                        if rj >= base && rj < base + own_n {
-                            let rj = rj - base;
-                            own[rj][0] -= fv[0];
-                            own[rj][1] -= fv[1];
-                            own[rj][2] -= fv[2];
-                        } else {
-                            spill.push((j as u32, [-fv[0], -fv[1], -fv[2]]));
-                        }
-                    },
-                );
-                ChunkForces { own, spill, hits }
-            })
-            .collect()
-    };
+    if scratch.chunks.len() < ranges.len() {
+        scratch
+            .chunks
+            .resize_with(ranges.len(), ChunkScratch::default);
+    }
+    let chunks = &mut scratch.chunks[..ranges.len()];
+    let inp = PairInputs::of(p);
+    chunks
+        .par_iter_mut()
+        .zip(&ranges)
+        .for_each(|(chunk, &(clo, chi))| {
+            let base = grid.cell_start(clo);
+            let own_n = grid.cell_start(chi) - base;
+            let ChunkScratch {
+                cell,
+                own,
+                spill,
+                hits,
+            } = chunk;
+            own.clear();
+            own.resize(own_n, [0.0; 3]);
+            spill.clear();
+            *hits = sweep_half_cells(&prm, bx, &inp, matrix, grid, clo, chi, cell, |i, j, fv| {
+                let ri = rank[i] - base;
+                own[ri][0] += fv[0];
+                own[ri][1] += fv[1];
+                own[ri][2] += fv[2];
+                let rj = rank[j];
+                if rj >= base && rj < base + own_n {
+                    let rj = rj - base;
+                    own[rj][0] -= fv[0];
+                    own[rj][1] -= fv[1];
+                    own[rj][2] -= fv[2];
+                } else {
+                    spill.push((j as u32, [-fv[0], -fv[1], -fv[2]]));
+                }
+            });
+        });
     let mut hits = 0u64;
-    for (&(clo, _), out) in chunks.iter().zip(&outs) {
+    for (&(clo, _), chunk) in ranges.iter().zip(chunks.iter()) {
         let base = grid.cell_start(clo);
-        for (k, f) in out.own.iter().enumerate() {
+        for (k, f) in chunk.own.iter().enumerate() {
             let i = order[base + k];
             p.fx[i] += f[0];
             p.fy[i] += f[1];
             p.fz[i] += f[2];
         }
-        for &(j, f) in &out.spill {
+        for &(j, f) in &chunk.spill {
             let j = j as usize;
             p.fx[j] += f[0];
             p.fy[j] += f[1];
             p.fz[j] += f[2];
         }
-        hits += out.hits;
+        hits += chunk.hits;
     }
     hits
-}
-
-/// Rayon-parallel full sweep (baseline): each particle independently sums
-/// the kernel over its whole neighborhood (twice the pair work of the
-/// half-list sweeps, but write-conflict-free). Exact pairwise antisymmetry
-/// of [`pair_force`] keeps momentum conserved bitwise, and the
-/// order-preserving parallel collect makes the result independent of the
-/// rayon thread count. Returns the number of interacting pairs (each pair
-/// is seen from both sides; the double count is halved).
-#[allow(clippy::too_many_arguments)]
-pub fn accumulate_pair_forces_full_par(
-    p: &mut Particles,
-    grid: &CellGrid,
-    bx: &Box3,
-    matrix: &SpeciesMatrix,
-    rc: f64,
-    kbt: f64,
-    dt: f64,
-    seed: u64,
-    step: u64,
-) -> u64 {
-    use rayon::prelude::*;
-    let prm = PairParams::new(rc, kbt, dt, seed, step);
-    let n = p.len();
-    let add: Vec<([f64; 3], u64)> = {
-        let inp = PairInputs::of(p);
-        (0..n)
-            .into_par_iter()
-            .map(|i| {
-                let mut fi = [0.0f64; 3];
-                let mut hits = 0u64;
-                grid.for_each_candidate([inp.x[i], inp.y[i], inp.z[i]], |j| {
-                    if j == i {
-                        return;
-                    }
-                    if let Some(fv) = pair_force(&prm, bx, &inp, matrix, i, j) {
-                        hits += 1;
-                        fi[0] += fv[0];
-                        fi[1] += fv[1];
-                        fi[2] += fv[2];
-                    }
-                });
-                (fi, hits)
-            })
-            .collect()
-    };
-    let mut hits = 0u64;
-    for (i, (a, h)) in add.iter().enumerate() {
-        hits += h;
-        p.fx[i] += a[0];
-        p.fy[i] += a[1];
-        p.fz[i] += a[2];
-    }
-    hits / 2
 }
 
 #[cfg(test)]
@@ -644,7 +597,9 @@ mod tests {
         grid.rebuild_soa(&p.x, &p.y, &p.z);
         p.clear_forces();
         let m = SpeciesMatrix::uniform(1, 25.0, 4.5);
-        let pairs = accumulate_pair_forces(&mut p, &grid, &bx, &m, 1.0, 1.0, 0.01, 9, 0);
+        let mut scratch = SweepScratch::default();
+        let pairs =
+            accumulate_pair_forces(&mut p, &grid, &bx, &m, 1.0, 1.0, 0.01, 9, 0, &mut scratch);
         assert_eq!(pairs, 1, "only the close pair interacts");
         // Newton's third law: total force zero.
         let tot: [f64; 3] = [p.fx.iter().sum(), p.fy.iter().sum(), p.fz.iter().sum()];
@@ -655,108 +610,122 @@ mod tests {
         assert_eq!(p.force(2), [0.0; 3]);
     }
 
+    type Sweep = fn(
+        &mut Particles,
+        &CellGrid,
+        &Box3,
+        &SpeciesMatrix,
+        f64,
+        f64,
+        f64,
+        u64,
+        u64,
+        &mut SweepScratch,
+    ) -> u64;
+
+    /// Both sweeps against the brute-force O(N²) minimum-image reference
+    /// (every unordered pair through [`pair_force`], no cell grid): same
+    /// pair count, forces equal up to summation order. The same scratch
+    /// serves both sweeps twice over, so stale buffer contents would show.
     #[test]
-    fn parallel_half_path_matches_serial() {
+    fn half_sweeps_match_brute_force_reference() {
         let bx = Box3::new([0.0; 3], [6.0; 3], [true; 3]);
         let p = random_cloud(200, 5, 6.0);
         let mut grid = CellGrid::new(bx, 1.0);
         grid.rebuild_soa(&p.x, &p.y, &p.z);
         let m = SpeciesMatrix::uniform(2, 25.0, 4.5);
-        let mut serial = p.clone();
-        serial.clear_forces();
-        let np = accumulate_pair_forces(&mut serial, &grid, &bx, &m, 1.0, 1.0, 0.01, 42, 3);
-        let mut par = p.clone();
-        par.clear_forces();
-        let npp = accumulate_pair_forces_par(&mut par, &grid, &bx, &m, 1.0, 1.0, 0.01, 42, 3);
-        assert_eq!(np, npp, "pair counts disagree");
+        let prm = PairParams::new(1.0, 1.0, 0.01, 42, 3);
+        let inp = PairInputs::of(&p);
+        let mut want = vec![[0.0f64; 3]; p.len()];
+        let mut want_pairs = 0u64;
         for i in 0..p.len() {
-            for k in 0..3 {
-                assert!(
-                    (serial.force(i)[k] - par.force(i)[k]).abs() <= 1e-12,
-                    "particle {i} component {k}: {} vs {}",
-                    serial.force(i)[k],
-                    par.force(i)[k]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn full_sweep_baseline_matches_serial() {
-        let bx = Box3::new([0.0; 3], [6.0; 3], [true; 3]);
-        let p = random_cloud(200, 5, 6.0);
-        let mut grid = CellGrid::new(bx, 1.0);
-        grid.rebuild_soa(&p.x, &p.y, &p.z);
-        let m = SpeciesMatrix::uniform(2, 25.0, 4.5);
-        let mut serial = p.clone();
-        serial.clear_forces();
-        let np = accumulate_pair_forces(&mut serial, &grid, &bx, &m, 1.0, 1.0, 0.01, 42, 3);
-        let mut full = p.clone();
-        full.clear_forces();
-        let npf = accumulate_pair_forces_full_par(&mut full, &grid, &bx, &m, 1.0, 1.0, 0.01, 42, 3);
-        assert_eq!(np, npf, "pair counts disagree");
-        for i in 0..p.len() {
-            for k in 0..3 {
-                assert!(
-                    (serial.force(i)[k] - full.force(i)[k]).abs() <= 1e-12,
-                    "particle {i} component {k}: {} vs {}",
-                    serial.force(i)[k],
-                    full.force(i)[k]
-                );
-            }
-        }
-    }
-
-    /// Both parallel sweeps must be *bitwise* identical for any thread
-    /// count: the half sweep reduces fixed chunks in order, the full sweep
-    /// fixes per-particle summation order by the CSR cell order and the
-    /// collect preserves index order.
-    #[test]
-    fn parallel_sweeps_bitwise_identical_across_thread_counts() {
-        let bx = Box3::new([0.0; 3], [6.0; 3], [true; 3]);
-        let p = random_cloud(300, 17, 6.0);
-        let mut grid = CellGrid::new(bx, 1.0);
-        grid.rebuild_soa(&p.x, &p.y, &p.z);
-        let m = SpeciesMatrix::uniform(2, 25.0, 4.5);
-        type Sweep =
-            fn(&mut Particles, &CellGrid, &Box3, &SpeciesMatrix, f64, f64, f64, u64, u64) -> u64;
-        for (name, sweep) in [
-            ("half", accumulate_pair_forces_par as Sweep),
-            ("full", accumulate_pair_forces_full_par as Sweep),
-        ] {
-            let run = |threads: usize| {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .unwrap();
-                pool.install(|| {
-                    let mut q = p.clone();
-                    q.clear_forces();
-                    sweep(&mut q, &grid, &bx, &m, 1.0, 1.0, 0.01, 99, 7);
-                    q.force_aos()
-                })
-            };
-            let f1 = run(1);
-            for threads in [2, 4, 8] {
-                let ft = run(threads);
-                for i in 0..p.len() {
+            for j in i + 1..p.len() {
+                if let Some(f) = pair_force(&prm, &bx, &inp, &m, i, j) {
+                    want_pairs += 1;
                     for k in 0..3 {
-                        assert!(
-                            f1[i][k].to_bits() == ft[i][k].to_bits(),
-                            "{name} threads={threads} particle {i} component {k}: {} vs {}",
-                            f1[i][k],
-                            ft[i][k]
-                        );
+                        want[i][k] += f[k];
+                        want[j][k] -= f[k];
                     }
+                }
+            }
+        }
+        let mut scratch = SweepScratch::default();
+        for (name, sweep) in [
+            ("serial", accumulate_pair_forces as Sweep),
+            ("parallel", accumulate_pair_forces_par as Sweep),
+            ("serial again", accumulate_pair_forces as Sweep),
+            ("parallel again", accumulate_pair_forces_par as Sweep),
+        ] {
+            let mut q = p.clone();
+            q.clear_forces();
+            let pairs = sweep(&mut q, &grid, &bx, &m, 1.0, 1.0, 0.01, 42, 3, &mut scratch);
+            assert_eq!(pairs, want_pairs, "{name}: pair counts disagree");
+            for i in 0..p.len() {
+                for k in 0..3 {
+                    assert!(
+                        (q.force(i)[k] - want[i][k]).abs() <= 1e-12,
+                        "{name} particle {i} component {k}: {} vs {}",
+                        q.force(i)[k],
+                        want[i][k]
+                    );
                 }
             }
         }
     }
 
-    /// Newton's third law holds bitwise on the full sweep: an isolated
-    /// pair's one-sided forces are exact negations.
+    /// The parallel half sweep must be *bitwise* identical for any thread
+    /// count: it reduces fixed chunks in order.
     #[test]
-    fn full_sweep_pair_forces_exactly_antisymmetric() {
+    fn parallel_sweep_bitwise_identical_across_thread_counts() {
+        let bx = Box3::new([0.0; 3], [6.0; 3], [true; 3]);
+        let p = random_cloud(300, 17, 6.0);
+        let mut grid = CellGrid::new(bx, 1.0);
+        grid.rebuild_soa(&p.x, &p.y, &p.z);
+        let m = SpeciesMatrix::uniform(2, 25.0, 4.5);
+        let run = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            pool.install(|| {
+                let mut q = p.clone();
+                q.clear_forces();
+                let mut scratch = SweepScratch::default();
+                accumulate_pair_forces_par(
+                    &mut q,
+                    &grid,
+                    &bx,
+                    &m,
+                    1.0,
+                    1.0,
+                    0.01,
+                    99,
+                    7,
+                    &mut scratch,
+                );
+                q.force_aos()
+            })
+        };
+        let f1 = run(1);
+        for threads in [2, 4, 8] {
+            let ft = run(threads);
+            for i in 0..p.len() {
+                for k in 0..3 {
+                    assert!(
+                        f1[i][k].to_bits() == ft[i][k].to_bits(),
+                        "threads={threads} particle {i} component {k}: {} vs {}",
+                        f1[i][k],
+                        ft[i][k]
+                    );
+                }
+            }
+        }
+    }
+
+    /// Newton's third law holds bitwise in the kernel: an isolated pair's
+    /// one-sided forces are exact negations.
+    #[test]
+    fn pair_forces_exactly_antisymmetric() {
         let bx = Box3::new([0.0; 3], [5.0; 3], [true; 3]);
         let prm = PairParams::new(1.0, 1.0, 0.01, 5, 21);
         let mut p = Particles::new();
@@ -784,9 +753,10 @@ mod tests {
         let m = SpeciesMatrix::uniform(1, 25.0, 4.5);
         let mut fsum = 0.0;
         let reps = 2000;
+        let mut scratch = SweepScratch::default();
         for s in 0..reps {
             p.clear_forces();
-            accumulate_pair_forces(&mut p, &grid, &bx, &m, 1.0, 1.0, 0.01, 77, s);
+            accumulate_pair_forces(&mut p, &grid, &bx, &m, 1.0, 1.0, 0.01, 77, s, &mut scratch);
             fsum += p.fx[0];
         }
         let favg = fsum / reps as f64;

@@ -12,11 +12,11 @@
 //!   convention;
 //! * [`particles`] — structure-of-arrays particle storage with O(1)
 //!   insertion/removal and species/state tags;
-//! * [`cells`] — linked-cell neighbor search (O(N) force evaluation);
+//! * [`cells`] — cell-sorted (CSR) neighbor search (O(N) force evaluation);
 //! * [`force`] — Groot–Warren conservative/dissipative/random forces with
 //!   per-species-pair coefficients, the fluctuation–dissipation relation
 //!   `σ² = 2 γ k_B T`, and counter-based symmetric random numbers (so the
-//!   optional rayon-parallel path produces the same physics);
+//!   rayon-parallel sweep produces the same physics);
 //! * [`walls`] — no-slip walls via the effective boundary force of
 //!   Lei–Fedosov–Karniadakis (computed in preprocessing by integrating the
 //!   conservative force over the excluded half-space) plus bounce-back;
@@ -30,7 +30,8 @@
 //! * [`rbc`] — explicit bead-spring cell membranes (ring vesicles with
 //!   elastic bonds, bending resistance and area conservation), the
 //!   laptop-scale stand-in for the paper's full RBC membranes;
-//! * [`sim`] — the integrator (modified velocity-Verlet) and measurement
+//! * [`sim`] — the integrator (modified velocity-Verlet, one force
+//!   evaluation per step, open boundary included) and measurement
 //!   machinery (temperature, momentum, velocity/density profiles, WPOD
 //!   snapshot sampling);
 //! * [`streams`] — counter-based random streams keyed on

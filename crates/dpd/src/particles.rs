@@ -53,8 +53,6 @@ pub struct Particles {
     pub species: Vec<u8>,
     /// Platelet state.
     pub state: Vec<PlateletState>,
-    /// Reusable scratch for `reorder` (kept to avoid reallocation).
-    scratch: Vec<f64>,
 }
 
 impl Particles {
@@ -107,14 +105,6 @@ impl Particles {
         self.vz[i] = v[2];
     }
 
-    /// Overwrite the force on particle `i`.
-    #[inline]
-    pub fn set_force(&mut self, i: usize, f: [f64; 3]) {
-        self.fx[i] = f[0];
-        self.fy[i] = f[1];
-        self.fz[i] = f[2];
-    }
-
     /// Accumulate `f` onto the force of particle `i`.
     #[inline]
     pub fn add_force(&mut self, i: usize, f: [f64; 3]) {
@@ -162,7 +152,6 @@ impl Particles {
             fz: comp(force, 2),
             species,
             state,
-            scratch: Vec::new(),
         }
     }
 
@@ -251,40 +240,6 @@ impl Particles {
     pub fn count_species(&self, species: u8) -> usize {
         self.species.iter().filter(|&&s| s == species).count()
     }
-
-    /// Permute all arrays so the particle at old index `order[k]` lands at
-    /// new index `k` (e.g. the cell-sorted order of
-    /// `nkg_dpd::cells::CellGrid::sorted_order`, making neighbor traversal
-    /// cache-coherent). `order` must be a permutation of `0..len()`.
-    ///
-    /// Renumbers particles: anything holding particle indices externally
-    /// (e.g. membrane bead lists) becomes stale and must be remapped.
-    /// Reuses an internal scratch buffer, so steady-state reordering does
-    /// not allocate.
-    pub fn reorder(&mut self, order: &[usize]) {
-        let n = self.len();
-        assert_eq!(order.len(), n, "order is not a permutation");
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.resize(n, 0.0);
-        let mut permute = |arr: &mut AlignedBuf| {
-            for (k, &i) in order.iter().enumerate() {
-                scratch[k] = arr[i];
-            }
-            arr.as_mut_slice().copy_from_slice(&scratch);
-        };
-        permute(&mut self.x);
-        permute(&mut self.y);
-        permute(&mut self.z);
-        permute(&mut self.vx);
-        permute(&mut self.vy);
-        permute(&mut self.vz);
-        permute(&mut self.fx);
-        permute(&mut self.fy);
-        permute(&mut self.fz);
-        self.scratch = scratch;
-        self.species = order.iter().map(|&i| self.species[i]).collect();
-        self.state = order.iter().map(|&i| self.state[i]).collect();
-    }
 }
 
 #[cfg(test)]
@@ -328,22 +283,6 @@ mod tests {
     }
 
     #[test]
-    fn reorder_permutes_all_arrays() {
-        let mut p = Particles::new();
-        p.push([0.0; 3], [0.1, 0.0, 0.0], 0);
-        p.push([1.0; 3], [0.2, 0.0, 0.0], 1);
-        p.push([2.0; 3], [0.3, 0.0, 0.0], 2);
-        p.set_force(2, [9.0, 0.0, 0.0]);
-        p.state[1] = PlateletState::Active;
-        p.reorder(&[2, 0, 1]);
-        assert_eq!(p.pos_aos(), vec![[2.0; 3], [0.0; 3], [1.0; 3]]);
-        assert_eq!(p.vel(0), [0.3, 0.0, 0.0]);
-        assert_eq!(p.force(0), [9.0, 0.0, 0.0]);
-        assert_eq!(p.species, vec![2, 0, 1]);
-        assert_eq!(p.state[2], PlateletState::Active);
-    }
-
-    #[test]
     fn platelet_state_defaults() {
         let mut p = Particles::new();
         let a = p.push([0.0; 3], [0.0; 3], 0);
@@ -357,7 +296,7 @@ mod tests {
         let mut p = Particles::new();
         p.push([1.0, 2.0, 3.0], [0.1, 0.2, 0.3], 0);
         p.push_platelet([4.0, 5.0, 6.0], [0.4, 0.5, 0.6], 1);
-        p.set_force(0, [7.0, 8.0, 9.0]);
+        p.add_force(0, [7.0, 8.0, 9.0]);
         let q = Particles::from_aos(
             &p.pos_aos(),
             &p.vel_aos(),

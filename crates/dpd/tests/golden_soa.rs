@@ -8,16 +8,16 @@
 //! drift here means the refactor changed physics, not just layout.
 
 use nkg_dpd::cells::CellGrid;
-use nkg_dpd::force::{accumulate_pair_forces, accumulate_pair_forces_full_par, SpeciesMatrix};
+use nkg_dpd::force::{
+    accumulate_pair_forces, pair_force, PairInputs, PairParams, SpeciesMatrix, SweepScratch,
+};
 use nkg_dpd::sim::{DpdConfig, DpdSim, ForceBackend, WallGeometry};
 use nkg_dpd::Box3;
 
-/// Number of interacting pairs in the frozen scene (both sweep flavors).
+/// Number of interacting pairs in the frozen scene.
 const GOLDEN_PAIRS: u64 = 6663;
 /// Forces after one serial half sweep, captured pre-refactor.
 const GOLDEN_SERIAL_FORCE_HASH: u64 = 0x342987006f999797;
-/// Forces after one full-neighborhood sweep, captured pre-refactor.
-const GOLDEN_FULL_FORCE_HASH: u64 = 0x79090c96cd35a9dd;
 /// Positions+velocities after 5 serial steps, captured pre-refactor.
 const GOLDEN_STATE_HASH: u64 = 0xc1864ac053544b01;
 
@@ -81,23 +81,7 @@ fn state_hash(sim: &DpdSim) -> u64 {
 fn serial_half_sweep_matches_pre_refactor_golden() {
     let (mut sim, grid, m, bx) = frozen_scene();
     sim.particles.clear_forces();
-    let pairs = accumulate_pair_forces(&mut sim.particles, &grid, &bx, &m, 1.0, 1.0, 0.01, 4242, 3);
-    assert_eq!(pairs, GOLDEN_PAIRS, "serial pair count drifted");
-    assert_eq!(
-        force_hash(&sim),
-        GOLDEN_SERIAL_FORCE_HASH,
-        "serial half-sweep forces are not bitwise identical to the \
-         pre-refactor AoS implementation"
-    );
-}
-
-/// The full-neighborhood baseline sweep keeps the historical per-particle
-/// candidate enumeration order and must also hash identically.
-#[test]
-fn full_sweep_matches_pre_refactor_golden() {
-    let (mut sim, grid, m, bx) = frozen_scene();
-    sim.particles.clear_forces();
-    let pairs = accumulate_pair_forces_full_par(
+    let pairs = accumulate_pair_forces(
         &mut sim.particles,
         &grid,
         &bx,
@@ -107,14 +91,30 @@ fn full_sweep_matches_pre_refactor_golden() {
         0.01,
         4242,
         3,
+        &mut SweepScratch::default(),
     );
-    assert_eq!(pairs, GOLDEN_PAIRS, "full-sweep pair count drifted");
+    assert_eq!(pairs, GOLDEN_PAIRS, "serial pair count drifted");
     assert_eq!(
         force_hash(&sim),
-        GOLDEN_FULL_FORCE_HASH,
-        "full-sweep forces are not bitwise identical to the pre-refactor \
-         AoS implementation"
+        GOLDEN_SERIAL_FORCE_HASH,
+        "serial half-sweep forces are not bitwise identical to the \
+         pre-refactor AoS implementation"
     );
+}
+
+/// The golden pair count is the brute-force O(N²) minimum-image count:
+/// the cell grid neither drops nor double-counts a pair of the scene.
+#[test]
+fn golden_pair_count_is_the_brute_force_count() {
+    let (sim, _, m, bx) = frozen_scene();
+    let prm = PairParams::new(1.0, 1.0, 0.01, 4242, 3);
+    let inp = PairInputs::of(&sim.particles);
+    let n = sim.particles.len();
+    let pairs = (0..n)
+        .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+        .filter(|&(i, j)| pair_force(&prm, &bx, &inp, &m, i, j).is_some())
+        .count();
+    assert_eq!(pairs as u64, GOLDEN_PAIRS);
 }
 
 /// Five serial velocity-Verlet steps (integrator, wrapping, thermostat,

@@ -1,14 +1,16 @@
 //! Property tests for the half-neighbor-list sweep: on arbitrary random
 //! particle clouds the half-list traversal (each pair visited once, ±F
-//! scattered to both endpoints) must agree with the full-list baseline
-//! (every particle sums over all its neighbors independently) to within
-//! floating-point reassociation noise, and the parallel half sweep must
-//! be bitwise deterministic at its fixed chunk decomposition.
+//! scattered to both endpoints) must agree with a brute-force O(N²)
+//! minimum-image reference (every unordered pair through the public pair
+//! kernel, no cell grid — boxes down to 3 r_c, where a periodic axis has
+//! few cells) to within floating-point reassociation noise, and the
+//! parallel half sweep must be bitwise deterministic at its fixed chunk
+//! decomposition.
 
 use nkg_dpd::cells::CellGrid;
 use nkg_dpd::force::{
-    accumulate_pair_forces, accumulate_pair_forces_full_par, accumulate_pair_forces_par,
-    SpeciesMatrix,
+    accumulate_pair_forces, accumulate_pair_forces_par, pair_force, PairInputs, PairParams,
+    SpeciesMatrix, SweepScratch,
 };
 use nkg_dpd::particles::Particles;
 use nkg_dpd::Box3;
@@ -41,8 +43,19 @@ fn random_cloud(n: usize, l: f64, seed: u64) -> (Particles, Box3) {
     (p, bx)
 }
 
-/// Shared signature of the three sweep entry points.
-type Sweep = fn(&mut Particles, &CellGrid, &Box3, &SpeciesMatrix, f64, f64, f64, u64, u64) -> u64;
+/// Shared signature of the two sweep entry points.
+type Sweep = fn(
+    &mut Particles,
+    &CellGrid,
+    &Box3,
+    &SpeciesMatrix,
+    f64,
+    f64,
+    f64,
+    u64,
+    u64,
+    &mut SweepScratch,
+) -> u64;
 
 fn sweep_forces(
     p: &mut Particles,
@@ -55,19 +68,56 @@ fn sweep_forces(
     let mut grid = CellGrid::new(*bx, RC);
     grid.rebuild_soa(&p.x, &p.y, &p.z);
     p.clear_forces();
-    let hits = which(p, &grid, bx, m, RC, KBT, DT, seed, step);
+    let hits = which(
+        p,
+        &grid,
+        bx,
+        m,
+        RC,
+        KBT,
+        DT,
+        seed,
+        step,
+        &mut SweepScratch::default(),
+    );
     (hits, p.force_aos())
+}
+
+/// Brute-force reference: every unordered pair, minimum image, no grid.
+fn brute_forces(
+    p: &Particles,
+    bx: &Box3,
+    m: &SpeciesMatrix,
+    seed: u64,
+    step: u64,
+) -> (u64, Vec<[f64; 3]>) {
+    let prm = PairParams::new(RC, KBT, DT, seed, step);
+    let inp = PairInputs::of(p);
+    let mut f = vec![[0.0f64; 3]; p.len()];
+    let mut hits = 0;
+    for i in 0..p.len() {
+        for j in i + 1..p.len() {
+            if let Some(fv) = pair_force(&prm, bx, &inp, m, i, j) {
+                hits += 1;
+                for k in 0..3 {
+                    f[i][k] += fv[k];
+                    f[j][k] -= fv[k];
+                }
+            }
+        }
+    }
+    (hits, f)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Half-list (serial and parallel) and full-list sweeps visit the
-    /// same pair set and produce forces equal to within 1e-12 of the
-    /// largest force magnitude — the only permitted difference is the
-    /// summation order.
+    /// The half-list sweeps (serial and parallel) and the brute-force
+    /// reference see the same pair set and produce forces equal to within
+    /// 1e-12 of the largest force magnitude — the only permitted
+    /// difference is the summation order.
     #[test]
-    fn half_and_full_sweeps_agree(
+    fn half_sweeps_agree_with_brute_force(
         seed in 0u64..10_000,
         step in 0u64..1_000,
         n in 32usize..256,
@@ -83,8 +133,7 @@ proptest! {
             sweep_forces(&mut p, &bx, &m, seed, step, accumulate_pair_forces);
         let (hits_par, f_par) =
             sweep_forces(&mut p, &bx, &m, seed, step, accumulate_pair_forces_par);
-        let (hits_full, f_full) =
-            sweep_forces(&mut p, &bx, &m, seed, step, accumulate_pair_forces_full_par);
+        let (hits_full, f_full) = brute_forces(&p, &bx, &m, seed, step);
 
         prop_assert_eq!(hits_half, hits_full, "pair counts diverged");
         prop_assert_eq!(hits_half, hits_par, "parallel half pair count diverged");
@@ -97,12 +146,12 @@ proptest! {
             for k in 0..3 {
                 prop_assert!(
                     (f_half[i][k] - f_full[i][k]).abs() <= 1e-12 * scale,
-                    "half vs full at particle {} component {}: {} vs {}",
+                    "half vs brute force at particle {} component {}: {} vs {}",
                     i, k, f_half[i][k], f_full[i][k]
                 );
                 prop_assert!(
                     (f_par[i][k] - f_full[i][k]).abs() <= 1e-12 * scale,
-                    "parallel half vs full at particle {} component {}: {} vs {}",
+                    "parallel half vs brute force at particle {} component {}: {} vs {}",
                     i, k, f_par[i][k], f_full[i][k]
                 );
             }

@@ -50,6 +50,9 @@ if [ "$hash1" != "$hash4" ]; then
   exit 1
 fi
 
+echo "== DPD one force evaluation per step: step_over_forces <= 1.35 on an open-boundary box =="
+cargo run --release -q -p nkg-bench --bin bench_dpd -- --smoke
+
 echo "== elliptic engine smoke (ladder shape + JSON emitter) =="
 cargo run --release -q -p nkg-bench --bin ablation_precon -- --smoke
 cargo run --release -q -p nkg-bench --bin bench_sem -- --smoke
