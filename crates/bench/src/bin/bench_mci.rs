@@ -1,22 +1,27 @@
-//! Fault-tolerance overhead of the MCI runtime, measured per transport
-//! backend: latency of the plain three-step exchange vs the retrying
-//! [`InterfaceLink::exchange_ft`] on a clean network and on a lossy one,
-//! plus the wall-clock time-to-recover of a replica failover (master
-//! killed mid-exchange, slave promoted, resumed from the dead master's
-//! checkpoint) — on the in-process mailbox, the shared-memory ring, and
-//! the framed UDS/TCP sockets alike.
+//! Message latency and fault-tolerance overhead of the MCI runtime,
+//! measured per transport backend (in-process mailbox, framed UDS and TCP
+//! sockets):
 //!
-//! Also measures the supervised **restart-in-place** path (UDS process
-//! mode): a zero-standby sharded run with one scripted worker death,
-//! healed by respawn + rejoin + resume — reporting the wall-clock
-//! time-to-recover and the respawn count.
+//! * `mci_fault_tolerance` — latency of the plain three-step exchange vs
+//!   the retrying [`InterfaceLink::exchange_ft`] on a clean network and on
+//!   a lossy one, plus the wall-clock time-to-recover of a replica failover
+//!   (master killed mid-exchange, slave promoted, resumed from the dead
+//!   master's checkpoint);
+//! * `mci_allreduce_latency` — µs per one-element `allreduce` on 2, 4 and
+//!   8 thread-ranks: what every CG inner product waits for;
+//! * `mci_dist_solve` — one 2-rank distributed Poisson solve over UDS (the
+//!   `ranks_uds` problem of `bench_e2e`): µs and messages per CG iteration;
+//! * `mci_restart_in_place` — the supervised restart path (UDS process
+//!   mode): a zero-standby sharded run with one scripted worker death,
+//!   healed by respawn + rejoin + resume.
 //!
-//! Appends one JSON record per transport per run (plus one
-//! `mci_restart_in_place` record) to `BENCH_mci.json` (JSON Lines) and
-//! prints the same numbers to stdout.
+//! Overwrites `BENCH_mci.json` in the current directory with one stamped
+//! row each and prints the same numbers. `--smoke` runs every leg at toy
+//! size and writes `target/BENCH_mci.smoke.json` instead.
 
-use nkg_bench::{append_jsonl, header, time_median};
+use nkg_bench::{header, time_median, write_jsonl};
 use nkg_coupling::atomistic::{AtomisticDomain, Embedding};
+use nkg_coupling::dist::DistSpace2d;
 use nkg_coupling::failover::{driver_outcome, run_replicated, FailoverConfig};
 use nkg_coupling::metasolver::NektarG;
 use nkg_coupling::multipatch::poiseuille_multipatch;
@@ -28,16 +33,25 @@ use nkg_mci::{
     Backend, FaultPlan, InterfaceLink, MsgAction, MsgMatcher, Pick, ProcessOptions, RestartPolicy,
     RetryPolicy, Universe,
 };
+use nkg_mesh::quad::QuadMesh;
+use nkg_sem::space2d::Space2d;
 use std::time::{Duration, Instant};
 
 const PAYLOAD: usize = 1024; // f64 values per side per exchange
-const EXCHANGES: usize = 500;
-const REPS: usize = 3;
 
-/// Seconds per exchange for one 2-rank universe performing `EXCHANGES`
-/// root-to-root exchanges of `PAYLOAD` values each way over `backend`.
-fn seconds_per_exchange(backend: Backend, ft: bool, plan: Option<FaultPlan>) -> f64 {
-    let total = time_median(REPS, || {
+/// How much of each leg one run does.
+#[derive(Clone, Copy)]
+struct Size {
+    exchanges: usize,
+    allreduces: usize,
+    reps: usize,
+}
+
+/// Seconds per exchange for one 2-rank universe performing
+/// `size.exchanges` root-to-root exchanges of `PAYLOAD` values each way
+/// over `backend`.
+fn seconds_per_exchange(backend: Backend, ft: bool, plan: Option<FaultPlan>, size: Size) -> f64 {
+    let total = time_median(size.reps, || {
         let mut u = Universe::new(2)
             .with_backend(backend)
             .with_recv_timeout(Duration::from_secs(60));
@@ -56,7 +70,7 @@ fn seconds_per_exchange(backend: Backend, ft: bool, plan: Option<FaultPlan>) -> 
                 backoff: Duration::from_millis(1),
                 backoff_factor: 2,
             };
-            for _ in 0..EXCHANGES {
+            for _ in 0..size.exchanges {
                 let got = if ft {
                     link.exchange_ft(&world, &mine, PAYLOAD, &policy)
                         .expect("retry schedule must outlast the drop plan")
@@ -65,10 +79,77 @@ fn seconds_per_exchange(backend: Backend, ft: bool, plan: Option<FaultPlan>) -> 
                 };
                 std::hint::black_box(got.len());
             }
+            if ft {
+                // The last window's frame can be the one the plan drops: its
+                // sender holds the peer's frame, returns and leaves, and the
+                // peer retries into an exited rank — a router panic in-proc,
+                // forty doubling backoffs over a hub. One more window,
+                // allowed to fail, keeps the sender in the protocol long
+                // enough to answer that retransmission, and the barrier
+                // keeps both ranks alive until both are out of it.
+                let closing = RetryPolicy {
+                    max_attempts: 4,
+                    ..policy
+                };
+                let _ = link.exchange_ft(&world, &mine, PAYLOAD, &closing);
+                world.barrier();
+            }
         });
         assert!(out.dead.is_empty());
     });
-    total / EXCHANGES as f64
+    total / size.exchanges as f64
+}
+
+/// Median of `samples` (the upper one of an even count).
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    samples[samples.len() / 2]
+}
+
+/// Seconds per one-element `allreduce` on `n` thread-ranks over `backend`:
+/// rank 0's clock around `size.allreduces` back-to-back calls.
+fn seconds_per_allreduce(backend: Backend, n: usize, size: Size) -> f64 {
+    let calls = size.allreduces;
+    let samples = (0..size.reps)
+        .map(|_| {
+            let u = Universe::new(n)
+                .with_backend(backend)
+                .with_recv_timeout(Duration::from_secs(60));
+            u.run(move |world| {
+                world.barrier();
+                let t0 = Instant::now();
+                for k in 0..calls {
+                    std::hint::black_box(world.allreduce_scalar_sum(k as f64));
+                }
+                t0.elapsed().as_secs_f64()
+            })[0]
+        })
+        .collect();
+    median(samples) / calls as f64
+}
+
+/// The `ranks_uds` Poisson problem of `bench_e2e` (16×8 elements, p = 4)
+/// on 2 ranks over UDS, capped at `max_iter` CG iterations. Returns
+/// (rank 0's solve seconds, iterations, messages the universe routed).
+fn dist_solve(tol: f64, max_iter: usize) -> (f64, usize, u64) {
+    let pi = std::f64::consts::PI;
+    let u = Universe::new(2)
+        .with_backend(Backend::Uds)
+        .with_recv_timeout(Duration::from_secs(60));
+    let (secs, iters) = u.run(move |world| {
+        let mesh = QuadMesh::rectangle(16, 8, 0.0, 2.0, 0.0, 1.0);
+        let space = Space2d::new(mesh, 4, false);
+        let ds = DistSpace2d::new(&space, &world, 4);
+        let rhs =
+            space.weak_rhs(move |x, y| pi * pi * 1.25 * (pi * x / 2.0).sin() * (pi * y).sin());
+        let bnd = space.boundary_dofs(|_| true);
+        world.barrier();
+        let t0 = Instant::now();
+        let (x, iters) = ds.solve_dirichlet(&world, 0.0, &rhs, &bnd, tol, max_iter);
+        std::hint::black_box(x);
+        (t0.elapsed().as_secs_f64(), iters)
+    })[0];
+    (secs, iters, u.stats().messages)
 }
 
 /// The small coupled system the fault-tolerance tests use: 12 continuum
@@ -186,9 +267,30 @@ fn restart_drill() -> Option<(f64, u64, f64, f64, f64)> {
 }
 
 fn main() {
+    let smoke = std::env::args().any(|a| a == "--smoke");
+    let size = if smoke {
+        Size {
+            exchanges: 40,
+            allreduces: 100,
+            reps: 1,
+        }
+    } else {
+        Size {
+            exchanges: 500,
+            allreduces: 2000,
+            reps: 3,
+        }
+    };
+    let Size {
+        exchanges,
+        allreduces,
+        reps,
+    } = size;
+    let mut rows: Vec<String> = Vec::new();
+
     header(&format!(
-        "MCI fault tolerance per transport: {PAYLOAD} f64 per side, {EXCHANGES} exchanges, \
-         median of {REPS}"
+        "MCI fault tolerance per transport: {PAYLOAD} f64 per side, {exchanges} exchanges, \
+         median of {reps}"
     ));
 
     // A lossy network dropping 1 in 8 of one side's root-to-root frames:
@@ -209,9 +311,9 @@ fn main() {
         "transport", "plain µs/exch", "ft-clean µs", "ft-lossy µs", "recover s", "ft ovhd %"
     );
     for backend in Backend::ALL {
-        let plain = seconds_per_exchange(backend, false, None);
-        let ft_clean = seconds_per_exchange(backend, true, None);
-        let ft_lossy = seconds_per_exchange(backend, true, Some(drop_plan.clone()));
+        let plain = seconds_per_exchange(backend, false, None, size);
+        let ft_clean = seconds_per_exchange(backend, true, None, size);
+        let ft_lossy = seconds_per_exchange(backend, true, Some(drop_plan.clone()), size);
         let (recover, run_total) = failover_drill(backend);
         let overhead_pct = (ft_clean / plain - 1.0) * 100.0;
         println!(
@@ -223,19 +325,74 @@ fn main() {
             recover,
             overhead_pct
         );
-
-        let record = format!(
+        rows.push(format!(
             "{{\"bench\":\"mci_fault_tolerance\",\"transport\":\"{}\",\
-             \"payload_f64\":{PAYLOAD},\"exchanges\":{EXCHANGES},\"reps\":{REPS},\
+             \"payload_f64\":{PAYLOAD},\"exchanges\":{exchanges},\"reps\":{reps},\
              \"plain_seconds_per_exchange\":{plain:.9},\
              \"ft_clean_seconds_per_exchange\":{ft_clean:.9},\
              \"ft_lossy_seconds_per_exchange\":{ft_lossy:.9},\
              \"failover_time_to_recover_seconds\":{recover:.6},\
              \"failover_run_seconds\":{run_total:.6}}}",
             backend.name()
-        );
-        append_jsonl("BENCH_mci.json", &record);
+        ));
     }
+
+    header(&format!(
+        "allreduce latency: one f64, {allreduces} calls, median of {reps} \
+         (butterfly on these sizes; a blocked receive spins only while ranks <= cores)"
+    ));
+    println!(
+        "{:<10} {:>10} {:>10} {:>10}",
+        "transport", "n=2 µs", "n=4 µs", "n=8 µs"
+    );
+    for backend in Backend::ALL {
+        let us = [2usize, 4, 8].map(|n| {
+            let secs = seconds_per_allreduce(backend, n, size);
+            rows.push(format!(
+                "{{\"bench\":\"mci_allreduce_latency\",\"transport\":\"{}\",\"ranks\":{n},\
+                 \"calls\":{allreduces},\"reps\":{reps},\"us_per_allreduce\":{:.3}}}",
+                backend.name(),
+                secs * 1e6
+            ));
+            secs * 1e6
+        });
+        println!(
+            "{:<10} {:>10.1} {:>10.1} {:>10.1}",
+            backend.name(),
+            us[0],
+            us[1],
+            us[2]
+        );
+    }
+
+    // One more iteration costs the same messages wherever it falls, so two
+    // capped solves that cannot converge differ by exactly one iteration's
+    // worth.
+    let (_, _, capped) = dist_solve(0.0, 8);
+    let (_, _, capped_plus_one) = dist_solve(0.0, 9);
+    let msgs_per_iter = capped_plus_one - capped;
+    // The iteration count is a property of the problem, not of the run.
+    let mut iters = 0;
+    let solve_secs = median(
+        (0..reps)
+            .map(|_| {
+                let (secs, n, _) = dist_solve(1e-10, 4000);
+                iters = n;
+                secs
+            })
+            .collect(),
+    );
+    let us_per_iter = solve_secs * 1e6 / iters as f64;
+    println!(
+        "\ndist_solve (uds, 2 ranks, 16x8 p=4 Poisson): {iters} iterations, \
+         {us_per_iter:.1} µs and {msgs_per_iter} messages per CG iteration"
+    );
+    rows.push(format!(
+        "{{\"bench\":\"mci_dist_solve\",\"transport\":\"uds\",\"ranks\":2,\"reps\":{reps},\
+         \"iters\":{iters},\"us_per_cg_iter\":{us_per_iter:.3},\
+         \"messages_per_cg_iter\":{msgs_per_iter}}}"
+    ));
+
     match restart_drill() {
         Some((recover, respawns, backoff, clean, faulty)) => {
             println!(
@@ -243,7 +400,7 @@ fn main() {
                  recover {recover:.3} s ({respawns} respawn, {backoff:.3} s backoff; \
                  clean {clean:.3} s, faulty {faulty:.3} s)"
             );
-            let record = format!(
+            rows.push(format!(
                 "{{\"bench\":\"mci_restart_in_place\",\"transport\":\"uds\",\
                  \"shards\":3,\"scripted_deaths\":1,\
                  \"respawns\":{respawns},\
@@ -251,13 +408,18 @@ fn main() {
                  \"clean_run_seconds\":{clean:.6},\
                  \"faulty_run_seconds\":{faulty:.6},\
                  \"time_to_recover_seconds\":{recover:.6}}}"
-            );
-            append_jsonl("BENCH_mci.json", &record);
+            ));
         }
         None => println!(
             "\nrestart_in_place drill skipped: nkg-rank binary not found next to bench_mci \
              (build the workspace bins first)"
         ),
     }
-    println!("\nappended one record per transport to BENCH_mci.json");
+    let out = if smoke {
+        "target/BENCH_mci.smoke.json"
+    } else {
+        "BENCH_mci.json"
+    };
+    write_jsonl(out, &rows);
+    println!("\nwrote {} rows to {out}", rows.len());
 }

@@ -173,6 +173,20 @@ impl<'a> DistSpace2d<'a> {
         comm.allreduce_scalar_sum(local)
     }
 
+    /// `(r·r, r·z)` over owned DoFs in one two-element reduction; each
+    /// component has the bits [`DistSpace2d::dot`] would return for it.
+    fn dot_rr_rz(&self, comm: &Comm, r: &[f64], z: &[f64]) -> (f64, f64) {
+        let mut local = [0.0f64; 2];
+        for g in 0..self.space.nglobal {
+            if self.owned[g] {
+                local[0] += r[g] * r[g];
+                local[1] += r[g] * z[g];
+            }
+        }
+        let sums = comm.allreduce_sum(&local);
+        (sums[0], sums[1])
+    }
+
     /// Distributed Jacobi-preconditioned CG for the Helmholtz problem with
     /// homogeneous Dirichlet data on `dirichlet` DoFs. `rhs` must be the
     /// *assembled* weak right-hand side (identical on all ranks or at least
@@ -222,18 +236,21 @@ impl<'a> DistSpace2d<'a> {
                 }
             }
         };
+        let jacobi = |r: &[f64], z: &mut [f64]| {
+            for g in 0..ng {
+                z[g] = if diag[g].abs() > 0.0 {
+                    r[g] / diag[g]
+                } else {
+                    0.0
+                };
+            }
+            mask(z);
+        };
         let mut x = vec![0.0f64; ng];
         let mut r = rhs.to_vec();
         mask(&mut r);
         let mut z = vec![0.0f64; ng];
-        for g in 0..ng {
-            z[g] = if diag[g].abs() > 0.0 {
-                r[g] / diag[g]
-            } else {
-                0.0
-            };
-        }
-        mask(&mut z);
+        jacobi(&r, &mut z);
         let mut p = z.clone();
         let mut rz = self.dot(comm, &r, &z);
         let bnorm = self.dot(comm, &r, &r).sqrt().max(1e-300);
@@ -252,19 +269,15 @@ impl<'a> DistSpace2d<'a> {
                 x[g] += alpha * p[g];
                 r[g] -= alpha * ap[g];
             }
-            let rnorm = self.dot(comm, &r, &r).sqrt();
-            if rnorm <= tol * bnorm {
+            // z before the convergence test, so r·r and r·z travel as one
+            // reduction: an iteration waits on three message latencies
+            // (halo, p·Ap, this) and the converging one wastes one local
+            // Jacobi sweep.
+            jacobi(&r, &mut z);
+            let (rr, rz_new) = self.dot_rr_rz(comm, &r, &z);
+            if rr.sqrt() <= tol * bnorm {
                 break;
             }
-            for g in 0..ng {
-                z[g] = if diag[g].abs() > 0.0 {
-                    r[g] / diag[g]
-                } else {
-                    0.0
-                };
-            }
-            mask(&mut z);
-            let rz_new = self.dot(comm, &r, &z);
             let beta = rz_new / rz;
             rz = rz_new;
             for g in 0..ng {

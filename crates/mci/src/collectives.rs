@@ -2,12 +2,13 @@
 //!
 //! All collectives are built from the point-to-point layer, exactly like a
 //! software MPI: barrier uses the dissemination algorithm, broadcast and
-//! reduce use binomial trees rooted at an arbitrary rank, and the
-//! gather/scatter family is linear at the root (interface payloads in the
-//! paper travel through L4 roots anyway, so root-linear is the realistic
-//! pattern). Because every collective is p2p underneath, the universe's
-//! traffic counters see the true message counts — which the Table-2 and
-//! exchange-ablation benches rely on.
+//! reduce use binomial trees rooted at an arbitrary rank, allreduce is a
+//! recursive-doubling butterfly on power-of-two communicators (reduce +
+//! broadcast otherwise), and the gather/scatter family is linear at the
+//! root (interface payloads in the paper travel through L4 roots anyway, so
+//! root-linear is the realistic pattern). Because every collective is p2p
+//! underneath, the universe's traffic counters see the true message counts
+//! — which the Table-2 and exchange-ablation benches rely on.
 
 use crate::comm::itag;
 use crate::comm::Comm;
@@ -125,11 +126,50 @@ impl Comm {
         Some(acc)
     }
 
-    /// Reduce-to-all: binomial reduce onto rank 0 followed by a broadcast.
+    /// Reduce-to-all. Every rank returns the same bits, and the same bits
+    /// as `reduce(0)` followed by `bcast(0)`.
+    ///
+    /// A power-of-two communicator runs a recursive-doubling butterfly:
+    /// `log2 n` rounds in which rank `r` swaps its running value with rank
+    /// `r ^ mask` and both combine the pair, the lower rank's operand on
+    /// the left. Round `k` therefore leaves every rank of an aligned
+    /// `2^(k+1)` block holding `block_lo ⊕ block_hi` — the very partial
+    /// result the binomial tree forms at the block's lowest rank, so
+    /// the association is the tree's, `(a0 ⊕ a1) ⊕ (a2 ⊕ a3)`, on all
+    /// ranks at once. That is `log2 n` message latencies and `n·log2 n`
+    /// messages against the tree's `2·log2 n` and `2(n − 1)`.
+    ///
+    /// Any other size has no such pairing and keeps reduce + broadcast.
     pub fn allreduce(&self, data: &[f64], op: ReduceOp) -> Vec<f64> {
-        let mut out = self.reduce(0, data, op).unwrap_or_default();
-        self.bcast(0, &mut out);
-        out
+        let n = self.size();
+        if !n.is_power_of_two() {
+            let mut out = self.reduce(0, data, op).unwrap_or_default();
+            self.bcast(0, &mut out);
+            return out;
+        }
+        let mut acc = data.to_vec();
+        let mut mask = 1usize;
+        while mask < n {
+            let peer = self.rank() ^ mask;
+            self.send_internal(&acc, peer, itag::ALLREDUCE);
+            let mut theirs: Vec<f64> = self.recv_internal(peer, itag::ALLREDUCE);
+            assert_eq!(
+                theirs.len(),
+                acc.len(),
+                "allreduce: rank {} contributed {} elements, expected {}",
+                peer,
+                theirs.len(),
+                acc.len()
+            );
+            if peer < self.rank() {
+                op.apply(&mut theirs, &acc);
+                acc = theirs;
+            } else {
+                op.apply(&mut acc, &theirs);
+            }
+            mask <<= 1;
+        }
+        acc
     }
 
     /// Element-wise sum across all ranks.

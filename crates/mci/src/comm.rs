@@ -20,6 +20,7 @@ pub(crate) mod itag {
     pub const GATHER: Tag = 0xFFFF_0006;
     pub const SCATTER: Tag = 0xFFFF_0007;
     pub const ALLTOALL: Tag = 0xFFFF_0008;
+    pub const ALLREDUCE: Tag = 0xFFFF_0009;
 }
 
 /// An MPI-like communicator: an ordered group of ranks sharing a private

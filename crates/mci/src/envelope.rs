@@ -8,7 +8,7 @@ use crate::liveness::Liveness;
 use crate::Tag;
 use crossbeam_channel::Receiver;
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 pub use nkg_net::envelope::Envelope;
@@ -65,6 +65,32 @@ impl std::error::Error for RecvError {}
 /// enough not to spin.
 const LIVENESS_POLL: Duration = Duration::from_millis(2);
 
+/// How long a blocked receive polls its channel, yielding the core between
+/// polls, before it parks on it.
+///
+/// Parking is what a message latency is made of here: on the 2-vCPU
+/// reference host two threads handing each other a turn through a condvar,
+/// a channel or a socketpair take 32–45 µs per round trip (≈ 20 µs per
+/// park/unpark) against 0.15 µs spinning on a flag, while encoding,
+/// writing, reading and decoding an 8 kB frame is 2.5–4 µs. A reply that is
+/// already on its way arrives within a few park/unpark costs, so the budget
+/// sits there: on `ranks_uds` a 20 µs budget gave back a third of the gain
+/// (wall 0.157 s against 0.140 s; 0.184 s never spinning) and 500 µs
+/// measured the same as 100 µs (EXPERIMENTS.md, "Message latency"). The
+/// transport pump threads do not spin: they block in `read`, which cannot
+/// be polled without giving up the writer half's blocking mode.
+const SPIN_BUDGET: Duration = Duration::from_micros(100);
+
+/// Whether a universe of `world` ranks leaves every rank a core of its own.
+/// Only then may a blocked receive spin: a spinning rank that shares its
+/// core competes with the pump or peer it is waiting for (8 ranks over UDS
+/// on 2 vCPUs: 384 µs per allreduce parked, 378–455 µs spinning). Open
+/// MPI's `yield_when_idle` turns on by the same test.
+fn rank_per_core(world: usize) -> bool {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    world <= *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |c| c.get()))
+}
+
 /// The receive side of one rank: the incoming channel plus a buffer of
 /// messages that have arrived but not yet been matched by a receive.
 ///
@@ -87,6 +113,8 @@ pub struct Mailbox {
     timeout: Duration,
     my_rank: usize,
     liveness: Arc<Liveness>,
+    /// Poll for [`SPIN_BUDGET`] before parking; fixed when the rank starts.
+    spin: bool,
     dedup: bool,
     /// Per-source dedup state: `(incarnation the set was built under,
     /// sequence numbers accepted from that incarnation)`.
@@ -106,6 +134,7 @@ impl Mailbox {
             pending: Vec::new(),
             timeout,
             my_rank,
+            spin: rank_per_core(liveness.size()),
             liveness,
             dedup,
             seen: HashMap::new(),
@@ -173,6 +202,10 @@ impl Mailbox {
     /// couple of milliseconds: a dead peer resolves to
     /// [`RecvError::PeerDead`] as soon as the buffered backlog is known
     /// not to contain a match, rather than burning the whole deadline.
+    ///
+    /// When every rank has a core to itself the first [`SPIN_BUDGET`] of
+    /// the wait polls the channel instead of parking on it, re-running the
+    /// same match, liveness and deadline checks on every poll.
     pub fn recv_match_deadline(
         &mut self,
         ctx: u64,
@@ -204,6 +237,10 @@ impl Mailbox {
                     waited: elapsed,
                     pending: self.pending.len(),
                 });
+            }
+            if self.spin && elapsed < SPIN_BUDGET {
+                std::thread::yield_now();
+                continue;
             }
             let wait = LIVENESS_POLL.min(timeout - elapsed);
             // Sleep on the channel itself so arrival wakes us immediately.

@@ -49,9 +49,8 @@
 //! ## Transports
 //!
 //! The machine runs on a pluggable transport (`nkg-net`): in-process
-//! channels (default), Unix-domain/TCP sockets, or a same-host
-//! shared-memory ring — selected per run with `NKG_TRANSPORT=inproc|uds|
-//! tcp|shm` or [`Universe::with_backend`]. Fault plans, liveness, dedup
+//! channels (default) or Unix-domain/TCP sockets — selected per run with
+//! `NKG_TRANSPORT=inproc|uds|tcp` or [`Universe::with_backend`]. Fault plans, liveness, dedup
 //! and `exchange_ft` retry/failover behave identically on every backend
 //! because all traffic is judged by one shared router. Process-mode runs
 //! ([`Universe::spawn_processes`] + the `nkg-rank` worker binary) put

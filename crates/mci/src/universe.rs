@@ -4,7 +4,7 @@
 //! Every backend funnels traffic through one `nkg-net` [`RouterCore`], so
 //! fault judging, sequence stamping, liveness and statistics behave
 //! identically whether ranks are threads wired by channels (in-proc),
-//! threads wired by framed sockets or shared-memory rings, or whole OS
+//! threads wired by framed sockets, or whole OS
 //! processes connected over Unix-domain/TCP sockets
 //! ([`Universe::spawn_processes`]).
 
@@ -20,7 +20,6 @@ use nkg_net::endpoint::{
 };
 use nkg_net::hub::{Hub, HubConfig};
 use nkg_net::port::RemotePort;
-use nkg_net::ring;
 use nkg_net::router::{RouterCore, Verdict};
 use nkg_net::Backend;
 use std::cell::RefCell;
@@ -343,7 +342,7 @@ impl Universe {
         }
         match self.backend {
             Backend::InProc => self.run_inproc(f),
-            Backend::Uds | Backend::Tcp | Backend::Shm => self.run_hubbed(f),
+            Backend::Uds | Backend::Tcp => self.run_hubbed(f),
         }
     }
 
@@ -404,7 +403,7 @@ impl Universe {
         }
     }
 
-    /// The framed thread backends (UDS / TCP / shared-memory ring): ranks
+    /// The framed thread backends (UDS / TCP): ranks
     /// are still threads, but every byte travels the same framed protocol
     /// a multi-process run uses, through a hub that owns the router.
     fn run_hubbed<R, F>(&self, f: F) -> FaultRun<R>
@@ -432,13 +431,6 @@ impl Universe {
                     hub.adopt(hr, hw);
                     let (rr, rw) = split_unix(b).expect("split rank stream");
                     rank_conns.push((rr, rw));
-                }
-            }
-            Backend::Shm => {
-                for _ in 0..n {
-                    let (a, b) = ring::duplex(ring::DEFAULT_RING_CAPACITY);
-                    hub.adopt(Box::new(a.rx), Box::new(a.tx));
-                    rank_conns.push((Box::new(b.rx), Box::new(b.tx)));
                 }
             }
             Backend::Tcp => {
@@ -1011,8 +1003,8 @@ mod tests {
 
     #[test]
     fn explicit_backend_overrides_env() {
-        let u = Universe::new(2).with_backend(Backend::Shm);
-        assert_eq!(u.backend(), Backend::Shm);
+        let u = Universe::new(2).with_backend(Backend::Tcp);
+        assert_eq!(u.backend(), Backend::Tcp);
         let out = u.run(|comm| comm.allreduce_sum(&[comm.rank() as f64 + 1.0])[0]);
         assert_eq!(out, vec![3.0, 3.0]);
     }

@@ -1,13 +1,13 @@
 //! Transport-boundary semantics, parameterized over every backend: the
 //! typed receive surface (`Timeout` vs `PeerDead`) must behave
-//! identically whether a peer is a thread wired by a channel, a framed
-//! socket, or a shared-memory ring — and the physics of an exchange must
-//! be bitwise identical across all of them.
+//! identically whether a peer is a thread wired by a channel or by a
+//! framed socket — and the physics of an exchange must be bitwise
+//! identical across all of them.
 
 use nkg_mci::{Backend, FaultPlan, RecvError, Universe};
 use std::time::Duration;
 
-const ALL_BACKENDS: [Backend; 4] = [Backend::InProc, Backend::Uds, Backend::Tcp, Backend::Shm];
+const ALL_BACKENDS: [Backend; 3] = [Backend::InProc, Backend::Uds, Backend::Tcp];
 
 /// A deliberately slow peer: rank 1 stalls 50 ms before sending. The
 /// receiver's first deadline (10 ms) must report `Timeout` with the
@@ -103,7 +103,7 @@ fn collectives_bitwise_identical_across_backends() {
         (results, u.stats())
     };
     let (reference, ref_stats) = run(Backend::InProc);
-    for backend in [Backend::Uds, Backend::Tcp, Backend::Shm] {
+    for backend in [Backend::Uds, Backend::Tcp] {
         let (results, stats) = run(backend);
         assert_eq!(results, reference, "{} diverged", backend.name());
         assert_eq!(stats, ref_stats, "{} traffic differs", backend.name());
@@ -148,7 +148,7 @@ fn fault_rules_judged_identically_across_backends() {
         Some(20.0),
         "dropped first, delivered second"
     );
-    for backend in [Backend::Uds, Backend::Tcp, Backend::Shm] {
+    for backend in [Backend::Uds, Backend::Tcp] {
         let (results, stats) = run(backend);
         assert_eq!(results, ref_results, "{} diverged", backend.name());
         assert_eq!(stats, ref_stats, "{} counters differ", backend.name());

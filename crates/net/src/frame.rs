@@ -1,5 +1,4 @@
-//! Length-prefixed frame protocol carried by the socket and shared-memory
-//! backends.
+//! Length-prefixed frame protocol carried by the socket backends.
 //!
 //! Every frame is `[4-byte magic "NKGF"][1-byte kind][4-byte body length,
 //! u32 LE][body]`. Bodies reuse the little-endian scalar encoding of
@@ -419,8 +418,22 @@ impl<'a> Body<'a> {
     }
 }
 
-fn encode_body(frame: &Frame) -> (u8, Vec<u8>) {
-    let mut b = Vec::new();
+/// Bytes before the body: magic, kind, body length.
+const HEADER_LEN: usize = 9;
+
+/// Encode one whole frame, header included, into a single buffer sized
+/// once for its payload.
+fn encode_frame(frame: &Frame) -> Result<Vec<u8>, NetError> {
+    let payload = match frame {
+        Frame::Data { env, .. } => env.data.len(),
+        Frame::Result { data } => data.len(),
+        _ => 0,
+    };
+    // 28 bytes of fixed fields precede a Data payload; no other body is
+    // longer than that without a payload.
+    let mut b = Vec::with_capacity(HEADER_LEN + 28 + payload);
+    b.extend_from_slice(&MAGIC);
+    b.extend_from_slice(&[0u8; HEADER_LEN - MAGIC.len()]);
     let kind = match frame {
         Frame::Hello {
             version,
@@ -525,7 +538,16 @@ fn encode_body(frame: &Frame) -> (u8, Vec<u8>) {
             K_REJOINED
         }
     };
-    (kind, b)
+    let len = b.len() - HEADER_LEN;
+    if len > MAX_FRAME_BODY {
+        return Err(NetError::Oversized {
+            len,
+            max: MAX_FRAME_BODY,
+        });
+    }
+    b[4] = kind;
+    b[5..HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
+    Ok(b)
 }
 
 fn decode_body(kind: u8, buf: &[u8]) -> Result<Frame, NetError> {
@@ -661,21 +683,14 @@ fn decode_body(kind: u8, buf: &[u8]) -> Result<Frame, NetError> {
 // Stream i/o
 // ---------------------------------------------------------------------
 
-/// Write one frame (header + body) and flush the stream.
+/// Write one frame and flush the stream.
+///
+/// Header and body leave in **one** `write_all`. Split in two, a frame
+/// larger than the stream's `BufWriter` goes out as a 9-byte write that
+/// wakes the reader, which consumes the header and parks again for the
+/// body — two wake-ups for one message.
 pub fn write_frame<W: Write + ?Sized>(w: &mut W, frame: &Frame) -> Result<(), NetError> {
-    let (kind, body) = encode_body(frame);
-    if body.len() > MAX_FRAME_BODY {
-        return Err(NetError::Oversized {
-            len: body.len(),
-            max: MAX_FRAME_BODY,
-        });
-    }
-    let mut head = [0u8; 9];
-    head[..4].copy_from_slice(&MAGIC);
-    head[4] = kind;
-    head[5..9].copy_from_slice(&(body.len() as u32).to_le_bytes());
-    w.write_all(&head)?;
-    w.write_all(&body)?;
+    w.write_all(&encode_frame(frame)?)?;
     w.flush()?;
     Ok(())
 }
@@ -683,7 +698,7 @@ pub fn write_frame<W: Write + ?Sized>(w: &mut W, frame: &Frame) -> Result<(), Ne
 /// Read one frame. A clean EOF *between* frames is [`NetError::Closed`];
 /// EOF *inside* a frame is [`NetError::Truncated`] with byte counts.
 pub fn read_frame<R: Read + ?Sized>(r: &mut R) -> Result<Frame, NetError> {
-    let mut head = [0u8; 9];
+    let mut head = [0u8; HEADER_LEN];
     read_full(r, &mut head, "frame header", true)?;
     if head[..4] != MAGIC {
         return Err(NetError::BadMagic {
@@ -691,7 +706,7 @@ pub fn read_frame<R: Read + ?Sized>(r: &mut R) -> Result<Frame, NetError> {
         });
     }
     let kind = head[4];
-    let len = u32::from_le_bytes(head[5..9].try_into().unwrap()) as usize;
+    let len = u32::from_le_bytes(head[5..HEADER_LEN].try_into().unwrap()) as usize;
     if len > MAX_FRAME_BODY {
         return Err(NetError::Oversized {
             len,
@@ -812,6 +827,54 @@ mod tests {
                 seq: 0,
             },
         });
+    }
+
+    /// A sink that counts what it is asked to do.
+    #[derive(Default)]
+    struct CountingWrite {
+        writes: usize,
+        flushes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWrite {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn one_write_and_one_flush_per_frame() {
+        let data = |payload: usize| Frame::Data {
+            dst: 1,
+            env: Envelope {
+                ctx: 3,
+                src: 0,
+                tag: 9,
+                data: vec![0xA5; payload],
+                seq: 4,
+            },
+        };
+        // Bodies of 0 B, 8 220 B (a 1 024-f64 exchange: just over an 8 KiB
+        // BufWriter) and 70 kB (several buffers long).
+        let frames = [
+            (Frame::Result { data: Vec::new() }, 0),
+            (data(8_192), 8_220),
+            (data(70_000 - 28), 70_000),
+        ];
+        for (frame, body) in frames {
+            let mut sink = CountingWrite::default();
+            write_frame(&mut sink, &frame).unwrap();
+            assert_eq!((sink.writes, sink.flushes), (1, 1), "body of {body} B");
+            assert_eq!(sink.bytes.len(), HEADER_LEN + body);
+            assert_eq!(read_frame(&mut &sink.bytes[..]).unwrap(), frame);
+        }
     }
 
     #[test]

@@ -14,9 +14,7 @@
 //! * **uds / tcp** — ranks talk to a [`hub::Hub`] over length-prefixed
 //!   framed streams ([`frame`]) with a version/config handshake; the hub
 //!   owns the router, so fault judging, liveness and statistics live in
-//!   exactly one place regardless of where ranks run;
-//! * **shm** — a same-address-space shared-memory byte ring ([`ring`])
-//!   carrying the identical frame protocol without kernel round-trips.
+//!   exactly one place regardless of where ranks run.
 //!
 //! Process-mode bootstrap (endpoints, worker environment, exit codes)
 //! lives in [`endpoint`]; the rank-side connection state machine in
@@ -29,7 +27,6 @@ pub mod frame;
 pub mod hub;
 pub mod liveness;
 pub mod port;
-pub mod ring;
 pub mod router;
 pub mod wire;
 
@@ -62,15 +59,11 @@ pub enum Backend {
     /// Loopback TCP streams to a hub. The only backend that can cross
     /// machines; also usable same-host.
     Tcp,
-    /// Same-address-space shared-memory byte rings carrying the frame
-    /// protocol. Thread ranks only: cross-process shared memory needs
-    /// `mmap`, which this workspace's no-external-deps rule rules out.
-    Shm,
 }
 
 impl Backend {
     /// All backends, in documentation/bench order.
-    pub const ALL: [Backend; 4] = [Backend::InProc, Backend::Uds, Backend::Tcp, Backend::Shm];
+    pub const ALL: [Backend; 3] = [Backend::InProc, Backend::Uds, Backend::Tcp];
 
     /// Lower-case name, as accepted by [`TRANSPORT_ENV`].
     pub fn name(self) -> &'static str {
@@ -78,7 +71,6 @@ impl Backend {
             Backend::InProc => "inproc",
             Backend::Uds => "uds",
             Backend::Tcp => "tcp",
-            Backend::Shm => "shm",
         }
     }
 
@@ -98,7 +90,7 @@ impl Backend {
             Ok(v) if !v.is_empty() => Backend::parse(&v).unwrap_or_else(|| {
                 panic!(
                     "{TRANSPORT_ENV}={v:?} is not a known transport; \
-                     expected one of inproc|uds|tcp|shm"
+                     expected one of inproc|uds|tcp"
                 )
             }),
             _ => Backend::InProc,
@@ -116,5 +108,7 @@ mod tests {
             assert_eq!(Backend::parse(b.name()), Some(b));
         }
         assert_eq!(Backend::parse("carrier-pigeon"), None);
+        // The shared-memory ring is gone; its name is a typo like any other.
+        assert_eq!(Backend::parse("shm"), None);
     }
 }

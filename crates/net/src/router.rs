@@ -6,8 +6,8 @@
 //! sender's liveness, counts traffic, consults the fault plan and hands
 //! the envelope to a destination [`Sink`]. In-proc, the sink *is* the
 //! rank's channel sender (zero extra hops — the historical behavior);
-//! under the socket and shared-memory backends it is the hub's framed
-//! writer for the destination rank. The core never panics a scripted kill
+//! under the socket backends it is the hub's framed writer for the
+//! destination rank. The core never panics a scripted kill
 //! itself: it marks the rank dead and returns [`Verdict::Killed`], and
 //! the caller decides how death reaches the rank (an unwinding panic
 //! in-proc, a synchronous post-ack over sockets).

@@ -31,6 +31,11 @@ NKG_TRANSPORT=uds cargo test -q --test integration_respawn
 echo "== composed chaos: drop + dup + kill + corrupt checkpoint in one run =="
 cargo test -q --test integration_chaos
 
+echo "== collectives and distributed CG over the wire (NKG_TRANSPORT=uds): butterfly allreduce, fused reductions =="
+NKG_TRANSPORT=uds cargo test -q --test integration_distributed --test integration_wakeups --test property_invariants
+NKG_TRANSPORT=uds cargo test -q -p nkg-mci --test transport_semantics
+cargo run --release -q -p nkg-bench --bin bench_mci -- --smoke
+
 echo "== thread invariance: overlap suite, 1 rayon thread vs default pool =="
 RAYON_NUM_THREADS=1 cargo test -q -p nkg-coupling --test integration_overlap
 cargo test -q -p nkg-coupling --test integration_overlap

@@ -3,7 +3,7 @@
 //! NεκTαr-G running on the virtual machine.
 
 use nektarg::coupling::dist::DistSpace2d;
-use nektarg::mci::{Hierarchy, HierarchySpec, InterfaceLink, Universe};
+use nektarg::mci::{Comm, Hierarchy, HierarchySpec, InterfaceLink, Universe};
 use nektarg::mesh::quad::QuadMesh;
 use nektarg::sem::space2d::Space2d;
 use nektarg::topo::Torus3D;
@@ -50,6 +50,140 @@ fn distributed_poisson_invariant_under_rank_count() {
             );
         }
     }
+}
+
+/// `DistSpace2d::solve_dirichlet` as it read before its reductions were
+/// fused: Jacobi-preconditioned CG from the public `apply_helmholtz`,
+/// `assemble` and `dot`, one reduction per inner product and `z` formed
+/// only after the convergence test.
+fn unfused_cg(
+    ds: &DistSpace2d,
+    comm: &Comm,
+    rhs: &[f64],
+    dirichlet: &[usize],
+    tol: f64,
+    max_iter: usize,
+) -> (Vec<f64>, usize) {
+    let space = ds.space;
+    let ng = space.nglobal;
+    let n = space.basis.n();
+    let d = &space.basis.d;
+    let mut diag = vec![0.0f64; ng];
+    for &e in &ds.my_elems {
+        let g = &space.geom[e];
+        for j in 0..n {
+            for i in 0..n {
+                let k = j * n + i;
+                let mut v = 0.0;
+                for m in 0..n {
+                    v += g.g11[j * n + m] * d[m * n + i] * d[m * n + i];
+                    v += g.g22[m * n + i] * d[m * n + j] * d[m * n + j];
+                }
+                v += 2.0 * g.g12[k] * d[i * n + i] * d[j * n + j];
+                diag[space.gmap[e][k]] += v;
+            }
+        }
+    }
+    ds.assemble(comm, &mut diag);
+    let mut is_bc = vec![false; ng];
+    for &g in dirichlet {
+        is_bc[g] = true;
+    }
+    let masked = |v: &mut [f64]| {
+        for g in 0..ng {
+            if is_bc[g] || !ds.touched[g] {
+                v[g] = 0.0;
+            }
+        }
+    };
+    let jacobi = |r: &[f64], z: &mut [f64]| {
+        for g in 0..ng {
+            z[g] = if diag[g].abs() > 0.0 {
+                r[g] / diag[g]
+            } else {
+                0.0
+            };
+        }
+        masked(z);
+    };
+    let mut x = vec![0.0f64; ng];
+    let mut r = rhs.to_vec();
+    masked(&mut r);
+    let mut z = vec![0.0f64; ng];
+    jacobi(&r, &mut z);
+    let mut p = z.clone();
+    let mut rz = ds.dot(comm, &r, &z);
+    let bnorm = ds.dot(comm, &r, &r).sqrt().max(1e-300);
+    let mut ap = vec![0.0f64; ng];
+    let mut iters = 0;
+    for it in 1..=max_iter {
+        iters = it;
+        ds.apply_helmholtz(comm, 0.0, &p, &mut ap);
+        masked(&mut ap);
+        let pap = ds.dot(comm, &p, &ap);
+        if pap <= 0.0 {
+            break;
+        }
+        let alpha = rz / pap;
+        for g in 0..ng {
+            x[g] += alpha * p[g];
+            r[g] -= alpha * ap[g];
+        }
+        if ds.dot(comm, &r, &r).sqrt() <= tol * bnorm {
+            break;
+        }
+        jacobi(&r, &mut z);
+        let rz_new = ds.dot(comm, &r, &z);
+        let beta = rz_new / rz;
+        rz = rz_new;
+        for g in 0..ng {
+            p[g] = z[g] + beta * p[g];
+        }
+    }
+    (x, iters)
+}
+
+/// Fusing `r·r` with `r·z` changes what an iteration waits for, not what
+/// it computes: same iterates, same iteration count, and on two ranks
+/// (where an allreduce is 2 messages either way) exactly one allreduce
+/// fewer per iteration that continues.
+#[test]
+fn fused_cg_reductions_keep_the_bits_and_drop_one_allreduce_per_iteration() {
+    let pi = std::f64::consts::PI;
+    // Run the fused solver, the reference, or both (and compare them) on
+    // `ranks` ranks; returns (iterations, messages the universe routed).
+    let run = move |ranks: usize, fused: bool, reference: bool| -> (usize, u64) {
+        let u = Universe::new(ranks);
+        let iters = u.run(move |comm| {
+            let mesh = QuadMesh::rectangle(4, 3, 0.0, 2.0, 0.0, 1.0);
+            let space = Space2d::new(mesh, 5, false);
+            let ds = DistSpace2d::new(&space, &comm, 5);
+            let rhs =
+                space.weak_rhs(move |x, y| pi * pi * 1.25 * (pi * x / 2.0).sin() * (pi * y).sin());
+            let bnd = space.boundary_dofs(|_| true);
+            let fused = fused.then(|| ds.solve_dirichlet(&comm, 0.0, &rhs, &bnd, 1e-12, 4000));
+            let unfused = reference.then(|| unfused_cg(&ds, &comm, &rhs, &bnd, 1e-12, 4000));
+            if let (Some((x, it)), Some((x_ref, it_ref))) = (&fused, &unfused) {
+                assert_eq!(it, it_ref, "iteration count on {ranks} ranks");
+                let same = x.iter().zip(x_ref).all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "iterates differ on {ranks} ranks");
+            }
+            fused.or(unfused).expect("one solver ran").1
+        });
+        (iters[0], u.stats().messages)
+    };
+    for ranks in 1..=4 {
+        let (iters, _) = run(ranks, true, true);
+        assert!(
+            iters > 1 && iters < 4000,
+            "CG must converge: {iters} iterations"
+        );
+    }
+    let (iters, fused_msgs) = run(2, true, false);
+    let (iters_ref, unfused_msgs) = run(2, false, true);
+    assert_eq!(iters, iters_ref);
+    // The converging iteration sends its one (wider) reduction either way.
+    assert_eq!(unfused_msgs - fused_msgs, 2 * (iters as u64 - 1));
 }
 
 #[test]

@@ -16,8 +16,8 @@
 //! grace is configured.
 //!
 //! Run on a socket backend (`NKG_TRANSPORT=uds` is the check.sh leg; TCP
-//! works too — in-proc and shm cannot host processes and fall back to
-//! UDS here).
+//! works too — in-proc cannot host processes and falls back to UDS
+//! here).
 
 use nektarg::mci::{Backend, FaultPlan, ProcessOptions, ProcessRun, RestartPolicy, Universe};
 use std::path::PathBuf;
