@@ -23,10 +23,8 @@
 use nkg_bench::{header, time_median, write_jsonl};
 use nkg_ckpt::crc32::crc32;
 use nkg_ckpt::{prev_path, SnapshotFile, SnapshotWriter};
-use nkg_coupling::atomistic::{AtomisticDomain, Embedding};
 use nkg_coupling::metasolver::{CheckpointPolicy, ExecutionPolicy};
-use nkg_coupling::multipatch::poiseuille_multipatch;
-use nkg_coupling::{NektarG, TimeProgression, UnitScaling};
+use nkg_coupling::{NektarG, Scenario, TimeProgression};
 use nkg_dpd::inflow::OpenBoundaryX;
 use nkg_dpd::sim::{BinSampler, DpdConfig, DpdSim, ForceBackend, WallGeometry};
 use nkg_dpd::Box3;
@@ -52,43 +50,27 @@ fn dpd_box(n_target: usize) -> DpdSim {
 /// The `coupled_io` scenario of `bench_e2e` (its smoke shape with
 /// `smoke`), Overlapped.
 fn coupled_io(smoke: bool) -> NektarG {
-    let (nu, force) = (0.5, 0.4);
     let (nx, ny, dpd_box, bins) = if smoke {
         (12, 2, [8.0, 8.0, 4.0], (64, 2))
     } else {
         (24, 4, [12.0, 12.0, 8.0], (2048, 4))
     };
-    let continuum = poiseuille_multipatch(6.0, 1.0, nx, ny, 2, 4, nu, force, 5e-3);
-    let cfg = DpdConfig {
-        seed: 31,
-        ..Default::default()
-    };
-    let bx = Box3::new([0.0; 3], dpd_box, [false, false, true]);
-    let mut sim = DpdSim::new(cfg, bx, WallGeometry::SlabY);
-    sim.force_backend = ForceBackend::Parallel;
-    sim.fill_solvent();
-    let mut ob = OpenBoundaryX::new(bins.0, bins.1, cfg.density, cfg.kbt, [0.0; 3], 0);
-    ob.target_count = Some(sim.particles.len());
-    sim.set_open_x(ob);
-    let embedding = Embedding {
-        origin_ns: [2.5, 0.35],
-        scaling: UnitScaling {
-            unit_ns: 1.0,
-            unit_dpd: 0.05,
-            nu_ns: nu,
-            nu_dpd: 0.85,
-        },
-    };
-    NektarG::new(
-        continuum,
-        AtomisticDomain::new(sim, embedding),
-        TimeProgression::new(1, 1),
-    )
-    .with_wpod(
-        BinSampler::new(1, 6, 0, 2),
-        nkg_wpod::window::WindowPod::new(8, 8, 2.0),
-    )
-    .with_policy(ExecutionPolicy::Overlapped)
+    Scenario {
+        nx,
+        ny,
+        order: 4,
+        dpd_box,
+        bins,
+        force_backend: ForceBackend::Parallel,
+        progression: TimeProgression::new(1, 1),
+        wpod: Some((
+            BinSampler::new(1, 6, 0, 2),
+            nkg_wpod::window::WindowPod::new(8, 8, 2.0),
+        )),
+        policy: ExecutionPolicy::Overlapped,
+        ..Scenario::small()
+    }
+    .build()
 }
 
 /// The yardstick: one table, one byte per step.

@@ -49,11 +49,10 @@ fn main() {
     let bx = sim.bx;
     let n = sim.particles.len();
     let threads = rayon::current_num_threads();
-    let pool_mode = rayon::pool_mode();
     let reps = 5;
 
     header(&format!(
-        "DPD hot path, N = {n} (ρ = 3), rayon threads = {threads}, pool = {pool_mode}"
+        "DPD hot path, N = {n} (ρ = 3), rayon threads = {threads}"
     ));
 
     // --- Force-sweep microbenchmarks -----------------------------------
@@ -189,7 +188,7 @@ fn main() {
 
     let record = format!(
         "{{\"bench\":\"dpd_hot_path\",\"n_particles\":{n},\"density\":3.0,\"rc\":1.0,\
-         \"pool\":\"{pool_mode}\",\"reps\":{reps},\
+         \"reps\":{reps},\
          \"force_sweep_seconds\":{{\"serial_half\":{t_serial:.6},\"parallel_half\":{t_par:.6}}},\
          \"full_step_seconds\":{{\"serial_backend\":{t_step_serial:.6},\
          \"parallel_backend\":{t_step_par:.6}}},\

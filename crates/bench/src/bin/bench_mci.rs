@@ -20,15 +20,9 @@
 //! size and writes `target/BENCH_mci.smoke.json` instead.
 
 use nkg_bench::{header, time_median, write_jsonl};
-use nkg_coupling::atomistic::{AtomisticDomain, Embedding};
 use nkg_coupling::dist::DistSpace2d;
 use nkg_coupling::failover::{driver_outcome, run_replicated, FailoverConfig};
-use nkg_coupling::metasolver::NektarG;
-use nkg_coupling::multipatch::poiseuille_multipatch;
-use nkg_coupling::{TimeProgression, UnitScaling};
-use nkg_dpd::inflow::OpenBoundaryX;
-use nkg_dpd::sim::{DpdConfig, DpdSim, WallGeometry};
-use nkg_dpd::Box3;
+use nkg_coupling::Scenario;
 use nkg_mci::{
     Backend, FaultPlan, InterfaceLink, MsgAction, MsgMatcher, Pick, ProcessOptions, RestartPolicy,
     RetryPolicy, Universe,
@@ -152,36 +146,6 @@ fn dist_solve(tol: f64, max_iter: usize) -> (f64, usize, u64) {
     (secs, iters, u.stats().messages)
 }
 
-/// The small coupled system the fault-tolerance tests use: 12 continuum
-/// steps, 3 exchange windows.
-fn make_metasolver() -> NektarG {
-    let mp = poiseuille_multipatch(6.0, 1.0, 12, 2, 2, 3, 0.5, 0.4, 5e-3);
-    let cfg = DpdConfig {
-        seed: 31,
-        ..Default::default()
-    };
-    let bx = Box3::new([0.0; 3], [6.0, 6.0, 3.0], [false, false, true]);
-    let mut sim = DpdSim::new(cfg, bx, WallGeometry::SlabY);
-    sim.fill_solvent();
-    let mut ob = OpenBoundaryX::new(3, 1, 3.0, 1.0, [0.0; 3], 0);
-    ob.target_count = Some(sim.particles.len());
-    sim.set_open_x(ob);
-    let embedding = Embedding {
-        origin_ns: [2.5, 0.35],
-        scaling: UnitScaling {
-            unit_ns: 1.0,
-            unit_dpd: 0.05,
-            nu_ns: 0.5,
-            nu_dpd: 0.85,
-        },
-    };
-    NektarG::new(
-        mp,
-        AtomisticDomain::new(sim, embedding),
-        TimeProgression::new(5, 4),
-    )
-}
-
 /// Failover drill on `backend`: 3 replicas, master killed posting its
 /// window-2 report. Returns (time-to-recover, whole-run wall time).
 fn failover_drill(backend: Backend) -> (f64, f64) {
@@ -196,7 +160,9 @@ fn failover_drill(backend: Backend) -> (f64, f64) {
         .with_backend(backend)
         .with_fault_plan(FaultPlan::new().kill_rank(1, 2));
     let t0 = Instant::now();
-    let run = run_replicated(&u, cfg, make_metasolver);
+    // The small coupled system the fault-tolerance tests use: 12 continuum
+    // steps, 3 exchange windows.
+    let run = run_replicated(&u, cfg, || Scenario::small().build());
     let total = t0.elapsed().as_secs_f64();
     let driver = driver_outcome(&run);
     let recover = driver

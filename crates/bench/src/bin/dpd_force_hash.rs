@@ -57,9 +57,8 @@ fn main() {
             .flat_map(|v| v.to_bits().to_le_bytes()),
     );
     println!(
-        "n={} threads={} pool={} pairs={hits} force_hash={hash:#018x}",
+        "n={} threads={} pairs={hits} force_hash={hash:#018x}",
         p.len(),
-        rayon::current_num_threads(),
-        rayon::pool_mode()
+        rayon::current_num_threads()
     );
 }

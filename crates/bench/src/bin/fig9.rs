@@ -3,54 +3,23 @@
 //! (paper: Re = 394, Ws = 3.75 in the cerebrovascular geometry).
 
 use nkg_bench::header;
-use nkg_coupling::atomistic::{AtomisticDomain, Embedding};
-use nkg_coupling::multipatch::poiseuille_multipatch;
-use nkg_coupling::{NektarG, TimeProgression, UnitScaling};
-use nkg_dpd::inflow::OpenBoundaryX;
-use nkg_dpd::sim::{DpdConfig, DpdSim, WallGeometry};
-use nkg_dpd::Box3;
+use nkg_coupling::Scenario;
 
 fn main() {
     header("Fig. 9: interface continuity of the coupled multiscale solution");
-    // Continuum: 3 overlapping patches of a plane channel.
-    let (nu_ns, height) = (0.004, 1.0);
-    let force = 8.0 * nu_ns * 0.1; // centerline velocity 0.1
-    let mut mp = poiseuille_multipatch(6.0, height, 12, 2, 3, 4, nu_ns, force, 5e-3);
-    for s in &mut mp.patches {
-        s.set_initial(
-            move |_, y| force * y * (height - y) / (2.0 * nu_ns),
-            |_, _| 0.0,
-        );
-    }
-    // Atomistic: DPD channel embedded in the middle patch.
-    let cfg = DpdConfig {
+    // Continuum: 3 overlapping patches of a plane channel, centerline
+    // velocity 0.1. Atomistic: DPD channel embedded in the middle patch.
+    let mut ng = Scenario {
+        patches: 3,
         seed: 91,
-        ..Default::default()
-    };
-    let bx = Box3::new([0.0; 3], [8.0, 8.0, 4.0], [false, false, true]);
-    let mut sim = DpdSim::new(cfg, bx, WallGeometry::SlabY);
-    sim.fill_solvent();
-    let mut ob = OpenBoundaryX::new(4, 1, 3.0, 1.0, [0.0; 3], 0);
-    ob.target_count = Some(sim.particles.len());
-    sim.set_open_x(ob);
-    let scaling = UnitScaling {
-        unit_ns: 1.0,
-        unit_dpd: 0.05,
-        nu_ns,
-        nu_dpd: 0.85,
-    };
-    let atom = AtomisticDomain::new(
-        sim,
-        Embedding {
-            origin_ns: [2.6, 0.3],
-            scaling,
-        },
-    );
+        ..Scenario::poiseuille()
+    }
+    .build();
+    let scaling = ng.atomistic.embedding.scaling;
     println!(
         "velocity scaling (Eq. 1): v_DPD = {:.2} x v_NS; Re preserved across descriptions",
         scaling.velocity_factor()
     );
-    let mut ng = NektarG::new(mp, atom, TimeProgression::new(10, 5));
     let report = ng.run(60);
     println!(
         "\n{} NS steps, {} DPD steps, {} exchanges",

@@ -107,23 +107,8 @@ fn stamp_host(record: &str) -> String {
     }
 }
 
-/// Append one compact JSON record as a single line to `path` (JSON Lines:
-/// repeated benchmark invocations accumulate a history instead of
-/// overwriting the previous run's numbers). The record is stamped with
-/// `host_cores` and `threads` so every row says where it ran.
-pub fn append_jsonl(path: &str, record: &str) {
-    use std::io::Write as _;
-    debug_assert!(!record.contains('\n'), "JSONL records must be single-line");
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .unwrap_or_else(|e| panic!("open {path}: {e}"));
-    let record = stamp_host(record);
-    writeln!(f, "{record}").unwrap_or_else(|e| panic!("append to {path}: {e}"));
-}
-
-/// Overwrite `path` with `records`, one stamped JSON line each. Use for
+/// Overwrite `path` with `records`, one JSON line each, stamped with
+/// `host_cores`, `threads` and `commit` so every row says where it ran. Use for
 /// benchmarks that emit several rows per run of which only the latest run
 /// matters (e.g. `BENCH_sem.json`): rerunning replaces, never duplicates.
 pub fn write_jsonl(path: &str, records: &[String]) {
@@ -132,7 +117,7 @@ pub fn write_jsonl(path: &str, records: &[String]) {
 }
 
 /// Overwrite `path` with a single consolidated JSON document, stamped
-/// like [`append_jsonl`] rows. Use for benchmarks whose output is one
+/// like [`write_jsonl`] rows. Use for benchmarks whose output is one
 /// self-contained record per run (the latest run is the only one that
 /// matters, e.g. `BENCH_dpd.json`).
 pub fn write_json(path: &str, document: &str) {

@@ -326,47 +326,27 @@ impl Snapshot for AtomisticDomain {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multipatch::poiseuille_multipatch;
-    use nkg_dpd::inflow::OpenBoundaryX;
-    use nkg_dpd::sim::{DpdConfig, WallGeometry};
-    use nkg_dpd::Box3;
+    use crate::scenario::Scenario;
 
     // Continuum: nu chosen so Eq. (1) scales the NS signal (u ~ 0.1) to a
-    // DPD velocity ~ 1, well above the per-bin thermal noise.
-    const NU_NS: f64 = 0.004;
-    const F_NS: f64 = 8.0 * NU_NS * 0.1; // centerline u = 0.1
+    // DPD velocity ~ 1, well above the per-bin thermal noise; a DPD box of
+    // size 8 at `unit_dpd` 0.05 spans 0.4 NS units.
+    fn scenario() -> Scenario {
+        Scenario {
+            seed: 21,
+            origin: [2.0, 0.3],
+            ..Scenario::poiseuille()
+        }
+    }
 
     fn make_domain() -> AtomisticDomain {
-        let cfg = DpdConfig {
-            seed: 21,
-            ..Default::default()
-        };
-        let bx = Box3::new([0.0; 3], [8.0, 8.0, 4.0], [false, false, true]);
-        let mut sim = DpdSim::new(cfg, bx, WallGeometry::SlabY);
-        sim.fill_solvent();
-        let mut ob = OpenBoundaryX::new(4, 1, 3.0, 1.0, [0.0; 3], 0);
-        ob.target_count = Some(sim.particles.len());
-        sim.set_open_x(ob);
-        let scaling = UnitScaling {
-            unit_ns: 1.0,
-            unit_dpd: 0.05, // DPD box of size 8 spans 0.4 NS units
-            nu_ns: NU_NS,
-            nu_dpd: 0.85,
-        };
-        let embedding = Embedding {
-            origin_ns: [2.0, 0.3],
-            scaling,
-        };
-        AtomisticDomain::new(sim, embedding)
+        scenario().build().atomistic
     }
 
     /// Steady multipatch Poiseuille donor, initialized on the exact
     /// parabola so it is steady from step one.
     fn steady_continuum(steps: usize) -> crate::multipatch::Multipatch2d {
-        let mut mp = poiseuille_multipatch(6.0, 1.0, 12, 2, 2, 4, NU_NS, F_NS, 5e-3);
-        for s in &mut mp.patches {
-            s.set_initial(|_, y| F_NS * y * (1.0 - y) / (2.0 * NU_NS), |_, _| 0.0);
-        }
+        let mut mp = scenario().build().continuum;
         for _ in 0..steps {
             mp.step();
         }
@@ -418,27 +398,12 @@ mod tests {
 
     #[test]
     fn midpoints_repeat_per_z_slab() {
-        let cfg = DpdConfig {
-            seed: 21,
-            ..Default::default()
-        };
-        let bx = Box3::new([0.0; 3], [8.0, 8.0, 4.0], [false, false, true]);
-        let mut sim = DpdSim::new(cfg, bx, WallGeometry::SlabY);
-        sim.fill_solvent();
-        sim.set_open_x(OpenBoundaryX::new(4, 3, 3.0, 1.0, [0.0; 3], 0));
-        let scaling = UnitScaling {
-            unit_ns: 1.0,
-            unit_dpd: 0.05,
-            nu_ns: NU_NS,
-            nu_dpd: 0.85,
-        };
-        let d = AtomisticDomain::new(
-            sim,
-            Embedding {
-                origin_ns: [2.0, 0.3],
-                scaling,
-            },
-        );
+        let d = Scenario {
+            bins: (4, 3),
+            ..scenario()
+        }
+        .build()
+        .atomistic;
         // (ny, nz) = (4, 3): 12 midpoints, each z-slab repeating the same
         // y-row because the continuum is 2D (bin order y fastest, z outer).
         assert_eq!(d.bin_midpoints_ns.len(), 12);

@@ -6,40 +6,40 @@
 //! [`NektarG`] (hot standby) and writes rotating rank-scoped checkpoints;
 //! the *master* replica additionally reports each exchange window's
 //! interface physics to the driver. The driver is the continuum-side
-//! consumer of those windows and applies the degradation ladder:
+//! consumer of those windows and, when one is missed, climbs down one
+//! ladder (`Flow::advance`, DESIGN.md §11):
 //!
-//! 1. **Hold-last-value** — when the master misses its window deadline but
-//!    is still alive, the driver re-uses the previous window's boundary
-//!    values for one `τ` window and records the degradation.
-//! 2. **Restart-in-place** — when the universe runs under a supervision
-//!    policy (`Universe::with_restart_policy`), a dead master is being
-//!    respawned by its exit watcher. The driver waits up to
-//!    [`FailoverConfig::restart_grace`] for the new incarnation to rejoin,
-//!    then orders it to resume from *its own* rank-scoped checkpoint,
-//!    replay forward, and re-exchange the held window. No standby replica
-//!    is consumed.
-//! 3. **Failover** — when no resurrection arrives in time (or none is
-//!    configured), the driver promotes the lowest live replica. The
-//!    promoted replica resumes from the *dead master's* last `nkg-ckpt`
-//!    snapshot ([`nkg_ckpt::rank_path`]-scoped restore, falling back to a
-//!    fresh deterministic rebuild when the master never checkpointed or
-//!    its snapshot is corrupt — the fallback is recorded as a
-//!    [`DegradationEvent::CorruptSnapshotFallback`]), re-establishes the
-//!    reporting link, re-runs the missed window and re-exchanges it.
+//! 1. **Hold-last-value** — a late but live master costs one `τ` window on
+//!    the previous window's boundary values, recorded as a degradation.
+//! 2. **Restart-in-place** — under a supervision policy
+//!    (`Universe::with_restart_policy`) a dead master is being respawned.
+//!    The driver waits up to [`FailoverConfig::restart_grace`] for the new
+//!    incarnation to rejoin, then orders it to resume from *its own*
+//!    rank-scoped checkpoint, replay forward and re-exchange the held
+//!    window. No standby is consumed.
+//! 3. **Failover** — with no resurrection in time (or none configured)
+//!    the lowest live replica is promoted: it resumes from the *dead
+//!    master's* snapshot ([`nkg_ckpt::rank_path`]), re-runs the missed
+//!    window and re-exchanges it.
+//!
+//! Either resume takes the primary snapshot or, when that is damaged or
+//! missing, its `.prev` generation; when neither restores, the replica
+//! rebuilds from scratch and replays the whole history, reported as a
+//! [`DegradationEvent::CorruptSnapshotFallback`] (a rank that never
+//! checkpointed is a fresh build, not a fallback).
 //!
 //! Because checkpoints are taken at the top of an exchange-boundary step
-//! and every stochastic stream is counter-based, a recovered window —
-//! whether by restart or by promotion — is bitwise identical to the
-//! fault-free run: the held value is overwritten and the final trace
-//! carries no trace of the disaster. When the ladder bottoms out the run
-//! is *lost*, which is a typed outcome ([`FailoverError::RunLost`] in
-//! [`DriverOutcome::error`]), not a panic: the trace is padded with the
-//! last held values so downstream consumers keep their length invariants.
+//! and every stochastic stream is counter-based, a recovered window is
+//! bitwise identical to the fault-free run: the held value is overwritten
+//! and the final trace carries no trace of the disaster. When the ladder
+//! bottoms out the run is *lost* — a typed outcome
+//! ([`FailoverError::RunLost`] in [`DriverOutcome::error`]), not a panic;
+//! the trace is padded with the last held values so downstream consumers
+//! keep their length invariants.
 //!
 //! [`run_shard_role`] is the zero-standby variant: rank `1 + s` computes
-//! shard `s` of the problem and is the sole master of its own flow, so a
-//! clean run needs no idle replicas at all and the ladder per flow is
-//! hold → restart-in-place → lost.
+//! shard `s` and is the sole master of its own flow, so the ladder per
+//! flow is hold → restart-in-place → lost.
 //!
 //! Degradations are recorded twice: in the driver's
 //! [`DriverOutcome::events`] and in the affected replica's
@@ -47,9 +47,9 @@
 //! [`RunReport::rejoins`] / [`RunReport::snapshot_fallbacks`].
 
 use crate::metasolver::{CheckpointPolicy, NektarG, RunReport};
-use nkg_ckpt::rank_path;
+use nkg_ckpt::{prev_path, rank_path};
 use nkg_mci::{Comm, FaultRun, RecvError, Tag, Universe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -345,33 +345,53 @@ fn ctrl_tag(replica: usize) -> Tag {
     TAG_CTRL_BASE + replica as Tag
 }
 
-/// Build the `[window, gen, flags, physics...]` status frame for window
-/// `w`.
-fn status_frame(w: u64, gen: u64, flags: u64, ng: &NektarG) -> Vec<f64> {
+/// The status frame, replica → driver, for `window` as `ng` stands after
+/// computing it: `[window, gen, flags, physics...]`.
+fn status_frame(window: u64, gen: u64, flags: u64, ng: &NektarG) -> Vec<f64> {
     let r = &ng.report;
-    let mut f = Vec::with_capacity(3 + TRACE_WIDTH);
-    f.push(f64::from_bits(w));
-    f.push(f64::from_bits(gen));
-    f.push(f64::from_bits(flags));
-    f.push(r.continuity.last().copied().unwrap_or(0.0));
-    f.push(r.patch_mismatch.last().copied().unwrap_or(0.0));
     let census = r.platelet_census.last().copied().unwrap_or((0, 0, 0, 0));
-    f.push(census.0 as f64);
-    f.push(census.1 as f64);
-    f.push(census.2 as f64);
-    f.push(census.3 as f64);
+    let mut f = vec![
+        f64::from_bits(window),
+        f64::from_bits(gen),
+        f64::from_bits(flags),
+        r.continuity.last().copied().unwrap_or(0.0),
+        r.patch_mismatch.last().copied().unwrap_or(0.0),
+    ];
+    f.extend([census.0, census.1, census.2, census.3].map(|c| c as f64));
     f
 }
 
-/// Build a `[window, master, resume, held, gen]` control frame.
-fn ctrl_frame(w: u64, master: usize, resume: bool, held: bool, gen: u64) -> [f64; 5] {
-    [
-        f64::from_bits(w),
-        f64::from_bits(master as u64),
-        if resume { 1.0 } else { 0.0 },
-        if held { 1.0 } else { 0.0 },
-        f64::from_bits(gen),
-    ]
+/// A control frame, driver → replica: `[window, master, resume, held,
+/// gen]`. `resume` orders the addressed master to restore and re-exchange
+/// `window`; `held` says the driver consumed `window` as hold-last-value.
+struct Ctrl {
+    window: u64,
+    master: usize,
+    resume: bool,
+    held: bool,
+    gen: u64,
+}
+
+impl Ctrl {
+    fn encode(window: u64, master: usize, resume: bool, held: bool, gen: u64) -> [f64; 5] {
+        [
+            f64::from_bits(window),
+            f64::from_bits(master as u64),
+            f64::from(u8::from(resume)),
+            f64::from(u8::from(held)),
+            f64::from_bits(gen),
+        ]
+    }
+
+    fn decode(frame: &[f64]) -> Self {
+        Self {
+            window: frame[0].to_bits(),
+            master: frame[1].to_bits() as usize,
+            resume: frame[2] != 0.0,
+            held: frame[3] != 0.0,
+            gen: frame[4].to_bits(),
+        }
+    }
 }
 
 /// Poll the liveness view until world-rank `rank` is alive under an
@@ -392,371 +412,261 @@ fn wait_resurrect(world: &Comm, rank: usize, after: u64, grace: Duration) -> Opt
     }
 }
 
-/// The driver: consume one status frame per exchange window from the
-/// active master, applying the hold → restart → failover ladder on
-/// misses.
-fn drive(world: &Comm, cfg: &FailoverConfig, make: &dyn Fn() -> NektarG) -> DriverOutcome {
-    // One construction just to read the exchange schedule.
-    let progression = make().progression;
-    let windows = progression.num_exchanges(cfg.total_ns_steps) as u64;
-    let mut master: usize = 0;
-    let mut gen: u64 = 0;
-    let mut trace: Vec<Vec<f64>> = Vec::with_capacity(windows as usize);
-    let mut events = Vec::new();
-    let mut time_to_recover = None;
-    let mut consecutive_misses = 0u32;
-    let mut error: Option<FailoverError> = None;
-    // The incarnation this driver last acknowledged per replica. A
-    // replica whose *current* incarnation is ahead of this died and
-    // rejoined without us noticing — its new process is blocked waiting
-    // for a control frame, so a missed window must route to the restart
-    // rung, not to transient hold.
-    let mut last_inc: Vec<u64> = {
-        let view = world.liveness();
-        (0..cfg.n_replicas)
-            .map(|r| view.incarnations[1 + r])
-            .collect()
-    };
-
-    // Receive the frame for window `w` at generation `gen` from `replica`,
-    // skipping stale retransmissions of earlier windows or generations.
-    // Returns the frame's flags word and its physics values.
-    let await_window = |replica: usize, w: u64, gen: u64, deadline: Duration| loop {
-        match world.recv_deadline::<f64>(1 + replica, status_tag(replica), deadline) {
-            Ok(frame) => {
-                let (sw, sgen) = (frame[0].to_bits(), frame[1].to_bits());
-                if sw < w || sgen < gen {
-                    continue; // stale window or pre-recovery generation
-                }
-                assert_eq!((sw, sgen), (w, gen), "master ahead of driver");
-                return Ok((frame[2].to_bits(), frame[3..].to_vec()));
-            }
-            Err(e) => return Err(e),
-        }
-    };
-
-    'windows: for w in 1..=windows {
-        match await_window(master, w, gen, cfg.status_deadline) {
-            Ok((_flags, values)) => {
-                consecutive_misses = 0;
-                trace.push(values);
-                let ctrl = ctrl_frame(w, master, false, false, gen);
-                for r in 0..cfg.n_replicas {
-                    if world.is_alive(1 + r) {
-                        world.send(&ctrl, 1 + r, ctrl_tag(r));
-                    }
-                }
-            }
-            Err(err) => {
-                // Degradation rung 1: hold the previous window's values.
-                consecutive_misses += 1;
-                let held = trace
-                    .last()
-                    .cloned()
-                    .unwrap_or_else(|| vec![0.0; TRACE_WIDTH]);
-                trace.push(held);
-                events.push(DegradationEvent::HeldLastValue { window: w });
-                let view = world.liveness();
-                let rejoined_unnoticed = view.incarnations[1 + master] > last_inc[master];
-                let master_dead =
-                    matches!(err, RecvError::PeerDead { .. }) || !view.alive[1 + master];
-                if !master_dead && !rejoined_unnoticed && consecutive_misses < 2 {
-                    // Transient lateness: degrade for this one τ window and
-                    // move on; the late frame will be skipped as stale.
-                    let ctrl = ctrl_frame(w, master, false, true, gen);
-                    for r in 0..cfg.n_replicas {
-                        if world.is_alive(1 + r) {
-                            world.send(&ctrl, 1 + r, ctrl_tag(r));
-                        }
-                    }
-                    continue;
-                }
-                // Degradation rung 2: restart in place. Under supervision
-                // the dead master is being respawned; wait for the new
-                // incarnation to rejoin and order it to resume itself.
-                if let Some(grace) = cfg.restart_grace {
-                    let resurrected = if rejoined_unnoticed {
-                        Some(view.incarnations[1 + master])
-                    } else {
-                        wait_resurrect(world, 1 + master, last_inc[master], grace)
-                    };
-                    if let Some(new_inc) = resurrected {
-                        last_inc[master] = new_inc;
-                        let recover_started = Instant::now();
-                        gen += 1;
-                        consecutive_misses = 0;
-                        events.push(DegradationEvent::RestartInPlace {
-                            window: w,
-                            replica: master as u64,
-                            incarnation: new_inc,
-                        });
-                        for r in 0..cfg.n_replicas {
-                            if world.is_alive(1 + r) {
-                                let ctrl = ctrl_frame(w, master, r == master, true, gen);
-                                world.send(&ctrl, 1 + r, ctrl_tag(r));
-                            }
-                        }
-                        match await_window(master, w, gen, cfg.ctrl_deadline) {
-                            Ok((flags, values)) => {
-                                if flags & FLAG_CKPT_FALLBACK != 0 {
-                                    events.push(DegradationEvent::CorruptSnapshotFallback {
-                                        window: w,
-                                        replica: master as u64,
-                                    });
-                                }
-                                // Exact again: overwrite the held entry.
-                                *trace.last_mut().unwrap() = values;
-                                events.push(DegradationEvent::Recovered { window: w });
-                                time_to_recover.get_or_insert_with(|| recover_started.elapsed());
-                                let ack = ctrl_frame(w, master, false, false, gen);
-                                world.send(&ack, 1 + master, ctrl_tag(master));
-                                continue 'windows;
-                            }
-                            Err(_) => {
-                                // The resurrected master never re-exchanged
-                                // (died again, or its replay stalled). Fall
-                                // through to promotion.
-                            }
-                        }
-                    }
-                }
-                // Degradation rung 3: failover to the lowest live replica.
-                let recover_started = Instant::now();
-                let liveness = world.liveness();
-                let promoted = (0..cfg.n_replicas).find(|&r| r != master && liveness.alive[1 + r]);
-                let Some(promoted) = promoted else {
-                    error = Some(FailoverError::RunLost {
-                        window: w,
-                        master: master as u64,
-                        detail: format!("no resurrection and no live replica remains ({err})"),
-                    });
-                    break 'windows;
-                };
-                let from = master;
-                master = promoted;
-                gen += 1;
-                consecutive_misses = 0;
-                events.push(DegradationEvent::Failover {
-                    window: w,
-                    from: from as u64,
-                    to: master as u64,
-                });
-                for r in 0..cfg.n_replicas {
-                    if world.is_alive(1 + r) {
-                        let ctrl = ctrl_frame(w, master, r == master, true, gen);
-                        world.send(&ctrl, 1 + r, ctrl_tag(r));
-                    }
-                }
-                // Await the promoted replica's re-exchange of window `w`.
-                // The ctrl deadline applies: resuming includes a restore
-                // plus a window re-run, which dwarfs a status round-trip.
-                match await_window(master, w, gen, cfg.ctrl_deadline) {
-                    Ok((flags, values)) => {
-                        if flags & FLAG_CKPT_FALLBACK != 0 {
-                            events.push(DegradationEvent::CorruptSnapshotFallback {
-                                window: w,
-                                replica: master as u64,
-                            });
-                        }
-                        // Exact again: overwrite the held entry.
-                        *trace.last_mut().unwrap() = values;
-                        events.push(DegradationEvent::Recovered { window: w });
-                        time_to_recover.get_or_insert_with(|| recover_started.elapsed());
-                        let ack = ctrl_frame(w, master, false, false, gen);
-                        world.send(&ack, 1 + master, ctrl_tag(master));
-                    }
-                    Err(e) => {
-                        error = Some(FailoverError::RunLost {
-                            window: w,
-                            master: master as u64,
-                            detail: format!("promoted replica never re-exchanged: {e}"),
-                        });
-                        break 'windows;
-                    }
-                }
-            }
-        }
-    }
-    if error.is_some() {
-        // Lost run: pad the trace with the last held values so consumers
-        // keep their windows-long length invariant.
-        let held = trace
-            .last()
-            .cloned()
-            .unwrap_or_else(|| vec![0.0; TRACE_WIDTH]);
-        while (trace.len() as u64) < windows {
-            trace.push(held.clone());
-        }
-    }
-    DriverOutcome {
-        trace,
-        events,
-        active_master: master,
-        time_to_recover,
-        error,
-    }
-}
-
-/// Per-flow driver state of a sharded run.
-struct FlowState {
+/// The driver's side of one flow: a master that owes one status frame per
+/// exchange window, and the ladder applied when it does not pay. A flow is
+/// "replicated" or "sharded" only by who listens, and so may take over.
+struct Flow {
+    master: usize,
+    /// Replicas that follow this flow: they get every control frame of it,
+    /// hold its state and so may be promoted. All of a replicated run; the
+    /// shard alone — nobody but the master — in a sharded one.
+    listeners: Vec<usize>,
+    /// How long a dead master's supervised respawn may take to rejoin;
+    /// `None` switches the restart rung off.
+    grace: Option<Duration>,
+    /// Recovery generation: every restart or promotion bumps it, so
+    /// pre-recovery frames can be told from the re-exchange.
     gen: u64,
+    /// Consecutive missed windows.
     misses: u32,
-    last_inc: u64,
+    /// The incarnation this driver last acknowledged, per replica. A
+    /// master whose *current* incarnation is ahead of it died and rejoined
+    /// unnoticed — its new process is blocked on a control frame, so a
+    /// missed window must route to the restart rung, not to transient hold.
+    last_inc: Vec<u64>,
     trace: Vec<Vec<f64>>,
     events: Vec<DegradationEvent>,
     time_to_recover: Option<Duration>,
     error: Option<FailoverError>,
 }
 
-/// The sharded driver: each of the `cfg.n_replicas` flows has exactly one
-/// master (shard `s` on rank `1 + s`) and its own generation counter,
-/// trace and event log. The recovery ladder per flow is hold →
-/// restart-in-place → lost; flows are independent, so one lost flow never
-/// takes the run down.
+impl Flow {
+    fn new(world: &Comm, master: usize, listeners: Vec<usize>, grace: Option<Duration>) -> Self {
+        Self {
+            master,
+            listeners,
+            grace,
+            gen: 0,
+            misses: 0,
+            last_inc: world.liveness().incarnations[1..].to_vec(),
+            trace: Vec::new(),
+            events: Vec::new(),
+            time_to_recover: None,
+            error: None,
+        }
+    }
+
+    /// The master's frame for window `w` at the current generation, past
+    /// any stale retransmission: its flags word and physics values.
+    fn await_window(
+        &self,
+        world: &Comm,
+        w: u64,
+        deadline: Duration,
+    ) -> Result<(u64, Vec<f64>), RecvError> {
+        let m = self.master;
+        loop {
+            let frame = world.recv_deadline::<f64>(1 + m, status_tag(m), deadline)?;
+            let (fw, fgen) = (frame[0].to_bits(), frame[1].to_bits());
+            if fw < w || fgen < self.gen {
+                continue; // stale window or pre-recovery generation
+            }
+            assert_eq!((fw, fgen), (w, self.gen), "master ahead of driver");
+            return Ok((frame[2].to_bits(), frame[3..].to_vec()));
+        }
+    }
+
+    fn ctrl(&self, w: u64, resume: bool, held: bool) -> [f64; 5] {
+        Ctrl::encode(w, self.master, resume, held, self.gen)
+    }
+
+    /// Send window `w`'s verdict to every live listener; `resume` is
+    /// addressed to the master alone.
+    fn tell(&self, world: &Comm, w: u64, resume: bool, held: bool) {
+        for &r in self.listeners.iter().filter(|&&r| world.is_alive(1 + r)) {
+            let ctrl = self.ctrl(w, resume && r == self.master, held);
+            world.send(&ctrl, 1 + r, ctrl_tag(r));
+        }
+    }
+
+    /// Hold-last-value: repeat the previous window's entry.
+    fn hold(&mut self) {
+        let last = self.trace.last().cloned();
+        self.trace
+            .push(last.unwrap_or_else(|| vec![0.0; TRACE_WIDTH]));
+    }
+
+    /// Order the current master to resume and re-exchange the held window
+    /// `w`; when its frame lands, overwrite the held entry — the trace is
+    /// exact again — and acknowledge. The ctrl deadline applies: a restore
+    /// plus a window re-run dwarfs a status round-trip.
+    fn recover(&mut self, world: &Comm, cfg: &FailoverConfig, w: u64) -> Result<(), RecvError> {
+        let started = Instant::now();
+        let m = self.master;
+        self.gen += 1;
+        self.misses = 0;
+        self.tell(world, w, true, true);
+        let (flags, values) = self.await_window(world, w, cfg.ctrl_deadline)?;
+        if flags & FLAG_CKPT_FALLBACK != 0 {
+            let replica = m as u64;
+            self.events
+                .push(DegradationEvent::CorruptSnapshotFallback { window: w, replica });
+        }
+        *self.trace.last_mut().expect("held entry") = values;
+        self.events.push(DegradationEvent::Recovered { window: w });
+        self.time_to_recover
+            .get_or_insert_with(|| started.elapsed());
+        world.send(&self.ctrl(w, false, false), 1 + m, ctrl_tag(m));
+        Ok(())
+    }
+
+    /// Consume window `w`: the master's frame if it arrives in time, else
+    /// the ladder — hold the last value; wait for a supervised respawn and
+    /// restart it in place; promote the lowest live standby; lost. A lost
+    /// flow keeps padding its trace with the last held values, so
+    /// consumers keep their windows-long length invariant.
+    fn advance(&mut self, world: &Comm, cfg: &FailoverConfig, w: u64) {
+        if self.error.is_some() {
+            return self.hold();
+        }
+        let err = match self.await_window(world, w, cfg.status_deadline) {
+            Ok((_flags, values)) => {
+                self.misses = 0;
+                self.trace.push(values);
+                return self.tell(world, w, false, false);
+            }
+            Err(err) => err,
+        };
+        // Rung 1: hold the previous window's values.
+        self.misses += 1;
+        self.hold();
+        self.events
+            .push(DegradationEvent::HeldLastValue { window: w });
+        let m = self.master;
+        let view = world.liveness();
+        let rejoined_unnoticed = view.incarnations[1 + m] > self.last_inc[m];
+        let dead = matches!(err, RecvError::PeerDead { .. }) || !view.alive[1 + m];
+        if !dead && !rejoined_unnoticed && self.misses < 2 {
+            // Transient lateness: degrade for this one τ window and move
+            // on; the late frame will be skipped as stale.
+            return self.tell(world, w, false, true);
+        }
+        let mut cause = err.to_string();
+        // Rung 2: restart in place. Under supervision the dead master is
+        // being respawned; wait for the new incarnation to rejoin and
+        // order it to resume itself.
+        let resurrected = self.grace.and_then(|grace| {
+            if rejoined_unnoticed {
+                Some(view.incarnations[1 + m])
+            } else {
+                wait_resurrect(world, 1 + m, self.last_inc[m], grace)
+            }
+        });
+        if let Some(incarnation) = resurrected {
+            self.last_inc[m] = incarnation;
+            self.events.push(DegradationEvent::RestartInPlace {
+                window: w,
+                replica: m as u64,
+                incarnation,
+            });
+            match self.recover(world, cfg, w) {
+                Ok(()) => return,
+                // It died again, or its replay stalled: next rung.
+                Err(e) => cause = format!("restarted master never re-exchanged: {e}"),
+            }
+        }
+        // Rung 3: fail over to the lowest live standby.
+        let view = world.liveness();
+        let promoted = (self.listeners.iter().copied()).find(|&r| r != m && view.alive[1 + r]);
+        let Some(promoted) = promoted else {
+            let detail = format!("no resurrection and no live standby remains ({cause})");
+            return self.lose(w, detail);
+        };
+        self.master = promoted;
+        self.events.push(DegradationEvent::Failover {
+            window: w,
+            from: m as u64,
+            to: promoted as u64,
+        });
+        if let Err(e) = self.recover(world, cfg, w) {
+            self.lose(w, format!("promoted replica never re-exchanged: {e}"));
+        }
+    }
+
+    /// The ladder bottomed out at window `w`.
+    fn lose(&mut self, window: u64, detail: String) {
+        let master = self.master as u64;
+        self.error = Some(FailoverError::RunLost {
+            window,
+            master,
+            detail,
+        });
+    }
+
+    fn outcome(self) -> DriverOutcome {
+        DriverOutcome {
+            trace: self.trace,
+            events: self.events,
+            active_master: self.master,
+            time_to_recover: self.time_to_recover,
+            error: self.error,
+        }
+    }
+}
+
+/// The replicated driver: one flow that every replica listens to and any
+/// replica may take over. The restart rung is on only under a configured
+/// grace (`None` = the PR-3 ladder: hold → promote → lost).
+fn drive(world: &Comm, cfg: &FailoverConfig, make: &dyn Fn() -> NektarG) -> DriverOutcome {
+    // One construction just to read the exchange schedule.
+    let windows = make().progression.num_exchanges(cfg.total_ns_steps) as u64;
+    let all = (0..cfg.n_replicas).collect();
+    let mut flow = Flow::new(world, 0, all, cfg.restart_grace);
+    for w in 1..=windows {
+        flow.advance(world, cfg, w);
+    }
+    flow.outcome()
+}
+
+/// The sharded driver: `cfg.n_replicas` independent flows, shard `s` on
+/// rank `1 + s` the only listener of its own, so nobody stands by — per
+/// flow the ladder is hold → restart-in-place → lost, and one lost flow
+/// never takes the run down. The restart rung is always on; without a
+/// configured grace only a respawn that has already rejoined is taken.
 fn drive_sharded(
     world: &Comm,
     cfg: &FailoverConfig,
     make: &dyn Fn(usize) -> NektarG,
 ) -> Vec<DriverOutcome> {
-    let progression = make(0).progression;
-    let windows = progression.num_exchanges(cfg.total_ns_steps) as u64;
-    let n = cfg.n_replicas;
-    let mut flows: Vec<FlowState> = {
-        let view = world.liveness();
-        (0..n)
-            .map(|s| FlowState {
-                gen: 0,
-                misses: 0,
-                last_inc: view.incarnations[1 + s],
-                trace: Vec::with_capacity(windows as usize),
-                events: Vec::new(),
-                time_to_recover: None,
-                error: None,
-            })
-            .collect()
-    };
-
-    let await_window = |s: usize, w: u64, gen: u64, deadline: Duration| loop {
-        match world.recv_deadline::<f64>(1 + s, status_tag(s), deadline) {
-            Ok(frame) => {
-                let (sw, sgen) = (frame[0].to_bits(), frame[1].to_bits());
-                if sw < w || sgen < gen {
-                    continue; // stale window or pre-recovery generation
-                }
-                assert_eq!((sw, sgen), (w, gen), "shard ahead of driver");
-                return Ok((frame[2].to_bits(), frame[3..].to_vec()));
-            }
-            Err(e) => return Err(e),
-        }
-    };
-
+    let windows = make(0).progression.num_exchanges(cfg.total_ns_steps) as u64;
+    let grace = Some(cfg.restart_grace.unwrap_or(Duration::ZERO));
+    let mut flows: Vec<Flow> = (0..cfg.n_replicas)
+        .map(|s| Flow::new(world, s, vec![s], grace))
+        .collect();
     for w in 1..=windows {
-        for (s, flow) in flows.iter_mut().enumerate() {
-            if flow.error.is_some() {
-                // Lost flow: keep padding so every trace stays
-                // windows-long.
-                let held = flow
-                    .trace
-                    .last()
-                    .cloned()
-                    .unwrap_or_else(|| vec![0.0; TRACE_WIDTH]);
-                flow.trace.push(held);
-                continue;
-            }
-            match await_window(s, w, flow.gen, cfg.status_deadline) {
-                Ok((_flags, values)) => {
-                    flow.misses = 0;
-                    flow.trace.push(values);
-                    if world.is_alive(1 + s) {
-                        let ctrl = ctrl_frame(w, s, false, false, flow.gen);
-                        world.send(&ctrl, 1 + s, ctrl_tag(s));
-                    }
-                }
-                Err(err) => {
-                    flow.misses += 1;
-                    let held = flow
-                        .trace
-                        .last()
-                        .cloned()
-                        .unwrap_or_else(|| vec![0.0; TRACE_WIDTH]);
-                    flow.trace.push(held);
-                    flow.events
-                        .push(DegradationEvent::HeldLastValue { window: w });
-                    let view = world.liveness();
-                    let rejoined_unnoticed = view.incarnations[1 + s] > flow.last_inc;
-                    let dead = matches!(err, RecvError::PeerDead { .. }) || !view.alive[1 + s];
-                    if !dead && !rejoined_unnoticed && flow.misses < 2 {
-                        if world.is_alive(1 + s) {
-                            let ctrl = ctrl_frame(w, s, false, true, flow.gen);
-                            world.send(&ctrl, 1 + s, ctrl_tag(s));
-                        }
-                        continue;
-                    }
-                    // Restart in place — the only recovery rung: nobody
-                    // else holds this shard's state.
-                    let grace = cfg.restart_grace.unwrap_or(Duration::ZERO);
-                    let resurrected = if rejoined_unnoticed {
-                        Some(view.incarnations[1 + s])
-                    } else {
-                        wait_resurrect(world, 1 + s, flow.last_inc, grace)
-                    };
-                    let Some(new_inc) = resurrected else {
-                        flow.error = Some(FailoverError::RunLost {
-                            window: w,
-                            master: s as u64,
-                            detail: format!("shard dead and never resurrected ({err})"),
-                        });
-                        continue;
-                    };
-                    flow.last_inc = new_inc;
-                    let recover_started = Instant::now();
-                    flow.gen += 1;
-                    flow.misses = 0;
-                    flow.events.push(DegradationEvent::RestartInPlace {
-                        window: w,
-                        replica: s as u64,
-                        incarnation: new_inc,
-                    });
-                    let ctrl = ctrl_frame(w, s, true, true, flow.gen);
-                    world.send(&ctrl, 1 + s, ctrl_tag(s));
-                    match await_window(s, w, flow.gen, cfg.ctrl_deadline) {
-                        Ok((flags, values)) => {
-                            if flags & FLAG_CKPT_FALLBACK != 0 {
-                                flow.events.push(DegradationEvent::CorruptSnapshotFallback {
-                                    window: w,
-                                    replica: s as u64,
-                                });
-                            }
-                            *flow.trace.last_mut().unwrap() = values;
-                            flow.events.push(DegradationEvent::Recovered { window: w });
-                            flow.time_to_recover
-                                .get_or_insert_with(|| recover_started.elapsed());
-                            let ack = ctrl_frame(w, s, false, false, flow.gen);
-                            world.send(&ack, 1 + s, ctrl_tag(s));
-                        }
-                        Err(e) => {
-                            flow.error = Some(FailoverError::RunLost {
-                                window: w,
-                                master: s as u64,
-                                detail: format!("restarted shard never re-exchanged: {e}"),
-                            });
-                        }
-                    }
-                }
-            }
+        for flow in &mut flows {
+            flow.advance(world, cfg, w);
         }
     }
-    flows
-        .into_iter()
-        .enumerate()
-        .map(|(s, f)| DriverOutcome {
-            trace: f.trace,
-            events: f.events,
-            active_master: s,
-            time_to_recover: f.time_to_recover,
-            error: f.error,
-        })
-        .collect()
+    flows.into_iter().map(Flow::outcome).collect()
+}
+
+/// Restore the metasolver from the snapshot at `path` — the primary, or
+/// its `.prev` generation when the primary is damaged *or missing*: a rank
+/// killed inside `write_rotating`, after the primary was renamed to
+/// `.prev` and before the new one was committed, leaves only `.prev`.
+/// Returns the solver and `fell_back`: a snapshot existed but none could
+/// be restored, so the solver was rebuilt from scratch and will replay the
+/// whole history. Neither generation existing is not a fallback — that
+/// rank simply never checkpointed.
+fn resume_or_rebuild(make: &dyn Fn() -> NektarG, path: &Path) -> (NektarG, bool) {
+    if !path.exists() && !prev_path(path).exists() {
+        return (make(), false);
+    }
+    match NektarG::resume_latest(make, path) {
+        Ok((resumed, _)) => (resumed, false),
+        Err(_) => (make(), true),
+    }
 }
 
 /// One replica: advance the metasolver window by window, checkpointing to
@@ -775,69 +685,55 @@ fn replicate(
     let my_index = world.rank() - 1;
     let my_ckpt = rank_path(&cfg.ckpt_base, my_index);
     let policy = CheckpointPolicy::new(&my_ckpt, cfg.every_k_exchanges);
+    // The driver's next control frame for window `w` or later.
+    let await_ctrl = |w: u64| loop {
+        let frame = world
+            .recv_deadline::<f64>(0, ctrl_tag(my_index), cfg.ctrl_deadline)
+            .unwrap_or_else(|e| {
+                panic!(
+                    "replica {my_index} (incarnation {incarnation}): \
+                     no control frame for window {w}: {e}"
+                )
+            });
+        let ctrl = Ctrl::decode(&frame);
+        if ctrl.window >= w {
+            return ctrl; // earlier windows are stale
+        }
+    };
+    let flags = |fell_back: bool| if fell_back { FLAG_CKPT_FALLBACK } else { 0 };
     let mut master: usize = initial_master;
     let mut gen: u64 = 0;
     let mut start_w: u64 = 1;
     let mut ng;
     if incarnation > 0 {
         // Rejoin branch: this process is a supervised respawn of a dead
-        // rank. Resume from our own rank-scoped snapshot (falling back to
-        // a fresh deterministic rebuild if it is missing or corrupt),
-        // learn where the run is from the driver's next control frame,
-        // and replay forward to it.
-        let mut fallback = false;
-        ng = if my_ckpt.exists() {
-            match NektarG::resume_latest(make, &my_ckpt) {
-                Ok((resumed, _)) => resumed,
-                Err(_) => {
-                    fallback = true;
-                    make()
-                }
-            }
-        } else {
-            make()
-        };
-        let ctrl = world
-            .recv_deadline::<f64>(0, ctrl_tag(my_index), cfg.ctrl_deadline)
-            .unwrap_or_else(|e| {
-                panic!(
-                    "rejoined replica {my_index} (incarnation {incarnation}): \
-                     no control frame from driver: {e}"
-                )
-            });
-        let cw = ctrl[0].to_bits();
-        master = ctrl[1].to_bits() as usize;
-        let resume = ctrl[2] != 0.0;
-        let held = ctrl[3] != 0.0;
-        gen = ctrl[4].to_bits();
+        // rank. Resume from our own rank-scoped snapshot, learn where the
+        // run is from the driver's next control frame, and replay forward
+        // to it.
+        let (resumed, fell_back) = resume_or_rebuild(make, &my_ckpt);
+        ng = resumed;
+        let ctrl = await_ctrl(0);
+        let cw = ctrl.window;
+        master = ctrl.master;
+        gen = ctrl.gen;
         let target = (cw as usize * ng.progression.exchange_every).min(cfg.total_ns_steps);
         ng.run_to(target, Some(&policy), None)
             .expect("rejoin replay cannot fail");
         ng.report.rejoins.push(cw);
-        if fallback {
+        if fell_back {
             ng.report.snapshot_fallbacks.push(cw);
         }
-        if resume && my_index == master {
+        if ctrl.resume && my_index == master {
             // We are the restarted master: re-exchange the held window
             // and wait for the driver's acknowledgement.
-            if held {
+            if ctrl.held {
                 ng.report.held_exchanges.push(cw);
             }
-            let flags = if fallback { FLAG_CKPT_FALLBACK } else { 0 };
-            world.send(&status_frame(cw, gen, flags, &ng), 0, status_tag(my_index));
-            loop {
-                let ack = world
-                    .recv_deadline::<f64>(0, ctrl_tag(my_index), cfg.ctrl_deadline)
-                    .unwrap_or_else(|e| {
-                        panic!("rejoined replica {my_index}: no ack for window {cw}: {e}")
-                    });
-                if ack[0].to_bits() < cw {
-                    continue; // stale control frame
-                }
-                assert_eq!(ack[0].to_bits(), cw, "driver ahead of rejoined replica");
-                gen = ack[4].to_bits();
-                break;
-            }
+            let status = status_frame(cw, gen, flags(fell_back), &ng);
+            world.send(&status, 0, status_tag(my_index));
+            let ack = await_ctrl(cw);
+            assert_eq!(ack.window, cw, "driver ahead of rejoined replica");
+            gen = ack.gen;
         }
         start_w = cw + 1;
     } else {
@@ -858,63 +754,42 @@ fn replicate(
         // The window compute phase sends nothing; let peers see progress.
         world.heartbeat();
         if my_index == master {
-            world.send(&status_frame(w, gen, 0, &ng), 0, status_tag(my_index));
+            let status = status_frame(w, gen, 0, &ng);
+            world.send(&status, 0, status_tag(my_index));
         }
         // Await the driver's verdict for this window (twice when promoted:
         // once to order the resume, once to acknowledge the re-exchange).
         loop {
-            let ctrl = world
-                .recv_deadline::<f64>(0, ctrl_tag(my_index), cfg.ctrl_deadline)
-                .unwrap_or_else(|e| {
-                    panic!("replica {my_index}: no control frame for window {w}: {e}")
-                });
-            let cw = ctrl[0].to_bits();
-            if cw < w {
-                continue; // stale control frame
-            }
-            assert_eq!(cw, w, "driver ahead of replica");
-            let new_master = ctrl[1].to_bits() as usize;
-            let resume = ctrl[2] != 0.0;
-            let held = ctrl[3] != 0.0;
+            let ctrl = await_ctrl(w);
+            assert_eq!(ctrl.window, w, "driver ahead of replica");
             let old_master = master;
-            master = new_master;
-            gen = ctrl[4].to_bits();
-            if resume {
+            master = ctrl.master;
+            gen = ctrl.gen;
+            if ctrl.resume {
                 // Promoted: resume from the dead master's rank-scoped
                 // snapshot (its state at the top of the last checkpointed
-                // exchange boundary), falling back to a fresh deterministic
-                // rebuild if the master never checkpointed or its snapshot
-                // is corrupt. The fallback is reported to the driver via
-                // the status flags so the degradation is visible.
+                // exchange boundary). A fallback to a fresh rebuild is
+                // reported to the driver via the status flags so the
+                // degradation is visible.
                 let dead_ckpt = rank_path(&cfg.ckpt_base, old_master);
-                let mut fallback = false;
-                ng = if dead_ckpt.exists() {
-                    match NektarG::resume_latest(make, &dead_ckpt) {
-                        Ok((resumed, _)) => resumed,
-                        Err(_) => {
-                            fallback = true;
-                            make()
-                        }
-                    }
-                } else {
-                    make()
-                };
+                let (resumed, fell_back) = resume_or_rebuild(make, &dead_ckpt);
+                ng = resumed;
                 ng.run_to(target, Some(&policy), None)
                     .expect("promoted re-run cannot fail");
-                if held {
+                if ctrl.held {
                     ng.report.held_exchanges.push(w);
                 }
-                if fallback {
+                if fell_back {
                     ng.report.snapshot_fallbacks.push(w);
                 }
                 ng.report
                     .failovers
                     .push((w, old_master as u64, my_index as u64));
-                let flags = if fallback { FLAG_CKPT_FALLBACK } else { 0 };
-                world.send(&status_frame(w, gen, flags, &ng), 0, status_tag(my_index));
+                let status = status_frame(w, gen, flags(fell_back), &ng);
+                world.send(&status, 0, status_tag(my_index));
                 continue; // wait for the acknowledging control frame
             }
-            if held && my_index == master {
+            if ctrl.held && my_index == master {
                 // My window was consumed as hold-last-value (transient
                 // lateness, no failover).
                 ng.report.held_exchanges.push(w);
@@ -923,4 +798,43 @@ fn replicate(
         }
     }
     ng.report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenario::Scenario;
+
+    /// A rank killed between `rotate_previous` and the commit of the new
+    /// primary leaves only `.prev`: recovery restores it, un-flagged,
+    /// instead of rebuilding from scratch. Only snapshots that exist and
+    /// cannot be restored are a flagged fallback; none at all is a rank
+    /// that never checkpointed.
+    #[test]
+    fn a_missing_primary_recovers_from_prev() {
+        let dir = std::env::temp_dir().join(format!("nkg_failover_unit_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("rank.nkgc");
+        let small = Scenario::small();
+        let make = move || small.build();
+        let recover = || {
+            let (ng, fell_back) = resume_or_rebuild(&make, &path);
+            (ng.report.ns_steps, fell_back)
+        };
+        // Primary at step 8, `.prev` at step 4.
+        let mut ng = make();
+        for _ in 0..2 {
+            ng.run(4);
+            ng.checkpoint_rotating(&path).unwrap();
+        }
+        assert_eq!(recover(), (8, false));
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(recover(), (4, false), "`.prev` alone must restore");
+        std::fs::write(prev_path(&path), b"not a snapshot").unwrap();
+        assert_eq!(recover(), (0, true), "damage is a flagged rebuild");
+        std::fs::remove_file(prev_path(&path)).unwrap();
+        assert_eq!(recover(), (0, false), "never checkpointed: fresh");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -29,6 +29,8 @@
 //! * [`metasolver`] — the top-level [`metasolver::NektarG`] facade driving
 //!   a multipatch continuum domain with an embedded atomistic domain and
 //!   platelet aggregation through the full time progression;
+//! * [`scenario`] — one declarative [`Scenario`] of such a run and the one
+//!   constructor that assembles it;
 //! * [`failover`] — replicated execution of the metasolver with
 //!   hold-last-value degradation and master → slave failover over the MCI
 //!   fault-tolerant runtime (DESIGN.md §11).
@@ -42,6 +44,7 @@ pub mod multipatch;
 pub mod oned_coupling;
 pub mod progression;
 pub mod scaling;
+pub mod scenario;
 
 pub use ensemble::{
     admission_order, field_hash, Ensemble, JobFailure, JobOps, JobReport, JobResult, JobSpec,
@@ -50,3 +53,4 @@ pub use ensemble::{
 pub use metasolver::NektarG;
 pub use progression::TimeProgression;
 pub use scaling::UnitScaling;
+pub use scenario::Scenario;

@@ -44,8 +44,8 @@ use std::time::Instant;
 /// state and [`RunReport`] physics; `Serial` is the reference ordering.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ExecutionPolicy {
-    /// The reference interleaving: one continuum step, then its DPD
-    /// substeps, repeated.
+    /// The reference ordering: each window's continuum steps, then its
+    /// DPD steps, on the caller's thread.
     #[default]
     Serial,
     /// Run each inter-exchange window's continuum and atomistic tasks
@@ -730,15 +730,12 @@ impl NektarG {
             // The window: every continuum step up to (exclusive) the next
             // exchange boundary or the target. Within it the two solvers
             // only depend on the exchange that just fired, so the window
-            // may run interleaved (serial) or concurrently (overlapped).
+            // may run back to back (serial) or concurrently (overlapped).
             let mut wend = step + 1;
             while wend < target_ns_step && !self.progression.exchange_at(wend) {
                 wend += 1;
             }
-            let (continuum_s, atomistic_s) = match self.policy {
-                ExecutionPolicy::Serial => self.run_window_serial(wend - step),
-                ExecutionPolicy::Overlapped => self.run_window_overlapped(wend - step),
-            };
+            let (continuum_s, atomistic_s) = self.run_window(wend - step);
             self.report.push_window_timing(WindowTiming {
                 continuum_s,
                 atomistic_s,
@@ -749,93 +746,79 @@ impl NektarG {
         Ok(())
     }
 
-    /// The reference window ordering: per continuum step, the NS step and
-    /// then its DPD substeps (with WPOD co-processing), interleaved.
-    fn run_window_serial(&mut self, n: usize) -> (f64, f64) {
-        let (mut continuum_s, mut atomistic_s) = (0.0, 0.0);
-        for _ in 0..n {
-            let step = self.report.ns_steps;
-            let t0 = Instant::now();
-            self.continuum.step();
-            continuum_s += t0.elapsed().as_secs_f64();
-            let solve = self.continuum.last_step_stats();
-            self.report.push_step_telemetry(&solve, step as u64);
-            self.report.ns_steps += 1;
-            let t1 = Instant::now();
-            for _ in 0..self.progression.substeps {
-                self.atomistic.sim.step();
-                self.report.dpd_steps += 1;
-                if let Some((sampler, wpod)) = &mut self.wpod {
-                    if let Some(snap) = sampler.accumulate(&self.atomistic.sim) {
-                        if let Some(res) = wpod.push(snap) {
-                            self.report.wpod_windows += 1;
-                            self.last_wpod = Some(res);
-                        }
-                    }
-                }
-            }
-            atomistic_s += t1.elapsed().as_secs_f64();
-        }
-        (continuum_s, atomistic_s)
-    }
-
-    /// The overlapped window: the continuum task (n NS steps) runs on a
-    /// scoped thread while the atomistic task (n·substeps DPD steps plus
-    /// WPOD) runs on the caller's thread; both join before the next
-    /// exchange. Neither task reads what the other writes until the join,
-    /// so the state after the window — and the telemetry pushed into the
-    /// report — is bitwise identical to [`Self::run_window_serial`].
-    fn run_window_overlapped(&mut self, n: usize) -> (f64, f64) {
+    /// One inter-exchange window of `n` continuum steps. The continuum
+    /// task (n NS steps) and the atomistic task (n·substeps DPD steps plus
+    /// WPOD) read nothing the other writes until the next exchange, so
+    /// they are written once and only scheduled differently: `Serial`
+    /// runs them back to back on the caller's thread, `Overlapped` runs
+    /// the continuum task on a scoped thread and joins before returning.
+    /// State and the telemetry pushed into the report are bitwise
+    /// identical either way. Returns each task's wall time.
+    ///
+    /// `Serial` is therefore no step-interleaved reference any more: a
+    /// future dependency inside a window (say the atomistic side reading
+    /// the continuum mid-window) must bring its own interleaved test.
+    fn run_window(&mut self, n: usize) -> (f64, f64) {
         let base_step = self.report.ns_steps;
-        let substeps = self.progression.substeps;
-        // The vendored rayon pool override is thread-local: capture the
-        // caller's effective pool width and re-install it inside the
-        // spawned task so `ThreadPool::install(..)` callers keep control
-        // of the per-patch fan-out.
-        let nt = rayon::current_num_threads();
+        let dpd_steps = n * self.progression.substeps;
         let Self {
             continuum,
             atomistic,
             wpod,
             last_wpod,
             report,
+            policy,
             ..
         } = self;
-        let mut atomistic_s = 0.0;
-        let (continuum_s, stats) = std::thread::scope(|scope| {
-            let cont = scope.spawn(move || {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(nt)
-                    .build()
-                    .expect("thread pool");
-                pool.install(|| {
-                    let t0 = Instant::now();
-                    let mut stats = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        continuum.step();
-                        stats.push(continuum.last_step_stats());
-                    }
-                    (t0.elapsed().as_secs_f64(), stats)
-                })
-            });
-            let t1 = Instant::now();
+        let mut continuum_task = move || {
+            let t0 = Instant::now();
+            let mut stats = Vec::with_capacity(n);
             for _ in 0..n {
-                for _ in 0..substeps {
-                    atomistic.sim.step();
-                    report.dpd_steps += 1;
-                    if let Some((sampler, wpod)) = wpod.as_mut() {
-                        if let Some(snap) = sampler.accumulate(&atomistic.sim) {
-                            if let Some(res) = wpod.push(snap) {
-                                report.wpod_windows += 1;
-                                *last_wpod = Some(res);
-                            }
+                continuum.step();
+                stats.push(continuum.last_step_stats());
+            }
+            (t0.elapsed().as_secs_f64(), stats)
+        };
+        let mut atomistic_task = || {
+            let t0 = Instant::now();
+            for _ in 0..dpd_steps {
+                atomistic.sim.step();
+                report.dpd_steps += 1;
+                if let Some((sampler, wpod)) = wpod.as_mut() {
+                    if let Some(snap) = sampler.accumulate(&atomistic.sim) {
+                        if let Some(res) = wpod.push(snap) {
+                            report.wpod_windows += 1;
+                            *last_wpod = Some(res);
                         }
                     }
                 }
             }
-            atomistic_s = t1.elapsed().as_secs_f64();
-            cont.join().expect("continuum window task panicked")
-        });
+            t0.elapsed().as_secs_f64()
+        };
+        let ((continuum_s, stats), atomistic_s) = match policy {
+            ExecutionPolicy::Serial => (continuum_task(), atomistic_task()),
+            ExecutionPolicy::Overlapped => {
+                // The vendored rayon pool override is thread-local:
+                // capture the caller's effective pool width and re-install
+                // it inside the spawned task so `ThreadPool::install(..)`
+                // callers keep control of the per-patch fan-out.
+                let nt = rayon::current_num_threads();
+                std::thread::scope(|scope| {
+                    let cont = scope.spawn(move || {
+                        let pool = rayon::ThreadPoolBuilder::new()
+                            .num_threads(nt)
+                            .build()
+                            .expect("thread pool");
+                        pool.install(continuum_task)
+                    });
+                    let atomistic_s = atomistic_task();
+                    (
+                        cont.join().expect("continuum window task panicked"),
+                        atomistic_s,
+                    )
+                })
+            }
+        };
         for (i, solve) in stats.iter().enumerate() {
             report.push_step_telemetry(solve, (base_step + i) as u64);
         }
@@ -961,36 +944,10 @@ impl NektarG {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::atomistic::Embedding;
-    use crate::multipatch::poiseuille_multipatch;
-    use crate::scaling::UnitScaling;
-    use nkg_dpd::inflow::OpenBoundaryX;
-    use nkg_dpd::sim::{DpdConfig, DpdSim, WallGeometry};
-    use nkg_dpd::Box3;
+    use crate::scenario::Scenario;
 
     fn small_metasolver() -> NektarG {
-        let mp = poiseuille_multipatch(6.0, 1.0, 12, 2, 2, 3, 0.5, 0.4, 5e-3);
-        let cfg = DpdConfig {
-            seed: 31,
-            ..Default::default()
-        };
-        let bx = Box3::new([0.0; 3], [6.0, 6.0, 3.0], [false, false, true]);
-        let mut sim = DpdSim::new(cfg, bx, WallGeometry::SlabY);
-        sim.fill_solvent();
-        let mut ob = OpenBoundaryX::new(3, 1, 3.0, 1.0, [0.0; 3], 0);
-        ob.target_count = Some(sim.particles.len());
-        sim.set_open_x(ob);
-        let embedding = Embedding {
-            origin_ns: [2.5, 0.35],
-            scaling: UnitScaling {
-                unit_ns: 1.0,
-                unit_dpd: 0.05,
-                nu_ns: 0.5,
-                nu_dpd: 0.85,
-            },
-        };
-        let atom = AtomisticDomain::new(sim, embedding);
-        NektarG::new(mp, atom, TimeProgression::new(5, 4))
+        Scenario::small().build()
     }
 
     fn ckpt_dir() -> std::path::PathBuf {

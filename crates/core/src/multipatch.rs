@@ -48,10 +48,6 @@ pub struct Multipatch2d {
     vel_interp: Vec<Arc<InterpTable>>,
     /// Per patch: precomputed interpolation rows for `p_links`.
     p_interp: Vec<Arc<InterpTable>>,
-    /// Whether interface evaluations use the precomputed tables (bitwise
-    /// identical to the historical element scan; off = the scan, kept as
-    /// the benchmark baseline).
-    pub use_interp_tables: bool,
     /// Fan donor evaluation and patch stepping out over per-patch tasks.
     /// Overrides are computed from pre-exchange state and each patch's
     /// step touches only its own fields, so the fan-out is bitwise
@@ -161,35 +157,25 @@ impl Multipatch2d {
             p_links,
             vel_interp,
             p_interp,
-            use_interp_tables: true,
             parallel: false,
             extra_p_overrides: extra,
         }
     }
 
-    /// Evaluate the donor field for link entry `q` of a link list of patch
-    /// `pi`: the precomputed table dot product by default, the historical
-    /// element scan when tables are disabled. Both paths are bitwise
-    /// identical (see `nkg_sem::interp`).
+    /// Evaluate the donor field for link entry `q` of a link list: the
+    /// precomputed table row against the donor's space, bitwise what
+    /// `Space2d::eval_at` gives at the receiving DoF's coordinates.
     fn eval_link(
         &self,
-        pi: usize,
         links: &[(usize, usize)],
         table: &InterpTable,
         q: usize,
         field: impl Fn(&NsSolver2d) -> &[f64],
     ) -> f64 {
-        let (dof, donor) = links[q];
-        let dsp = &self.patches[donor].space;
-        if self.use_interp_tables {
-            table
-                .eval(dsp, field(&self.patches[donor]), q)
-                .expect("interface DoF outside donor patch")
-        } else {
-            let [x, y] = self.patches[pi].space.coords[dof];
-            dsp.eval_at(field(&self.patches[donor]), x, y)
-                .expect("interface DoF outside donor patch")
-        }
+        let donor = &self.patches[links[q].1];
+        table
+            .eval(&donor.space, field(donor), q)
+            .expect("interface DoF outside donor patch")
     }
 
     /// Number of patches.
@@ -209,12 +195,12 @@ impl Multipatch2d {
             let mut vo = HashMap::with_capacity(self.vel_links[pi].len());
             let mut po = HashMap::with_capacity(self.p_links[pi].len());
             for (q, &(dof, _)) in self.vel_links[pi].iter().enumerate() {
-                let u = self.eval_link(pi, &self.vel_links[pi], &self.vel_interp[pi], q, |s| &s.u);
-                let v = self.eval_link(pi, &self.vel_links[pi], &self.vel_interp[pi], q, |s| &s.v);
+                let u = self.eval_link(&self.vel_links[pi], &self.vel_interp[pi], q, |s| &s.u);
+                let v = self.eval_link(&self.vel_links[pi], &self.vel_interp[pi], q, |s| &s.v);
                 vo.insert(dof, (u, v));
             }
             for (q, &(dof, _)) in self.p_links[pi].iter().enumerate() {
-                let p = self.eval_link(pi, &self.p_links[pi], &self.p_interp[pi], q, |s| &s.p);
+                let p = self.eval_link(&self.p_links[pi], &self.p_interp[pi], q, |s| &s.p);
                 po.insert(dof, p);
             }
             (vo, po)
@@ -278,8 +264,8 @@ impl Multipatch2d {
                 (&self.p_links[pi], &self.p_interp[pi]),
             ] {
                 for (q, &(dof, _)) in links.iter().enumerate() {
-                    let du = self.eval_link(pi, links, table, q, |s| &s.u);
-                    let dv = self.eval_link(pi, links, table, q, |s| &s.v);
+                    let du = self.eval_link(links, table, q, |s| &s.u);
+                    let dv = self.eval_link(links, table, q, |s| &s.v);
                     sum += (self.patches[pi].u[dof] - du).powi(2)
                         + (self.patches[pi].v[dof] - dv).powi(2);
                     count += 2;
@@ -500,29 +486,35 @@ mod tests {
     }
 
     /// Interface evaluation through the precomputed tables must reproduce
-    /// the historical element-scan path bitwise, step after step.
+    /// the definition — `Space2d::eval_at` on the donor at the receiving
+    /// DoF's coordinates (element scan, fresh Lagrange weights) — bitwise,
+    /// on a moving solution.
     #[test]
-    fn interp_tables_match_scan_bitwise() {
-        let mut tabled = poiseuille_multipatch(6.0, 1.0, 12, 2, 3, 4, 0.5, 0.4, 5e-3);
-        let mut scanned = poiseuille_multipatch(6.0, 1.0, 12, 2, 3, 4, 0.5, 0.4, 5e-3);
-        assert!(tabled.use_interp_tables);
-        scanned.use_interp_tables = false;
-        for _ in 0..30 {
-            tabled.step();
-            scanned.step();
-        }
-        assert_eq!(
-            tabled.interface_mismatch().to_bits(),
-            scanned.interface_mismatch().to_bits(),
-            "mismatch metric diverged between tables and scan"
-        );
-        for (a, b) in tabled.patches.iter().zip(&scanned.patches) {
-            for (x, y) in a.u.iter().zip(&b.u) {
-                assert_eq!(x.to_bits(), y.to_bits(), "u diverged: tables vs scan");
+    fn interp_tables_match_eval_at_bitwise() {
+        let mut mp = poiseuille_multipatch(6.0, 1.0, 12, 2, 3, 4, 0.5, 0.4, 5e-3);
+        for _ in 0..3 {
+            for _ in 0..10 {
+                mp.step();
             }
-            for (x, y) in a.p.iter().zip(&b.p) {
-                assert_eq!(x.to_bits(), y.to_bits(), "p diverged: tables vs scan");
+            let mut checked = 0;
+            for pi in 0..mp.num_patches() {
+                for (links, table) in [
+                    (&mp.vel_links[pi], &mp.vel_interp[pi]),
+                    (&mp.p_links[pi], &mp.p_interp[pi]),
+                ] {
+                    for (q, &(dof, donor)) in links.iter().enumerate() {
+                        let [x, y] = mp.patches[pi].space.coords[dof];
+                        let d = &mp.patches[donor];
+                        for field in [&d.u, &d.v, &d.p] {
+                            let scan = d.space.eval_at(field, x, y).unwrap();
+                            let tabled = table.eval(&d.space, field, q).unwrap();
+                            assert_eq!(tabled.to_bits(), scan.to_bits(), "table vs eval_at");
+                            checked += 1;
+                        }
+                    }
+                }
             }
+            assert!(checked > 0);
         }
     }
 

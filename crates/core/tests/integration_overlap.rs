@@ -5,49 +5,28 @@
 //! serial reference bitwise.
 
 use nkg_ckpt::{prev_path, FaultPlan};
-use nkg_coupling::atomistic::{AtomisticDomain, Embedding};
 use nkg_coupling::metasolver::{CheckpointPolicy, ExecutionPolicy, RunError, RunReport};
-use nkg_coupling::multipatch::poiseuille_multipatch;
-use nkg_coupling::{NektarG, TimeProgression, UnitScaling};
-use nkg_dpd::inflow::OpenBoundaryX;
-use nkg_dpd::sim::{BinSampler, DpdConfig, DpdSim, ForceBackend, WallGeometry};
-use nkg_dpd::Box3;
+use nkg_coupling::{NektarG, Scenario};
+use nkg_dpd::sim::{BinSampler, ForceBackend};
 
 /// A 2-patch continuum with an embedded DPD domain and WPOD attached —
 /// the full coupled data path at test scale.
 fn make_metasolver(policy: ExecutionPolicy) -> NektarG {
-    let mp = poiseuille_multipatch(6.0, 1.0, 12, 2, 2, 3, 0.5, 0.4, 5e-3);
-    let cfg = DpdConfig {
-        seed: 31,
-        ..Default::default()
-    };
-    let bx = Box3::new([0.0; 3], [6.0, 6.0, 3.0], [false, false, true]);
-    let mut sim = DpdSim::new(cfg, bx, WallGeometry::SlabY);
-    // Pin the sweep: `Auto` legitimately switches between the serial half
-    // sweep and the parallel half sweep at 1 vs >1 threads, and the two
-    // differ in summation order. The parallel half sweep is itself
-    // bitwise invariant for any pool width — the property under test.
-    sim.force_backend = ForceBackend::Parallel;
-    sim.fill_solvent();
-    let mut ob = OpenBoundaryX::new(3, 1, 3.0, 1.0, [0.0; 3], 0);
-    ob.target_count = Some(sim.particles.len());
-    sim.set_open_x(ob);
-    let embedding = Embedding {
-        origin_ns: [2.5, 0.35],
-        scaling: UnitScaling {
-            unit_ns: 1.0,
-            unit_dpd: 0.05,
-            nu_ns: 0.5,
-            nu_dpd: 0.85,
-        },
-    };
-    let atom = AtomisticDomain::new(sim, embedding);
-    NektarG::new(mp, atom, TimeProgression::new(5, 4))
-        .with_wpod(
+    Scenario {
+        // Pin the sweep: `Auto` legitimately switches between the serial
+        // half sweep and the parallel half sweep at 1 vs >1 threads, and
+        // the two differ in summation order. The parallel half sweep is
+        // itself bitwise invariant for any pool width — the property
+        // under test.
+        force_backend: ForceBackend::Parallel,
+        wpod: Some((
             BinSampler::new(1, 6, 0, 2),
             nkg_wpod::window::WindowPod::new(4, 4, 2.0),
-        )
-        .with_policy(policy)
+        )),
+        policy,
+        ..Scenario::small()
+    }
+    .build()
 }
 
 fn assert_state_bitwise(a: &NektarG, b: &NektarG, what: &str) {

@@ -185,42 +185,50 @@ impl InterfaceLink {
     /// total up front, so a size mismatch between the two interface sides
     /// fails loudly naming both lengths instead of truncating or hanging.
     pub fn exchange(&self, world: &Comm, send: &[f64], recv_len: usize) -> Vec<f64> {
-        // Step 1: gather payloads and receive-counts on the L4 root.
+        let Some((flat, lens)) = self.gather_to_root(send, recv_len) else {
+            return self.l4.scatter::<f64>(0, None);
+        };
+        // Step 2: root-to-root exchange over the world communicator, the
+        // payload length declared in the first slot of the frame.
+        let mut frame = Vec::with_capacity(flat.len() + 1);
+        frame.push(f64::from_bits(flat.len() as u64));
+        frame.extend_from_slice(&flat);
+        let peer_frame = world.sendrecv(&frame, self.peer_root_world, self.tag);
+        self.scatter_from_root(&self.unframe(&peer_frame), &lens)
+    }
+
+    /// Step 1 of the three-step exchange: gather every member's payload
+    /// and receive-count on the L4 root. The root gets the concatenated
+    /// payload and the counts in member order; members get `None`.
+    fn gather_to_root(&self, send: &[f64], recv_len: usize) -> Option<(Vec<f64>, Vec<usize>)> {
         let gathered = self.l4.gather(0, send);
         let lens = self.l4.gather(0, &[recv_len as u64]);
-        if self.is_root() {
-            let parts = gathered.unwrap();
-            let flat: Vec<f64> = parts.into_iter().flatten().collect();
-            // Step 2: root-to-root exchange over the world communicator,
-            // the payload length declared in the first slot of the frame.
-            let mut frame = Vec::with_capacity(flat.len() + 1);
-            frame.push(f64::from_bits(flat.len() as u64));
-            frame.extend_from_slice(&flat);
-            let peer_frame = world.sendrecv(&frame, self.peer_root_world, self.tag);
-            let peer_flat = self.unframe(&peer_frame);
-            // Step 3: scatter the peer payload according to receive-counts.
-            let lens = lens.unwrap();
-            let total: usize = lens.iter().map(|l| l[0] as usize).sum();
-            assert_eq!(
-                peer_flat.len(),
-                total,
-                "interface {}: peer declared and sent {} values, local members expect {} \
-                 — mismatched interface footprints",
-                self.tag,
-                peer_flat.len(),
-                total
-            );
-            let mut parts = Vec::with_capacity(lens.len());
-            let mut off = 0;
-            for l in &lens {
-                let l = l[0] as usize;
-                parts.push(peer_flat[off..off + l].to_vec());
-                off += l;
-            }
-            self.l4.scatter(0, Some(&parts))
-        } else {
-            self.l4.scatter::<f64>(0, None)
+        let flat = gathered?.into_iter().flatten().collect();
+        let lens = lens?.iter().map(|l| l[0] as usize).collect();
+        Some((flat, lens))
+    }
+
+    /// Step 3 on the root: check the peer payload against the members'
+    /// declared footprints, then scatter it by receive-count. Returns the
+    /// root's own chunk.
+    fn scatter_from_root(&self, peer_flat: &[f64], lens: &[usize]) -> Vec<f64> {
+        let total: usize = lens.iter().sum();
+        assert_eq!(
+            peer_flat.len(),
+            total,
+            "interface {}: peer declared and sent {} values, local members expect {} \
+             — mismatched interface footprints",
+            self.tag,
+            peer_flat.len(),
+            total
+        );
+        let mut parts = Vec::with_capacity(lens.len());
+        let mut off = 0;
+        for &l in lens {
+            parts.push(peer_flat[off..off + l].to_vec());
+            off += l;
         }
+        self.l4.scatter(0, Some(&parts))
     }
 
     /// Validate a `[declared_len, data...]` frame and return the payload.
@@ -300,11 +308,7 @@ impl InterfaceLink {
         assert!(policy.max_attempts >= 1, "need at least one attempt");
         let seq = self.seq.get() + 1;
         self.seq.set(seq);
-        // Step 1: gather payloads and receive-counts on the L4 root.
-        let gathered = self.l4.gather(0, send);
-        let lens = self.l4.gather(0, &[recv_len as u64]);
-        if self.is_root() {
-            let flat: Vec<f64> = gathered.unwrap().into_iter().flatten().collect();
+        if let Some((flat, lens)) = self.gather_to_root(send, recv_len) {
             let mut frame = Vec::with_capacity(flat.len() + 2);
             frame.push(f64::from_bits(seq));
             frame.push(f64::from_bits(flat.len() as u64));
@@ -385,27 +389,7 @@ impl InterfaceLink {
                 }
             };
             self.l4.bcast(0, &mut status);
-            let peer_flat = outcome?;
-            // Step 3: scatter the peer payload according to receive-counts.
-            let lens = lens.unwrap();
-            let total: usize = lens.iter().map(|l| l[0] as usize).sum();
-            assert_eq!(
-                peer_flat.len(),
-                total,
-                "interface {}: peer declared and sent {} values, local members expect {} \
-                 — mismatched interface footprints",
-                self.tag,
-                peer_flat.len(),
-                total
-            );
-            let mut parts = Vec::with_capacity(lens.len());
-            let mut off = 0;
-            for l in &lens {
-                let l = l[0] as usize;
-                parts.push(peer_flat[off..off + l].to_vec());
-                off += l;
-            }
-            Ok(self.l4.scatter(0, Some(&parts)))
+            Ok(self.scatter_from_root(&outcome?, &lens))
         } else {
             let mut status: Vec<f64> = Vec::new();
             self.l4.bcast(0, &mut status);

@@ -12,14 +12,10 @@
 //! cargo run --release --example aneurysm -- --resume aneurysm.nkgc
 //! ```
 
-use nektarg::coupling::atomistic::{AtomisticDomain, Embedding};
 use nektarg::coupling::metasolver::{CheckpointPolicy, ExecutionPolicy};
-use nektarg::coupling::multipatch::poiseuille_multipatch;
-use nektarg::coupling::{NektarG, TimeProgression, UnitScaling};
-use nektarg::dpd::inflow::OpenBoundaryX;
+use nektarg::coupling::scenario::Platelets;
+use nektarg::coupling::{NektarG, Scenario, TimeProgression};
 use nektarg::dpd::platelet::{PlateletParams, WallSites};
-use nektarg::dpd::sim::{DpdConfig, DpdSim, WallGeometry};
-use nektarg::dpd::Box3;
 use nektarg::mesh::patchgraph::PatchGraph;
 use std::path::PathBuf;
 
@@ -78,8 +74,9 @@ fn main() {
         full.total_unknowns() as f64 / 1e9
     );
 
-    // Build the run exactly as a resume would reconstruct it: the setup
-    // code is the configuration; the snapshot only replaces evolving state.
+    // Build the run exactly as a resume would reconstruct it: the
+    // `Scenario` is the configuration; the snapshot only replaces evolving
+    // state.
     let mut meta = match &opts.resume {
         Some(path) => {
             let (meta, source) = NektarG::resume_latest(build_metasolver, path)
@@ -154,55 +151,31 @@ fn main() {
     }
 }
 
-/// Assemble the scenario. Deterministic in the seed: a resumed run and an
-/// uninterrupted one produce bitwise-identical trajectories.
+/// The run, described once. Deterministic in the seed: a resumed run and
+/// an uninterrupted one produce bitwise-identical trajectories.
 fn build_metasolver() -> NektarG {
-    // Continuum: 3 overlapping patches; the middle one hosts the sac.
-    let (nu_ns, height) = (0.004, 1.0);
-    let force = 8.0 * nu_ns * 0.1;
-    let mut continuum = poiseuille_multipatch(6.0, height, 12, 2, 3, 4, nu_ns, force, 5e-3);
-    for s in &mut continuum.patches {
-        s.set_initial(
-            move |_, y| force * y * (height - y) / (2.0 * nu_ns),
-            |_, _| 0.0,
-        );
-    }
-
-    // Atomistic sac: slow flow, platelets, adhesion sites on the wall
-    // (damaged endothelium at the fundus — where clotting starts).
-    let cfg = DpdConfig {
+    Scenario {
+        // Continuum: 3 overlapping patches; the middle one hosts the sac.
+        patches: 3,
+        // Atomistic sac: slow flow, platelets, adhesion sites on the wall
+        // (damaged endothelium at the fundus — where clotting starts).
+        dpd_box: [10.0, 6.0, 4.0],
         seed: 42,
-        ..Default::default()
-    };
-    let bx = Box3::new([0.0; 3], [10.0, 6.0, 4.0], [false, false, true]);
-    let mut sim = DpdSim::new(cfg, bx, WallGeometry::SlabY);
-    sim.fill_solvent();
-    sim.seed_platelets(0.06);
-    sim.sites = WallSites::on_plane(40, 1, 0.0, [3.0, 0.0, 0.0], [8.0, 0.0, 4.0], 5);
-    sim.platelet_params = PlateletParams {
-        delay_steps: 100,
-        trigger_dist: 0.7,
-        ..Default::default()
-    };
-    let mut ob = OpenBoundaryX::new(4, 1, 3.0, 1.0, [0.0; 3], 0);
-    ob.target_count = Some(sim.particles.len());
-    sim.set_open_x(ob);
-
-    let scaling = UnitScaling {
-        unit_ns: 1.0,
+        platelets: Some(Platelets {
+            fraction: 0.06,
+            sites: WallSites::on_plane(40, 1, 0.0, [3.0, 0.0, 0.0], [8.0, 0.0, 4.0], 5),
+            params: PlateletParams {
+                delay_steps: 100,
+                trigger_dist: 0.7,
+                ..Default::default()
+            },
+        }),
         unit_dpd: 0.04,
-        nu_ns,
-        nu_dpd: 0.85,
-    };
-    let atom = AtomisticDomain::new(
-        sim,
-        Embedding {
-            origin_ns: [2.6, 0.3],
-            scaling,
-        },
-    );
-    // The overlapped policy runs the continuum window and the DPD sac
-    // concurrently between exchanges — bitwise identical to Serial.
-    NektarG::new(continuum, atom, TimeProgression::new(20, 10))
-        .with_policy(ExecutionPolicy::Overlapped)
+        progression: TimeProgression::new(20, 10),
+        // The overlapped policy runs the continuum window and the DPD sac
+        // concurrently between exchanges — bitwise identical to Serial.
+        policy: ExecutionPolicy::Overlapped,
+        ..Scenario::poiseuille()
+    }
+    .build()
 }

@@ -9,48 +9,18 @@
 //! ```
 
 use nektarg::ckpt::FaultPlan;
-use nektarg::coupling::atomistic::{AtomisticDomain, Embedding};
 use nektarg::coupling::metasolver::{CheckpointPolicy, RunError};
-use nektarg::coupling::multipatch::poiseuille_multipatch;
-use nektarg::coupling::{NektarG, TimeProgression, UnitScaling};
-use nektarg::dpd::inflow::OpenBoundaryX;
-use nektarg::dpd::sim::{DpdConfig, DpdSim, WallGeometry};
-use nektarg::dpd::Box3;
+use nektarg::coupling::{NektarG, Scenario};
 
+/// The run, described once: `build` is deterministic, which is all
+/// `NektarG::resume` asks of its `make`. Exchange every 5 continuum steps,
+/// 10 DPD substeps each.
 fn build_metasolver() -> NektarG {
-    let (nu_ns, height) = (0.004, 1.0);
-    let force = 8.0 * nu_ns * 0.1;
-    let mut continuum = poiseuille_multipatch(6.0, height, 12, 2, 2, 4, nu_ns, force, 5e-3);
-    for s in &mut continuum.patches {
-        s.set_initial(
-            move |_, y| force * y * (height - y) / (2.0 * nu_ns),
-            |_, _| 0.0,
-        );
-    }
-    let cfg = DpdConfig {
+    Scenario {
         seed: 11,
-        ..Default::default()
-    };
-    let bx = Box3::new([0.0; 3], [8.0, 8.0, 4.0], [false, false, true]);
-    let mut sim = DpdSim::new(cfg, bx, WallGeometry::SlabY);
-    sim.fill_solvent();
-    let mut ob = OpenBoundaryX::new(4, 1, 3.0, 1.0, [0.0; 3], 0);
-    ob.target_count = Some(sim.particles.len());
-    sim.set_open_x(ob);
-    let atom = AtomisticDomain::new(
-        sim,
-        Embedding {
-            origin_ns: [2.6, 0.3],
-            scaling: UnitScaling {
-                unit_ns: 1.0,
-                unit_dpd: 0.05,
-                nu_ns,
-                nu_dpd: 0.85,
-            },
-        },
-    );
-    // Exchange every 5 continuum steps, 10 DPD substeps each.
-    NektarG::new(continuum, atom, TimeProgression::new(10, 5))
+        ..Scenario::poiseuille()
+    }
+    .build()
 }
 
 fn main() {

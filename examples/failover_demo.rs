@@ -10,53 +10,23 @@
 //! cargo run --release --example failover_demo
 //! ```
 
-use nektarg::coupling::atomistic::{AtomisticDomain, Embedding};
 use nektarg::coupling::failover::{driver_outcome, replica_report, run_replicated, FailoverConfig};
-use nektarg::coupling::multipatch::poiseuille_multipatch;
-use nektarg::coupling::{NektarG, TimeProgression, UnitScaling};
-use nektarg::dpd::inflow::OpenBoundaryX;
-use nektarg::dpd::sim::{DpdConfig, DpdSim, WallGeometry};
-use nektarg::dpd::Box3;
+use nektarg::coupling::Scenario;
 use nektarg::mci::{FaultPlan, Universe};
 
 const N_REPLICAS: usize = 3;
 const TOTAL_STEPS: usize = 12; // 3 exchange windows at exchange_every = 4
-
-fn build_metasolver() -> NektarG {
-    let mp = poiseuille_multipatch(6.0, 1.0, 12, 2, 2, 3, 0.5, 0.4, 5e-3);
-    let cfg = DpdConfig {
-        seed: 31,
-        ..Default::default()
-    };
-    let bx = Box3::new([0.0; 3], [6.0, 6.0, 3.0], [false, false, true]);
-    let mut sim = DpdSim::new(cfg, bx, WallGeometry::SlabY);
-    sim.fill_solvent();
-    let mut ob = OpenBoundaryX::new(3, 1, 3.0, 1.0, [0.0; 3], 0);
-    ob.target_count = Some(sim.particles.len());
-    sim.set_open_x(ob);
-    let embedding = Embedding {
-        origin_ns: [2.5, 0.35],
-        scaling: UnitScaling {
-            unit_ns: 1.0,
-            unit_dpd: 0.05,
-            nu_ns: 0.5,
-            nu_dpd: 0.85,
-        },
-    };
-    NektarG::new(
-        mp,
-        AtomisticDomain::new(sim, embedding),
-        TimeProgression::new(5, 4),
-    )
-}
 
 fn main() {
     let dir = std::env::temp_dir().join("nkg_failover_demo");
     std::fs::create_dir_all(&dir).expect("create demo temp dir");
     let cfg = FailoverConfig::new(N_REPLICAS, TOTAL_STEPS, dir.join("demo.nkgc"));
 
+    // One description of the run; every replica builds a bitwise clone.
+    let small = Scenario::small();
+
     // Fault-free reference for comparison.
-    let serial_report = build_metasolver().run(TOTAL_STEPS);
+    let serial_report = small.build().run(TOTAL_STEPS);
 
     // The disaster: world rank 1 (master replica 0) dies attempting its
     // second post — the window-2 status report, i.e. mid-exchange.
@@ -67,7 +37,7 @@ fn main() {
         "replicated run: 1 driver + {N_REPLICAS} replicas, {TOTAL_STEPS} continuum steps, \
          master killed posting window 2\n"
     );
-    let run = run_replicated(&universe, cfg, build_metasolver);
+    let run = run_replicated(&universe, cfg, move || small.build());
 
     println!("dead ranks: {:?}", run.dead);
     let driver = driver_outcome(&run);

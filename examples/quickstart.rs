@@ -5,66 +5,34 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use nektarg::coupling::atomistic::{AtomisticDomain, Embedding};
-use nektarg::coupling::multipatch::poiseuille_multipatch;
-use nektarg::coupling::{NektarG, TimeProgression, UnitScaling};
-use nektarg::dpd::inflow::OpenBoundaryX;
-use nektarg::dpd::sim::{DpdConfig, DpdSim, WallGeometry};
-use nektarg::dpd::Box3;
+use nektarg::coupling::Scenario;
 
 fn main() {
     println!("nektarg quickstart: continuum channel + embedded DPD domain\n");
 
-    // --- Macro scale: a plane channel split into two overlapping SEM
-    // patches (NεκTαr-3D ↔ NεκTαr-3D coupling), initialized at the exact
-    // Poiseuille solution.
-    let (nu_ns, height) = (0.004, 1.0);
-    let force = 8.0 * nu_ns * 0.1;
-    let mut continuum = poiseuille_multipatch(6.0, height, 12, 2, 2, 4, nu_ns, force, 5e-3);
-    for s in &mut continuum.patches {
-        s.set_initial(
-            move |_, y| force * y * (height - y) / (2.0 * nu_ns),
-            |_, _| 0.0,
-        );
+    // --- The run, described once. Macro scale: a plane channel split
+    // into two overlapping SEM patches (NεκTαr-3D ↔ NεκTαr-3D coupling),
+    // initialized at the exact Poiseuille solution. Meso scale: a DPD box
+    // embedded in the channel (DPD-LAMMPS side). Between them the unit
+    // scaling of Eq. (1) and the Fig. 5 time progression.
+    let mut metasolver = Scenario {
+        seed: 7,
+        ..Scenario::poiseuille()
     }
+    .build();
     println!(
         "continuum: {} patches, {} DoF each",
-        continuum.num_patches(),
-        continuum.patches[0].space.nglobal
+        metasolver.continuum.num_patches(),
+        metasolver.continuum.patches[0].space.nglobal
     );
-
-    // --- Meso scale: a DPD box embedded in the channel (DPD-LAMMPS side).
-    let cfg = DpdConfig {
-        seed: 7,
-        ..Default::default()
-    };
-    let bx = Box3::new([0.0; 3], [8.0, 8.0, 4.0], [false, false, true]);
-    let mut sim = DpdSim::new(cfg, bx, WallGeometry::SlabY);
-    sim.fill_solvent();
-    let mut ob = OpenBoundaryX::new(4, 1, 3.0, 1.0, [0.0; 3], 0);
-    ob.target_count = Some(sim.particles.len());
-    sim.set_open_x(ob);
-    println!("atomistic: {} DPD particles", sim.particles.len());
-
-    // --- Unit scaling (Eq. 1) and the Fig. 5 time progression.
-    let scaling = UnitScaling {
-        unit_ns: 1.0,
-        unit_dpd: 0.05,
-        nu_ns,
-        nu_dpd: 0.85,
-    };
+    println!(
+        "atomistic: {} DPD particles",
+        metasolver.atomistic.sim.particles.len()
+    );
     println!(
         "Eq. (1) velocity scaling: v_DPD = {:.2} x v_NS",
-        scaling.velocity_factor()
+        metasolver.atomistic.embedding.scaling.velocity_factor()
     );
-    let atom = AtomisticDomain::new(
-        sim,
-        Embedding {
-            origin_ns: [2.6, 0.3],
-            scaling,
-        },
-    );
-    let mut metasolver = NektarG::new(continuum, atom, TimeProgression::new(10, 5));
 
     // --- Run.
     let report = metasolver.run(30);

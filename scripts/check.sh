@@ -75,4 +75,7 @@ echo "== bench_e2e: its own workspace, so build, unit-test and smoke it here =="
 cargo test --manifest-path bench_e2e/Cargo.toml --offline -q
 bash bench_e2e/run.sh --smoke
 
+echo "== tracked Rust lines per top-level directory =="
+bash scripts/loc.sh
+
 echo "All checks passed."

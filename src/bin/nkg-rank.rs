@@ -31,45 +31,12 @@
 //!   `RAYON_NUM_THREADS` is set explicitly. Probe it with the
 //!   `pool_width` program, which reports the effective thread count.
 
-use nektarg::coupling::atomistic::{AtomisticDomain, Embedding};
 use nektarg::coupling::failover::{run_role_resumed, run_shard_role, FailoverConfig, RankOutcome};
-use nektarg::coupling::metasolver::NektarG;
-use nektarg::coupling::multipatch::poiseuille_multipatch;
-use nektarg::coupling::{TimeProgression, UnitScaling};
-use nektarg::dpd::inflow::OpenBoundaryX;
-use nektarg::dpd::sim::{DpdConfig, DpdSim, WallGeometry};
-use nektarg::dpd::Box3;
+use nektarg::coupling::Scenario;
 use nektarg::mci::worker::{worker_main, Registry};
 use nektarg::mci::Comm;
 use std::path::PathBuf;
 use std::time::Duration;
-
-/// The same small coupled system the fault-integration suite drives:
-/// deterministic, so every replica process reconstructs a bitwise clone.
-fn small_metasolver() -> NektarG {
-    let mp = poiseuille_multipatch(6.0, 1.0, 12, 2, 2, 3, 0.5, 0.4, 5e-3);
-    let cfg = DpdConfig {
-        seed: 31,
-        ..Default::default()
-    };
-    let bx = Box3::new([0.0; 3], [6.0, 6.0, 3.0], [false, false, true]);
-    let mut sim = DpdSim::new(cfg, bx, WallGeometry::SlabY);
-    sim.fill_solvent();
-    let mut ob = OpenBoundaryX::new(3, 1, 3.0, 1.0, [0.0; 3], 0);
-    ob.target_count = Some(sim.particles.len());
-    sim.set_open_x(ob);
-    let embedding = Embedding {
-        origin_ns: [2.5, 0.35],
-        scaling: UnitScaling {
-            unit_ns: 1.0,
-            unit_dpd: 0.05,
-            nu_ns: 0.5,
-            nu_dpd: 0.85,
-        },
-    };
-    let atom = AtomisticDomain::new(sim, embedding);
-    NektarG::new(mp, atom, TimeProgression::new(5, 4))
-}
 
 /// Replicated metasolver run across processes. Result frame layout:
 /// driver → `[0, windows, n_events, active_master, trace...]` (row-major
@@ -98,7 +65,10 @@ fn coupled_failover(comm: Comm) -> Vec<f64> {
         die_at: parse_die_at(&std::env::var("NKG_DIE_AT").unwrap_or_default()),
         ..FailoverConfig::new(comm.size() - 1, total_steps, ckpt_base)
     };
-    match run_role_resumed(&comm, &cfg, incarnation_from_env(), small_metasolver) {
+    // The small system the fault-integration suite drives in-process:
+    // one description, so every replica process builds a bitwise clone.
+    let small = Scenario::small();
+    match run_role_resumed(&comm, &cfg, incarnation_from_env(), || small.build()) {
         RankOutcome::Driver(d) => {
             let mut out = vec![
                 0.0,
@@ -118,32 +88,14 @@ fn coupled_failover(comm: Comm) -> Vec<f64> {
     }
 }
 
-/// Shard `s` of the sharded coupled run: the same small system with a
+/// Shard `s` of the sharded coupled run: the small system with a
 /// per-shard DPD seed, so each flow is distinct but deterministic — a
 /// respawned shard reconstructs a bitwise clone of its predecessor.
-fn shard_metasolver(s: usize) -> NektarG {
-    let mp = poiseuille_multipatch(6.0, 1.0, 12, 2, 2, 3, 0.5, 0.4, 5e-3);
-    let cfg = DpdConfig {
+fn shard(s: usize) -> Scenario {
+    Scenario {
         seed: 31 + s as u64,
-        ..Default::default()
-    };
-    let bx = Box3::new([0.0; 3], [6.0, 6.0, 3.0], [false, false, true]);
-    let mut sim = DpdSim::new(cfg, bx, WallGeometry::SlabY);
-    sim.fill_solvent();
-    let mut ob = OpenBoundaryX::new(3, 1, 3.0, 1.0, [0.0; 3], 0);
-    ob.target_count = Some(sim.particles.len());
-    sim.set_open_x(ob);
-    let embedding = Embedding {
-        origin_ns: [2.5, 0.35],
-        scaling: UnitScaling {
-            unit_ns: 1.0,
-            unit_dpd: 0.05,
-            nu_ns: 0.5,
-            nu_dpd: 0.85,
-        },
-    };
-    let atom = AtomisticDomain::new(sim, embedding);
-    NektarG::new(mp, atom, TimeProgression::new(5, 4))
+        ..Scenario::small()
+    }
 }
 
 /// This worker's incarnation number (0 on first launch; the supervisor
@@ -198,7 +150,7 @@ fn coupled_restart(comm: Comm) -> Vec<f64> {
         die_at,
         ..FailoverConfig::new(comm.size() - 1, total_steps, ckpt_base)
     };
-    match run_shard_role(&comm, &cfg, incarnation_from_env(), shard_metasolver) {
+    match run_shard_role(&comm, &cfg, incarnation_from_env(), |s| shard(s).build()) {
         RankOutcome::ShardedDriver(flows) => {
             let windows = flows.first().map_or(0, |f| f.trace.len());
             let width = flows

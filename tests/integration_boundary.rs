@@ -12,15 +12,13 @@
 //! * the one-row interface interpolation equals per-bin evaluation.
 
 use nektarg::ckpt::{prev_path, restore_bytes, snapshot_bytes, CkptError, FaultPlan, SnapshotFile};
-use nektarg::coupling::atomistic::{AtomisticDomain, Embedding};
+use nektarg::coupling::atomistic::AtomisticDomain;
 use nektarg::coupling::metasolver::{
     CheckpointPolicy, ExecutionPolicy, RunError, COMMITTER_THREAD,
 };
-use nektarg::coupling::multipatch::{poiseuille_multipatch, Multipatch2d};
-use nektarg::coupling::{NektarG, TimeProgression, UnitScaling};
-use nektarg::dpd::inflow::OpenBoundaryX;
-use nektarg::dpd::sim::{BinSampler, DpdConfig, DpdSim, ForceBackend, WallGeometry};
-use nektarg::dpd::Box3;
+use nektarg::coupling::multipatch::Multipatch2d;
+use nektarg::coupling::{NektarG, Scenario, TimeProgression};
+use nektarg::dpd::sim::{BinSampler, ForceBackend};
 use nektarg::wpod::window::WindowPod;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
@@ -61,40 +59,27 @@ fn assert_committer_joined(what: &str) {
     panic!("{what}: a committer thread outlived run_to");
 }
 
-const EMBEDDING: Embedding = Embedding {
-    origin_ns: [2.5, 0.35],
-    scaling: UnitScaling {
-        unit_ns: 1.0,
-        unit_dpd: 0.05,
-        nu_ns: 0.5,
-        nu_dpd: 0.85,
-    },
-};
-
-fn open_box(bins: (usize, usize)) -> DpdSim {
-    let cfg = DpdConfig {
-        seed: 31,
-        ..Default::default()
-    };
-    let bx = Box3::new([0.0; 3], [4.0, 4.0, 2.0], [false, false, true]);
-    let mut sim = DpdSim::new(cfg, bx, WallGeometry::SlabY);
-    // Bitwise thread-invariant, so pool width never shows in a snapshot.
-    sim.force_backend = ForceBackend::Parallel;
-    sim.fill_solvent();
-    let mut ob = OpenBoundaryX::new(bins.0, bins.1, 3.0, 1.0, [0.0; 3], 0);
-    ob.target_count = Some(sim.particles.len());
-    sim.set_open_x(ob);
-    sim
+/// The configuration `tests/fixtures/parent_5ad2613.nkgc` was written
+/// from, with `bins` interface bins: 2 p=2 patches, 96 particles, WPOD,
+/// exchange every second step.
+fn scenario(bins: (usize, usize)) -> Scenario {
+    Scenario {
+        nx: 8,
+        ny: 1,
+        order: 2,
+        dpd_box: [4.0, 4.0, 2.0],
+        bins,
+        // Bitwise thread-invariant, so pool width never shows in a snapshot.
+        force_backend: ForceBackend::Parallel,
+        progression: TimeProgression::new(2, 2),
+        wpod: Some((BinSampler::new(1, 4, 0, 2), WindowPod::new(2, 2, 2.0))),
+        ..Scenario::small()
+    }
 }
 
-/// The configuration `tests/fixtures/parent_5ad2613.nkgc` was written
-/// from: 2 p=2 patches, 96 particles, 3×2 interface bins, WPOD, exchange
-/// every second step.
+/// The fixture's system: 3×2 interface bins.
 fn small_metasolver() -> NektarG {
-    let mp = poiseuille_multipatch(6.0, 1.0, 8, 1, 2, 2, 0.5, 0.4, 5e-3);
-    let atom = AtomisticDomain::new(open_box((3, 2)), EMBEDDING);
-    NektarG::new(mp, atom, TimeProgression::new(2, 2))
-        .with_wpod(BinSampler::new(1, 4, 0, 2), WindowPod::new(2, 2, 2.0))
+    scenario((3, 2)).build()
 }
 
 fn scratch(name: &str) -> PathBuf {
@@ -333,9 +318,9 @@ fn a_failed_rotation_keeps_the_last_good_snapshot() {
 fn one_row_exchange_equals_per_bin_evaluation() {
     let _one = serial();
     for nz in [1usize, 4] {
-        let make = || AtomisticDomain::new(open_box((5, nz)), EMBEDDING);
-        let mut continuum = poiseuille_multipatch(6.0, 1.0, 8, 1, 2, 2, 0.5, 0.4, 5e-3);
-        let vf = EMBEDDING.scaling.velocity_factor();
+        let make = || scenario((5, nz)).build().atomistic;
+        let mut continuum = scenario((5, nz)).build().continuum;
+        let vf = make().embedding.scaling.velocity_factor();
         let check = |d: &AtomisticDomain, continuum: &Multipatch2d, what: &str| {
             let targets = &d.sim.open_x.as_ref().unwrap().target;
             assert_eq!(d.bin_midpoints_ns.len(), 5 * nz);

@@ -19,16 +19,10 @@
 //! bitwise against a serial reference, and the promoted replica's physics
 //! bitwise — identically on the in-proc and UDS transports.
 
-use nektarg::coupling::atomistic::{AtomisticDomain, Embedding};
 use nektarg::coupling::failover::{
     driver_outcome, replica_report, run_replicated, DegradationEvent, FailoverConfig,
 };
-use nektarg::coupling::metasolver::NektarG;
-use nektarg::coupling::multipatch::poiseuille_multipatch;
-use nektarg::coupling::{TimeProgression, UnitScaling};
-use nektarg::dpd::inflow::OpenBoundaryX;
-use nektarg::dpd::sim::{DpdConfig, DpdSim, WallGeometry};
-use nektarg::dpd::Box3;
+use nektarg::coupling::{NektarG, Scenario};
 use nektarg::mci::{Backend, FaultPlan, MsgAction, MsgMatcher, Pick, Universe};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -40,28 +34,7 @@ const TRACE_WIDTH: usize = 6;
 const STATUS_TAG_R0: nektarg::mci::Tag = 0x4000;
 
 fn small_metasolver() -> NektarG {
-    let mp = poiseuille_multipatch(6.0, 1.0, 12, 2, 2, 3, 0.5, 0.4, 5e-3);
-    let cfg = DpdConfig {
-        seed: 31,
-        ..Default::default()
-    };
-    let bx = Box3::new([0.0; 3], [6.0, 6.0, 3.0], [false, false, true]);
-    let mut sim = DpdSim::new(cfg, bx, WallGeometry::SlabY);
-    sim.fill_solvent();
-    let mut ob = OpenBoundaryX::new(3, 1, 3.0, 1.0, [0.0; 3], 0);
-    ob.target_count = Some(sim.particles.len());
-    sim.set_open_x(ob);
-    let embedding = Embedding {
-        origin_ns: [2.5, 0.35],
-        scaling: UnitScaling {
-            unit_ns: 1.0,
-            unit_dpd: 0.05,
-            nu_ns: 0.5,
-            nu_dpd: 0.85,
-        },
-    };
-    let atom = AtomisticDomain::new(sim, embedding);
-    NektarG::new(mp, atom, TimeProgression::new(5, 4))
+    Scenario::small().build()
 }
 
 fn ckpt_base(tag: &str) -> PathBuf {

@@ -2,57 +2,17 @@
 //! continuum + embedded DPD domain + WPOD co-processing + platelet model —
 //! running the paper's time progression end to end.
 
-use nektarg::coupling::atomistic::{AtomisticDomain, Embedding};
-use nektarg::coupling::multipatch::poiseuille_multipatch;
-use nektarg::coupling::{NektarG, TimeProgression, UnitScaling};
-use nektarg::dpd::inflow::OpenBoundaryX;
-use nektarg::dpd::platelet::{PlateletParams, WallSites};
-use nektarg::dpd::sim::{BinSampler, DpdConfig, DpdSim, WallGeometry};
-use nektarg::dpd::Box3;
+use nektarg::coupling::scenario::Platelets;
+use nektarg::coupling::{NektarG, Scenario};
+use nektarg::dpd::sim::BinSampler;
 use nektarg::wpod::window::WindowPod;
 
 fn build_metasolver(with_platelets: bool) -> NektarG {
-    let (nu_ns, height) = (0.004, 1.0);
-    let force = 8.0 * nu_ns * 0.1;
-    let mut continuum = poiseuille_multipatch(6.0, height, 12, 2, 2, 4, nu_ns, force, 5e-3);
-    for s in &mut continuum.patches {
-        s.set_initial(
-            move |_, y| force * y * (height - y) / (2.0 * nu_ns),
-            |_, _| 0.0,
-        );
+    Scenario {
+        platelets: with_platelets.then(Platelets::poiseuille),
+        ..Scenario::poiseuille()
     }
-    let cfg = DpdConfig {
-        seed: 3,
-        ..Default::default()
-    };
-    let bx = Box3::new([0.0; 3], [8.0, 8.0, 4.0], [false, false, true]);
-    let mut sim = DpdSim::new(cfg, bx, WallGeometry::SlabY);
-    sim.fill_solvent();
-    if with_platelets {
-        sim.seed_platelets(0.08);
-        sim.sites = WallSites::on_plane(30, 1, 0.0, [2.0, 0.0, 0.0], [6.0, 0.0, 4.0], 9);
-        sim.platelet_params = PlateletParams {
-            delay_steps: 30,
-            trigger_dist: 0.8,
-            ..Default::default()
-        };
-    }
-    let mut ob = OpenBoundaryX::new(4, 1, 3.0, 1.0, [0.0; 3], 0);
-    ob.target_count = Some(sim.particles.len());
-    sim.set_open_x(ob);
-    let atom = AtomisticDomain::new(
-        sim,
-        Embedding {
-            origin_ns: [2.6, 0.3],
-            scaling: UnitScaling {
-                unit_ns: 1.0,
-                unit_dpd: 0.05,
-                nu_ns,
-                nu_dpd: 0.85,
-            },
-        },
-    );
-    NektarG::new(continuum, atom, TimeProgression::new(10, 5))
+    .build()
 }
 
 #[test]
