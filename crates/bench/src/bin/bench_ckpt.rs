@@ -16,11 +16,10 @@
 //! The first row is the CRC32 throughput the seal and every validation
 //! run at, next to a bytewise table CRC kept here as the yardstick.
 //!
-//! Overwrites `BENCH_ckpt.json` (one stamped JSON line per row) and prints
-//! the same numbers. `--smoke` runs every leg at toy size and writes
-//! `target/BENCH_ckpt.smoke.json` instead.
+//! Overwrites `BENCH_ckpt.json` (one row per leg) and prints the same
+//! numbers. `--smoke` runs every leg at toy size.
 
-use nkg_bench::{header, time_median, write_jsonl};
+use nkg_bench::{bench_path, header, median, time_median, write_jsonl, Row};
 use nkg_ckpt::crc32::crc32;
 use nkg_ckpt::{prev_path, SnapshotFile, SnapshotWriter};
 use nkg_coupling::metasolver::{CheckpointPolicy, ExecutionPolicy};
@@ -89,12 +88,6 @@ fn crc32_bytewise(bytes: &[u8]) -> u32 {
     })
 }
 
-fn median(mut xs: Vec<f64>) -> f64 {
-    assert!(!xs.is_empty());
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
-
 /// Encode / seal / commit / restore of one state, in milliseconds.
 struct Split {
     bytes: u64,
@@ -152,13 +145,16 @@ impl Split {
         }
     }
 
-    fn json(&self, state: &str, reps: usize, extra: &str) -> String {
-        format!(
-            "{{\"bench\":\"ckpt_pipeline\",\"state\":\"{state}\",\"reps\":{reps},\
-             \"snapshot_bytes\":{},\"encode_ms\":{:.4},\"seal_ms\":{:.4},\
-             \"commit_ms\":{:.4},\"restore_ms\":{:.4}{extra}}}",
-            self.bytes, self.encode_ms, self.seal_ms, self.commit_ms, self.restore_ms
-        )
+    fn row(&self, state: &str, reps: usize) -> Row {
+        let ms = |x: f64| format!("{x:.4}");
+        Row::new("ckpt_pipeline")
+            .text("state", state)
+            .num("reps", reps)
+            .num("snapshot_bytes", self.bytes)
+            .num("encode_ms", ms(self.encode_ms))
+            .num("seal_ms", ms(self.seal_ms))
+            .num("commit_ms", ms(self.commit_ms))
+            .num("restore_ms", ms(self.restore_ms))
     }
 }
 
@@ -221,12 +217,14 @@ fn main() {
         "ratio                            {:>9.2}x",
         sliced / bytewise
     );
-    rows.push(format!(
-        "{{\"bench\":\"ckpt_crc32\",\"buffer_bytes\":{crc_len},\"reps\":{reps},\
-         \"crc_mb_per_s\":{sliced:.1},\"bytewise_mb_per_s\":{bytewise:.1},\
-         \"speedup\":{:.2}}}",
-        sliced / bytewise
-    ));
+    rows.push(
+        Row::new("ckpt_crc32")
+            .num("buffer_bytes", crc_len)
+            .num("reps", reps)
+            .num("crc_mb_per_s", format_args!("{sliced:.1}"))
+            .num("bytewise_mb_per_s", format_args!("{bytewise:.1}"))
+            .num("speedup", format_args!("{:.2}", sliced / bytewise)),
+    );
 
     header("Checkpoint pipeline: encode / seal / commit / restore");
     let mut ng = coupled_io(smoke);
@@ -245,11 +243,11 @@ fn main() {
         "  {:<42} {stall:>9.3} ms",
         "boundary stall inside run_to (Overlapped)"
     );
-    rows.push(s.json(
-        "coupled_io",
-        reps,
-        &format!(",\"run_steps\":{steps},\"boundary_stall_ms\":{stall:.4}"),
-    ));
+    rows.push(
+        s.row("coupled_io", reps)
+            .num("run_steps", steps)
+            .num("boundary_stall_ms", format_args!("{stall:.4}")),
+    );
 
     let mut sim = dpd_box(n_target);
     // A few steps so the snapshot captures a mid-run state, not a freshly
@@ -284,21 +282,12 @@ fn main() {
         .all(|(a, b)| (0..3).all(|k| a[k].to_bits() == b[k].to_bits()));
     assert!(bitwise, "restored sim diverged from the original");
     println!("  bitwise continuation after restore: verified");
-    rows.push(s.json(
-        "dpd_1e5",
-        reps.min(5),
-        &format!(
-            ",\"n_particles\":{},\"bitwise_continuation\":true",
-            sim.particles.len()
-        ),
-    ));
+    rows.push(
+        s.row("dpd_1e5", reps.min(5))
+            .num("n_particles", sim.particles.len())
+            .flag("bitwise_continuation", bitwise),
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
-    let out = if smoke {
-        "target/BENCH_ckpt.smoke.json"
-    } else {
-        "BENCH_ckpt.json"
-    };
-    write_jsonl(out, &rows);
-    println!("\nwrote {out}");
+    write_jsonl(&bench_path("ckpt", smoke), &rows);
 }

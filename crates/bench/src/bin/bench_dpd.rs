@@ -6,11 +6,11 @@
 //! evaluates forces once, ≈ 2.1 if a second evaluation ever comes back,
 //! and the run fails above 1.35.
 //!
-//! Overwrites `BENCH_dpd.json` in the current directory with one stamped
-//! row and prints the same tables. `--smoke` runs the same code at
-//! N ≈ 5 000 and writes `target/BENCH_dpd.smoke.json` instead.
+//! Overwrites `BENCH_dpd.json` in the current directory (one row per leg,
+//! one per pool size) and prints the same tables. `--smoke` runs the same
+//! code at N ≈ 5 000.
 
-use nkg_bench::{cpu_seconds, header, time_median, write_jsonl};
+use nkg_bench::{bench_path, cpu_seconds, header, median, time_median, write_jsonl, Row};
 use nkg_dpd::cells::CellGrid;
 use nkg_dpd::force::{
     accumulate_pair_forces, accumulate_pair_forces_par, SpeciesMatrix, SweepScratch,
@@ -131,10 +131,7 @@ fn main() {
         samples[0].push(time_median(1, || open.step()));
         samples[1].push(time_median(1, || open.compute_forces()));
     }
-    let [t_open_step, t_open_forces] = samples.map(|mut s| {
-        s.sort_by(f64::total_cmp);
-        s[reps / 2]
-    });
+    let [t_open_step, t_open_forces] = samples.map(median);
     let step_over_forces = t_open_step / t_open_forces;
     println!(
         "\nopen box, N = {}: step {t_open_step:.4} s, compute_forces {t_open_forces:.4} s, \
@@ -154,8 +151,26 @@ fn main() {
     println!(
         "\nthread-pool sweep                   s/sweep    s/step   cpu/wall   vs 1-thread sweep"
     );
+    let secs = |t: f64| format!("{t:.6}");
+    let mut rows = vec![
+        Row::new("dpd_force_sweep")
+            .num("n_particles", n)
+            .num("reps", reps)
+            .num("serial_half_seconds", secs(t_serial))
+            .num("parallel_half_seconds", secs(t_par)),
+        Row::new("dpd_full_step")
+            .num("n_particles", n)
+            .num("reps", reps)
+            .num("serial_backend_seconds", secs(t_step_serial))
+            .num("parallel_backend_seconds", secs(t_step_par)),
+        Row::new("dpd_open_box")
+            .num("n_particles", open.particles.len())
+            .num("reps", reps)
+            .num("step_seconds", secs(t_open_step))
+            .num("compute_forces_seconds", secs(t_open_forces))
+            .num("step_over_forces", format_args!("{step_over_forces:.3}")),
+    ];
     let mut sweep_1t = 0.0;
-    let mut sweep_rows = Vec::new();
     for &k in &sizes {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(k)
@@ -178,33 +193,22 @@ fn main() {
             format!("pool = {k} (actual {actual})"),
             sweep_1t / t_sweep
         );
-        sweep_rows.push(format!(
-            "{{\"pool_threads_requested\":{k},\"pool_threads_actual\":{actual},\
-             \"parallel_half_sweep_seconds\":{t_sweep:.6},\"parallel_step_seconds\":{t_step:.6},\
-             \"cpu_over_wall\":{cpu_over_wall:.2},\"sweep_speedup_vs_1_thread\":{:.3}}}",
-            sweep_1t / t_sweep
-        ));
+        rows.push(
+            Row::new("dpd_thread_sweep")
+                .num("n_particles", n)
+                .num("pool_threads_requested", k)
+                .num("pool_threads_actual", actual)
+                .num("parallel_half_sweep_seconds", secs(t_sweep))
+                .num("parallel_step_seconds", secs(t_step))
+                .num("cpu_over_wall", format_args!("{cpu_over_wall:.2}"))
+                .num(
+                    "sweep_speedup_vs_1_thread",
+                    format_args!("{:.3}", sweep_1t / t_sweep),
+                ),
+        );
     }
 
-    let record = format!(
-        "{{\"bench\":\"dpd_hot_path\",\"n_particles\":{n},\"density\":3.0,\"rc\":1.0,\
-         \"reps\":{reps},\
-         \"force_sweep_seconds\":{{\"serial_half\":{t_serial:.6},\"parallel_half\":{t_par:.6}}},\
-         \"full_step_seconds\":{{\"serial_backend\":{t_step_serial:.6},\
-         \"parallel_backend\":{t_step_par:.6}}},\
-         \"open_box\":{{\"n_particles\":{},\"step_seconds\":{t_open_step:.6},\
-         \"compute_forces_seconds\":{t_open_forces:.6}}},\
-         \"step_over_forces\":{step_over_forces:.3},\"thread_sweep\":[{}]}}",
-        open.particles.len(),
-        sweep_rows.join(","),
-    );
-    let path = if smoke {
-        "target/BENCH_dpd.smoke.json"
-    } else {
-        "BENCH_dpd.json"
-    };
-    write_jsonl(path, &[record]);
-    println!("\nwrote {path}");
+    write_jsonl(&bench_path("dpd", smoke), &rows);
     if step_over_forces > MAX_STEP_OVER_FORCES {
         eprintln!(
             "FAIL: step_over_forces {step_over_forces:.2} > {MAX_STEP_OVER_FORCES}: \

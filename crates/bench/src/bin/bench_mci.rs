@@ -15,11 +15,11 @@
 //!   mode): a zero-standby sharded run with one scripted worker death,
 //!   healed by respawn + rejoin + resume.
 //!
-//! Overwrites `BENCH_mci.json` in the current directory with one stamped
-//! row each and prints the same numbers. `--smoke` runs every leg at toy
-//! size and writes `target/BENCH_mci.smoke.json` instead.
+//! Overwrites `BENCH_mci.json` in the current directory (one row per
+//! transport, rank count or drill) and prints the same numbers. `--smoke`
+//! runs every leg at toy size.
 
-use nkg_bench::{header, time_median, write_jsonl};
+use nkg_bench::{bench_path, header, median, time_median, write_jsonl, Row};
 use nkg_coupling::dist::DistSpace2d;
 use nkg_coupling::failover::{driver_outcome, run_replicated, FailoverConfig};
 use nkg_coupling::Scenario;
@@ -92,12 +92,6 @@ fn seconds_per_exchange(backend: Backend, ft: bool, plan: Option<FaultPlan>, siz
         assert!(out.dead.is_empty());
     });
     total / size.exchanges as f64
-}
-
-/// Median of `samples` (the upper one of an even count).
-fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
 }
 
 /// Seconds per one-element `allreduce` on `n` thread-ranks over `backend`:
@@ -252,7 +246,7 @@ fn main() {
         allreduces,
         reps,
     } = size;
-    let mut rows: Vec<String> = Vec::new();
+    let mut rows: Vec<Row> = Vec::new();
 
     header(&format!(
         "MCI fault tolerance per transport: {PAYLOAD} f64 per side, {exchanges} exchanges, \
@@ -291,16 +285,22 @@ fn main() {
             recover,
             overhead_pct
         );
-        rows.push(format!(
-            "{{\"bench\":\"mci_fault_tolerance\",\"transport\":\"{}\",\
-             \"payload_f64\":{PAYLOAD},\"exchanges\":{exchanges},\"reps\":{reps},\
-             \"plain_seconds_per_exchange\":{plain:.9},\
-             \"ft_clean_seconds_per_exchange\":{ft_clean:.9},\
-             \"ft_lossy_seconds_per_exchange\":{ft_lossy:.9},\
-             \"failover_time_to_recover_seconds\":{recover:.6},\
-             \"failover_run_seconds\":{run_total:.6}}}",
-            backend.name()
-        ));
+        let per_exchange = |s: f64| format!("{s:.9}");
+        rows.push(
+            Row::new("mci_fault_tolerance")
+                .text("transport", backend.name())
+                .num("payload_f64", PAYLOAD)
+                .num("exchanges", exchanges)
+                .num("reps", reps)
+                .num("plain_seconds_per_exchange", per_exchange(plain))
+                .num("ft_clean_seconds_per_exchange", per_exchange(ft_clean))
+                .num("ft_lossy_seconds_per_exchange", per_exchange(ft_lossy))
+                .num(
+                    "failover_time_to_recover_seconds",
+                    format_args!("{recover:.6}"),
+                )
+                .num("failover_run_seconds", format_args!("{run_total:.6}")),
+        );
     }
 
     header(&format!(
@@ -314,12 +314,14 @@ fn main() {
     for backend in Backend::ALL {
         let us = [2usize, 4, 8].map(|n| {
             let secs = seconds_per_allreduce(backend, n, size);
-            rows.push(format!(
-                "{{\"bench\":\"mci_allreduce_latency\",\"transport\":\"{}\",\"ranks\":{n},\
-                 \"calls\":{allreduces},\"reps\":{reps},\"us_per_allreduce\":{:.3}}}",
-                backend.name(),
-                secs * 1e6
-            ));
+            rows.push(
+                Row::new("mci_allreduce_latency")
+                    .text("transport", backend.name())
+                    .num("ranks", n)
+                    .num("calls", allreduces)
+                    .num("reps", reps)
+                    .num("us_per_allreduce", format_args!("{:.3}", secs * 1e6)),
+            );
             secs * 1e6
         });
         println!(
@@ -353,11 +355,15 @@ fn main() {
         "\ndist_solve (uds, 2 ranks, 16x8 p=4 Poisson): {iters} iterations, \
          {us_per_iter:.1} µs and {msgs_per_iter} messages per CG iteration"
     );
-    rows.push(format!(
-        "{{\"bench\":\"mci_dist_solve\",\"transport\":\"uds\",\"ranks\":2,\"reps\":{reps},\
-         \"iters\":{iters},\"us_per_cg_iter\":{us_per_iter:.3},\
-         \"messages_per_cg_iter\":{msgs_per_iter}}}"
-    ));
+    rows.push(
+        Row::new("mci_dist_solve")
+            .text("transport", "uds")
+            .num("ranks", 2)
+            .num("reps", reps)
+            .num("iters", iters)
+            .num("us_per_cg_iter", format_args!("{us_per_iter:.3}"))
+            .num("messages_per_cg_iter", msgs_per_iter),
+    );
 
     match restart_drill() {
         Some((recover, respawns, backoff, clean, faulty)) => {
@@ -366,26 +372,23 @@ fn main() {
                  recover {recover:.3} s ({respawns} respawn, {backoff:.3} s backoff; \
                  clean {clean:.3} s, faulty {faulty:.3} s)"
             );
-            rows.push(format!(
-                "{{\"bench\":\"mci_restart_in_place\",\"transport\":\"uds\",\
-                 \"shards\":3,\"scripted_deaths\":1,\
-                 \"respawns\":{respawns},\
-                 \"restart_backoff_seconds\":{backoff:.6},\
-                 \"clean_run_seconds\":{clean:.6},\
-                 \"faulty_run_seconds\":{faulty:.6},\
-                 \"time_to_recover_seconds\":{recover:.6}}}"
-            ));
+            let secs = |s: f64| format!("{s:.6}");
+            rows.push(
+                Row::new("mci_restart_in_place")
+                    .text("transport", "uds")
+                    .num("shards", 3)
+                    .num("scripted_deaths", 1)
+                    .num("respawns", respawns)
+                    .num("restart_backoff_seconds", secs(backoff))
+                    .num("clean_run_seconds", secs(clean))
+                    .num("faulty_run_seconds", secs(faulty))
+                    .num("time_to_recover_seconds", secs(recover)),
+            );
         }
         None => println!(
             "\nrestart_in_place drill skipped: nkg-rank binary not found next to bench_mci \
              (build the workspace bins first)"
         ),
     }
-    let out = if smoke {
-        "target/BENCH_mci.smoke.json"
-    } else {
-        "BENCH_mci.json"
-    };
-    write_jsonl(out, &rows);
-    println!("\nwrote {} rows to {out}", rows.len());
+    write_jsonl(&bench_path("mci", smoke), &rows);
 }

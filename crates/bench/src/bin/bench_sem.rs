@@ -1,23 +1,30 @@
 //! SEM elliptic engine benchmark → `BENCH_sem.json`.
 //!
-//! Two sections, both machine-recorded as JSON Lines:
+//! 1. The preconditioner ladder on the statically condensed system (CG on
+//!    the Schur complement `S` of the element-boundary DoFs, interiors
+//!    eliminated at build — the paper's "scalable low-energy basis
+//!    preconditioner" setting): none → diag S → vertex diagonal + edge
+//!    blocks of S → + coarse vertex solve PᵀSP → + successive-RHS
+//!    projection.
 //!
-//! 1. The preconditioner ladder on the condensed system (none / Jacobi /
-//!    low-energy / + coarse vertex solve / + RHS-projection warm starts)
-//!    on the ablation mesh, one ladder per polynomial order — total CG
-//!    iterations AND median wall time over a sequence of slowly varying
-//!    rough right-hand sides, one record per rung.
+//!    One ladder per polynomial order on a 4×4 rectangle mesh; each rung
+//!    solves the same sequence of slowly varying *rough* right-hand sides
+//!    (a mass-weighted pseudo-random field exercises the whole spectrum;
+//!    a single smooth mode converges in a handful of Krylov directions
+//!    under any preconditioner and hides the ladder entirely). The
+//!    projection rung is the only one that exploits the sequence — exactly
+//!    how the Navier–Stokes stepper uses the engine. One row per rung:
+//!    total / first / last CG iterations and median wall time.
 //! 2. A short Navier–Stokes run on the default engine configuration with
 //!    the per-step pressure/viscous iteration telemetry the solver
-//!    exposes, one record for the run.
+//!    exposes, one row for the run.
 //!
-//! A run replaces `BENCH_sem.json`; every row is stamped with
-//! `host_cores`, `threads` and `commit`. `--smoke` shrinks polynomial
-//! order and solve counts for CI shape checks (the JSON schema is
-//! identical) and writes `target/BENCH_sem.smoke.json` instead, so the
-//! gate never touches the committed rows.
+//! The shape (each rung cuts the total, the count barely grows with P,
+//! projection collapses the tail of the sequence) is pinned in tier-1 by
+//! `precon/tests.rs::ladder_orders_the_rungs_2d`. `--smoke` shrinks
+//! orders and solve counts.
 
-use nkg_bench::{header, time_median, write_jsonl};
+use nkg_bench::{bench_path, header, time_median, write_jsonl, Row};
 use nkg_mesh::quad::QuadMesh;
 use nkg_sem::precon::{EllipticSolver, PreconKind};
 use nkg_sem::space2d::Space2d;
@@ -39,7 +46,9 @@ fn pseudo(n: usize, seed: u64) -> Vec<f64> {
         .collect()
 }
 
-/// Slowly varying rough weak-form right-hand sides (see `ablation_precon`).
+/// A sequence of slowly varying rough weak-form right-hand sides:
+/// smoothly modulated combinations of a few frozen rough fields, the
+/// elliptic engine's view of successive pressure-Poisson steps.
 fn rhs_sequence(space: &Space2d, nsolves: usize) -> Vec<Vec<f64>> {
     let fields: Vec<Vec<f64>> = (0..5)
         .map(|k| space.apply_mass(&pseudo(space.nglobal, 40 + k)))
@@ -65,7 +74,7 @@ fn rhs_sequence(space: &Space2d, nsolves: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-fn ladder(out: &mut Vec<String>, p: usize, nsolves: usize, reps: usize) {
+fn ladder(out: &mut Vec<Row>, p: usize, nsolves: usize, reps: usize) {
     let rungs: [(&str, PreconKind, usize); 5] = [
         ("none", PreconKind::None, 0),
         ("jacobi", PreconKind::Jacobi, 0),
@@ -79,48 +88,59 @@ fn ladder(out: &mut Vec<String>, p: usize, nsolves: usize, reps: usize) {
     let bnd = space.boundary_dofs(|_| true);
     let vals = vec![0.0; bnd.len()];
 
-    header(&format!(
-        "Preconditioner ladder, P = {p} ({} DoF), {nsolves} solves per rung",
-        space.nglobal
-    ));
     println!(
-        "{:>16} {:>12} {:>12} {:>12} {:>12}",
-        "rung", "iters total", "first", "last", "median s"
+        "\nP = {p} ({} DoF), {nsolves} solves per rung, tol 1e-10",
+        space.nglobal
+    );
+    println!(
+        "{:>16} {:>8} {:>12} {:>8} {:>8} {:>12}",
+        "rung", "S dof", "iters total", "first", "last", "median s"
     );
     let mut jacobi_total = 0usize;
     for (label, kind, proj_depth) in rungs {
         // The timed closure rebuilds the engine so every rep starts cold
         // (projection bases would otherwise carry across reps).
-        let mut totals = (0usize, 0usize, 0usize);
+        let mut counts = (0usize, 0usize, 0usize, 0usize);
         let secs = time_median(reps, || {
             let mut engine =
                 EllipticSolver::new(&space, 0.0, &bnd, kind, 1e-10, 20_000, 1, proj_depth);
             let mut x = vec![0.0; space.nglobal];
             let (mut total, mut first, mut last) = (0usize, 0usize, 0usize);
             for (t, rhs) in seq.iter().enumerate() {
-                let stats = engine.solve_into(&space, rhs, &vals, &mut x, 0);
-                assert!(stats.cg.converged && !stats.cg.breakdown, "{label} failed");
-                total += stats.cg.iterations;
+                let cg = engine.solve_into(&space, rhs, &vals, &mut x, 0).cg;
+                assert!(
+                    cg.converged && !cg.breakdown,
+                    "{label} rung failed to converge (iters {}, residual {:.3e}, breakdown {})",
+                    cg.iterations,
+                    cg.residual,
+                    cg.breakdown
+                );
+                total += cg.iterations;
                 if t == 0 {
-                    first = stats.cg.iterations;
+                    first = cg.iterations;
                 }
-                last = stats.cg.iterations;
+                last = cg.iterations;
             }
-            totals = (total, first, last);
+            counts = (total, first, last, engine.condensed_len());
         });
-        let (total, first, last) = totals;
+        let (total, first, last, s_dof) = counts;
         if label == "jacobi" {
             jacobi_total = total;
         }
-        println!(
-            "{:>16} {:>12} {:>12} {:>12} {:>12.4}",
-            label, total, first, last, secs
+        println!("{label:>16} {s_dof:>8} {total:>12} {first:>8} {last:>8} {secs:>12.4}");
+        out.push(
+            Row::new("sem_precon")
+                .num("p", p)
+                .num("dof", space.nglobal)
+                .num("s_dof", s_dof)
+                .text("rung", label)
+                .num("solves", nsolves)
+                .num("iters_total", total)
+                .num("iters_first", first)
+                .num("iters_last", last)
+                .num("secs", format_args!("{secs:.6}")),
         );
-        out.push(format!(
-            "{{\"bench\":\"sem_precon\",\"p\":{p},\"dof\":{},\"rung\":\"{label}\",\"solves\":{nsolves},\"iters_total\":{total},\"iters_first\":{first},\"iters_last\":{last},\"secs\":{secs:.6}}}",
-            space.nglobal
-        ));
-        if label == "le+coarse+proj" && jacobi_total > 0 {
+        if label == "le+coarse+proj" {
             println!(
                 "{:>16} {:.1}x fewer iterations than Jacobi",
                 "→",
@@ -130,7 +150,7 @@ fn ladder(out: &mut Vec<String>, p: usize, nsolves: usize, reps: usize) {
     }
 }
 
-fn ns_telemetry(out: &mut Vec<String>, p: usize, steps: usize) {
+fn ns_telemetry(out: &mut Vec<Row>, p: usize, steps: usize) {
     let mesh = QuadMesh::rectangle(2, 2, 0.0, 1.0, 0.0, 1.0);
     let space = Space2d::new(mesh, p, false);
     let cfg = NsConfig {
@@ -168,33 +188,37 @@ fn ns_telemetry(out: &mut Vec<String>, p: usize, steps: usize) {
     println!("pressure iters/step: {press:?}");
     println!("viscous  iters/step: {visc:?}");
     println!("max residual {max_res:.3e}, breakdown steps {breakdowns}, {secs:.3} s total");
-    let join = |v: &[usize]| {
-        v.iter()
-            .map(|x| x.to_string())
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    out.push(format!(
-        "{{\"bench\":\"sem_ns\",\"p\":{p},\"steps\":{steps},\"precon\":\"le+coarse\",\"proj_depth\":8,\"pressure_iters\":[{}],\"viscous_iters\":[{}],\"max_residual\":{max_res:.3e},\"breakdown_steps\":{breakdowns},\"secs\":{secs:.6}}}",
-        join(&press),
-        join(&visc)
-    ));
+    let mut row = Row::new("sem_ns")
+        .num("p", p)
+        .num("steps", steps)
+        .text("precon", "le+coarse")
+        .num("proj_depth", 8);
+    // Warm starts show as a decay from the first step's count to the last.
+    for (name, iters) in [("pressure", &press), ("viscous", &visc)] {
+        row = row
+            .num(&format!("{name}_iters_total"), iters.iter().sum::<usize>())
+            .num(&format!("{name}_iters_first"), iters[0])
+            .num(&format!("{name}_iters_last"), iters[steps - 1]);
+    }
+    out.push(
+        row.num("max_residual", format_args!("{max_res:.3e}"))
+            .num("breakdown_steps", breakdowns)
+            .num("secs", format_args!("{secs:.6}")),
+    );
 }
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let mut rows = Vec::new();
-    let out = if smoke {
-        ladder(&mut rows, 4, 6, 1);
-        ns_telemetry(&mut rows, 3, 4);
-        std::fs::create_dir_all("target").expect("create target/");
-        "target/BENCH_sem.smoke.json"
+    let (orders, nsolves, reps, ns): (&[usize], _, _, _) = if smoke {
+        (&[3, 4], 6, 1, (3, 4))
     } else {
-        ladder(&mut rows, 4, 12, 3);
-        ladder(&mut rows, 8, 12, 3);
-        ns_telemetry(&mut rows, 6, 20);
-        "BENCH_sem.json"
+        (&[4, 6, 8, 10], 12, 3, (6, 20))
     };
-    write_jsonl(out, &rows);
-    println!("\n({} records written to {out})", rows.len());
+    let mut rows = Vec::new();
+    header("Preconditioner ladder: CG on the condensed SEM Poisson system");
+    for &p in orders {
+        ladder(&mut rows, p, nsolves, reps);
+    }
+    ns_telemetry(&mut rows, ns.0, ns.1);
+    write_jsonl(&bench_path("sem", smoke), &rows);
 }

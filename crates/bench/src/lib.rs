@@ -1,11 +1,11 @@
-//! Shared helpers for the table/figure harness binaries.
+//! Shared helpers for the harness binaries under `src/bin/`.
 //!
-//! Each binary under `src/bin/` regenerates one table or figure of the
-//! paper's evaluation section and prints the same rows/series the paper
-//! reports, side by side with the paper's published values where they
-//! exist. Run them with `cargo run --release -p nkg-bench --bin <name>`:
+//! One binary per table or figure of the paper's evaluation section,
+//! printing the rows/series the paper reports side by side with its
+//! published values where they exist, and one `BENCH_*.json` emitter per
+//! layer. Run them with `cargo run --release -p nkg-bench --bin <name>`:
 //!
-//! | binary            | reproduces                                        |
+//! | binary            | reproduces / measures                             |
 //! |-------------------|---------------------------------------------------|
 //! | `table1`          | SIMD kernel speed-ups                             |
 //! | `table2`          | partitioning strategies (face vs full adjacency)  |
@@ -18,22 +18,36 @@
 //! | `fig10`           | platelet aggregation on the aneurysm wall         |
 //! | `torus_ablation`  | §3.5 six-direction message scheduling             |
 //! | `ablation_exchange` | three-step vs all-pairs interface exchange      |
-//! | `ablation_precon` | CG preconditioner choices                         |
+//! | `bench_sem`       | preconditioner ladder, NS solve telemetry → `BENCH_sem.json` |
+//! | `bench_dpd`       | pair sweep, step, pool sweep → `BENCH_dpd.json`   |
+//! | `bench_ckpt`      | CRC, encode/seal/commit/restore → `BENCH_ckpt.json` |
+//! | `bench_mci`       | exchange, allreduce, failover → `BENCH_mci.json`  |
+//! | `bench_serve`     | cache tiers, scheduler → `BENCH_serve.json`       |
+//!
+//! Every emitter takes one flag, `--smoke` (toy sizes, same rows, written
+//! under `target/`), and writes [`Row`]s through [`write_jsonl`] only.
 
+use std::fmt::{Display, Write as _};
 use std::time::Instant;
+
+/// Median of `samples` (the upper one of an even count).
+pub fn median(mut samples: Vec<f64>) -> f64 {
+    assert!(!samples.is_empty());
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
 
 /// Median wall time of `reps` invocations of `f`, in seconds.
 pub fn time_median(reps: usize, mut f: impl FnMut()) -> f64 {
-    assert!(reps >= 1);
-    let mut samples: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[reps / 2]
+    median(
+        (0..reps)
+            .map(|_| {
+                let t0 = Instant::now();
+                f();
+                t0.elapsed().as_secs_f64()
+            })
+            .collect(),
+    )
 }
 
 /// On-CPU seconds of this process, summed over its live threads
@@ -57,13 +71,6 @@ pub fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Effective worker count of the current rayon pool — what the element
-/// loops and particle sweeps actually ran on, after `RAYON_NUM_THREADS`
-/// / `NKG_POOL_WIDTH` placement took effect.
-pub fn effective_threads() -> usize {
-    rayon::current_num_threads()
-}
-
 /// `git describe --always --dirty` of the checkout the benchmark ran in
 /// (`"unknown"` outside a git checkout), looked up once.
 pub fn commit() -> &'static str {
@@ -85,44 +92,70 @@ pub fn commit() -> &'static str {
     })
 }
 
-/// Prefix a single-object JSON record with the facts every benchmark row
-/// must carry: logical core count, effective thread count and commit.
-/// Records not shaped like a JSON object pass through unchanged.
-fn stamp_host(record: &str) -> String {
-    match record.strip_prefix('{') {
-        Some(rest) => {
-            let sep = if rest.trim_start().starts_with('}') {
-                ""
-            } else {
-                ","
-            };
-            format!(
-                "{{\"host_cores\":{},\"threads\":{},\"commit\":\"{}\"{sep}{rest}",
-                host_cores(),
-                effective_threads(),
-                commit()
-            )
-        }
-        None => record.to_string(),
+/// One benchmark row: a flat JSON object (scalar values only) that opens
+/// with the facts every row must carry — logical core count, the rayon
+/// pool's thread count after `RAYON_NUM_THREADS` / `NKG_POOL_WIDTH` took
+/// effect, commit — and the `bench` it belongs to. The only thing
+/// [`write_jsonl`] accepts, so a nested or unstamped row cannot be written.
+pub struct Row(String);
+
+impl Row {
+    /// A row of `bench`, stamped with where it ran.
+    pub fn new(bench: &str) -> Self {
+        let stamp = format!(
+            "{{\"host_cores\":{},\"threads\":{},\"commit\":\"{}\"",
+            host_cores(),
+            rayon::current_num_threads(),
+            commit()
+        );
+        Row(stamp).text("bench", bench)
+    }
+
+    /// Add a number: an integer, or a float formatted by the caller
+    /// (`format_args!("{x:.6}")`). Non-finite values become `null`.
+    pub fn num(mut self, key: &str, value: impl Display) -> Self {
+        let v = value.to_string();
+        let x: f64 = v
+            .parse()
+            .unwrap_or_else(|_| panic!("{key}: {v:?} is no number"));
+        let v = if x.is_finite() { v.as_str() } else { "null" };
+        write!(self.0, ",\"{key}\":{v}").unwrap();
+        self
+    }
+
+    /// Add a string (plain: no quotes, backslashes or control characters).
+    pub fn text(mut self, key: &str, value: &str) -> Self {
+        let plain = |c: char| !c.is_control() && c != '"' && c != '\\';
+        assert!(value.chars().all(plain), "{key}: {value:?}");
+        write!(self.0, ",\"{key}\":\"{value}\"").unwrap();
+        self
+    }
+
+    /// Add a boolean.
+    pub fn flag(mut self, key: &str, value: bool) -> Self {
+        write!(self.0, ",\"{key}\":{value}").unwrap();
+        self
     }
 }
 
-/// Overwrite `path` with `records`, one JSON line each, stamped with
-/// `host_cores`, `threads` and `commit` so every row says where it ran. Use for
-/// benchmarks that emit several rows per run of which only the latest run
-/// matters (e.g. `BENCH_sem.json`): rerunning replaces, never duplicates.
-pub fn write_jsonl(path: &str, records: &[String]) {
-    let body: String = records.iter().map(|r| stamp_host(r) + "\n").collect();
-    std::fs::write(path, body).unwrap_or_else(|e| panic!("write {path}: {e}"));
+/// Where an emitter writes: `BENCH_<layer>.json` in the current directory,
+/// or `target/BENCH_<layer>.smoke.json` for a `--smoke` run, so the gate
+/// never touches the committed rows.
+pub fn bench_path(layer: &str, smoke: bool) -> String {
+    if smoke {
+        std::fs::create_dir_all("target").expect("create target/");
+        format!("target/BENCH_{layer}.smoke.json")
+    } else {
+        format!("BENCH_{layer}.json")
+    }
 }
 
-/// Overwrite `path` with a single consolidated JSON document, stamped
-/// like [`write_jsonl`] rows. Use for benchmarks whose output is one
-/// self-contained record per run (the latest run is the only one that
-/// matters, e.g. `BENCH_dpd.json`).
-pub fn write_json(path: &str, document: &str) {
-    let document = stamp_host(document);
-    std::fs::write(path, format!("{document}\n")).unwrap_or_else(|e| panic!("write {path}: {e}"));
+/// Overwrite `path` with `rows`, one JSON line each: only the latest run
+/// matters, so rerunning replaces, never duplicates.
+pub fn write_jsonl(path: &str, rows: &[Row]) {
+    let body: String = rows.iter().map(|r| format!("{}}}\n", r.0)).collect();
+    std::fs::write(path, body).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("\nwrote {} rows to {path}", rows.len());
 }
 
 /// Print a ruled section header.
@@ -154,13 +187,59 @@ mod tests {
 
     #[test]
     fn stamp_injects_host_facts() {
-        let s = stamp_host("{\"bench\":\"x\",\"secs\":1.0}");
+        let s = Row::new("x").num("secs", 1.0).0;
         assert!(s.starts_with("{\"host_cores\":"), "{s}");
         assert!(s.contains("\"threads\":"), "{s}");
-        assert!(s.ends_with(",\"bench\":\"x\",\"secs\":1.0}"), "{s}");
-        // Empty object gets no trailing comma; non-objects pass through.
-        let empty = stamp_host("{}");
-        assert!(empty.ends_with("}") && !empty.contains(",}"), "{empty}");
-        assert_eq!(stamp_host("[1,2]"), "[1,2]");
+        assert!(s.contains("\"commit\":\""), "{s}");
+        assert!(s.ends_with(",\"bench\":\"x\",\"secs\":1"), "{s}");
+    }
+
+    /// The contract of every `BENCH_*.json` line, checked once: the five
+    /// emitters write through `write_jsonl` alone, `write_jsonl` takes
+    /// `Row`s alone, and whatever a `Row` is given it stays one flat,
+    /// stamped JSON object.
+    #[test]
+    fn every_emitter_row_is_flat_and_stamped() {
+        for src in [
+            include_str!("bin/bench_ckpt.rs"),
+            include_str!("bin/bench_dpd.rs"),
+            include_str!("bin/bench_mci.rs"),
+            include_str!("bin/bench_sem.rs"),
+            include_str!("bin/bench_serve.rs"),
+        ] {
+            assert!(src.contains("write_jsonl(&bench_path("));
+            assert!(!src.contains("fs::write") && !src.contains("File::create"));
+        }
+        let row = Row::new("shape")
+            .num("count", 3usize)
+            .num("secs", format_args!("{:.3}", 0.25))
+            .num("nan", f64::NAN)
+            .num("exp", format_args!("{:.3e}", 1.5e-7))
+            .text("transport", "uds")
+            .flag("ok", true);
+        let path = std::env::temp_dir().join(format!("nkg-bench-row-{}", std::process::id()));
+        write_jsonl(path.to_str().unwrap(), &[row]);
+        let line = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let body = line
+            .strip_suffix("}\n")
+            .and_then(|l| l.strip_prefix('{'))
+            .expect("one object per line");
+        // Flat: no nested object or array, and with plain strings every
+        // comma separates two members.
+        assert!(!body.contains(['{', '}', '[', ']', '\n']), "{body}");
+        let keys: Vec<&str> = body
+            .split(',')
+            .map(|m| m.split_once(':').expect("key:value").0.trim_matches('"'))
+            .collect();
+        assert_eq!(keys[..4], ["host_cores", "threads", "commit", "bench"]);
+        assert_eq!(
+            keys[4..],
+            ["count", "secs", "nan", "exp", "transport", "ok"]
+        );
+        assert!(body.contains(&format!("\"host_cores\":{},", host_cores())));
+        assert!(body.ends_with(
+            "\"count\":3,\"secs\":0.250,\"nan\":null,\"exp\":1.500e-7,\"transport\":\"uds\",\"ok\":true"
+        ));
     }
 }

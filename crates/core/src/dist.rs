@@ -19,6 +19,7 @@
 
 use nkg_mci::Comm;
 use nkg_partition::{recursive_bisect, Graph};
+use nkg_sem::precon::ApplyScratch;
 use nkg_sem::space2d::Space2d;
 
 /// A distributed view of a [`Space2d`] for one rank of a communicator.
@@ -115,50 +116,16 @@ impl<'a> DistSpace2d<'a> {
 
     /// Distributed matrix-free Helmholtz apply restricted to my elements,
     /// followed by shared-DoF assembly.
-    pub fn apply_helmholtz(&self, comm: &Comm, lambda: f64, u: &[f64], out: &mut [f64]) {
-        let n = self.space.basis.n();
-        let nloc = self.space.nloc();
-        let d = &self.space.basis.d;
-        out.iter_mut().for_each(|o| *o = 0.0);
-        let mut ul = vec![0.0f64; nloc];
-        let mut ur = vec![0.0f64; nloc];
-        let mut us = vec![0.0f64; nloc];
-        let mut f1 = vec![0.0f64; nloc];
-        let mut f2 = vec![0.0f64; nloc];
-        for &e in &self.my_elems {
-            let map = &self.space.gmap[e];
-            let g = &self.space.geom[e];
-            for (k, &gid) in map.iter().enumerate() {
-                ul[k] = u[gid];
-            }
-            for j in 0..n {
-                for i in 0..n {
-                    let mut sr = 0.0;
-                    let mut ss = 0.0;
-                    for m in 0..n {
-                        sr += d[i * n + m] * ul[j * n + m];
-                        ss += d[j * n + m] * ul[m * n + i];
-                    }
-                    ur[j * n + i] = sr;
-                    us[j * n + i] = ss;
-                }
-            }
-            for k in 0..nloc {
-                f1[k] = g.g11[k] * ur[k] + g.g12[k] * us[k];
-                f2[k] = g.g12[k] * ur[k] + g.g22[k] * us[k];
-            }
-            for j in 0..n {
-                for i in 0..n {
-                    let mut s = 0.0;
-                    for m in 0..n {
-                        s += d[m * n + i] * f1[j * n + m];
-                        s += d[m * n + j] * f2[m * n + i];
-                    }
-                    let k = j * n + i;
-                    out[map[k]] += s + lambda * g.mass[k] * ul[k];
-                }
-            }
-        }
+    pub fn apply_helmholtz(
+        &self,
+        comm: &Comm,
+        lambda: f64,
+        u: &[f64],
+        out: &mut [f64],
+        ws: &mut ApplyScratch,
+    ) {
+        let mine = self.my_elems.iter().copied();
+        self.space.apply_helmholtz_elems(mine, lambda, u, out, ws);
         self.assemble(comm, out);
     }
 
@@ -255,10 +222,11 @@ impl<'a> DistSpace2d<'a> {
         let mut rz = self.dot(comm, &r, &z);
         let bnorm = self.dot(comm, &r, &r).sqrt().max(1e-300);
         let mut ap = vec![0.0f64; ng];
+        let mut ws = ApplyScratch::new();
         let mut iters = 0;
         for it in 1..=max_iter {
             iters = it;
-            self.apply_helmholtz(comm, lambda, &p, &mut ap);
+            self.apply_helmholtz(comm, lambda, &p, &mut ap, &mut ws);
             mask(&mut ap);
             let pap = self.dot(comm, &p, &ap);
             if pap <= 0.0 {
@@ -328,7 +296,7 @@ mod tests {
                 .map(|i| ((i * 13 + 5) % 17) as f64 / 17.0)
                 .collect();
             let mut dist = vec![0.0; space.nglobal];
-            ds.apply_helmholtz(&comm, 1.3, &u, &mut dist);
+            ds.apply_helmholtz(&comm, 1.3, &u, &mut dist, &mut ApplyScratch::new());
             let mut serial = vec![0.0; space.nglobal];
             space.apply_helmholtz(1.3, &u, &mut serial);
             for g in 0..space.nglobal {
@@ -373,6 +341,17 @@ mod tests {
             let (space, rhs, bnd) = poisson_problem(4);
             let ds = DistSpace2d::new(&space, &comm, 4);
             assert!(ds.plan.is_empty());
+            // One rank owns every element: the distributed apply is the
+            // serial operator, bit for bit.
+            let u: Vec<f64> = (0..space.nglobal)
+                .map(|i| ((i * 13 + 5) % 17) as f64 / 17.0)
+                .collect();
+            let mut dist = vec![0.0; space.nglobal];
+            ds.apply_helmholtz(&comm, 1.3, &u, &mut dist, &mut ApplyScratch::new());
+            let mut serial = vec![0.0; space.nglobal];
+            space.apply_helmholtz(1.3, &u, &mut serial);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&dist), bits(&serial));
             let (x, _) = ds.solve_dirichlet(&comm, 0.0, &rhs, &bnd, 1e-12, 2000);
             let zeros = vec![0.0; bnd.len()];
             let (xs, _) = space.solve_helmholtz(0.0, &rhs, &bnd, &zeros, 1e-12, 2000);

@@ -39,10 +39,6 @@
 //! Admission order itself is a pure function of the specs
 //! ([`admission_order`]) with a total tie-break ending at the submission
 //! index, so scheduling *decisions* are reproducible too.
-//!
-//! The pre-existing [`Ensemble::run_jobs`] closure API survives as a thin
-//! FIFO facade over the same engine (single inline worker, one slice per
-//! job), now surfacing per-job failures instead of aborting the batch.
 
 use nkg_artifact::{with_cache, ArtifactCache, ArtifactKey, CacheMode, KeyHasher, KindStats};
 use nkg_ckpt::{restore_bytes, seal_bytes, snapshot_bytes, unseal_bytes, CkptError};
@@ -682,63 +678,6 @@ impl Ensemble {
         });
         engine.into_results()
     }
-
-    /// Thin FIFO facade over the engine, preserving the original closure
-    /// API: `build` constructs the solver for a parameter point, `run`
-    /// advances it and returns the job's result, both inside the shared
-    /// cache scope on a single inline worker. A panicking job records a
-    /// [`JobFailure`] in its report (its result slot is `None`) and the
-    /// remaining jobs still run.
-    pub fn run_jobs<J, S, R>(
-        &self,
-        jobs: &[J],
-        mut build: impl FnMut(&J) -> S,
-        mut run: impl FnMut(&mut S, &J) -> R,
-    ) -> Vec<JobResult<R>> {
-        let specs: Vec<JobSpec<&J>> = jobs.iter().map(JobSpec::new).collect();
-        let ops = ClosureOps {
-            build: RefCell::new(move |j: &&J| build(j)),
-            run: RefCell::new(move |s: &mut S, j: &&J| run(s, j)),
-        };
-        let cfg = SchedulerConfig::default();
-        let order = admission_order(&specs, SchedPolicy::Fifo);
-        let engine = Engine::new(&self.cache, &specs, &ops, &cfg);
-        engine.drive_inline(&order);
-        engine.into_results()
-    }
-}
-
-/// Adapter turning the `run_jobs` closure pair into a [`JobOps`]: one
-/// slice, no preemption. `RefCell` because the facade takes `FnMut` and
-/// the inline engine never crosses threads.
-struct ClosureOps<B, F> {
-    build: RefCell<B>,
-    run: RefCell<F>,
-}
-
-impl<J, S, R, B, F> JobOps<J> for ClosureOps<B, F>
-where
-    B: FnMut(&J) -> S,
-    F: FnMut(&mut S, &J) -> R,
-{
-    type State = (S, Option<R>);
-    type Out = R;
-
-    fn build(&self, job: &J) -> Self::State {
-        ((self.build.borrow_mut())(job), None)
-    }
-
-    fn slices(&self, _job: &J) -> usize {
-        1
-    }
-
-    fn run_slice(&self, state: &mut Self::State, job: &J, _slice: usize) {
-        state.1 = Some((self.run.borrow_mut())(&mut state.0, job));
-    }
-
-    fn finish(&self, state: &mut Self::State, _job: &J) -> R {
-        state.1.take().expect("run_slice stored the result")
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -888,17 +827,19 @@ impl JobOps<SweepJob> for SweepOps {
 mod tests {
     use super::*;
 
-    fn job(force: f64) -> Multipatch2d {
-        SweepJob::channel(8, 2, 3, force, 0).build()
+    /// A sweep over `forces` on one discretization, four steps per job,
+    /// served FIFO on the inline worker.
+    fn sweep(ens: &Ensemble, forces: &[f64]) -> Vec<JobResult<u64>> {
+        let specs: Vec<_> = forces
+            .iter()
+            .map(|&f| SweepJob::channel(8, 2, 3, f, 4).spec())
+            .collect();
+        ens.serve(&specs, &SweepOps, &SchedulerConfig::default())
     }
 
-    fn run_bits(mp: &mut Multipatch2d) -> Vec<u64> {
-        for _ in 0..4 {
-            mp.step();
-        }
-        mp.patches
-            .iter()
-            .flat_map(|s| s.u.iter().chain(&s.p).map(|x| x.to_bits()))
+    fn hashes(out: &[JobResult<u64>]) -> Vec<u64> {
+        out.iter()
+            .map(|(r, h)| h.unwrap_or_else(|| panic!("job failed: {r:?}")))
             .collect()
     }
 
@@ -909,9 +850,9 @@ mod tests {
     fn warm_jobs_bitwise_match_cold() {
         let forces = [0.3, 0.4, 0.5];
         let warm = Ensemble::new(CacheMode::Process);
-        let warm_out = warm.run_jobs(&forces, |&f| job(f), |mp, _| run_bits(mp));
+        let warm_out = sweep(&warm, &forces);
         let cold = Ensemble::new(CacheMode::Off);
-        let cold_out = cold.run_jobs(&forces, |&f| job(f), |mp, _| run_bits(mp));
+        let cold_out = sweep(&cold, &forces);
 
         let totals = warm.cache().totals();
         assert!(
@@ -919,9 +860,11 @@ mod tests {
             "3-job sweep produced no cache hits: {totals:?}"
         );
         assert_eq!(cold.cache().totals().hits, 0, "Off mode must never hit");
-        for ((_, w), (_, c)) in warm_out.iter().zip(&cold_out) {
-            assert_eq!(w, c, "warm job diverged bitwise from cold job");
-        }
+        assert_eq!(
+            hashes(&warm_out),
+            hashes(&cold_out),
+            "warm job diverged bitwise from cold job"
+        );
     }
 
     /// The jobs' setup reuse shows up in the per-kind counters: the sweep
@@ -929,9 +872,8 @@ mod tests {
     /// and one interface table set across all jobs.
     #[test]
     fn sweep_reuses_setup_artifacts() {
-        let forces = [0.25, 0.35, 0.45, 0.55];
         let ens = Ensemble::new(CacheMode::Process);
-        ens.run_jobs(&forces, |&f| job(f), |mp, _| run_bits(mp));
+        sweep(&ens, &[0.25, 0.35, 0.45, 0.55]);
         for (kind, st) in ens.stats() {
             assert!(
                 st.hits > 0,
@@ -953,59 +895,35 @@ mod tests {
     fn disk_tier_warm_starts_a_second_batch() {
         let dir = std::env::temp_dir().join(format!("nkg-ens-{}", std::process::id()));
         let forces = [0.4, 0.5];
-        let first = Ensemble::with_disk(&dir);
-        let first_out = first.run_jobs(&forces, |&f| job(f), |mp, _| run_bits(mp));
+        let first_out = sweep(&Ensemble::with_disk(&dir), &forces);
         let second = Ensemble::with_disk(&dir);
-        let second_out = second.run_jobs(&forces, |&f| job(f), |mp, _| run_bits(mp));
+        let second_out = sweep(&second, &forces);
         let totals = second.cache().totals();
         assert!(
             totals.disk_hits > 0,
             "second batch never hit the disk tier: {totals:?}"
         );
-        for ((_, a), (_, b)) in first_out.iter().zip(&second_out) {
-            assert_eq!(a, b, "disk-warmed job diverged bitwise");
-        }
+        assert_eq!(
+            hashes(&first_out),
+            hashes(&second_out),
+            "disk-warmed job diverged bitwise"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Satellite 3: a panicking job records a typed failure, the batch
-    /// finishes, and the shared cache stays usable (no poisoned locks,
-    /// no stuck in-flight builds).
+    /// A panicking job records a typed failure, the batch finishes, and
+    /// the shared cache stays usable (no poisoned locks, no stuck
+    /// in-flight builds).
     #[test]
     fn panicking_job_is_isolated() {
-        let forces = [0.3, f64::NAN, 0.5]; // NaN job scripted to panic
-        let ens = Ensemble::new(CacheMode::Process);
-        let out = ens.run_jobs(
-            &forces,
-            |&f| {
-                assert!(!f.is_nan(), "scripted build panic for NaN force");
-                job(f)
-            },
-            |mp, _| run_bits(mp),
-        );
-        assert_eq!(out.len(), 3, "batch must not abort");
-        assert!(out[0].1.is_some() && out[2].1.is_some());
-        assert!(out[1].1.is_none());
-        match &out[1].0.failure {
-            Some(JobFailure::BuildPanicked(msg)) => {
-                assert!(msg.contains("scripted build panic"), "got: {msg}");
-            }
-            other => panic!("expected BuildPanicked, got {other:?}"),
-        }
-        // Cache still serves a follow-up batch (and stays warm).
-        let again = ens.run_jobs(&[0.3], |&f| job(f), |mp, _| run_bits(mp));
-        assert_eq!(again[0].1.as_ref(), out[0].1.as_ref());
-
-        // A mid-run panic is typed with its slice.
-        let specs = [
-            JobSpec::new(SweepJob::channel(8, 2, 3, 0.4, 4)),
-            JobSpec::new(SweepJob::channel(8, 2, 3, f64::INFINITY, 4)),
-        ];
+        /// `SweepOps`, except a NaN force panics in `build` and an
+        /// infinite one in slice 2.
         struct PanickyOps;
         impl JobOps<SweepJob> for PanickyOps {
             type State = Multipatch2d;
             type Out = u64;
             fn build(&self, job: &SweepJob) -> Multipatch2d {
+                assert!(!job.force.is_nan(), "scripted build panic for NaN force");
                 job.build()
             }
             fn slices(&self, job: &SweepJob) -> usize {
@@ -1022,12 +940,29 @@ mod tests {
                 field_hash(mp)
             }
         }
+        let specs: Vec<_> = [0.3, f64::NAN, 0.5, f64::INFINITY]
+            .iter()
+            .map(|&f| JobSpec::new(SweepJob::channel(8, 2, 3, f, 4)))
+            .collect();
+        let ens = Ensemble::new(CacheMode::Process);
         let out = ens.serve(&specs, &PanickyOps, &SchedulerConfig::default());
-        assert!(out[0].1.is_some());
+        assert_eq!(out.len(), 4, "batch must not abort");
+        assert!(out[0].1.is_some() && out[2].1.is_some());
+        assert!(out[1].1.is_none() && out[3].1.is_none());
+        match &out[1].0.failure {
+            Some(JobFailure::BuildPanicked(msg)) => {
+                assert!(msg.contains("scripted build panic"), "got: {msg}");
+            }
+            other => panic!("expected BuildPanicked, got {other:?}"),
+        }
+        // A mid-run panic is typed with its slice.
         assert!(matches!(
-            out[1].0.failure,
+            out[3].0.failure,
             Some(JobFailure::RunPanicked { slice: 2, .. })
         ));
+        // Cache still serves a follow-up batch (and stays warm).
+        let again = sweep(&ens, &[0.3]);
+        assert_eq!(again[0].1, out[0].1);
     }
 
     /// Admission order: priority outranks everything, affinity groups
@@ -1098,6 +1033,11 @@ mod tests {
             .collect();
         let reference =
             Ensemble::new(CacheMode::Process).serve(&specs, &SweepOps, &SchedulerConfig::default());
+        let check = |got: &[JobResult<u64>], what: &str| {
+            for (i, ((_, g), (_, r))) in got.iter().zip(&reference).enumerate() {
+                assert_eq!(g.unwrap(), r.unwrap(), "job {i} diverged under {what}");
+            }
+        };
         for policy in [SchedPolicy::Fifo, SchedPolicy::CostAffinity] {
             for workers in [1, 2] {
                 let cfg = SchedulerConfig {
@@ -1106,13 +1046,39 @@ mod tests {
                     ..SchedulerConfig::default()
                 };
                 let got = Ensemble::new(CacheMode::Process).serve(&specs, &SweepOps, &cfg);
-                for (i, ((_, g), (_, r))) in got.iter().zip(&reference).enumerate() {
-                    assert_eq!(
-                        g.unwrap(),
-                        r.unwrap(),
-                        "job {i} diverged under {policy:?}/{workers} workers"
-                    );
-                }
+                check(&got, &format!("{policy:?}/{workers} workers"));
+            }
+        }
+        // Quantum preemption: a batch job that has held its worker for two
+        // slices while interactive jobs wait is sealed, requeued and
+        // resumed. Under FIFO on the inline worker that is deterministic
+        // (job 0 runs before interactive job 2 is dispatched); under
+        // affinity admission on two workers it depends on timing, and the
+        // physics may not.
+        let mixed: Vec<_> = specs
+            .iter()
+            .enumerate()
+            .map(|(i, s)| match i % 3 {
+                2 => s.clone().priority(Priority::Interactive),
+                _ => s.clone(),
+            })
+            .collect();
+        for (policy, workers) in [(SchedPolicy::Fifo, 1), (SchedPolicy::CostAffinity, 2)] {
+            let cfg = SchedulerConfig {
+                workers,
+                policy,
+                quantum_slices: Some(2),
+                ..SchedulerConfig::default()
+            };
+            let got = Ensemble::new(CacheMode::Process).serve(&mixed, &SweepOps, &cfg);
+            check(&got, &format!("{policy:?}/{workers} workers/quantum 2"));
+            if workers == 1 {
+                assert_eq!(
+                    got[0].0.preemptions, 1,
+                    "quantum never fired: {:?}",
+                    got[0].0
+                );
+                assert_eq!(got[2].0.preemptions, 0, "interactive jobs never yield");
             }
         }
         // Affinity admission batches the two groups contiguously.

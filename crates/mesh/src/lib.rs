@@ -14,8 +14,6 @@
 //!   geometries, overlapping patch decompositions);
 //! * [`hex`] — 3D hexahedral spectral-element meshes (boxes and mapped
 //!   tubes);
-//! * [`surface`] — triangulated interface surfaces (the ΓI of the paper's
-//!   §3.3) with midpoints, normals and areas;
 //! * [`patchgraph`] — the multipatch description of a vascular network
 //!   (patch sizes + interface topology) consumed by the coupling layer and
 //!   the performance model.
@@ -28,13 +26,11 @@ pub mod hex;
 pub mod oned;
 pub mod patchgraph;
 pub mod quad;
-pub mod surface;
 
 pub use hex::HexMesh;
 pub use oned::{ArterialNetwork, Segment, Windkessel};
 pub use patchgraph::{PatchGraph, PatchInfo};
 pub use quad::{BoundaryTag, QuadMesh};
-pub use surface::TriSurface;
 
 /// 2D point.
 pub type Point2 = [f64; 2];

@@ -318,13 +318,28 @@ impl Space2d {
         out: &mut [f64],
         ws: &mut ApplyScratch,
     ) {
+        self.apply_helmholtz_elems(0..self.gmap.len(), lambda, u, out, ws);
+    }
+
+    /// [`Space2d::apply_helmholtz_ws`] summed over the elements `elems`
+    /// only — one rank's share of a partitioned operator; shared DoFs hold
+    /// partial sums until the caller assembles them.
+    pub fn apply_helmholtz_elems(
+        &self,
+        elems: impl IntoIterator<Item = usize>,
+        lambda: f64,
+        u: &[f64],
+        out: &mut [f64],
+        ws: &mut ApplyScratch,
+    ) {
         out.iter_mut().for_each(|o| *o = 0.0);
         let nloc = self.nloc();
         ws.ensure(nloc);
         let ApplyScratch { ul, du, fl, ol, .. } = ws;
         let [ur, us, _] = du;
         let [f1, f2, _] = fl;
-        for (e, map) in self.gmap.iter().enumerate() {
+        for e in elems {
+            let map = &self.gmap[e];
             for (k, &gid) in map.iter().enumerate() {
                 ul[k] = u[gid];
             }

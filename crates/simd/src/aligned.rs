@@ -14,183 +14,23 @@ use std::slice;
 /// Alignment in bytes for all numeric buffers (one cache line).
 pub const ALIGN: usize = 64;
 
-/// A fixed-capacity, heap-allocated, 64-byte-aligned vector of `f64`.
+/// A growable, heap-allocated, 64-byte-aligned vector of `f64`.
 ///
-/// Unlike `Vec<f64>` the allocation is guaranteed to start on a cache-line
-/// boundary, which lets aligned SIMD loads be used without a scalar prologue.
-/// The length is fixed at construction; elements are zero-initialized.
+/// Unlike `Vec<f64>` the live allocation is guaranteed to start on a
+/// cache-line boundary, which lets aligned SIMD loads be used without a
+/// scalar prologue; `push`/`swap_remove`/`resize` let it back mutable SoA
+/// component arrays (DPD particle storage with open-boundary
+/// insertion/deletion). Capacity grows geometrically and every
+/// reallocation re-establishes the 64-byte alignment.
 ///
 /// ```
-/// use nkg_simd::AlignedVec;
-/// let mut v = AlignedVec::zeros(128);
+/// use nkg_simd::AlignedBuf;
+/// let mut v = AlignedBuf::zeros(128);
 /// v[3] = 7.5;
 /// assert_eq!(v.as_ptr() as usize % 64, 0);
 /// assert_eq!(v[3], 7.5);
 /// assert_eq!(v.len(), 128);
 /// ```
-pub struct AlignedVec {
-    ptr: NonNull<f64>,
-    len: usize,
-}
-
-// SAFETY: AlignedVec owns its allocation exclusively, just like Vec<f64>.
-unsafe impl Send for AlignedVec {}
-unsafe impl Sync for AlignedVec {}
-
-impl AlignedVec {
-    /// Allocate `len` zero-initialized elements. `len == 0` is allowed and
-    /// performs no allocation.
-    pub fn zeros(len: usize) -> Self {
-        if len == 0 {
-            return Self {
-                ptr: NonNull::dangling(),
-                len: 0,
-            };
-        }
-        let layout = Self::layout(len);
-        // SAFETY: layout has non-zero size (len > 0).
-        let raw = unsafe { alloc_zeroed(layout) };
-        let Some(ptr) = NonNull::new(raw as *mut f64) else {
-            handle_alloc_error(layout);
-        };
-        Self { ptr, len }
-    }
-
-    /// Build from a slice, copying its contents into aligned storage.
-    pub fn from_slice(data: &[f64]) -> Self {
-        let mut v = Self::zeros(data.len());
-        v.copy_from_slice(data);
-        v
-    }
-
-    /// Fill with values from a generator function of the index.
-    pub fn from_fn(len: usize, mut f: impl FnMut(usize) -> f64) -> Self {
-        let mut v = Self::zeros(len);
-        for (i, x) in v.iter_mut().enumerate() {
-            *x = f(i);
-        }
-        v
-    }
-
-    fn layout(len: usize) -> Layout {
-        Layout::from_size_align(len * std::mem::size_of::<f64>(), ALIGN)
-            .expect("allocation size overflow")
-    }
-
-    /// Number of elements.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the buffer holds no elements.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Raw const pointer to the first element.
-    #[inline]
-    pub fn as_ptr(&self) -> *const f64 {
-        self.ptr.as_ptr()
-    }
-
-    /// Raw mutable pointer to the first element.
-    #[inline]
-    pub fn as_mut_ptr(&mut self) -> *mut f64 {
-        self.ptr.as_ptr()
-    }
-
-    /// View as an immutable slice.
-    #[inline]
-    pub fn as_slice(&self) -> &[f64] {
-        // SAFETY: ptr is valid for len elements (or dangling with len == 0).
-        unsafe { slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
-    }
-
-    /// View as a mutable slice.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        // SAFETY: as above, and we hold &mut self.
-        unsafe { slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
-    }
-
-    /// Set every element to `value`.
-    pub fn fill(&mut self, value: f64) {
-        self.as_mut_slice().fill(value);
-    }
-}
-
-impl Drop for AlignedVec {
-    fn drop(&mut self) {
-        if self.len != 0 {
-            // SAFETY: allocated with the identical layout in `zeros`.
-            unsafe { dealloc(self.ptr.as_ptr() as *mut u8, Self::layout(self.len)) };
-        }
-    }
-}
-
-impl Clone for AlignedVec {
-    fn clone(&self) -> Self {
-        Self::from_slice(self.as_slice())
-    }
-}
-
-impl Deref for AlignedVec {
-    type Target = [f64];
-    #[inline]
-    fn deref(&self) -> &[f64] {
-        self.as_slice()
-    }
-}
-
-impl DerefMut for AlignedVec {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut [f64] {
-        self.as_mut_slice()
-    }
-}
-
-impl Index<usize> for AlignedVec {
-    type Output = f64;
-    #[inline]
-    fn index(&self, i: usize) -> &f64 {
-        &self.as_slice()[i]
-    }
-}
-
-impl IndexMut<usize> for AlignedVec {
-    #[inline]
-    fn index_mut(&mut self, i: usize) -> &mut f64 {
-        &mut self.as_mut_slice()[i]
-    }
-}
-
-impl std::fmt::Debug for AlignedVec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
-    }
-}
-
-impl PartialEq for AlignedVec {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl From<Vec<f64>> for AlignedVec {
-    fn from(v: Vec<f64>) -> Self {
-        Self::from_slice(&v)
-    }
-}
-
-/// A growable, heap-allocated, 64-byte-aligned vector of `f64`.
-///
-/// The growable sibling of [`AlignedVec`]: same cache-line alignment
-/// guarantee on the live allocation, plus `push`/`swap_remove`/`resize`
-/// so it can back mutable SoA component arrays (DPD particle storage with
-/// open-boundary insertion/deletion). Capacity grows geometrically and
-/// every reallocation re-establishes the 64-byte alignment.
 pub struct AlignedBuf {
     ptr: NonNull<f64>,
     len: usize,
@@ -222,7 +62,6 @@ impl AlignedBuf {
     pub fn zeros(len: usize) -> Self {
         let mut v = Self::new();
         v.resize(len, 0.0);
-        v.as_mut_slice().fill(0.0);
         v
     }
 
@@ -448,7 +287,7 @@ mod tests {
 
     #[test]
     fn zero_length_is_fine() {
-        let v = AlignedVec::zeros(0);
+        let v = AlignedBuf::zeros(0);
         assert!(v.is_empty());
         assert_eq!(v.as_slice(), &[] as &[f64]);
         let _ = v.clone();
@@ -457,27 +296,27 @@ mod tests {
     #[test]
     fn alignment_is_cache_line() {
         for len in [1, 3, 8, 127, 4096] {
-            let v = AlignedVec::zeros(len);
+            let v = AlignedBuf::zeros(len);
             assert_eq!(v.as_ptr() as usize % ALIGN, 0, "len={len}");
         }
     }
 
     #[test]
     fn zero_initialized() {
-        let v = AlignedVec::zeros(513);
+        let v = AlignedBuf::zeros(513);
         assert!(v.iter().all(|&x| x == 0.0));
     }
 
     #[test]
     fn from_slice_round_trips() {
         let data: Vec<f64> = (0..100).map(|i| i as f64 * 0.5).collect();
-        let v = AlignedVec::from_slice(&data);
+        let v = AlignedBuf::from_slice(&data);
         assert_eq!(v.as_slice(), &data[..]);
     }
 
     #[test]
     fn clone_is_deep() {
-        let mut a = AlignedVec::from_fn(16, |i| i as f64);
+        let mut a = (0..16).map(|i| i as f64).collect::<AlignedBuf>();
         let b = a.clone();
         a[0] = -1.0;
         assert_eq!(b[0], 0.0);
@@ -486,7 +325,7 @@ mod tests {
 
     #[test]
     fn fill_and_index() {
-        let mut v = AlignedVec::zeros(10);
+        let mut v = AlignedBuf::zeros(10);
         v.fill(2.5);
         assert!(v.iter().all(|&x| x == 2.5));
         v[9] = 1.0;
@@ -495,7 +334,7 @@ mod tests {
 
     #[test]
     fn deref_gives_slice_ops() {
-        let v = AlignedVec::from_fn(5, |i| i as f64);
+        let v = (0..5).map(|i| i as f64).collect::<AlignedBuf>();
         let s: f64 = v.iter().sum();
         assert_eq!(s, 10.0);
     }

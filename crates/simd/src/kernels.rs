@@ -1,6 +1,6 @@
 //! The Table-1 kernels and the vector primitives built on them.
 //!
-//! Three implementation tiers:
+//! Two implementation tiers:
 //!
 //! * **scalar** — the unoptimized baseline. Each element access goes through
 //!   [`std::hint::black_box`], which models the paper's pre-tuning code where
@@ -10,8 +10,6 @@
 //! * **vec** — auto-vectorization-friendly: exact chunks of 8 with
 //!   independent accumulators, so LLVM emits packed mul/add. This is the
 //!   `#pragma`-assisted tier of the paper.
-//! * **sse** — explicit `std::arch` SSE2 intrinsics on x86_64, the paper's
-//!   compiler-intrinsics tier.
 
 /// Reference: `z[i] = x[i] * y[i]`, vectorization defeated.
 ///
@@ -213,92 +211,10 @@ pub fn min_image_dist2_batch(
     }
 }
 
-/// Explicit SSE2 kernels, matching the paper's compiler-intrinsics tier.
-#[cfg(target_arch = "x86_64")]
-pub mod sse {
-    #[cfg(target_arch = "x86_64")]
-    use std::arch::x86_64::*;
-
-    /// `z[i] = x[i]*y[i]` with packed-double SSE2 intrinsics.
-    ///
-    /// Falls back to a scalar tail for the final odd element. Unaligned-load
-    /// variants are used so arbitrary slices are accepted; with
-    /// [`crate::AlignedVec`] storage the loads are in fact aligned.
-    pub fn mul_sse(z: &mut [f64], x: &[f64], y: &[f64]) {
-        assert_eq!(x.len(), y.len());
-        assert_eq!(x.len(), z.len());
-        let n = x.len();
-        let pairs = n / 2;
-        // SAFETY: indices stay below `pairs*2 <= n`; loadu/storeu have no
-        // alignment requirement; f64 slices are valid for reads/writes.
-        unsafe {
-            for p in 0..pairs {
-                let i = 2 * p;
-                let xv = _mm_loadu_pd(x.as_ptr().add(i));
-                let yv = _mm_loadu_pd(y.as_ptr().add(i));
-                _mm_storeu_pd(z.as_mut_ptr().add(i), _mm_mul_pd(xv, yv));
-            }
-        }
-        if n % 2 == 1 {
-            z[n - 1] = x[n - 1] * y[n - 1];
-        }
-    }
-
-    /// `sum x[i]*y[i]*z[i]` with packed-double SSE2 intrinsics.
-    pub fn triple_dot_sse(x: &[f64], y: &[f64], z: &[f64]) -> f64 {
-        assert_eq!(x.len(), y.len());
-        assert_eq!(x.len(), z.len());
-        let n = x.len();
-        let pairs = n / 2;
-        let mut lanes = [0.0f64; 2];
-        // SAFETY: as in `mul_sse`.
-        unsafe {
-            let mut acc = _mm_setzero_pd();
-            for p in 0..pairs {
-                let i = 2 * p;
-                let xv = _mm_loadu_pd(x.as_ptr().add(i));
-                let yv = _mm_loadu_pd(y.as_ptr().add(i));
-                let zv = _mm_loadu_pd(z.as_ptr().add(i));
-                acc = _mm_add_pd(acc, _mm_mul_pd(_mm_mul_pd(xv, yv), zv));
-            }
-            _mm_storeu_pd(lanes.as_mut_ptr(), acc);
-        }
-        let mut total = lanes[0] + lanes[1];
-        if n % 2 == 1 {
-            total += x[n - 1] * y[n - 1] * z[n - 1];
-        }
-        total
-    }
-
-    /// `sum x[i]*y[i]*y[i]` with packed-double SSE2 intrinsics.
-    pub fn wdot_sse(x: &[f64], y: &[f64]) -> f64 {
-        assert_eq!(x.len(), y.len());
-        let n = x.len();
-        let pairs = n / 2;
-        let mut lanes = [0.0f64; 2];
-        // SAFETY: as in `mul_sse`.
-        unsafe {
-            let mut acc = _mm_setzero_pd();
-            for p in 0..pairs {
-                let i = 2 * p;
-                let xv = _mm_loadu_pd(x.as_ptr().add(i));
-                let yv = _mm_loadu_pd(y.as_ptr().add(i));
-                acc = _mm_add_pd(acc, _mm_mul_pd(_mm_mul_pd(xv, yv), yv));
-            }
-            _mm_storeu_pd(lanes.as_mut_ptr(), acc);
-        }
-        let mut total = lanes[0] + lanes[1];
-        if n % 2 == 1 {
-            total += x[n - 1] * y[n - 1] * y[n - 1];
-        }
-        total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AlignedVec;
+    use crate::AlignedBuf;
     use proptest::prelude::*;
 
     fn approx(a: f64, b: f64, scale: f64) -> bool {
@@ -323,14 +239,20 @@ mod tests {
         let periodic = [true, false, true];
         let p = [7.3, 4.1, 0.2];
         let n = 257;
-        let xj = AlignedVec::from_fn(n, |i| (i as f64 * 0.37) % l[0]);
-        let yj = AlignedVec::from_fn(n, |i| (i as f64 * 0.61) % l[1]);
-        let zj = AlignedVec::from_fn(n, |i| (i as f64 * 0.83) % l[2]);
+        let xj = (0..n)
+            .map(|i| (i as f64 * 0.37) % l[0])
+            .collect::<AlignedBuf>();
+        let yj = (0..n)
+            .map(|i| (i as f64 * 0.61) % l[1])
+            .collect::<AlignedBuf>();
+        let zj = (0..n)
+            .map(|i| (i as f64 * 0.83) % l[2])
+            .collect::<AlignedBuf>();
         let (mut dx, mut dy, mut dz, mut r2) = (
-            AlignedVec::zeros(n),
-            AlignedVec::zeros(n),
-            AlignedVec::zeros(n),
-            AlignedVec::zeros(n),
+            AlignedBuf::zeros(n),
+            AlignedBuf::zeros(n),
+            AlignedBuf::zeros(n),
+            AlignedBuf::zeros(n),
         );
         min_image_dist2_batch(
             p, &xj, &yj, &zj, l, periodic, &mut dx, &mut dy, &mut dz, &mut r2,
@@ -349,10 +271,12 @@ mod tests {
 
     #[test]
     fn mul_matches_reference() {
-        let x = AlignedVec::from_fn(1003, |i| (i as f64).sin());
-        let y = AlignedVec::from_fn(1003, |i| (i as f64 + 0.5).cos());
-        let mut z0 = AlignedVec::zeros(1003);
-        let mut z1 = AlignedVec::zeros(1003);
+        let x = (0..1003).map(|i| (i as f64).sin()).collect::<AlignedBuf>();
+        let y = (0..1003)
+            .map(|i| (i as f64 + 0.5).cos())
+            .collect::<AlignedBuf>();
+        let mut z0 = AlignedBuf::zeros(1003);
+        let mut z1 = AlignedBuf::zeros(1003);
         mul_scalar(&mut z0, &x, &y);
         mul_vec(&mut z1, &x, &y);
         assert_eq!(z0.as_slice(), z1.as_slice());
@@ -361,9 +285,11 @@ mod tests {
     #[test]
     fn dots_match_reference() {
         let n = 517;
-        let x = AlignedVec::from_fn(n, |i| 1.0 / (i + 1) as f64);
-        let y = AlignedVec::from_fn(n, |i| (i as f64 * 0.01).sin());
-        let z = AlignedVec::from_fn(n, |i| (i % 7) as f64 - 3.0);
+        let x = (0..n).map(|i| 1.0 / (i + 1) as f64).collect::<AlignedBuf>();
+        let y = (0..n)
+            .map(|i| (i as f64 * 0.01).sin())
+            .collect::<AlignedBuf>();
+        let z = (0..n).map(|i| (i % 7) as f64 - 3.0).collect::<AlignedBuf>();
         let scale = n as f64;
         assert!(approx(
             triple_dot_scalar(&x, &y, &z),
@@ -390,28 +316,6 @@ mod tests {
         assert_eq!(triple_dot_vec(&[], &[], &[]), 0.0);
         assert_eq!(wdot_vec(&[], &[]), 0.0);
         assert_eq!(dot(&[], &[]), 0.0);
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn sse_matches_reference() {
-        use super::sse::*;
-        for n in [0usize, 1, 2, 7, 64, 129] {
-            let x: Vec<f64> = (0..n).map(|i| (i as f64).sqrt()).collect();
-            let y: Vec<f64> = (0..n).map(|i| 0.5 - i as f64 * 0.01).collect();
-            let z: Vec<f64> = (0..n).map(|i| ((i * 3) % 11) as f64).collect();
-            let mut out0 = vec![0.0; n];
-            let mut out1 = vec![0.0; n];
-            mul_scalar(&mut out0, &x, &y);
-            mul_sse(&mut out1, &x, &y);
-            assert_eq!(out0, out1, "n={n}");
-            assert!(approx(
-                triple_dot_sse(&x, &y, &z),
-                triple_dot_scalar(&x, &y, &z),
-                n as f64
-            ));
-            assert!(approx(wdot_sse(&x, &y), wdot_scalar(&x, &y), n as f64));
-        }
     }
 
     proptest! {

@@ -11,18 +11,15 @@
 //! | `a = sum x[i]*y[i]*z[i]`   | 2.53 | 1.60 |
 //! | `a = sum x[i]*y[i]*y[i]`   | 4.00 | 2.25 |
 //!
-//! This crate provides the same kernels in three flavours:
+//! This crate provides the same kernels in two flavours:
 //!
 //! * `*_scalar` — straight-line reference implementations compiled with
 //!   vectorization defeated (via opaque per-element access), standing in for
 //!   the paper's unoptimized baseline;
 //! * `*_vec` — implementations structured for auto-vectorization
-//!   (chunked, multiple independent accumulators, aligned data);
-//! * `*_sse` — explicit `std::arch` intrinsics on `x86_64` (SSE2 is part of
-//!   the x86_64 baseline), the analogue of the paper's hand-written
-//!   compiler-intrinsic kernels.
+//!   (chunked, multiple independent accumulators, aligned data).
 //!
-//! [`aligned::AlignedVec`] enforces the paper's `posix_memalign` 16-byte
+//! [`aligned::AlignedBuf`] enforces the paper's `posix_memalign` 16-byte
 //! (we use 64-byte, a full cache line) alignment requirement.
 //!
 //! The higher-level solver crates (`nkg-sem` in particular) route their hot
@@ -34,7 +31,7 @@ pub mod aligned;
 pub mod kernels;
 pub mod par;
 
-pub use aligned::{AlignedBuf, AlignedVec};
+pub use aligned::AlignedBuf;
 pub use kernels::{
     axpy, dot, min_image_dist2_batch, mul_scalar, mul_vec, norm2, triple_dot_scalar,
     triple_dot_vec, wdot_scalar, wdot_vec,

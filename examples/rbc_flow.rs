@@ -29,7 +29,7 @@ fn run_case(label: &str, k_bend: f64, seed: u64) {
     {
         // 16 beads keep the bond rest length well above the thermal
         // fluctuation scale sqrt(kT/k_spring), so the 2x-rest-length
-        // integrity criterion is meaningful.
+        // integrity test is meaningful.
         let cell = CellModel::ring(
             &mut sim.particles,
             center,

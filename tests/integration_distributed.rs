@@ -5,6 +5,7 @@
 use nektarg::coupling::dist::DistSpace2d;
 use nektarg::mci::{Comm, Hierarchy, HierarchySpec, InterfaceLink, Universe};
 use nektarg::mesh::quad::QuadMesh;
+use nektarg::sem::precon::ApplyScratch;
 use nektarg::sem::space2d::Space2d;
 use nektarg::topo::Torus3D;
 
@@ -115,10 +116,11 @@ fn unfused_cg(
     let mut rz = ds.dot(comm, &r, &z);
     let bnorm = ds.dot(comm, &r, &r).sqrt().max(1e-300);
     let mut ap = vec![0.0f64; ng];
+    let mut ws = ApplyScratch::new();
     let mut iters = 0;
     for it in 1..=max_iter {
         iters = it;
-        ds.apply_helmholtz(comm, 0.0, &p, &mut ap);
+        ds.apply_helmholtz(comm, 0.0, &p, &mut ap, &mut ws);
         masked(&mut ap);
         let pap = ds.dot(comm, &p, &ap);
         if pap <= 0.0 {
