@@ -19,14 +19,20 @@
 //!    the per-step pressure/viscous iteration telemetry the solver
 //!    exposes, one row for the run.
 //!
+//! 3. The element kernels everything above runs on, one `sem_kernels` row
+//!    per order on a 16×4 patch of the `coupled_sem` element size:
+//!    Helmholtz apply, collocation gradient, one element matrix, one cold
+//!    `EllipticSolver::new` and the cost of one condensed CG iteration.
+//!    Flop counts are computed from the sizes, not counted.
+//!
 //! The shape (each rung cuts the total, the count barely grows with P,
 //! projection collapses the tail of the sequence) is pinned in tier-1 by
 //! `precon/tests.rs::ladder_orders_the_rungs_2d`. `--smoke` shrinks
 //! orders and solve counts.
 
-use nkg_bench::{bench_path, header, time_median, write_jsonl, Row};
-use nkg_mesh::quad::QuadMesh;
-use nkg_sem::precon::{EllipticSolver, PreconKind};
+use nkg_bench::{bench_path, header, median, time_median, write_jsonl, Row};
+use nkg_mesh::quad::{BoundaryTag, QuadMesh};
+use nkg_sem::precon::{ApplyScratch, EllipticSolver, EllipticSpace, PreconKind};
 use nkg_sem::space2d::Space2d;
 use nkg_sem::{NsConfig, NsSolver2d};
 
@@ -207,6 +213,112 @@ fn ns_telemetry(out: &mut Vec<Row>, p: usize, steps: usize) {
     );
 }
 
+/// Seconds per call of a microsecond-scale kernel: the median over seven
+/// batches, each long enough (≥ 2 ms) for the clock not to matter.
+fn secs_per_call(mut f: impl FnMut()) -> f64 {
+    let mut batch = |calls: usize| {
+        let t0 = std::time::Instant::now();
+        for _ in 0..calls {
+            f();
+        }
+        t0.elapsed().as_secs_f64()
+    };
+    let mut calls = 1;
+    while batch(calls) < 2e-3 {
+        calls *= 2;
+    }
+    median((0..7).map(|_| batch(calls)).collect()) / calls as f64
+}
+
+fn kernels(out: &mut Vec<Row>, p: usize) {
+    use std::hint::black_box;
+    let mesh = QuadMesh::rectangle(16, 4, 0.0, 2.0, 0.0, 1.0);
+    let space = Space2d::new(mesh, p, false);
+    let (n, elems, dof) = ((p + 1) as f64, space.gmap.len() as f64, space.nglobal);
+    let u = space.project(|x, y| (x + 2.0 * y).sin());
+    let mut ws = ApplyScratch::new();
+    let (mut a, mut b) = (vec![0.0; dof], vec![0.0; dof]);
+
+    // Per element: four n³ contractions of 2n³ flops, 6n² for the metric
+    // fluxes and 4n² for the mass term and the scatter-add.
+    let apply_flops = elems * (8.0 * n.powi(3) + 10.0 * n * n);
+    let apply = secs_per_call(|| {
+        space.apply_helmholtz_ws(1.0, black_box(&u), &mut a, &mut ws);
+        black_box(&mut a);
+    });
+    // Two contractions and 8n² for the physical-space map and the
+    // scatter-add per element, then two divisions per DoF.
+    let grad_flops = elems * (4.0 * n.powi(3) + 8.0 * n * n) + 2.0 * dof as f64;
+    let grad = secs_per_call(|| {
+        space.gradient_ws(black_box(&u), &mut a, &mut b, &mut ws);
+        black_box((&mut a, &mut b));
+    });
+    // Per column of the element matrix: 12n for the fluxes on the cross,
+    // 4 per entry off it, 2n + 2 on each of its 2n − 2 arms, 4n + 2 at
+    // the node.
+    let off = (n - 1.0) * (n - 1.0);
+    let cross = (2.0 * n - 2.0) * (2.0 * n + 2.0);
+    let mat_flops = n * n * (16.0 * n + 2.0 + 4.0 * off + cross);
+    let mut ae = vec![0.0; space.nloc() * space.nloc()];
+    let mat = secs_per_call(|| {
+        space.elem_matrix(black_box(5), 600.0, &mut ae, &mut ws);
+        black_box(&mut ae);
+    });
+
+    // The viscous engine of a channel patch: walls and inlet Dirichlet,
+    // no ambient artifact cache, so every `new` is a cold build.
+    let dir = space.boundary_dofs(|t| t != BoundaryTag::Outlet);
+    let new_engine = || {
+        let kind = PreconKind::LowEnergyCoarse;
+        EllipticSolver::new(&space, 600.0, &dir, kind, 1e-10, 4000, 1, 0)
+    };
+    let cold_new = time_median(5, || {
+        black_box(new_engine());
+    });
+    let mut engine = new_engine();
+    let rhs = space.apply_mass(&pseudo(dof, 40));
+    let vals = vec![0.0; dir.len()];
+    let mut iters = 0;
+    let solve = secs_per_call(|| {
+        iters = engine
+            .solve_into(&space, &rhs, &vals, &mut a, 0)
+            .cg
+            .iterations;
+    });
+
+    let us = |secs: f64| secs * 1e6;
+    let gf = |flops: f64, secs: f64| flops / secs / 1e9;
+    let (apply_gf, grad_gf, mat_gf) = (
+        gf(apply_flops, apply),
+        gf(grad_flops, grad),
+        gf(mat_flops, mat),
+    );
+    let us_per_iter = us(solve) / iters.max(1) as f64;
+    println!(
+        "{p:>3} {dof:>6} {:>10.2} {apply_gf:>6.2} {:>10.2} {grad_gf:>6.2} {:>10.2} {mat_gf:>6.2} {:>10.3} {iters:>6} {us_per_iter:>10.2}",
+        us(apply),
+        us(grad),
+        us(mat),
+        cold_new * 1e3,
+    );
+    out.push(
+        Row::new("sem_kernels")
+            .num("p", p)
+            .num("elems", space.gmap.len())
+            .num("dof", dof)
+            .num("s_dof", engine.condensed_len())
+            .num("apply_us", format_args!("{:.3}", us(apply)))
+            .num("apply_gflops", format_args!("{apply_gf:.3}"))
+            .num("gradient_us", format_args!("{:.3}", us(grad)))
+            .num("gradient_gflops", format_args!("{grad_gf:.3}"))
+            .num("elem_matrix_us", format_args!("{:.3}", us(mat)))
+            .num("elem_matrix_gflops", format_args!("{mat_gf:.3}"))
+            .num("cold_new_ms", format_args!("{:.4}", cold_new * 1e3))
+            .num("iters_total", iters)
+            .num("us_per_cg_iter", format_args!("{us_per_iter:.3}")),
+    );
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (orders, nsolves, reps, ns): (&[usize], _, _, _) = if smoke {
@@ -220,5 +332,23 @@ fn main() {
         ladder(&mut rows, p, nsolves, reps);
     }
     ns_telemetry(&mut rows, ns.0, ns.1);
+    header("Element kernels on a 16x4 patch (flops computed from sizes)");
+    println!(
+        "{:>3} {:>6} {:>10} {:>6} {:>10} {:>6} {:>10} {:>6} {:>10} {:>6} {:>10}",
+        "P",
+        "DoF",
+        "apply us",
+        "GF/s",
+        "grad us",
+        "GF/s",
+        "A_e us",
+        "GF/s",
+        "new ms",
+        "iters",
+        "us/iter"
+    );
+    for &p in if smoke { &[2, 3][..] } else { &[4, 6, 8][..] } {
+        kernels(&mut rows, p);
+    }
     write_jsonl(&bench_path("sem", smoke), &rows);
 }

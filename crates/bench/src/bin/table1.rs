@@ -2,7 +2,9 @@
 //!
 //! Paper (Cray XT5 / BG-P): `z=x*y` 2.00/3.40, `sum x*y*z` 2.53/1.60,
 //! `sum x*y*y` 4.00/2.25. We measure the same kernels on this host:
-//! scalar baseline vs the vectorised tier.
+//! scalar baseline vs the vectorised tier — and, next to them, the rate of
+//! `vecmat` at the two shapes the SEM layer calls it with: one row of a
+//! tensor contraction and one condensed symmetric product.
 
 use nkg_bench::{header, time_median};
 use nkg_simd::kernels::*;
@@ -38,6 +40,22 @@ fn main() {
     let t_scalar = time_median(reps, || sink += wdot_scalar(&x, &y));
     let t_vec = time_median(reps, || sink += wdot_vec(&x, &y));
     row("a = sum x[i]*y[i]*y[i]", 4.00, 2.25, t_scalar, t_vec);
+
+    // The two shapes the SEM layer calls `vecmat` with, in cache: no scalar
+    // tier exists to divide by, so the rate itself.
+    let mut sweep = |kernel: &str, rows: usize, cols: usize, calls: usize| {
+        let b = &x.as_slice()[..rows * cols];
+        let (xs, ys) = (&y.as_slice()[..rows], &mut out.as_mut_slice()[..cols]);
+        let t = time_median(reps, || {
+            for _ in 0..calls {
+                vecmat(std::hint::black_box(xs), b, ys);
+            }
+        });
+        let gflops = (2 * rows * cols * calls) as f64 / t / 1e9;
+        println!("{kernel:<26}  {:>9}  {:>10}  {gflops:>17.2} GF/s", "-", "-");
+    };
+    sweep("y = B'x, 9x9 (P=8 row)", 9, 9, 4096);
+    sweep("y = S x, 32x32 (P=8 S_e)", 32, 32, 512);
 
     std::hint::black_box(sink);
     println!("\n(shape check: the vectorised tier should beat the scalar baseline by >1x,");

@@ -48,6 +48,14 @@ pub struct Multipatch2d {
     vel_interp: Vec<Arc<InterpTable>>,
     /// Per patch: precomputed interpolation rows for `p_links`.
     p_interp: Vec<Arc<InterpTable>>,
+    /// Per patch: for each link, its DoF's slot in the patch solver's
+    /// override vectors (`velocity_bc_dofs()` / `pressure_bc_dofs()`),
+    /// resolved once so an exchange writes values in place.
+    vel_slots: Vec<Vec<usize>>,
+    p_slots: Vec<Vec<usize>>,
+    /// Per patch: the donor values of the exchange in progress —
+    /// evaluated for every patch before any solver is touched.
+    incoming: Vec<LinkValues>,
     /// Fan donor evaluation and patch stepping out over per-patch tasks.
     /// Overrides are computed from pre-exchange state and each patch's
     /// step touches only its own fields, so the fan-out is bitwise
@@ -56,6 +64,28 @@ pub struct Multipatch2d {
     /// Externally imposed pressure overrides (e.g. from a 1D outflow
     /// network), merged into every exchange so they survive time stepping.
     pub extra_p_overrides: Vec<HashMap<usize, f64>>,
+}
+
+/// Donor values for one patch, one per entry of its `vel_links` / `p_links`.
+struct LinkValues {
+    vel: Vec<(f64, f64)>,
+    p: Vec<f64>,
+}
+
+/// Evaluate the donor field for link entry `q` of a link list: the
+/// precomputed table row against the donor's space, bitwise what
+/// `Space2d::eval_at` gives at the receiving DoF's coordinates.
+fn eval_link(
+    patches: &[NsSolver2d],
+    links: &[(usize, usize)],
+    table: &InterpTable,
+    q: usize,
+    field: impl Fn(&NsSolver2d) -> &[f64],
+) -> f64 {
+    let donor = &patches[links[q].1];
+    table
+        .eval(&donor.space, field(donor), q)
+        .expect("interface DoF outside donor patch")
 }
 
 impl Multipatch2d {
@@ -150,32 +180,40 @@ impl Multipatch2d {
         };
         let vel_interp = build_tables(&vel_links);
         let p_interp = build_tables(&p_links);
+        // `make_solver`'s contract puts every link DoF in the matching
+        // Dirichlet set (sorted ascending by `boundary_dofs`).
+        type BcDofs = fn(&NsSolver2d) -> &[usize];
+        let slots = |links: &[Vec<(usize, usize)>], bc_dofs: BcDofs| -> Vec<Vec<usize>> {
+            let slot = |solver, dof| {
+                bc_dofs(solver)
+                    .binary_search(dof)
+                    .expect("interface cut carries no Dirichlet condition (see `from_channel`)")
+            };
+            (patches.iter().zip(links))
+                .map(|(solver, ll)| ll.iter().map(|(dof, _)| slot(solver, dof)).collect())
+                .collect()
+        };
+        let vel_slots = slots(&vel_links, NsSolver2d::velocity_bc_dofs);
+        let p_slots = slots(&p_links, NsSolver2d::pressure_bc_dofs);
         let extra = vec![HashMap::new(); patches.len()];
+        let incoming = (vel_links.iter().zip(&p_links))
+            .map(|(vl, pl)| LinkValues {
+                vel: vec![(0.0, 0.0); vl.len()],
+                p: vec![0.0; pl.len()],
+            })
+            .collect();
         Self {
+            incoming,
             patches,
             vel_links,
             p_links,
             vel_interp,
             p_interp,
+            vel_slots,
+            p_slots,
             parallel: false,
             extra_p_overrides: extra,
         }
-    }
-
-    /// Evaluate the donor field for link entry `q` of a link list: the
-    /// precomputed table row against the donor's space, bitwise what
-    /// `Space2d::eval_at` gives at the receiving DoF's coordinates.
-    fn eval_link(
-        &self,
-        links: &[(usize, usize)],
-        table: &InterpTable,
-        q: usize,
-        field: impl Fn(&NsSolver2d) -> &[f64],
-    ) -> f64 {
-        let donor = &self.patches[links[q].1];
-        table
-            .eval(&donor.space, field(donor), q)
-            .expect("interface DoF outside donor patch")
     }
 
     /// Number of patches.
@@ -187,34 +225,56 @@ impl Multipatch2d {
     /// donor velocity, downstream cuts receive donor pressure. All donor
     /// evaluations read pre-exchange state, so patches fan out as
     /// independent tasks when [`Multipatch2d::parallel`] is set — the
-    /// override maps are identical either way.
+    /// values are identical either way. Serially this allocates nothing:
+    /// values land in per-link buffers, then in the solvers' override slots.
     pub fn exchange(&mut self) {
-        let np = self.patches.len();
-        #[allow(clippy::type_complexity)]
-        let eval_patch = |pi: usize| -> (HashMap<usize, (f64, f64)>, HashMap<usize, f64>) {
-            let mut vo = HashMap::with_capacity(self.vel_links[pi].len());
-            let mut po = HashMap::with_capacity(self.p_links[pi].len());
-            for (q, &(dof, _)) in self.vel_links[pi].iter().enumerate() {
-                let u = self.eval_link(&self.vel_links[pi], &self.vel_interp[pi], q, |s| &s.u);
-                let v = self.eval_link(&self.vel_links[pi], &self.vel_interp[pi], q, |s| &s.v);
-                vo.insert(dof, (u, v));
+        let Self {
+            patches,
+            vel_links,
+            p_links,
+            vel_interp,
+            p_interp,
+            vel_slots,
+            p_slots,
+            incoming,
+            parallel,
+            extra_p_overrides,
+        } = self;
+        let donors = &*patches;
+        let eval_patch = |(pi, vals): (usize, &mut LinkValues)| {
+            let (links, table) = (&vel_links[pi], &vel_interp[pi]);
+            for (q, val) in vals.vel.iter_mut().enumerate() {
+                let u = eval_link(donors, links, table, q, |s| &s.u);
+                let v = eval_link(donors, links, table, q, |s| &s.v);
+                *val = (u, v);
             }
-            for (q, &(dof, _)) in self.p_links[pi].iter().enumerate() {
-                let p = self.eval_link(&self.p_links[pi], &self.p_interp[pi], q, |s| &s.p);
-                po.insert(dof, p);
+            for (q, val) in vals.p.iter_mut().enumerate() {
+                *val = eval_link(donors, &p_links[pi], &p_interp[pi], q, |s| &s.p);
             }
-            (vo, po)
         };
-        let overrides: Vec<_> = if self.parallel && np > 1 {
-            (0..np).into_par_iter().map(eval_patch).collect()
+        if *parallel && donors.len() > 1 {
+            incoming.par_iter_mut().enumerate().for_each(eval_patch);
         } else {
-            (0..np).map(eval_patch).collect()
-        };
-        for (pi, (vo, mut po)) in overrides.into_iter().enumerate() {
-            let solver = &mut self.patches[pi];
-            solver.set_velocity_override(vo);
-            po.extend(self.extra_p_overrides[pi].iter());
-            solver.set_pressure_override(po);
+            incoming.iter_mut().enumerate().for_each(eval_patch);
+        }
+        for (pi, solver) in patches.iter_mut().enumerate() {
+            let over = solver.velocity_overrides_mut();
+            over.fill(None);
+            for (&slot, &val) in vel_slots[pi].iter().zip(&incoming[pi].vel) {
+                over[slot] = Some(val);
+            }
+            let over = solver.pressure_overrides_mut();
+            over.fill(None);
+            for (&slot, &val) in p_slots[pi].iter().zip(&incoming[pi].p) {
+                over[slot] = Some(val);
+            }
+            // External overrides last, so they win on a shared DoF; one
+            // that names no pressure Dirichlet DoF has nothing to override.
+            for (dof, &val) in &extra_p_overrides[pi] {
+                if let Ok(slot) = solver.pressure_bc_dofs().binary_search(dof) {
+                    solver.pressure_overrides_mut()[slot] = Some(val);
+                }
+            }
         }
     }
 
@@ -264,8 +324,8 @@ impl Multipatch2d {
                 (&self.p_links[pi], &self.p_interp[pi]),
             ] {
                 for (q, &(dof, _)) in links.iter().enumerate() {
-                    let du = self.eval_link(links, table, q, |s| &s.u);
-                    let dv = self.eval_link(links, table, q, |s| &s.v);
+                    let du = eval_link(&self.patches, links, table, q, |s| &s.u);
+                    let dv = eval_link(&self.patches, links, table, q, |s| &s.v);
                     sum += (self.patches[pi].u[dof] - du).powi(2)
                         + (self.patches[pi].v[dof] - dv).powi(2);
                     count += 2;

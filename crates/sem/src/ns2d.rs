@@ -14,15 +14,14 @@
 //!    `λ = γ₀/(νΔt)`, velocity Dirichlet boundary values at `t^{n+1}`.
 //!
 //! Boundary values normally come from the configured closure; the coupling
-//! layer overrides individual interface DoFs each exchange via
-//! [`NsSolver2d::set_velocity_override`] — that is exactly how the paper's
+//! layer overrides individual interface DoFs each exchange through
+//! [`NsSolver2d::velocity_overrides_mut`] — that is exactly how the paper's
 //! inter-patch and continuum→atomistic conditions enter the solver.
 
 use crate::precon::{ApplyScratch, EllipticSolver, PreconKind};
 use crate::space2d::Space2d;
 use nkg_ckpt::{CkptError, Dec, Enc, Snapshot};
 use nkg_mesh::quad::BoundaryTag;
-use std::collections::HashMap;
 
 /// Numerical parameters of the splitting scheme.
 #[derive(Clone)]
@@ -159,10 +158,12 @@ pub struct NsSolver2d {
     p_dofs: Vec<usize>,
     p_bc: ScalarBcFn,
     force: ForceFn,
-    /// Per-DoF velocity overrides applied after the closure (coupling data).
-    overrides: HashMap<usize, (f64, f64)>,
-    /// Per-DoF pressure overrides (coupling data for artificial outlets).
-    p_overrides: HashMap<usize, f64>,
+    /// Velocity overrides (coupling data), slot `i` for `vel_dofs[i]`:
+    /// `Some` replaces the closure's value there.
+    overrides: Vec<Option<(f64, f64)>>,
+    /// Pressure overrides (coupling data for artificial outlets), slot `i`
+    /// for `p_dofs[i]`.
+    p_overrides: Vec<Option<f64>>,
     /// Velocity fields (global vectors).
     pub u: Vec<f64>,
     /// y-velocity.
@@ -233,8 +234,8 @@ impl NsSolver2d {
             vel_bc: Box::new(vel_bc),
             p_bc: Box::new(p_bc),
             force: Box::new(force),
-            overrides: HashMap::new(),
-            p_overrides: HashMap::new(),
+            overrides: vec![None; vel_dofs.len()],
+            p_overrides: vec![None; p_dofs.len()],
             u: vec![0.0; n],
             v: vec![0.0; n],
             p: vec![0.0; n],
@@ -267,25 +268,28 @@ impl NsSolver2d {
         self.v_prev.copy_from_slice(&self.v);
     }
 
-    /// Override the velocity Dirichlet value at specific global DoFs for
-    /// all subsequent steps (until replaced). This is the entry point used
-    /// by the multipatch and continuum↔atomistic couplings.
-    pub fn set_velocity_override(&mut self, values: HashMap<usize, (f64, f64)>) {
-        self.overrides = values;
+    /// Coupling overrides of the velocity Dirichlet values, slot `i` for
+    /// `velocity_bc_dofs()[i]`: a `Some` replaces the closure's value at
+    /// that DoF in every subsequent step, until it is reset. This is the
+    /// entry point of the multipatch and continuum↔atomistic couplings;
+    /// a coupler resolves its DoFs to slots once and then writes values
+    /// in place, so an exchange neither allocates nor hashes.
+    pub fn velocity_overrides_mut(&mut self) -> &mut [Option<(f64, f64)>] {
+        &mut self.overrides
     }
 
-    /// The velocity Dirichlet DoF ids (for building override maps).
+    /// The velocity Dirichlet DoF ids, ascending.
     pub fn velocity_bc_dofs(&self) -> &[usize] {
         &self.vel_dofs
     }
 
-    /// Override the pressure Dirichlet value at specific global DoFs (the
-    /// multipatch artificial-outlet condition).
-    pub fn set_pressure_override(&mut self, values: HashMap<usize, f64>) {
-        self.p_overrides = values;
+    /// Coupling overrides of the pressure Dirichlet values (the multipatch
+    /// artificial-outlet condition), slot `i` for `pressure_bc_dofs()[i]`.
+    pub fn pressure_overrides_mut(&mut self) -> &mut [Option<f64>] {
+        &mut self.p_overrides
     }
 
-    /// The pressure Dirichlet DoF ids.
+    /// The pressure Dirichlet DoF ids, ascending.
     pub fn pressure_bc_dofs(&self) -> &[usize] {
         &self.p_dofs
     }
@@ -343,14 +347,11 @@ impl NsSolver2d {
         ws.rhs.iter_mut().for_each(|b| *b = -*b);
         // Pure Neumann problem: the engine pins DoF 0 and `pbc` stays its
         // initial single zero.
-        for (val, &g) in ws.pbc.iter_mut().zip(&self.p_dofs) {
-            *val = match self.p_overrides.get(&g) {
-                Some(&pv) => pv,
-                None => {
-                    let [x, y] = space.coords[g];
-                    (self.p_bc)(x, y, t_new)
-                }
-            };
+        for ((val, &g), over) in ws.pbc.iter_mut().zip(&self.p_dofs).zip(&self.p_overrides) {
+            *val = over.unwrap_or_else(|| {
+                let [x, y] = space.coords[g];
+                (self.p_bc)(x, y, t_new)
+            });
         }
         let pres = self.p_engine.solve_into(space, &ws.rhs, &ws.pbc, p, 0);
 
@@ -364,14 +365,12 @@ impl NsSolver2d {
         // --- Step 3: viscous Helmholtz  (−∇² + λ) u^{n+1} = λ_ν ũ.
         let lambda = gamma0 / (self.cfg.nu * dt);
         let scale = 1.0 / (self.cfg.nu * dt);
-        for ((ub, vb), &g) in ws.ubc.iter_mut().zip(&mut ws.vbc).zip(&self.vel_dofs) {
-            (*ub, *vb) = match self.overrides.get(&g) {
-                Some(&o) => o,
-                None => {
-                    let [x, y] = space.coords[g];
-                    (self.vel_bc)(x, y, t_new)
-                }
-            };
+        let vel_slots = self.vel_dofs.iter().zip(&self.overrides);
+        for ((ub, vb), (&g, over)) in ws.ubc.iter_mut().zip(&mut ws.vbc).zip(vel_slots) {
+            (*ub, *vb) = over.unwrap_or_else(|| {
+                let [x, y] = space.coords[g];
+                (self.vel_bc)(x, y, t_new)
+            });
         }
         // The viscous engine is rebuilt whenever λ changes (the order ramp
         // after the first step); a rebuild discards the projection bases,
@@ -468,21 +467,22 @@ impl Snapshot for NsSolver2d {
         enc.put(self.time);
         enc.put(self.steps as u64);
         enc.put(self.cg_iterations as u64);
-        // Override maps, sorted by DoF id so the encoding is canonical.
-        let mut vo: Vec<(&usize, &(f64, f64))> = self.overrides.iter().collect();
-        vo.sort_by_key(|(k, _)| **k);
-        enc.put(vo.len() as u64);
-        for (k, (ou, ov)) in vo {
-            enc.put(*k);
-            enc.put(*ou);
-            enc.put(*ov);
+        // Overrides as (DoF id, value) pairs in ascending DoF order — the
+        // slots are in that order already.
+        enc.put(self.overrides.iter().flatten().count() as u64);
+        for (&k, over) in self.vel_dofs.iter().zip(&self.overrides) {
+            if let Some((ou, ov)) = *over {
+                enc.put(k);
+                enc.put(ou);
+                enc.put(ov);
+            }
         }
-        let mut po: Vec<(&usize, &f64)> = self.p_overrides.iter().collect();
-        po.sort_by_key(|(k, _)| **k);
-        enc.put(po.len() as u64);
-        for (k, pv) in po {
-            enc.put(*k);
-            enc.put(*pv);
+        enc.put(self.p_overrides.iter().flatten().count() as u64);
+        for (&k, over) in self.p_dofs.iter().zip(&self.p_overrides) {
+            if let Some(pv) = *over {
+                enc.put(k);
+                enc.put(pv);
+            }
         }
         // Projection warm-start bases: without them a resumed run would
         // take different CG trajectories than the original (the fields
@@ -550,23 +550,24 @@ impl Snapshot for NsSolver2d {
         self.time = dec.take()?;
         self.steps = dec.take::<u64>()? as usize;
         self.cg_iterations = dec.take::<u64>()? as usize;
-        let n_vo = dec.take::<u64>()? as usize;
-        let mut overrides = HashMap::with_capacity(n_vo.min(1 << 20));
-        for _ in 0..n_vo {
+        // A pair whose DoF is no Dirichlet DoF of this solver (older
+        // snapshots could hold such) was never read by a step: dropped.
+        self.overrides.fill(None);
+        for _ in 0..dec.take::<u64>()? {
             let k = dec.take::<usize>()?;
-            let ou = dec.take::<f64>()?;
-            let ov = dec.take::<f64>()?;
-            overrides.insert(k, (ou, ov));
+            let o = (dec.take::<f64>()?, dec.take::<f64>()?);
+            if let Ok(slot) = self.vel_dofs.binary_search(&k) {
+                self.overrides[slot] = Some(o);
+            }
         }
-        self.overrides = overrides;
-        let n_po = dec.take::<u64>()? as usize;
-        let mut p_overrides = HashMap::with_capacity(n_po.min(1 << 20));
-        for _ in 0..n_po {
+        self.p_overrides.fill(None);
+        for _ in 0..dec.take::<u64>()? {
             let k = dec.take::<usize>()?;
             let pv = dec.take::<f64>()?;
-            p_overrides.insert(k, pv);
+            if let Ok(slot) = self.p_dofs.binary_search(&k) {
+                self.p_overrides[slot] = Some(pv);
+            }
         }
-        self.p_overrides = p_overrides;
         self.p_engine.restore_proj(dec)?;
         self.v_engine = None;
         if dec.take::<u64>()? != 0 {
@@ -720,8 +721,7 @@ mod tests {
             |_, _, _| (0.0, 0.0),
         );
         let dofs: Vec<usize> = ns.velocity_bc_dofs().to_vec();
-        let map: HashMap<usize, (f64, f64)> = dofs.iter().map(|&d| (d, (7.0, -2.0))).collect();
-        ns.set_velocity_override(map);
+        ns.velocity_overrides_mut().fill(Some((7.0, -2.0)));
         ns.step();
         for &d in &dofs {
             assert!((ns.u[d] - 7.0).abs() < 1e-12);

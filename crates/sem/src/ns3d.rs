@@ -5,7 +5,6 @@
 use crate::precon::{ApplyScratch, EllipticSolver};
 use crate::space3d::Space3d;
 use nkg_mesh::quad::BoundaryTag;
-use std::collections::HashMap;
 
 pub use crate::ns2d::{NsConfig, StepSolveStats};
 
@@ -20,7 +19,8 @@ pub struct NsSolver3d {
     vel_dofs: Vec<usize>,
     vel_bc: VelBcFn3,
     force: ForceFn3,
-    overrides: HashMap<usize, [f64; 3]>,
+    /// Velocity overrides (coupling data), slot `i` for `vel_dofs[i]`.
+    overrides: Vec<Option<[f64; 3]>>,
     /// Velocity components.
     pub vel: [Vec<f64>; 3],
     /// Pressure.
@@ -93,7 +93,7 @@ impl NsSolver3d {
             cfg,
             vel_bc: Box::new(vel_bc),
             force: Box::new(force),
-            overrides: HashMap::new(),
+            overrides: vec![None; vel_dofs.len()],
             vel: std::array::from_fn(|_| vec![0.0; n]),
             p: vec![0.0; n],
             vel_prev: std::array::from_fn(|_| vec![0.0; n]),
@@ -136,11 +136,12 @@ impl NsSolver3d {
         }
     }
 
-    /// Override velocity Dirichlet values at specific DoFs (coupling hook,
-    /// the continuum side of the NS→DPD interface in reverse and the
-    /// patch-interface condition).
-    pub fn set_velocity_override(&mut self, values: HashMap<usize, [f64; 3]>) {
-        self.overrides = values;
+    /// Coupling overrides of the velocity Dirichlet values (the continuum
+    /// side of the NS→DPD interface in reverse and the patch-interface
+    /// condition), slot `i` for `velocity_bc_dofs()[i]`: a `Some` replaces
+    /// the closure's value at that DoF until it is reset.
+    pub fn velocity_overrides_mut(&mut self) -> &mut [Option<[f64; 3]>] {
+        &mut self.overrides
     }
 
     /// Velocity Dirichlet DoF ids.
@@ -201,14 +202,11 @@ impl NsSolver3d {
         // Viscous solves.
         let lambda = gamma0 / (self.cfg.nu * dt);
         let scale = 1.0 / (self.cfg.nu * dt);
-        for (val, &g) in ws.bc.iter_mut().zip(&self.vel_dofs) {
-            *val = match self.overrides.get(&g) {
-                Some(&v) => v,
-                None => {
-                    let [x, y, z] = space.coords[g];
-                    (self.vel_bc)(x, y, z, t_new)
-                }
-            };
+        for ((val, &g), over) in ws.bc.iter_mut().zip(&self.vel_dofs).zip(&self.overrides) {
+            *val = over.unwrap_or_else(|| {
+                let [x, y, z] = space.coords[g];
+                (self.vel_bc)(x, y, z, t_new)
+            });
         }
         let ve = match &mut self.v_engine {
             Some(e) if e.lambda().to_bits() == lambda.to_bits() => e,

@@ -10,7 +10,7 @@
 //! nodes (the rows of its `W`), in local node order with masked nodes
 //! dropped.
 
-use super::dense::{gemv, gemv_t_sub, spd_inverse_in_place};
+use super::dense::{gemv, gemv_t_sub, spd_inverse_in_place, symv};
 use super::{ApplyScratch, EllipticSpace, NodeRole};
 use nkg_simd::axpy;
 use std::collections::HashMap;
@@ -122,7 +122,7 @@ impl Condensed {
         let (mut bidx, mut igid) = (Vec::new(), Vec::new());
         // The element matrix depends on the geometry words alone, so
         // consecutive elements that differ only in their Dirichlet
-        // pattern reuse one probe.
+        // pattern reuse one matrix.
         let mut ae = vec![0.0f64; nloc * nloc];
         let mut ae_geom: Vec<u64> = Vec::new();
         let mut key: Vec<u64> = Vec::new();
@@ -200,7 +200,7 @@ impl Condensed {
     }
 
     /// `out = S x` on the compact space: per element a gather, one dense
-    /// `S_e` product and a scatter-add.
+    /// symmetric `S_e` product and a scatter-add.
     pub(super) fn apply(&self, x: &[f64], out: &mut [f64], ws: &mut ElemScratch) {
         out.fill(0.0);
         for el in self.elems() {
@@ -209,7 +209,7 @@ impl Condensed {
             for (v, &c) in xb.iter_mut().zip(el.bidx) {
                 *v = x[c as usize];
             }
-            gemv(&el.class.s, xb, yb);
+            symv(&el.class.s, xb, yb);
             for (&v, &c) in yb.iter().zip(el.bidx) {
                 out[c as usize] += v;
             }
@@ -245,7 +245,7 @@ impl Condensed {
                 *v = b_at(gid);
                 norm2 += *v * *v;
             }
-            gemv(&el.class.aii_inv, bi, &mut yint[el.ioff..el.ioff + ni]);
+            symv(&el.class.aii_inv, bi, &mut yint[el.ioff..el.ioff + ni]);
             gb.fill(0.0);
             gemv_t_sub(&el.class.w, bi, gb);
             for (&v, &c) in gb.iter().zip(el.bidx) {
@@ -314,7 +314,7 @@ impl ElemClass {
         );
         // W = A_ii⁻¹ A_ib, then S = A_bb − A_ibᵀ W, both as row updates:
         // a row of a product is a combination of the right factor's rows.
-        // S is symmetrised below (probing leaves A_e symmetric only to
+        // S is symmetrised below (the kernel's A_e is symmetric only to
         // round-off).
         let aib = sub(il, bl);
         let mut w = vec![0.0; ni * nb];

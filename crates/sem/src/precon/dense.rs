@@ -2,11 +2,12 @@
 //! explicit SPD inverses, and the matrix–vector products every
 //! per-iteration operation reduces to.
 //!
-//! Inverses are stored explicitly so applying one is a run of independent
-//! [`nkg_simd::dot`]s the compiler vectorises, where a triangular solve is
-//! a chain of dependent divisions.
+//! Inverses are stored explicitly so applying one is a product the
+//! compiler vectorises, where a triangular solve is a chain of dependent
+//! divisions; and they are stored exactly symmetric, so the product is a
+//! sweep over contiguous rows ([`symv`]) rather than a dot per row.
 
-use nkg_simd::{axpy, dot};
+use nkg_simd::{axpy, dot, vecmat};
 
 /// In-place lower Cholesky of a row-major `n×n` SPD matrix. Returns false
 /// (leaving `a` partially overwritten) when a non-positive pivot shows the
@@ -73,6 +74,17 @@ pub(super) fn gemv(a: &[f64], x: &[f64], y: &mut [f64]) {
     }
 }
 
+/// `y = A x` for an *exactly* symmetric row-major `A`: computed as `Aᵀx`,
+/// a sweep down the contiguous rows with the outputs held in registers
+/// ([`vecmat`]) — no horizontal sum per row, which is what [`gemv`] pays.
+/// `y[i]` adds `x[k]·A[k][i]` over `k` in order; on a matrix that is
+/// symmetric only to round-off this would be a different product.
+#[inline]
+pub(super) fn symv(a: &[f64], x: &[f64], y: &mut [f64]) {
+    debug_assert_eq!(x.len(), y.len());
+    vecmat(x, a, y);
+}
+
 /// `y −= Aᵀ x` for row-major `A` (`x.len()` rows, `y.len()` columns).
 #[inline]
 pub(super) fn gemv_t_sub(a: &[f64], x: &[f64], y: &mut [f64]) {
@@ -125,6 +137,37 @@ mod tests {
                 for i in 0..n {
                     assert_eq!(inv[i * n + j].to_bits(), inv[j * n + i].to_bits());
                 }
+            }
+        }
+    }
+
+    /// `symv` is `gemv` on a symmetric matrix: exactly where no rounding
+    /// happens (small integers), to round-off on random SPD matrices — for
+    /// every size from one column to two and a half of the widest block.
+    #[test]
+    fn symv_matches_gemv_on_symmetric_matrices() {
+        for n in 1..=40usize {
+            let mut ints = vec![0.0; n * n];
+            for i in 0..n {
+                for j in 0..=i {
+                    let v = ((i * 5 + j * 3) % 13) as f64 - 6.0;
+                    ints[i * n + j] = v;
+                    ints[j * n + i] = v;
+                }
+            }
+            let x: Vec<f64> = (0..n).map(|i| ((i * 7) % 9) as f64 - 4.0).collect();
+            let (mut want, mut got) = (vec![0.0; n], vec![f64::NAN; n]);
+            gemv(&ints, &x, &mut want);
+            symv(&ints, &x, &mut got);
+            assert_eq!(got, want, "n={n}, integers");
+
+            let m = spd(n);
+            let x: Vec<f64> = (0..n).map(|i| (i as f64 * 1.37).sin()).collect();
+            gemv(&m, &x, &mut want);
+            symv(&m, &x, &mut got);
+            let scale = want.iter().fold(0.0f64, |s, v| s.max(v.abs()));
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert!((g - w).abs() <= 1e-13 * scale, "n={n} row {i}: {g} vs {w}");
             }
         }
     }

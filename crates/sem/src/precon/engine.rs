@@ -35,6 +35,9 @@ pub struct EllipticSolver {
     tol: f64,
     max_iter: usize,
     dirichlet: Vec<usize>,
+    /// Elements owning a Dirichlet DoF, ascending: the only ones a
+    /// Dirichlet lifting `A x_bc` has to visit.
+    lift_elems: Vec<usize>,
     pub(super) factors: Arc<Factors>,
     cg_ws: CgWorkspace,
     lift_ws: ApplyScratch,
@@ -70,13 +73,11 @@ impl EllipticSolver {
         proj_depth: usize,
     ) -> Self {
         let n = space.nglobal();
-        let build = || {
-            let mut masked = vec![false; n];
-            for &d in dirichlet {
-                masked[d] = true;
-            }
-            Factors::build(space, lambda, &masked, kind)
-        };
+        let mut masked = vec![false; n];
+        for &d in dirichlet {
+            masked[d] = true;
+        }
+        let build = || Factors::build(space, lambda, &masked, kind);
         // Cache-first: engines over the same (space, λ, Dirichlet set,
         // rung) Arc-share one set of factors through the ambient
         // `nkg-artifact` cache. Without an ambient cache, or for a space
@@ -102,12 +103,16 @@ impl EllipticSolver {
             Arc::new(build())
         };
         let nb = factors.op.nb();
+        let lift_elems = (0..space.num_elems())
+            .filter(|&e| space.elem_gids(e).iter().any(|&g| masked[g]))
+            .collect();
         Self {
             lambda,
             kind,
             tol,
             max_iter,
             dirichlet: dirichlet.to_vec(),
+            lift_elems,
             cg_ws: CgWorkspace::new(),
             lift_ws: ApplyScratch::new(),
             elem_ws: ElemScratch::for_operator(&factors.op),
@@ -180,7 +185,13 @@ impl EllipticSolver {
             self.x_bc[d] = v;
         }
         let lift = bc_value.iter().any(|&v| v != 0.0).then(|| {
-            space.apply_helmholtz_ws(self.lambda, &self.x_bc, &mut self.ax, &mut self.lift_ws);
+            space.apply_helmholtz_elems_ws(
+                &self.lift_elems,
+                self.lambda,
+                &self.x_bc,
+                &mut self.ax,
+                &mut self.lift_ws,
+            );
             &self.ax[..]
         });
         let bnorm2 = op.condense_rhs(rhs_weak, lift, g, &mut self.yint, elem_ws);

@@ -117,8 +117,26 @@ pub trait EllipticSpace {
     /// Matrix-free `out = A u` with caller-provided scratch (no per-call
     /// allocation).
     fn apply_helmholtz_ws(&self, lambda: f64, u: &[f64], out: &mut [f64], ws: &mut ApplyScratch);
-    /// Dense element Helmholtz matrix (row-major `nloc × nloc`), built by
-    /// probing the element kernel with unit vectors.
+    /// [`EllipticSpace::apply_helmholtz_ws`] for a `u` that vanishes on
+    /// every element outside `elems` (ascending), which an implementation
+    /// may therefore skip: they would add exact zeros. This is how the
+    /// engine lifts Dirichlet data — through the elements that own a
+    /// Dirichlet DoF. The default visits all elements: the same vector,
+    /// only slower.
+    fn apply_helmholtz_elems_ws(
+        &self,
+        elems: &[usize],
+        lambda: f64,
+        u: &[f64],
+        out: &mut [f64],
+        ws: &mut ApplyScratch,
+    ) {
+        let _ = elems;
+        self.apply_helmholtz_ws(lambda, u, out, ws);
+    }
+    /// Dense element Helmholtz matrix (row-major `nloc × nloc`): column
+    /// `l` is the element kernel's image of the `l`-th unit vector, however
+    /// an implementation arrives at it.
     fn elem_matrix(&self, e: usize, lambda: f64, out: &mut [f64], ws: &mut ApplyScratch);
     /// Append the bit patterns of everything [`EllipticSpace::elem_matrix`]
     /// reads for element `e` besides λ (the geometric factors). Elements

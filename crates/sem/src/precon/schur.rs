@@ -3,7 +3,7 @@
 //! `nkg-artifact` cache, with its disk codec.
 
 use super::condense::{Condensed, ElemClass};
-use super::dense::{gemv, spd_inverse_in_place};
+use super::dense::{gemv, spd_inverse_in_place, symv};
 use super::{EllipticSpace, NodeRole, PreconKind};
 use nkg_artifact::Artifact;
 use nkg_ckpt::{Dec, Enc};
@@ -224,7 +224,7 @@ impl LowEnergy {
             for (v, &c) in g.iter_mut().zip(idx) {
                 *v = r[c as usize];
             }
-            gemv(&self.blk_inv[inv_off..inv_off + m * m], g, o);
+            symv(&self.blk_inv[inv_off..inv_off + m * m], g, o);
             inv_off += m * m;
             for (&v, &c) in o.iter().zip(idx) {
                 z[c as usize] += v;
@@ -243,7 +243,7 @@ impl LowEnergy {
                     .map(|(&g, &v)| v * r[g as usize])
                     .sum();
             }
-            gemv(&c.inv, &ws.rc, &mut ws.yc);
+            symv(&c.inv, &ws.rc, &mut ws.yc);
             for (ci, &y) in ws.yc.iter().enumerate() {
                 let span = col(ci);
                 for (&g, &v) in c.p_idx[span.clone()].iter().zip(&c.p_val[span]) {
@@ -341,7 +341,7 @@ impl Coarse {
 
 /// The immutable setup product of one engine: the condensed operator and
 /// its preconditioner. This is the expensive part of construction (element
-/// matrix probing plus the inversions), so engines with the same (space,
+/// matrices plus the inversions), so engines with the same (space,
 /// λ, Dirichlet set, rung) `Arc`-share one copy through the
 /// `nkg-artifact` cache.
 #[derive(Debug, Clone)]

@@ -150,6 +150,84 @@ pub fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
+/// `y = Bᵀx`: `y[i] = Σ_m x[m]·B[m][i]` for row-major `B` (`x.len()` rows,
+/// `y.len()` columns), as a sweep down the rows of `B`.
+///
+/// The unit-stride index `i` is innermost and the outputs are independent
+/// accumulators held in registers (blocks of 16/8/4/2, then single
+/// columns), so there is no dependency chain to wait on and no horizontal
+/// sum. Each `y[i]` still adds its terms in the order `m = 0, 1, …` from
+/// `0.0`: bitwise the scalar loop `s = 0.0; for m { s += x[m] * b[m][i] }`.
+/// This is the row of a small matrix product (the SEM tensor contractions)
+/// and, for a symmetric `B`, the product `B x` itself.
+///
+/// # Panics
+/// Panics if `b.len() != x.len() * y.len()`.
+#[inline]
+pub fn vecmat(x: &[f64], b: &[f64], y: &mut [f64]) {
+    sweep([x], [b], y);
+}
+
+/// Two interleaved [`vecmat`] sums into one output:
+/// `y[i] = Σ_m (x0[m]·B0[m][i] + x1[m]·B1[m][i])`, each `m` adding its `B0`
+/// term and then its `B1` term — bitwise the scalar loop
+/// `for m { s += x0[m]*b0[m][i]; s += x1[m]*b1[m][i] }` from `s = 0.0`.
+#[inline]
+pub fn vecmat2(x0: &[f64], b0: &[f64], x1: &[f64], b1: &[f64], y: &mut [f64]) {
+    sweep([x0, x1], [b0, b1], y);
+}
+
+#[inline(always)]
+fn sweep<const K: usize>(x: [&[f64]; K], b: [&[f64]; K], y: &mut [f64]) {
+    let (rows, n) = (x[0].len(), y.len());
+    for k in 0..K {
+        assert_eq!(x[k].len(), rows);
+        assert_eq!(b[k].len(), rows * n);
+    }
+    let mut i = 0;
+    while n - i >= 16 {
+        sweep_block::<K, 16>(x, b, i, y);
+        i += 16;
+    }
+    if n - i >= 8 {
+        sweep_block::<K, 8>(x, b, i, y);
+        i += 8;
+    }
+    if n - i >= 4 {
+        sweep_block::<K, 4>(x, b, i, y);
+        i += 4;
+    }
+    if n - i >= 2 {
+        sweep_block::<K, 2>(x, b, i, y);
+        i += 2;
+    }
+    if n - i >= 1 {
+        sweep_block::<K, 1>(x, b, i, y);
+    }
+}
+
+/// Columns `i0..i0 + W` of a [`sweep`].
+#[inline(always)]
+fn sweep_block<const K: usize, const W: usize>(
+    x: [&[f64]; K],
+    b: [&[f64]; K],
+    i0: usize,
+    y: &mut [f64],
+) {
+    let n = y.len();
+    let mut acc = [0.0f64; W];
+    for m in 0..x[0].len() {
+        for k in 0..K {
+            let xm = x[k][m];
+            let row = &b[k][m * n + i0..][..W];
+            for w in 0..W {
+                acc[w] += xm * row[w];
+            }
+        }
+    }
+    y[i0..i0 + W].copy_from_slice(&acc);
+}
+
 /// Minimum-image displacement along one axis: `out[k] = a - b[k]`, wrapped
 /// into `(-l/2, l/2]` when the axis is periodic.
 ///
@@ -266,6 +344,34 @@ mod tests {
             assert_eq!(dz[k].to_bits(), ez.to_bits(), "z lane {k}");
             let er2 = ex * ex + ey * ey + ez * ez;
             assert_eq!(r2[k].to_bits(), er2.to_bits(), "r2 lane {k}");
+        }
+    }
+
+    /// Every column of a sweep has the bits of its own scalar loop, for
+    /// every block/tail split of the column count.
+    #[test]
+    fn vecmat_is_bitwise_the_scalar_sums() {
+        let val = |i: usize, s: f64| ((i as f64 + s) * 0.7311).sin();
+        for cols in 0..=40usize {
+            for rows in [0usize, 1, 2, 9, 33] {
+                let x0: Vec<f64> = (0..rows).map(|i| val(i, 0.1)).collect();
+                let x1: Vec<f64> = (0..rows).map(|i| val(i, 0.2)).collect();
+                let b0: Vec<f64> = (0..rows * cols).map(|i| val(i, 0.3)).collect();
+                let b1: Vec<f64> = (0..rows * cols).map(|i| val(i, 0.4)).collect();
+                let (mut y, mut y2) = (vec![f64::NAN; cols], vec![f64::NAN; cols]);
+                vecmat(&x0, &b0, &mut y);
+                vecmat2(&x0, &b0, &x1, &b1, &mut y2);
+                for i in 0..cols {
+                    let (mut s, mut s2) = (0.0, 0.0);
+                    for m in 0..rows {
+                        s += x0[m] * b0[m * cols + i];
+                        s2 += x0[m] * b0[m * cols + i];
+                        s2 += x1[m] * b1[m * cols + i];
+                    }
+                    assert_eq!(y[i].to_bits(), s.to_bits(), "{rows}x{cols} column {i}");
+                    assert_eq!(y2[i].to_bits(), s2.to_bits(), "{rows}x{cols} column {i}");
+                }
+            }
         }
     }
 

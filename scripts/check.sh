@@ -48,8 +48,12 @@ cargo run --release -q -p nkg-bench --bin bench_ckpt -- --smoke
 echo "== DPD one force evaluation per step: step_over_forces <= 1.35 on an open-boundary box =="
 cargo run --release -q -p nkg-bench --bin bench_dpd -- --smoke
 
-echo "== elliptic engine smoke: preconditioner ladder and NS telemetry rows =="
+echo "== elliptic engine smoke: preconditioner ladder, NS telemetry and element-kernel rows =="
 cargo run --release -q -p nkg-bench --bin bench_sem -- --smoke
+
+echo "== bench gate: committed BENCH_sem.json vs the working tree's, no count up by more than 2% =="
+git show HEAD:BENCH_sem.json >target/BENCH_sem.head.json
+bash scripts/bench_gate.sh target/BENCH_sem.head.json BENCH_sem.json
 
 echo "== ensemble smoke: cold/warm, disk tier and scheduler legs bitwise, hit rate > 0 =="
 cargo run --release -q -p nkg-bench --bin bench_serve -- --smoke
