@@ -25,7 +25,7 @@ use nkg_ckpt::{prev_path, SnapshotFile, SnapshotWriter};
 use nkg_coupling::metasolver::{CheckpointPolicy, ExecutionPolicy};
 use nkg_coupling::{NektarG, Scenario, TimeProgression};
 use nkg_dpd::inflow::OpenBoundaryX;
-use nkg_dpd::sim::{BinSampler, DpdConfig, DpdSim, ForceBackend, WallGeometry};
+use nkg_dpd::sim::{BinSampler, DpdConfig, DpdSim, WallGeometry};
 use nkg_dpd::Box3;
 use std::path::Path;
 
@@ -60,7 +60,6 @@ fn coupled_io(smoke: bool) -> NektarG {
         order: 4,
         dpd_box,
         bins,
-        force_backend: ForceBackend::Parallel,
         progression: TimeProgression::new(1, 1),
         wpod: Some((
             BinSampler::new(1, 6, 0, 2),

@@ -42,13 +42,13 @@
 
 use nkg_artifact::{with_cache, ArtifactCache, ArtifactKey, CacheMode, KeyHasher, KindStats};
 use nkg_ckpt::{restore_bytes, seal_bytes, snapshot_bytes, unseal_bytes, CkptError};
+use nkg_mci::panic_message;
 use nkg_perfmodel::EnsembleJobModel;
 use nkg_topo::cost_weighted_pool_width;
 
 use crate::multipatch::{poiseuille_multipatch, Multipatch2d};
 
 use crossbeam_channel::{bounded, unbounded, Receiver, Sender, TryRecvError};
-use std::any::Any;
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -332,16 +332,6 @@ impl Task {
     }
 }
 
-fn panic_msg(e: Box<dyn Any + Send>) -> String {
-    if let Some(s) = e.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = e.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Shared state of one `serve` call: specs, placement, progress counters
 /// and the result slots. Workers borrow it; the inline path drives it
 /// directly.
@@ -444,7 +434,7 @@ impl<'a, J, O: JobOps<J>> Engine<'a, J, O> {
                         task,
                         width,
                         None,
-                        Some(JobFailure::BuildPanicked(panic_msg(e))),
+                        Some(JobFailure::BuildPanicked(panic_message(e.as_ref()))),
                     );
                     return;
                 }
@@ -467,7 +457,7 @@ impl<'a, J, O: JobOps<J>> Engine<'a, J, O> {
                     None,
                     Some(JobFailure::RunPanicked {
                         slice,
-                        message: panic_msg(e),
+                        message: panic_message(e.as_ref()),
                     }),
                 );
                 return;
@@ -501,7 +491,7 @@ impl<'a, J, O: JobOps<J>> Engine<'a, J, O> {
                     None,
                     Some(JobFailure::RunPanicked {
                         slice: total,
-                        message: panic_msg(e),
+                        message: panic_message(e.as_ref()),
                     }),
                 );
                 return;

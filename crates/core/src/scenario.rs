@@ -22,7 +22,7 @@ use crate::progression::TimeProgression;
 use crate::scaling::UnitScaling;
 use nkg_dpd::inflow::OpenBoundaryX;
 use nkg_dpd::platelet::{PlateletParams, WallSites};
-use nkg_dpd::sim::{BinSampler, DpdConfig, DpdSim, ForceBackend, WallGeometry};
+use nkg_dpd::sim::{BinSampler, DpdConfig, DpdSim, WallGeometry};
 use nkg_dpd::Box3;
 use nkg_wpod::window::WindowPod;
 
@@ -79,8 +79,6 @@ pub struct Scenario {
     pub seed: u64,
     /// Inflow-face bins `(ny, nz)`: the interface points of §3.3.
     pub bins: (usize, usize),
-    /// DPD force sweep.
-    pub force_backend: ForceBackend,
     /// Platelets and adhesion sites, if any.
     pub platelets: Option<Platelets>,
     /// Lower corner of the DPD box in continuum coordinates.
@@ -120,7 +118,6 @@ impl Scenario {
             dpd_box: [6.0, 6.0, 3.0],
             seed: 31,
             bins: (3, 1),
-            force_backend: ForceBackend::Auto,
             platelets: None,
             origin: [2.5, 0.35],
             unit_dpd: 0.05,
@@ -178,7 +175,6 @@ impl Scenario {
         };
         let bx = Box3::new([0.0; 3], self.dpd_box, [false, false, true]);
         let mut sim = DpdSim::new(cfg, bx, WallGeometry::SlabY);
-        sim.force_backend = self.force_backend;
         sim.fill_solvent();
         if let Some(p) = &self.platelets {
             sim.seed_platelets(p.fraction);
@@ -240,7 +236,6 @@ mod tests {
             seed: 32,
             bins: (5, 2),
             patches: 3,
-            force_backend: ForceBackend::Parallel,
             platelets: Some(Platelets::poiseuille()),
             wpod: Some((BinSampler::new(1, 8, 0, 10), WindowPod::new(10, 10, 2.0))),
             policy: ExecutionPolicy::Overlapped,
@@ -249,7 +244,10 @@ mod tests {
         let ng = sc.build();
         assert_eq!(ng.continuum.num_patches(), 3);
         assert_eq!(ng.atomistic.sim.cfg.seed, 32);
-        assert_eq!(ng.atomistic.sim.force_backend, ForceBackend::Parallel);
+        assert_eq!(
+            ng.atomistic.sim.force_backend,
+            nkg_dpd::sim::ForceBackend::Parallel
+        );
         assert_eq!(ng.atomistic.bin_midpoints_ns.len(), 10);
         assert_eq!(ng.atomistic.sim.sites.pos.len(), 30);
         let census = ng.atomistic.sim.platelet_census();

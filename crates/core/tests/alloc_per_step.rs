@@ -2,8 +2,8 @@
 //! exchange writes donor values into per-link buffers and the solvers'
 //! override slots (no per-step maps), an NS step runs in its workspace,
 //! the elliptic engines own their CG, lifting and projection buffers.
-//! Measured at one pool thread, where the inner products of
-//! `nkg_simd::par` stay on the calling thread; the warm-up covers the
+//! Measured at one pool thread, where the per-patch fan-out stays on the
+//! calling thread; the warm-up covers the
 //! viscous engine's rebuild on the order ramp and the projection bases
 //! filling to their depth. Alone in its test binary because the counting
 //! allocator is process-global.

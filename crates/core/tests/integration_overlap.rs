@@ -7,18 +7,12 @@
 use nkg_ckpt::{prev_path, FaultPlan};
 use nkg_coupling::metasolver::{CheckpointPolicy, ExecutionPolicy, RunError, RunReport};
 use nkg_coupling::{NektarG, Scenario};
-use nkg_dpd::sim::{BinSampler, ForceBackend};
+use nkg_dpd::sim::BinSampler;
 
 /// A 2-patch continuum with an embedded DPD domain and WPOD attached —
 /// the full coupled data path at test scale.
 fn make_metasolver(policy: ExecutionPolicy) -> NektarG {
     Scenario {
-        // Pin the sweep: `Auto` legitimately switches between the serial
-        // half sweep and the parallel half sweep at 1 vs >1 threads, and
-        // the two differ in summation order. The parallel half sweep is
-        // itself bitwise invariant for any pool width — the property
-        // under test.
-        force_backend: ForceBackend::Parallel,
         wpod: Some((
             BinSampler::new(1, 6, 0, 2),
             nkg_wpod::window::WindowPod::new(4, 4, 2.0),

@@ -18,36 +18,19 @@ use nkg_ckpt::{CkptError, Dec, Enc, Snapshot};
 ///
 /// Both sweeps evaluate the identical pair kernel with counter-based
 /// symmetric noise, so they integrate the same physics; they differ only
-/// in floating-point summation order (agreement ≤ 1e-12 per component)
-/// and in parallelism. The parallel sweep is bitwise deterministic for a
-/// given particle ordering regardless of the rayon thread count.
+/// in floating-point summation order (agreement ≤ 1e-12 per component).
+/// Neither depends on the rayon thread count: the chunking of the
+/// parallel sweep is a function of the cell grid alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ForceBackend {
-    /// Pick [`ForceBackend::Parallel`] when more than one rayon thread is
-    /// available (see `RAYON_NUM_THREADS`), else the serial half sweep.
-    #[default]
-    Auto,
-    /// Serial half sweep: each unordered pair evaluated once.
+    /// Serial half sweep: each unordered pair evaluated once. The
+    /// reference the tests and `bench_dpd` hold [`ForceBackend::Parallel`]
+    /// against, not a mode any run selects.
     Serial,
     /// Rayon-parallel half sweep: each pair evaluated once per step, `±F`
     /// scattered through deterministic chunk-ordered accumulation.
+    #[default]
     Parallel,
-}
-
-impl ForceBackend {
-    /// Resolve `Auto` against the current rayon thread count.
-    pub fn resolved(self) -> ForceBackend {
-        match self {
-            ForceBackend::Auto => {
-                if rayon::current_num_threads() > 1 {
-                    ForceBackend::Parallel
-                } else {
-                    ForceBackend::Serial
-                }
-            }
-            other => other,
-        }
-    }
 }
 
 /// Wall geometry of the domain.
@@ -126,7 +109,7 @@ pub struct DpdSim {
     pub platelet_params: PlateletParams,
     /// Explicit cell membranes (bead-spring rings) immersed in the solvent.
     pub cells: Vec<CellModel>,
-    /// Pair-force sweep selection (default [`ForceBackend::Auto`]).
+    /// Pair-force sweep selection (default [`ForceBackend::Parallel`]).
     pub force_backend: ForceBackend,
     body_force: BodyForceFn,
     /// Steps taken.
@@ -310,9 +293,9 @@ impl DpdSim {
         self.particles.clear_forces();
         self.grid
             .rebuild_soa(&self.particles.x, &self.particles.y, &self.particles.z);
-        let sweep = match self.force_backend.resolved() {
+        let sweep = match self.force_backend {
             ForceBackend::Parallel => accumulate_pair_forces_par,
-            _ => accumulate_pair_forces,
+            ForceBackend::Serial => accumulate_pair_forces,
         };
         self.last_pair_count = sweep(
             &mut self.particles,
@@ -626,7 +609,6 @@ fn wall_to_wire(w: WallGeometry) -> (u8, f64) {
 
 fn backend_to_wire(b: ForceBackend) -> u8 {
     match b {
-        ForceBackend::Auto => 0,
         ForceBackend::Serial => 1,
         ForceBackend::Parallel => 2,
     }
@@ -1301,9 +1283,9 @@ mod tests {
         );
     }
 
-    /// Snapshots written by builds that still had the full-neighborhood
-    /// backend (wire tag 3) or particle reordering are refused with a
-    /// typed error.
+    /// Snapshots written by builds that still had the pool-width-resolved
+    /// backend (wire tag 0), the full-neighborhood backend (wire tag 3) or
+    /// particle reordering are refused with a typed error.
     #[test]
     fn checkpoint_refuses_removed_features() {
         let mut sim = periodic_box(30);
@@ -1311,13 +1293,15 @@ mod tests {
         // DPDS payload: 8 f64 + seed + two 3-vectors with u64 length
         // prefixes + 3 bools + wall tag + wall radius, then the backend tag.
         let backend_at = 8 * 8 + 8 + 2 * (8 + 24) + 3 + 1 + 8;
-        assert_eq!(bytes[backend_at], 0, "layout assumption: Auto backend tag");
-        let mut tag3 = bytes.clone();
-        tag3[backend_at] = 3;
-        assert!(matches!(
-            nkg_ckpt::restore_bytes(&mut sim, &tag3),
-            Err(CkptError::Mismatch(_))
-        ));
+        assert_eq!(bytes[backend_at], 2, "layout assumption: Parallel tag");
+        for removed in [0, 3] {
+            let mut image = bytes.clone();
+            image[backend_at] = removed;
+            assert!(matches!(
+                nkg_ckpt::restore_bytes(&mut sim, &image),
+                Err(CkptError::Mismatch(_))
+            ));
+        }
         // Reserved slot: after the backend tag, the species count and the
         // two 4x4 species matrices.
         let reserved_at = backend_at + 1 + 8 + 2 * (8 + 16 * 8);

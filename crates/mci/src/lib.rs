@@ -89,7 +89,7 @@ pub use hierarchy::{
     ExchangeError, Hierarchy, HierarchySpec, InterfaceLink, ReplicaSet, RetryPolicy,
 };
 pub use liveness::{Liveness, LivenessView};
-pub use nkg_net::Backend;
+pub use nkg_net::{panic_message, Backend};
 pub use supervisor::{RestartCause, RestartEvent, RestartPolicy};
 pub use universe::{FaultRun, MsgStats, ProcessOptions, ProcessRun, Universe};
 pub use wire::Wire;

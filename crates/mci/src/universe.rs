@@ -786,7 +786,7 @@ fn join_ranks<R>(handles: Vec<std::thread::JoinHandle<R>>) -> Joined<R> {
                 if e.downcast_ref::<ScriptedKill>().is_some() {
                     dead.push(rank);
                 } else {
-                    failures.push((rank, payload_string(e.as_ref())));
+                    failures.push((rank, nkg_net::panic_message(e.as_ref())));
                 }
             }
         }
@@ -812,17 +812,6 @@ fn raise_combined(n: usize, failures: Vec<(usize, String)>) {
         ranks,
         detail.join("; ")
     );
-}
-
-/// Best-effort rendering of a panic payload for the combined error report.
-fn payload_string(e: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = e.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = e.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
 }
 
 #[cfg(test)]

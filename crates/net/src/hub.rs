@@ -275,7 +275,7 @@ impl Hub {
         let mut panics = Vec::new();
         for h in pumps {
             if let Err(e) = h.join() {
-                panics.push(payload_string(e.as_ref()));
+                panics.push(crate::panic_message(e.as_ref()));
             }
         }
         let results = self
@@ -534,16 +534,5 @@ fn pump(
     // resolve to PeerDead).
     if !inner.peers[rank].finished.load(Ordering::Acquire) {
         announce_death(&inner, &core, rank, incarnation);
-    }
-}
-
-/// Best-effort rendering of a pump panic payload.
-fn payload_string(e: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = e.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = e.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
     }
 }

@@ -34,6 +34,18 @@ pub use envelope::Envelope;
 pub use frame::{Frame, NetError, RejectReason, PROTO_VERSION};
 pub use liveness::{Liveness, LivenessView};
 
+/// A panic payload as text: the message of a `panic!("…")`, a placeholder
+/// for a payload that is not a string.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "<non-string panic payload>".to_string()
+    }
+}
+
 /// Message tag type (user tags must stay below [`RESERVED_TAG_BASE`]).
 pub type Tag = u32;
 

@@ -2,12 +2,12 @@
 //! operators (the paper's "Helmholtz and Poisson iterative solvers ... based
 //! on conjugate gradient method").
 //!
-//! Vector primitives route through [`nkg_simd::par`]: with one rayon
-//! thread (`RAYON_NUM_THREADS=1`) they are bitwise identical to the serial
-//! kernels; with more threads, reductions use fixed-size chunks so the
-//! iteration history is reproducible for any thread count.
+//! Vector primitives are the serial [`nkg_simd`] kernels: the vectors are
+//! condensed boundary unknowns (of the order of 10³ entries), far below
+//! the length at which a fork pays, so the iteration history cannot
+//! depend on the thread count.
 
-use nkg_simd::par::{par_axpy, par_dot, par_xpby};
+use nkg_simd::{axpy, dot, xpby};
 
 /// Outcome of a CG solve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,7 +86,7 @@ pub fn pcg_ws(
     max_iter: usize,
     ws: &mut CgWorkspace,
 ) -> CgResult {
-    let bnorm = par_dot(b, b).sqrt().max(1e-300);
+    let bnorm = dot(b, b).sqrt().max(1e-300);
     pcg_until(apply, precond, b, x, tol * bnorm, max_iter, ws)
 }
 
@@ -118,7 +118,7 @@ pub(crate) fn pcg_until(
     for i in 0..n {
         r[i] = b[i] - ap[i];
     }
-    let mut rnorm = par_dot(r, r).sqrt();
+    let mut rnorm = dot(r, r).sqrt();
     if rnorm <= threshold {
         return CgResult {
             iterations: 0,
@@ -129,10 +129,10 @@ pub(crate) fn pcg_until(
     }
     precond(r, z);
     p.copy_from_slice(z);
-    let mut rz = par_dot(r, z);
+    let mut rz = dot(r, z);
     for it in 1..=max_iter {
         apply(p, ap);
-        let pap = par_dot(p, ap);
+        let pap = dot(p, ap);
         if pap <= 0.0 {
             // Operator not SPD on this subspace (or round-off breakdown).
             return CgResult {
@@ -143,9 +143,9 @@ pub(crate) fn pcg_until(
             };
         }
         let alpha = rz / pap;
-        par_axpy(alpha, p, x);
-        par_axpy(-alpha, ap, r);
-        rnorm = par_dot(r, r).sqrt();
+        axpy(alpha, p, x);
+        axpy(-alpha, ap, r);
+        rnorm = dot(r, r).sqrt();
         if rnorm <= threshold {
             return CgResult {
                 iterations: it,
@@ -155,10 +155,10 @@ pub(crate) fn pcg_until(
             };
         }
         precond(r, z);
-        let rz_new = par_dot(r, z);
+        let rz_new = dot(r, z);
         let beta = rz_new / rz;
         rz = rz_new;
-        par_xpby(z, beta, p);
+        xpby(z, beta, p);
     }
     CgResult {
         iterations: max_iter,

@@ -30,9 +30,8 @@
 //!
 //! An [`EllipticSolver`] is created **once** per (space, λ, Dirichlet set)
 //! and owns every buffer a solve needs, so the time-stepping hot loop
-//! performs zero heap allocation. All kernels are serial and all inner
-//! products route through [`nkg_simd::par`], so solves are bitwise
-//! identical across rayon thread counts.
+//! performs zero heap allocation. All kernels and inner products are
+//! serial, so a solve's bits cannot depend on the thread count.
 
 mod condense;
 mod dense;
@@ -50,15 +49,13 @@ use nkg_artifact::ArtifactKey;
 ///
 /// `du`/`fl` hold reference-space derivatives and metric fluxes (the 2D
 /// kernel uses the first two of each), `ul`/`ol` the gathered/locally
-/// applied element vectors, and `locals` is the flat per-element output
-/// buffer of the rayon element-parallel path.
+/// applied element vectors.
 #[derive(Debug, Default, Clone)]
 pub struct ApplyScratch {
     pub(crate) ul: Vec<f64>,
     pub(crate) du: [Vec<f64>; 3],
     pub(crate) fl: [Vec<f64>; 3],
     pub(crate) ol: Vec<f64>,
-    pub(crate) locals: Vec<f64>,
 }
 
 impl ApplyScratch {
@@ -77,13 +74,6 @@ impl ApplyScratch {
             for b in &mut self.fl {
                 b.resize(nloc, 0.0);
             }
-        }
-    }
-
-    /// Grow the flat per-element output buffer (parallel scatter path).
-    pub(crate) fn ensure_locals(&mut self, len: usize) {
-        if self.locals.len() < len {
-            self.locals.resize(len, 0.0);
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Successive-RHS projection warm starts (Fischer), in the condensed space.
 
 use nkg_ckpt::{CkptError, Dec, Enc};
-use nkg_simd::par::{par_axpy, par_dot};
+use nkg_simd::{axpy, dot};
 
 /// S-orthonormal basis of previous condensed solutions for one RHS stream.
 ///
@@ -42,8 +42,8 @@ impl ProjBasis {
     pub(super) fn guess(&self, g: &[f64], x0: &mut [f64]) -> usize {
         x0.fill(0.0);
         for w in &self.w {
-            let c = par_dot(w, g);
-            par_axpy(c, w, x0);
+            let c = dot(w, g);
+            axpy(c, w, x0);
         }
         self.w.len()
     }
@@ -62,14 +62,14 @@ impl ProjBasis {
         let (wv, sv) = (&mut self.vtmp[..n], &mut self.svtmp[..n]);
         wv.copy_from_slice(x);
         sv.copy_from_slice(sx);
-        let nrm2_full = par_dot(wv, sv);
+        let nrm2_full = dot(wv, sv);
         for (w, sw) in self.w.iter().zip(&self.sw) {
             // c = wᵀ S x  (S-projection of the candidate on the basis).
-            let c = par_dot(sw, x);
-            par_axpy(-c, w, wv);
-            par_axpy(-c, sw, sv);
+            let c = dot(sw, x);
+            axpy(-c, w, wv);
+            axpy(-c, sw, sv);
         }
-        let nrm2 = par_dot(wv, sv);
+        let nrm2 = dot(wv, sv);
         if nrm2 <= 1e-28 + 1e-14 * nrm2_full {
             // Candidate already (numerically) in the span — e.g. a steady
             // state resolving the same RHS every step, or a warm-started

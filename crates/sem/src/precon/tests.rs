@@ -12,7 +12,7 @@ use nkg_artifact::{Artifact, ArtifactKey};
 use nkg_ckpt::{CkptError, Dec, Enc};
 use nkg_mesh::hex::HexMesh;
 use nkg_mesh::quad::{BoundaryTag, QuadMesh};
-use nkg_simd::par::par_dot;
+use nkg_simd::dot;
 
 mod persist;
 
@@ -299,12 +299,12 @@ fn assert_precon_spd(eng: &mut EllipticSolver, seed: u64, what: &str) {
     let nb = eng.condensed_len();
     let (r1, r2) = (pseudo(nb, seed), pseudo(nb, seed ^ 0x5851F42D4C957F2D));
     let (z1, z2) = (precon_apply(eng, &r1), precon_apply(eng, &r2));
-    let (a, b) = (par_dot(&r2, &z1), par_dot(&r1, &z2));
+    let (a, b) = (dot(&r2, &z1), dot(&r1, &z2));
     assert!(
         (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0),
         "{what} not symmetric: {a} vs {b}"
     );
-    let pos = par_dot(&r1, &z1);
+    let pos = dot(&r1, &z1);
     assert!(pos > 0.0, "{what} not positive: {pos}");
 }
 
@@ -581,8 +581,8 @@ fn projection_snapshot_roundtrip_is_bitwise_and_old_layout_is_refused() {
 }
 
 /// A warm-started solve sequence is bitwise identical whether it runs on
-/// the ambient rayon pool or a 1-thread pool: the fixed-chunk reductions
-/// keep the engine's arithmetic independent of pool size.
+/// the ambient rayon pool or a 1-thread pool: the engine's arithmetic is
+/// serial, so the pool size cannot reach it.
 #[test]
 fn projection_sequence_bitwise_across_pools() {
     let run = || {

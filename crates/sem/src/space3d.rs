@@ -237,14 +237,8 @@ impl Space3d {
         self.apply_helmholtz_ws(lambda, u, out, &mut ApplyScratch::new());
     }
 
-    /// [`Space3d::apply_helmholtz`] with caller-provided scratch.
-    ///
-    /// With more than one rayon thread the per-element applications run in
-    /// parallel (each element is independent, writing its slice of the
-    /// workspace's flat `locals` buffer) and the gather-scatter runs
-    /// serially in element order afterward — the same scatter order as the
-    /// serial path, so the result is bitwise identical to serial at every
-    /// thread count. The serial path performs zero heap allocation.
+    /// [`Space3d::apply_helmholtz`] with caller-provided scratch: no
+    /// per-call allocation.
     pub fn apply_helmholtz_ws(
         &self,
         lambda: f64,
@@ -254,39 +248,15 @@ impl Space3d {
     ) {
         out.iter_mut().for_each(|o| *o = 0.0);
         let nloc = self.nloc();
-        let nelem = self.gmap.len();
-        if rayon::current_num_threads() > 1 && nelem > 1 {
-            use rayon::prelude::*;
-            ws.ensure_locals(nelem * nloc);
-            ws.locals[..nelem * nloc]
-                .par_chunks_mut(nloc)
-                .enumerate()
-                .for_each(|(e, ol)| {
-                    let mut ul = vec![0.0f64; nloc];
-                    let mut du = [vec![0.0f64; nloc], vec![0.0f64; nloc], vec![0.0f64; nloc]];
-                    let mut fl = [vec![0.0f64; nloc], vec![0.0f64; nloc], vec![0.0f64; nloc]];
-                    for (k, &gidx) in self.gmap[e].iter().enumerate() {
-                        ul[k] = u[gidx];
-                    }
-                    self.helmholtz_elem_local(e, lambda, &ul, &mut du, &mut fl, ol);
-                });
-            for e in 0..nelem {
-                let ol = &ws.locals[e * nloc..(e + 1) * nloc];
-                for (k, &gidx) in self.gmap[e].iter().enumerate() {
-                    out[gidx] += ol[k];
-                }
+        ws.ensure(nloc);
+        let ApplyScratch { ul, du, fl, ol } = ws;
+        for (e, map) in self.gmap.iter().enumerate() {
+            for (k, &gidx) in map.iter().enumerate() {
+                ul[k] = u[gidx];
             }
-        } else {
-            ws.ensure(nloc);
-            let ApplyScratch { ul, du, fl, ol, .. } = ws;
-            for e in 0..nelem {
-                for (k, &gidx) in self.gmap[e].iter().enumerate() {
-                    ul[k] = u[gidx];
-                }
-                self.helmholtz_elem_local(e, lambda, &ul[..nloc], du, fl, &mut ol[..nloc]);
-                for (k, &gidx) in self.gmap[e].iter().enumerate() {
-                    out[gidx] += ol[k];
-                }
+            self.helmholtz_elem_local(e, lambda, &ul[..nloc], du, fl, &mut ol[..nloc]);
+            for (k, &gidx) in map.iter().enumerate() {
+                out[gidx] += ol[k];
             }
         }
     }
@@ -705,38 +675,8 @@ mod tests {
         }
     }
 
-    /// The element-parallel operator application must be bitwise identical
-    /// to the serial path for any rayon thread count (same per-element
-    /// arithmetic, same element-order scatter).
-    #[test]
-    fn apply_helmholtz_bitwise_thread_invariant() {
-        let s = box_space(3, 2, 2, 4);
-        let u: Vec<f64> = (0..s.nglobal)
-            .map(|i| ((i * 7 + 3) % 23) as f64 * 0.17 - 1.5)
-            .collect();
-        let run = |threads: usize| {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap()
-                .install(|| {
-                    let mut out = vec![0.0; s.nglobal];
-                    s.apply_helmholtz(0.9, &u, &mut out);
-                    out
-                })
-        };
-        let serial = run(1);
-        for threads in [2usize, 8] {
-            let par = run(threads);
-            for (i, (a, b)) in serial.iter().zip(&par).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "threads={threads} dof {i}");
-            }
-        }
-    }
-
     /// Full solve reproducibility: the CG iteration history (and thus the
-    /// solution bits) must not depend on the thread count when the
-    /// reductions use fixed chunking.
+    /// solution bits) must not depend on the thread count.
     #[test]
     fn solve_reproducible_across_thread_counts() {
         let pi = std::f64::consts::PI;

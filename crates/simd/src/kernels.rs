@@ -150,6 +150,15 @@ pub fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
+/// `p[i] = x[i] + b * p[i]` — the CG direction update.
+#[inline]
+pub fn xpby(x: &[f64], b: f64, p: &mut [f64]) {
+    assert_eq!(x.len(), p.len());
+    for (pi, xi) in p.iter_mut().zip(x) {
+        *pi = xi + b * *pi;
+    }
+}
+
 /// `y = Bᵀx`: `y[i] = Σ_m x[m]·B[m][i]` for row-major `B` (`x.len()` rows,
 /// `y.len()` columns), as a sweep down the rows of `B`.
 ///
@@ -299,6 +308,11 @@ mod tests {
         (a - b).abs() <= 1e-10 * scale.max(1.0)
     }
 
+    /// Deterministic non-trivial test data: entry `i` of stream `s`.
+    fn val(i: usize, s: f64) -> f64 {
+        ((i as f64 + s) * 0.7311).sin()
+    }
+
     #[test]
     fn min_image_batch_is_bitwise_scalar() {
         // Scalar reference: the exact branch structure of Box3::min_image.
@@ -351,7 +365,6 @@ mod tests {
     /// every block/tail split of the column count.
     #[test]
     fn vecmat_is_bitwise_the_scalar_sums() {
-        let val = |i: usize, s: f64| ((i as f64 + s) * 0.7311).sin();
         for cols in 0..=40usize {
             for rows in [0usize, 1, 2, 9, 33] {
                 let x0: Vec<f64> = (0..rows).map(|i| val(i, 0.1)).collect();
@@ -413,6 +426,23 @@ mod tests {
         assert_eq!(y, vec![12.0, 14.0, 16.0]);
         assert_eq!(norm2(&x), 14.0);
         assert_eq!(dot(&x, &y), 12.0 + 28.0 + 48.0);
+    }
+
+    #[test]
+    fn xpby_is_the_cg_direction_update() {
+        for n in 0..=40usize {
+            let x: Vec<f64> = (0..n).map(|i| val(i, 0.1)).collect();
+            let p0: Vec<f64> = (0..n).map(|i| val(i, 0.2)).collect();
+            let mut p = p0.clone();
+            xpby(&x, 1.618, &mut p);
+            for i in 0..n {
+                assert_eq!(
+                    p[i].to_bits(),
+                    (x[i] + 1.618 * p0[i]).to_bits(),
+                    "n={n} i={i}"
+                );
+            }
+        }
     }
 
     #[test]

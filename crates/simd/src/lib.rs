@@ -29,11 +29,9 @@
 
 pub mod aligned;
 pub mod kernels;
-pub mod par;
 
 pub use aligned::AlignedBuf;
 pub use kernels::{
     axpy, dot, min_image_dist2_batch, mul_scalar, mul_vec, norm2, triple_dot_scalar,
-    triple_dot_vec, vecmat, vecmat2, wdot_scalar, wdot_vec,
+    triple_dot_vec, vecmat, vecmat2, wdot_scalar, wdot_vec, xpby,
 };
-pub use par::{par_axpy, par_dot, par_norm2, par_xpby};

@@ -16,33 +16,22 @@ cargo build --release --workspace
 echo "== cargo test =="
 cargo test --workspace -q
 
-echo "== fault-injection integration suite =="
-cargo test -q --test integration_fault
-
 echo "== fault-injection suite over framed Unix sockets (NKG_TRANSPORT=uds) =="
 NKG_TRANSPORT=uds cargo test -q --test integration_fault
 
-echo "== multi-process smoke: real ranks over a UDS hub, one killed mid-run =="
-cargo test -q --test integration_process
-
 echo "== supervised respawn suite: dead ranks resurrected in place (NKG_TRANSPORT=uds) =="
 NKG_TRANSPORT=uds cargo test -q --test integration_respawn
-
-echo "== composed chaos: drop + dup + kill + corrupt checkpoint in one run =="
-cargo test -q --test integration_chaos
 
 echo "== collectives and distributed CG over the wire (NKG_TRANSPORT=uds): butterfly allreduce, fused reductions =="
 NKG_TRANSPORT=uds cargo test -q --test integration_distributed --test integration_wakeups --test property_invariants
 NKG_TRANSPORT=uds cargo test -q -p nkg-mci --test transport_semantics
 cargo run --release -q -p nkg-bench --bin bench_mci -- --smoke
 
-echo "== thread invariance: overlap suite, 1 rayon thread vs default pool =="
+echo "== thread invariance: overlap suite on 1 rayon thread (the default pool ran above) =="
 RAYON_NUM_THREADS=1 cargo test -q -p nkg-coupling --test integration_overlap
-cargo test -q -p nkg-coupling --test integration_overlap
 
-echo "== checkpoint pipeline, 1 rayon thread vs default pool (one pool thread + continuum thread + committer is the oversubscribed corner) =="
+echo "== checkpoint pipeline on 1 rayon thread (one pool thread + continuum thread + committer is the oversubscribed corner) =="
 RAYON_NUM_THREADS=1 cargo test -q --test integration_ckpt --test integration_boundary
-cargo test -q --test integration_ckpt --test integration_boundary
 cargo run --release -q -p nkg-bench --bin bench_ckpt -- --smoke
 
 echo "== DPD one force evaluation per step: step_over_forces <= 1.35 on an open-boundary box =="
@@ -51,9 +40,11 @@ cargo run --release -q -p nkg-bench --bin bench_dpd -- --smoke
 echo "== elliptic engine smoke: preconditioner ladder, NS telemetry and element-kernel rows =="
 cargo run --release -q -p nkg-bench --bin bench_sem -- --smoke
 
-echo "== bench gate: committed BENCH_sem.json vs the working tree's, no count up by more than 2% =="
-git show HEAD:BENCH_sem.json >target/BENCH_sem.head.json
-bash scripts/bench_gate.sh target/BENCH_sem.head.json BENCH_sem.json
+echo "== bench gate: each committed BENCH_*.json vs the working tree's, no count up by more than 2% =="
+for layer in ckpt dpd mci sem serve; do
+    git show "HEAD:BENCH_$layer.json" >"target/BENCH_$layer.head.json"
+    bash scripts/bench_gate.sh "target/BENCH_$layer.head.json" "BENCH_$layer.json"
+done
 
 echo "== ensemble smoke: cold/warm, disk tier and scheduler legs bitwise, hit rate > 0 =="
 cargo run --release -q -p nkg-bench --bin bench_serve -- --smoke

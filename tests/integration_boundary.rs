@@ -18,7 +18,7 @@ use nektarg::coupling::metasolver::{
 };
 use nektarg::coupling::multipatch::Multipatch2d;
 use nektarg::coupling::{NektarG, Scenario, TimeProgression};
-use nektarg::dpd::sim::{BinSampler, ForceBackend};
+use nektarg::dpd::sim::BinSampler;
 use nektarg::wpod::window::WindowPod;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
@@ -69,8 +69,6 @@ fn scenario(bins: (usize, usize)) -> Scenario {
         order: 2,
         dpd_box: [4.0, 4.0, 2.0],
         bins,
-        // Bitwise thread-invariant, so pool width never shows in a snapshot.
-        force_backend: ForceBackend::Parallel,
         progression: TimeProgression::new(2, 2),
         wpod: Some((BinSampler::new(1, 4, 0, 2), WindowPod::new(2, 2, 2.0))),
         ..Scenario::small()

@@ -8,6 +8,7 @@
 
 use nektarg::ckpt::SnapshotWriter;
 use nektarg::coupling::atomistic::{AtomisticDomain, Embedding};
+use nektarg::coupling::metasolver::ExecutionPolicy;
 use nektarg::coupling::multipatch::poiseuille_multipatch;
 use nektarg::coupling::scenario::Platelets;
 use nektarg::coupling::{NektarG, Scenario, TimeProgression, UnitScaling};
@@ -135,4 +136,41 @@ fn a_scenario_built_twice_is_byte_identical() {
     };
     let make = move || sc.build();
     assert_eq!(image(&make()), image(&make()));
+}
+
+/// The threading contract (DESIGN.md §9): the pool width is not an input.
+/// Every width under both execution policies leaves the same bytes.
+#[test]
+fn state_bits_do_not_depend_on_the_pool_width() {
+    let coupled = Scenario {
+        platelets: Some(Platelets::poiseuille()),
+        wpod: Some((BinSampler::new(1, 8, 0, 10), WindowPod::new(10, 10, 2.0))),
+        ..Scenario::poiseuille()
+    };
+    for (sc, what) in [(Scenario::small(), "small"), (coupled, "poiseuille")] {
+        let run = |policy, width| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(width)
+                .build()
+                .expect("pool");
+            pool.install(|| {
+                let mut ng = Scenario {
+                    policy,
+                    ..sc.clone()
+                }
+                .build();
+                ng.run(8);
+                image(&ng)
+            })
+        };
+        let reference = run(ExecutionPolicy::Serial, 1);
+        for policy in [ExecutionPolicy::Serial, ExecutionPolicy::Overlapped] {
+            for width in [1, 2, 4] {
+                assert!(
+                    run(policy, width) == reference,
+                    "{what}: {policy:?} at pool width {width} differs from Serial at width 1"
+                );
+            }
+        }
+    }
 }
