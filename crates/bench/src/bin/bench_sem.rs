@@ -25,16 +25,22 @@
 //!    `EllipticSolver::new` and the cost of one condensed CG iteration.
 //!    Flop counts are computed from the sizes, not counted.
 //!
+//! 4. The 3D setup cost, one `sem_setup_3d` row per order on a 2×2×2 box
+//!    and on the mapped tube of Table 2: one assembled element matrix,
+//!    the condensed element classes and their bytes, and one cold
+//!    `EllipticSolver::new` of a wall-Dirichlet Helmholtz engine.
+//!
 //! The shape (each rung cuts the total, the count barely grows with P,
 //! projection collapses the tail of the sequence) is pinned in tier-1 by
 //! `precon/tests.rs::ladder_orders_the_rungs_2d`. `--smoke` shrinks
 //! orders and solve counts.
 
 use nkg_bench::{bench_path, header, median, time_median, write_jsonl, Row};
+use nkg_mesh::hex::HexMesh;
 use nkg_mesh::quad::{BoundaryTag, QuadMesh};
 use nkg_sem::precon::{ApplyScratch, EllipticSolver, EllipticSpace, PreconKind};
 use nkg_sem::space2d::Space2d;
-use nkg_sem::{NsConfig, NsSolver2d};
+use nkg_sem::{NsConfig, NsSolver2d, Space3d};
 
 /// Deterministic quasi-random vector in [-0.5, 0.5) (no RNG dependency).
 /// Splitmix64-style finalizer so distinct seeds give independent fields.
@@ -237,7 +243,8 @@ fn kernels(out: &mut Vec<Row>, p: usize) {
     let (n, elems, dof) = ((p + 1) as f64, space.gmap.len() as f64, space.nglobal);
     let u = space.project(|x, y| (x + 2.0 * y).sin());
     let mut ws = ApplyScratch::new();
-    let (mut a, mut b) = (vec![0.0; dof], vec![0.0; dof]);
+    let mut a = vec![0.0; dof];
+    let mut grad = [vec![0.0; dof], vec![0.0; dof]];
 
     // Per element: four n³ contractions of 2n³ flops, 6n² for the metric
     // fluxes and 4n² for the mass term and the scatter-add.
@@ -250,8 +257,8 @@ fn kernels(out: &mut Vec<Row>, p: usize) {
     // scatter-add per element, then two divisions per DoF.
     let grad_flops = elems * (4.0 * n.powi(3) + 8.0 * n * n) + 2.0 * dof as f64;
     let grad = secs_per_call(|| {
-        space.gradient_ws(black_box(&u), &mut a, &mut b, &mut ws);
-        black_box((&mut a, &mut b));
+        space.gradient_ws(black_box(&u), &mut grad, &mut ws);
+        black_box(&mut grad);
     });
     // Per column of the element matrix: 12n for the fluxes on the cross,
     // 4 per entry off it, 2n + 2 on each of its 2n − 2 arms, 4n + 2 at
@@ -319,6 +326,55 @@ fn kernels(out: &mut Vec<Row>, p: usize) {
     );
 }
 
+fn setup_3d(out: &mut Vec<Row>, p: usize) {
+    use std::hint::black_box;
+    for (name, mesh) in [
+        (
+            "box",
+            HexMesh::box_mesh(2, 2, 2, [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]),
+        ),
+        ("tube", HexMesh::tube(2, 2, 1.0, 2.0)),
+    ] {
+        let space = Space3d::new(mesh, p, false);
+        let mut ae = vec![0.0; space.nloc() * space.nloc()];
+        let mut ws = ApplyScratch::new();
+        let mat = secs_per_call(|| {
+            space.elem_matrix(black_box(0), 600.0, &mut ae, &mut ws);
+            black_box(&mut ae);
+        });
+        let dir = space.boundary_dofs(|t| t == BoundaryTag::Wall);
+        let new_engine = || {
+            let kind = PreconKind::LowEnergyCoarse;
+            EllipticSolver::new(&space, 600.0, &dir, kind, 1e-10, 4000, 1, 0)
+        };
+        let cold_new = time_median(3, || {
+            black_box(new_engine());
+        });
+        let engine = new_engine();
+        let (classes, bytes) = engine.class_footprint();
+        let per_class = bytes / classes.max(1);
+        println!(
+            "{name:>5} {p:>3} {:>6} {:>12.6} {classes:>7} {:>12.3} {:>10.4}",
+            space.nglobal,
+            mat,
+            per_class as f64 / 1e6,
+            cold_new,
+        );
+        out.push(
+            Row::new("sem_setup_3d")
+                .text("mesh", name)
+                .num("p", p)
+                .num("elems", space.gmap.len())
+                .num("dof", space.nglobal)
+                .num("s_dof", engine.condensed_len())
+                .num("elem_matrix_s", format_args!("{mat:.6}"))
+                .num("classes", classes)
+                .num("bytes_per_class", per_class)
+                .num("engine_new_s", format_args!("{cold_new:.4}")),
+        );
+    }
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (orders, nsolves, reps, ns): (&[usize], _, _, _) = if smoke {
@@ -349,6 +405,14 @@ fn main() {
     );
     for &p in if smoke { &[2, 3][..] } else { &[4, 6, 8][..] } {
         kernels(&mut rows, p);
+    }
+    header("3D setup: assembled element matrix, condensed classes, cold engine");
+    println!(
+        "{:>5} {:>3} {:>6} {:>12} {:>7} {:>12} {:>10}",
+        "mesh", "P", "DoF", "A_e s", "classes", "MB/class", "new s"
+    );
+    for &p in if smoke { &[2, 3][..] } else { &[4, 6, 8][..] } {
+        setup_3d(&mut rows, p);
     }
     write_jsonl(&bench_path("sem", smoke), &rows);
 }

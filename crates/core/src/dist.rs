@@ -175,27 +175,9 @@ impl<'a> DistSpace2d<'a> {
         }
         // Assembled diagonal, restricted to my elements then assembled.
         let mut diag = vec![0.0f64; ng];
-        {
-            let n = self.space.basis.n();
-            let d = &self.space.basis.d;
-            for &e in &self.my_elems {
-                let g = &self.space.geom[e];
-                let map = &self.space.gmap[e];
-                for j in 0..n {
-                    for i in 0..n {
-                        let k = j * n + i;
-                        let mut v = lambda * g.mass[k];
-                        for m in 0..n {
-                            v += g.g11[j * n + m] * d[m * n + i] * d[m * n + i];
-                            v += g.g22[m * n + i] * d[m * n + j] * d[m * n + j];
-                        }
-                        v += 2.0 * g.g12[k] * d[i * n + i] * d[j * n + j];
-                        diag[map[k]] += v;
-                    }
-                }
-            }
-            self.assemble(comm, &mut diag);
-        }
+        self.space
+            .add_helmholtz_diagonal(&self.my_elems, lambda, &mut diag);
+        self.assemble(comm, &mut diag);
         let mask = |v: &mut [f64]| {
             for g in 0..ng {
                 if is_bc[g] || !self.touched[g] {

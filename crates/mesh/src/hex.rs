@@ -7,7 +7,7 @@
 //! `4:y+`, `5:x-`.
 
 use crate::quad::BoundaryTag;
-use crate::Point3;
+use crate::{CubeMesh, Point3};
 
 /// An unstructured conforming hexahedral mesh.
 #[derive(Debug, Clone)]
@@ -18,6 +18,33 @@ pub struct HexMesh {
     pub elems: Vec<[usize; 8]>,
     /// Tagged boundary faces: `(element, local_face, tag)`.
     pub boundary: Vec<(usize, usize, BoundaryTag)>,
+}
+
+impl CubeMesh<3> for HexMesh {
+    const FACETS: &'static [(usize, bool)] = &[
+        (2, false),
+        (2, true),
+        (1, false),
+        (0, true),
+        (1, true),
+        (0, false),
+    ];
+
+    fn coords(&self) -> &[[f64; 3]] {
+        &self.coords
+    }
+
+    fn elem_verts(&self, e: usize) -> &[usize] {
+        &self.elems[e]
+    }
+
+    fn num_elems(&self) -> usize {
+        self.elems.len()
+    }
+
+    fn boundary(&self) -> &[(usize, usize, BoundaryTag)] {
+        &self.boundary
+    }
 }
 
 impl HexMesh {

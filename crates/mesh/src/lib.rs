@@ -32,6 +32,23 @@ pub use oned::{ArterialNetwork, Segment, Windkessel};
 pub use patchgraph::{PatchGraph, PatchInfo};
 pub use quad::{BoundaryTag, QuadMesh};
 
+/// A conforming mesh of `D`-dimensional tensor-product cells
+/// (quadrilaterals, hexahedra): `2^D` vertices per element in tensor order
+/// — counter-clockwise in `(ξ, η)`, then the same at `ζ = +1` — and tagged
+/// boundary facets.
+pub trait CubeMesh<const D: usize> {
+    /// Local facet id → `(reference axis, whether the facet is at +1)`.
+    const FACETS: &'static [(usize, bool)];
+    /// Vertex coordinates.
+    fn coords(&self) -> &[[f64; D]];
+    /// Vertex ids of element `e`.
+    fn elem_verts(&self, e: usize) -> &[usize];
+    /// Number of elements.
+    fn num_elems(&self) -> usize;
+    /// Tagged boundary facets `(element, local facet, tag)`.
+    fn boundary(&self) -> &[(usize, usize, BoundaryTag)];
+}
+
 /// 2D point.
 pub type Point2 = [f64; 2];
 /// 3D point.

@@ -4,7 +4,7 @@
 //! `0:(v0,v1)`, `1:(v1,v2)`, `2:(v2,v3)`, `3:(v3,v0)`. Boundary conditions
 //! are attached to `(element, local edge)` pairs via [`BoundaryTag`].
 
-use crate::Point2;
+use crate::{CubeMesh, Point2};
 
 /// Physical meaning of a boundary edge/face.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -29,6 +29,26 @@ pub struct QuadMesh {
     pub elems: Vec<[usize; 4]>,
     /// Tagged boundary edges: `(element, local_edge, tag)`.
     pub boundary: Vec<(usize, usize, BoundaryTag)>,
+}
+
+impl CubeMesh<2> for QuadMesh {
+    const FACETS: &'static [(usize, bool)] = &[(1, false), (0, true), (1, true), (0, false)];
+
+    fn coords(&self) -> &[[f64; 2]] {
+        &self.coords
+    }
+
+    fn elem_verts(&self, e: usize) -> &[usize] {
+        &self.elems[e]
+    }
+
+    fn num_elems(&self) -> usize {
+        self.elems.len()
+    }
+
+    fn boundary(&self) -> &[(usize, usize, BoundaryTag)] {
+        &self.boundary
+    }
 }
 
 impl QuadMesh {

@@ -13,16 +13,19 @@
 //!   sets (interface DoFs, embedded-domain bin midpoints) resolve to one
 //!   donor element plus tensor-Lagrange weights at assembly, so every
 //!   coupled-step evaluation is a short dense dot product;
-//! * [`space2d`] / [`space3d`] — continuous-Galerkin discretizations on
-//!   quadrilateral / hexahedral meshes: global numbering (with optional
-//!   streamwise periodicity), curvilinear geometric factors and matrix-free
-//!   Helmholtz operators;
+//! * [`space`] — the continuous-Galerkin space, written once over the
+//!   dimension: topological numbering (with optional streamwise
+//!   periodicity), curvilinear geometric factors, matrix-free Helmholtz
+//!   operators and the assembled element matrix; [`space2d`] / [`space3d`]
+//!   add its quadrilateral / hexahedral instances (the element map, and 2D
+//!   point location);
 //! * [`precon`] — the persistent elliptic engine: static condensation onto
 //!   the element boundaries, PCG with low-energy and coarse-vertex
 //!   preconditioning, successive-RHS projection warm starts;
 //! * [`ns2d`] / [`ns3d`] — unsteady incompressible Navier–Stokes via the
 //!   stiffly-stable velocity-correction splitting (Karniadakis–Israeli–
-//!   Orszag), order 1–2 in time;
+//!   Orszag), order 1–2 in time: the owners of one stepper written over the
+//!   dimension;
 //! * [`oned`] — the NεκTαr-1D analogue: a discontinuous-Galerkin solver for
 //!   the nonlinear 1D blood-flow equations with characteristic upwinding,
 //!   bifurcation coupling and RCR Windkessel outlets;
@@ -38,10 +41,12 @@ pub mod analytic;
 pub mod basis;
 pub mod cg;
 pub mod interp;
+mod ns;
 pub mod ns2d;
 pub mod ns3d;
 pub mod oned;
 pub mod precon;
+pub mod space;
 pub mod space2d;
 pub mod space3d;
 
@@ -50,5 +55,6 @@ pub use cg::{pcg, pcg_ws, CgResult, CgWorkspace};
 pub use interp::InterpTable;
 pub use ns2d::{NsConfig, NsSolver2d, StepSolveStats};
 pub use precon::{ApplyScratch, EllipticSolver, EllipticSpace, PreconKind, SolveStats};
+pub use space::Space;
 pub use space2d::Space2d;
 pub use space3d::Space3d;

@@ -1,191 +1,31 @@
-//! Unsteady incompressible Navier–Stokes in 2D: the stiffly-stable
-//! velocity-correction splitting of Karniadakis–Israeli–Orszag (JCP 1991),
-//! the time-stepping scheme of NεκTαr-3D, here on quadrilateral SEM spaces.
-//!
-//! Per step (order J ∈ {1,2} shown for J=2 with γ₀ = 3/2, α = [2, -1/2],
-//! β = [2, -1]):
-//!
-//! 1. **advection**: `u* = Σ α_q u^{n-q} + Δt(−Σ β_q N(u^{n-q}) + f^{n+1})`
-//!    with `N(u) = (u·∇)u` in collocation form;
-//! 2. **pressure**: solve `∇²p = ∇·u*/Δt` (weak Poisson, homogeneous
-//!    Neumann on velocity-Dirichlet boundaries, Dirichlet where the caller
-//!    marks pressure outlets); project `ũ = u* − Δt ∇p`;
-//! 3. **viscous**: Helmholtz solve `(−∇² + λ)u^{n+1} = λ_ν ũ` with
-//!    `λ = γ₀/(νΔt)`, velocity Dirichlet boundary values at `t^{n+1}`.
-//!
-//! Boundary values normally come from the configured closure; the coupling
-//! layer overrides individual interface DoFs each exchange through
-//! [`NsSolver2d::velocity_overrides_mut`] — that is exactly how the paper's
+//! Unsteady incompressible Navier–Stokes in 2D: the velocity-correction
+//! stepper of `ns.rs` behind the `u`, `v`, `p` fields the coupling reads.
+//! The coupling layer overrides interface DoFs each exchange through
+//! [`NsSolver2d::velocity_overrides_mut`] — that is how the paper's
 //! inter-patch and continuum→atomistic conditions enter the solver.
 
-use crate::precon::{ApplyScratch, EllipticSolver, PreconKind};
+use crate::ns::{kinetic_energy, Fields, Stepper};
 use crate::space2d::Space2d;
 use nkg_ckpt::{CkptError, Dec, Enc, Snapshot};
 use nkg_mesh::quad::BoundaryTag;
 
-/// Numerical parameters of the splitting scheme.
-#[derive(Clone)]
-pub struct NsConfig {
-    /// Kinematic viscosity ν.
-    pub nu: f64,
-    /// Time step Δt.
-    pub dt: f64,
-    /// Temporal order (1 or 2).
-    pub time_order: usize,
-    /// CG tolerance for the pressure and viscous solves.
-    pub tol: f64,
-    /// CG iteration cap.
-    pub max_iter: usize,
-    /// Preconditioner rung for the elliptic solves.
-    pub precon: PreconKind,
-    /// Successive-RHS projection depth (0 disables warm starts).
-    pub proj_depth: usize,
-}
-
-impl Default for NsConfig {
-    fn default() -> Self {
-        Self {
-            nu: 0.01,
-            dt: 1e-3,
-            time_order: 2,
-            tol: 1e-10,
-            max_iter: 4000,
-            precon: PreconKind::LowEnergyCoarse,
-            proj_depth: 8,
-        }
-    }
-}
-
-/// Per-step elliptic-solve telemetry (pressure Poisson + the velocity
-/// Helmholtz solves), surfaced into the metasolver's `RunReport`.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct StepSolveStats {
-    /// Pressure CG iterations.
-    pub pressure_iterations: usize,
-    /// Final pressure residual 2-norm.
-    pub pressure_residual: f64,
-    /// Projection-basis size used for the pressure warm start.
-    pub pressure_proj_dim: usize,
-    /// Velocity Helmholtz iterations, summed over components.
-    pub viscous_iterations: usize,
-    /// Largest final viscous residual over the components.
-    pub viscous_residual: f64,
-    /// Largest viscous projection-basis size over the components.
-    pub viscous_proj_dim: usize,
-    /// True when any solve hit a CG breakdown (`pᵀAp ≤ 0`).
-    pub breakdown: bool,
-}
-
-impl StepSolveStats {
-    pub(crate) fn snapshot_into(&self, enc: &mut Enc) {
-        enc.put(self.pressure_iterations as u64);
-        enc.put(self.pressure_residual);
-        enc.put(self.pressure_proj_dim as u64);
-        enc.put(self.viscous_iterations as u64);
-        enc.put(self.viscous_residual);
-        enc.put(self.viscous_proj_dim as u64);
-        enc.put(self.breakdown as u64);
-    }
-
-    pub(crate) fn restore_from(dec: &mut Dec<'_>) -> Result<Self, CkptError> {
-        Ok(Self {
-            pressure_iterations: dec.take::<u64>()? as usize,
-            pressure_residual: dec.take()?,
-            pressure_proj_dim: dec.take::<u64>()? as usize,
-            viscous_iterations: dec.take::<u64>()? as usize,
-            viscous_residual: dec.take()?,
-            viscous_proj_dim: dec.take::<u64>()? as usize,
-            breakdown: dec.take::<u64>()? != 0,
-        })
-    }
-}
-
-/// Buffers of one [`NsSolver2d::step`], allocated once so stepping does
-/// not touch the heap.
-struct StepWorkspace {
-    grad: ApplyScratch,
-    /// Advection terms of the current fields; swapped into the history at
-    /// the end of the step.
-    nu: Vec<f64>,
-    nv: Vec<f64>,
-    ustar: Vec<f64>,
-    vstar: Vec<f64>,
-    /// Outputs of the latest gradient.
-    gx: Vec<f64>,
-    gy: Vec<f64>,
-    div: Vec<f64>,
-    /// Weak right-hand side of the solve in progress.
-    rhs: Vec<f64>,
-    /// Dirichlet values at `vel_dofs` / the pressure engine's Dirichlet set.
-    ubc: Vec<f64>,
-    vbc: Vec<f64>,
-    pbc: Vec<f64>,
-}
-
-impl StepWorkspace {
-    fn new(n: usize, n_vel_bc: usize, n_p_bc: usize) -> Self {
-        let field = || vec![0.0f64; n];
-        Self {
-            grad: ApplyScratch::new(),
-            nu: field(),
-            nv: field(),
-            ustar: field(),
-            vstar: field(),
-            gx: field(),
-            gy: field(),
-            div: field(),
-            rhs: field(),
-            ubc: vec![0.0; n_vel_bc],
-            vbc: vec![0.0; n_vel_bc],
-            pbc: vec![0.0; n_p_bc],
-        }
-    }
-}
-
-type VelBcFn = Box<dyn Fn(f64, f64, f64) -> (f64, f64) + Send + Sync>;
-type ScalarBcFn = Box<dyn Fn(f64, f64, f64) -> f64 + Send + Sync>;
-type ForceFn = Box<dyn Fn(f64, f64, f64) -> (f64, f64) + Send + Sync>;
+pub use crate::ns::{NsConfig, StepSolveStats};
 
 /// 2D incompressible Navier–Stokes solver.
 pub struct NsSolver2d {
     /// The function space shared by velocity components and pressure.
     pub space: Space2d,
-    cfg: NsConfig,
-    /// Velocity DoF ids with Dirichlet data.
-    vel_dofs: Vec<usize>,
-    vel_bc: VelBcFn,
-    /// Pressure DoF ids with Dirichlet data (may be empty → nullspace pin).
-    p_dofs: Vec<usize>,
-    p_bc: ScalarBcFn,
-    force: ForceFn,
-    /// Velocity overrides (coupling data), slot `i` for `vel_dofs[i]`:
-    /// `Some` replaces the closure's value there.
-    overrides: Vec<Option<(f64, f64)>>,
-    /// Pressure overrides (coupling data for artificial outlets), slot `i`
-    /// for `p_dofs[i]`.
-    p_overrides: Vec<Option<f64>>,
-    /// Velocity fields (global vectors).
+    /// x-velocity (global vector).
     pub u: Vec<f64>,
     /// y-velocity.
     pub v: Vec<f64>,
     /// Pressure.
     pub p: Vec<f64>,
-    u_prev: Vec<f64>,
-    v_prev: Vec<f64>,
-    nu_hist: [Vec<f64>; 2],
-    nv_hist: [Vec<f64>; 2],
     /// Simulated time.
     pub time: f64,
-    steps: usize,
     /// Cumulative CG iterations (pressure, viscous) — performance metric.
     pub cg_iterations: usize,
-    /// Persistent pressure-Poisson engine (λ = 0, one projection slot).
-    p_engine: EllipticSolver,
-    /// Persistent viscous Helmholtz engine; rebuilt when λ = γ₀/(νΔt)
-    /// changes (the order-1 → order-2 ramp after the first step).
-    v_engine: Option<EllipticSolver>,
-    last_stats: StepSolveStats,
-    ws: StepWorkspace,
+    core: Stepper<2, (f64, f64)>,
 }
 
 impl NsSolver2d {
@@ -207,65 +47,48 @@ impl NsSolver2d {
         p_bc: impl Fn(f64, f64, f64) -> f64 + Send + Sync + 'static,
         force: impl Fn(f64, f64, f64) -> (f64, f64) + Send + Sync + 'static,
     ) -> Self {
-        assert!(matches!(cfg.time_order, 1 | 2), "time order must be 1 or 2");
-        let vel_dofs = space.boundary_dofs(&vel_tags);
-        let p_dofs = space.boundary_dofs(&p_tags);
-        let n = space.nglobal;
-        // Pressure engine: pure-Neumann problems pin DoF 0 to fix the
-        // nullspace, exactly as the pre-engine solver did.
-        let p_pin = if p_dofs.is_empty() {
-            vec![0]
-        } else {
-            p_dofs.clone()
-        };
-        let p_engine = EllipticSolver::new(
+        let core = Stepper::new(
             &space,
-            0.0,
-            &p_pin,
-            cfg.precon,
-            cfg.tol,
-            cfg.max_iter,
-            1,
-            cfg.proj_depth,
+            cfg,
+            vel_tags,
+            move |&[x, y], t| vel_bc(x, y, t),
+            p_tags,
+            move |&[x, y], t| p_bc(x, y, t),
+            move |&[x, y], t| force(x, y, t),
         );
+        let n = space.nglobal;
         Self {
             space,
-            cfg,
-            vel_bc: Box::new(vel_bc),
-            p_bc: Box::new(p_bc),
-            force: Box::new(force),
-            overrides: vec![None; vel_dofs.len()],
-            p_overrides: vec![None; p_dofs.len()],
             u: vec![0.0; n],
             v: vec![0.0; n],
             p: vec![0.0; n],
-            u_prev: vec![0.0; n],
-            v_prev: vec![0.0; n],
-            nu_hist: [vec![0.0; n], vec![0.0; n]],
-            nv_hist: [vec![0.0; n], vec![0.0; n]],
             time: 0.0,
-            steps: 0,
             cg_iterations: 0,
-            p_engine,
-            v_engine: None,
-            last_stats: StepSolveStats::default(),
-            ws: StepWorkspace::new(n, vel_dofs.len(), p_pin.len()),
-            vel_dofs,
-            p_dofs,
+            core,
         }
+    }
+
+    fn fields(&mut self) -> (&mut Stepper<2, (f64, f64)>, Fields<'_, 2>) {
+        let f = Fields {
+            space: &self.space,
+            vel: [&mut self.u, &mut self.v],
+            p: &mut self.p,
+            time: &mut self.time,
+            cg_iterations: &mut self.cg_iterations,
+        };
+        (&mut self.core, f)
     }
 
     /// Elliptic-solve telemetry of the most recent [`NsSolver2d::step`].
     pub fn last_step_stats(&self) -> StepSolveStats {
-        self.last_stats
+        self.core.last_stats
     }
 
     /// Set the initial velocity from functions of `(x, y)`.
     pub fn set_initial(&mut self, fu: impl Fn(f64, f64) -> f64, fv: impl Fn(f64, f64) -> f64) {
         self.u = self.space.project(fu);
         self.v = self.space.project(fv);
-        self.u_prev.copy_from_slice(&self.u);
-        self.v_prev.copy_from_slice(&self.v);
+        self.core.set_initial([&self.u, &self.v]);
     }
 
     /// Coupling overrides of the velocity Dirichlet values, slot `i` for
@@ -275,165 +98,48 @@ impl NsSolver2d {
     /// a coupler resolves its DoFs to slots once and then writes values
     /// in place, so an exchange neither allocates nor hashes.
     pub fn velocity_overrides_mut(&mut self) -> &mut [Option<(f64, f64)>] {
-        &mut self.overrides
+        &mut self.core.overrides
     }
 
     /// The velocity Dirichlet DoF ids, ascending.
     pub fn velocity_bc_dofs(&self) -> &[usize] {
-        &self.vel_dofs
+        &self.core.vel_dofs
     }
 
     /// Coupling overrides of the pressure Dirichlet values (the multipatch
     /// artificial-outlet condition), slot `i` for `pressure_bc_dofs()[i]`.
     pub fn pressure_overrides_mut(&mut self) -> &mut [Option<f64>] {
-        &mut self.p_overrides
+        &mut self.core.p_overrides
     }
 
     /// The pressure Dirichlet DoF ids, ascending.
     pub fn pressure_bc_dofs(&self) -> &[usize] {
-        &self.p_dofs
+        &self.core.p_dofs
     }
 
     /// Immutable access to the configuration.
     pub fn config(&self) -> &NsConfig {
-        &self.cfg
+        &self.core.cfg
     }
 
     /// Advance one time step.
     pub fn step(&mut self) {
-        let n = self.space.nglobal;
-        let dt = self.cfg.dt;
-        let t_new = self.time + dt;
-        // Effective order ramps up: first step is order 1.
-        let order = self.cfg.time_order.min(self.steps + 1);
-        let (gamma0, alpha, beta): (f64, [f64; 2], [f64; 2]) = match order {
-            1 => (1.0, [1.0, 0.0], [1.0, 0.0]),
-            _ => (1.5, [2.0, -0.5], [2.0, -1.0]),
-        };
-        let Self {
-            space, ws, u, v, p, ..
-        } = self;
-
-        // --- Step 1: explicit advection `N(u) = (u·∇)u` in collocation
-        // form, plus force.
-        space.gradient_ws(u, &mut ws.gx, &mut ws.gy, &mut ws.grad);
-        for i in 0..n {
-            ws.nu[i] = u[i] * ws.gx[i] + v[i] * ws.gy[i];
-        }
-        space.gradient_ws(v, &mut ws.gx, &mut ws.gy, &mut ws.grad);
-        for i in 0..n {
-            ws.nv[i] = u[i] * ws.gx[i] + v[i] * ws.gy[i];
-        }
-        for i in 0..n {
-            let [x, y] = space.coords[i];
-            // Force is evaluated at t^{n+1} directly (no extrapolation).
-            let (fu, fv) = (self.force)(x, y, t_new);
-            ws.ustar[i] = alpha[0] * u[i]
-                + alpha[1] * self.u_prev[i]
-                + dt * (-(beta[0] * ws.nu[i] + beta[1] * self.nu_hist[0][i]) + fu);
-            ws.vstar[i] = alpha[0] * v[i]
-                + alpha[1] * self.v_prev[i]
-                + dt * (-(beta[0] * ws.nv[i] + beta[1] * self.nv_hist[0][i]) + fv);
-        }
-
-        // --- Step 2: pressure Poisson  ∇²p = ∇·u*/Δt.
-        space.gradient_ws(&ws.ustar, &mut ws.div, &mut ws.gy, &mut ws.grad);
-        space.gradient_ws(&ws.vstar, &mut ws.gx, &mut ws.gy, &mut ws.grad);
-        for i in 0..n {
-            ws.div[i] = (ws.div[i] + ws.gy[i]) / dt;
-        }
-        // Weak RHS of  -∇²p = -div :  b = -M·div.
-        space.apply_mass_into(&ws.div, &mut ws.rhs);
-        ws.rhs.iter_mut().for_each(|b| *b = -*b);
-        // Pure Neumann problem: the engine pins DoF 0 and `pbc` stays its
-        // initial single zero.
-        for ((val, &g), over) in ws.pbc.iter_mut().zip(&self.p_dofs).zip(&self.p_overrides) {
-            *val = over.unwrap_or_else(|| {
-                let [x, y] = space.coords[g];
-                (self.p_bc)(x, y, t_new)
-            });
-        }
-        let pres = self.p_engine.solve_into(space, &ws.rhs, &ws.pbc, p, 0);
-
-        // Projection: ũ = u* − Δt ∇p.
-        space.gradient_ws(p, &mut ws.gx, &mut ws.gy, &mut ws.grad);
-        for i in 0..n {
-            ws.ustar[i] -= dt * ws.gx[i];
-            ws.vstar[i] -= dt * ws.gy[i];
-        }
-
-        // --- Step 3: viscous Helmholtz  (−∇² + λ) u^{n+1} = λ_ν ũ.
-        let lambda = gamma0 / (self.cfg.nu * dt);
-        let scale = 1.0 / (self.cfg.nu * dt);
-        let vel_slots = self.vel_dofs.iter().zip(&self.overrides);
-        for ((ub, vb), (&g, over)) in ws.ubc.iter_mut().zip(&mut ws.vbc).zip(vel_slots) {
-            (*ub, *vb) = over.unwrap_or_else(|| {
-                let [x, y] = space.coords[g];
-                (self.vel_bc)(x, y, t_new)
-            });
-        }
-        // The viscous engine is rebuilt whenever λ changes (the order ramp
-        // after the first step); a rebuild discards the projection bases,
-        // which a changed operator invalidates anyway.
-        let ve = match &mut self.v_engine {
-            Some(e) if e.lambda().to_bits() == lambda.to_bits() => e,
-            stale => stale.insert(EllipticSolver::new(
-                space,
-                lambda,
-                &self.vel_dofs,
-                self.cfg.precon,
-                self.cfg.tol,
-                self.cfg.max_iter,
-                2,
-                self.cfg.proj_depth,
-            )),
-        };
-        // Rotate the velocity history first so the solves can write the
-        // fields in place.
-        self.u_prev.copy_from_slice(u);
-        self.v_prev.copy_from_slice(v);
-        space.apply_mass_into(&ws.ustar, &mut ws.rhs);
-        ws.rhs.iter_mut().for_each(|b| *b *= scale);
-        let ures = ve.solve_into(space, &ws.rhs, &ws.ubc, u, 0);
-        space.apply_mass_into(&ws.vstar, &mut ws.rhs);
-        ws.rhs.iter_mut().for_each(|b| *b *= scale);
-        let vres = ve.solve_into(space, &ws.rhs, &ws.vbc, v, 1);
-        self.cg_iterations += pres.cg.iterations + ures.cg.iterations + vres.cg.iterations;
-        self.last_stats = StepSolveStats {
-            pressure_iterations: pres.cg.iterations,
-            pressure_residual: pres.cg.residual,
-            pressure_proj_dim: pres.proj_dim,
-            viscous_iterations: ures.cg.iterations + vres.cg.iterations,
-            viscous_residual: ures.cg.residual.max(vres.cg.residual),
-            viscous_proj_dim: ures.proj_dim.max(vres.proj_dim),
-            breakdown: pres.cg.breakdown || ures.cg.breakdown || vres.cg.breakdown,
-        };
-
-        // Rotate the advection histories.
-        std::mem::swap(&mut self.nu_hist[0], &mut ws.nu);
-        std::mem::swap(&mut self.nv_hist[0], &mut ws.nv);
-        self.time = t_new;
-        self.steps += 1;
+        let (core, f) = self.fields();
+        core.step(f);
     }
 
     /// L2 norm of the velocity divergence (a quality metric — the splitting
     /// enforces it weakly).
     pub fn divergence_norm(&self) -> f64 {
-        let (ux, _) = self.space.gradient(&self.u);
-        let (_, vy) = self.space.gradient(&self.v);
+        let [ux, _] = self.space.gradient(&self.u);
+        let [_, vy] = self.space.gradient(&self.v);
         let div: Vec<f64> = ux.iter().zip(&vy).map(|(a, b)| a + b).collect();
         self.space.l2_norm(&div)
     }
 
     /// Kinetic energy `½∫(u² + v²)`.
     pub fn kinetic_energy(&self) -> f64 {
-        let ke: Vec<f64> = self
-            .u
-            .iter()
-            .zip(&self.v)
-            .map(|(a, b)| 0.5 * (a * a + b * b))
-            .collect();
-        self.space.integrate(&ke)
+        kinetic_energy(&self.space, [&self.u, &self.v])
     }
 }
 
@@ -441,152 +147,15 @@ impl Snapshot for NsSolver2d {
     const TAG: u32 = nkg_ckpt::tag4(b"NSSV");
 
     fn snapshot(&self, enc: &mut Enc) {
-        // --- Configuration/discretization fingerprint (verified). ---
-        enc.put(self.cfg.nu);
-        enc.put(self.cfg.dt);
-        enc.put(self.cfg.time_order as u64);
-        enc.put(self.cfg.tol);
-        enc.put(self.cfg.max_iter as u64);
-        enc.put(self.cfg.precon.code());
-        enc.put(self.cfg.proj_depth as u64);
-        enc.put(self.space.nglobal as u64);
-        enc.put_slice(&self.vel_dofs);
-        enc.put_slice(&self.p_dofs);
-        // --- Evolving state. ---
-        enc.put_slice(&self.u);
-        enc.put_slice(&self.v);
-        enc.put_slice(&self.p);
-        enc.put_slice(&self.u_prev);
-        enc.put_slice(&self.v_prev);
-        for h in &self.nu_hist {
-            enc.put_slice(h);
-        }
-        for h in &self.nv_hist {
-            enc.put_slice(h);
-        }
-        enc.put(self.time);
-        enc.put(self.steps as u64);
-        enc.put(self.cg_iterations as u64);
-        // Overrides as (DoF id, value) pairs in ascending DoF order — the
-        // slots are in that order already.
-        enc.put(self.overrides.iter().flatten().count() as u64);
-        for (&k, over) in self.vel_dofs.iter().zip(&self.overrides) {
-            if let Some((ou, ov)) = *over {
-                enc.put(k);
-                enc.put(ou);
-                enc.put(ov);
-            }
-        }
-        enc.put(self.p_overrides.iter().flatten().count() as u64);
-        for (&k, over) in self.p_dofs.iter().zip(&self.p_overrides) {
-            if let Some(pv) = *over {
-                enc.put(k);
-                enc.put(pv);
-            }
-        }
-        // Projection warm-start bases: without them a resumed run would
-        // take different CG trajectories than the original (the fields
-        // would still converge, but not bitwise-identically).
-        self.p_engine.snapshot_proj(enc);
-        match &self.v_engine {
-            None => enc.put(0u64),
-            Some(e) => {
-                enc.put(1u64);
-                enc.put(e.lambda());
-                e.snapshot_proj(enc);
-            }
-        }
-        self.last_stats.snapshot_into(enc);
+        let vel = [&self.u[..], &self.v[..]];
+        let n = self.space.nglobal;
+        self.core
+            .snapshot(enc, n, vel, &self.p, self.time, self.cg_iterations);
     }
 
     fn restore(&mut self, dec: &mut Dec<'_>) -> Result<(), CkptError> {
-        let mismatch = |what: &str| CkptError::Mismatch(format!("NS solver {what} differs"));
-        let bits = [self.cfg.nu, self.cfg.dt];
-        for want in bits {
-            if dec.take::<f64>()?.to_bits() != want.to_bits() {
-                return Err(mismatch("config"));
-            }
-        }
-        if dec.take::<u64>()? as usize != self.cfg.time_order {
-            return Err(mismatch("time order"));
-        }
-        if dec.take::<f64>()?.to_bits() != self.cfg.tol.to_bits() {
-            return Err(mismatch("tolerance"));
-        }
-        if dec.take::<u64>()? as usize != self.cfg.max_iter {
-            return Err(mismatch("iteration cap"));
-        }
-        if dec.take::<u64>()? != self.cfg.precon.code() {
-            return Err(mismatch("preconditioner"));
-        }
-        if dec.take::<u64>()? as usize != self.cfg.proj_depth {
-            return Err(mismatch("projection depth"));
-        }
-        let n = self.space.nglobal;
-        if dec.take::<u64>()? as usize != n {
-            return Err(mismatch("global DoF count"));
-        }
-        if dec.take_vec::<usize>()? != self.vel_dofs || dec.take_vec::<usize>()? != self.p_dofs {
-            return Err(mismatch("boundary DoF layout"));
-        }
-        let field = |dec: &mut Dec<'_>| -> Result<Vec<f64>, CkptError> {
-            let f = dec.take_vec::<f64>()?;
-            if f.len() != n {
-                return Err(CkptError::Malformed("field length"));
-            }
-            Ok(f)
-        };
-        self.u = field(dec)?;
-        self.v = field(dec)?;
-        self.p = field(dec)?;
-        self.u_prev = field(dec)?;
-        self.v_prev = field(dec)?;
-        for h in &mut self.nu_hist {
-            *h = field(dec)?;
-        }
-        for h in &mut self.nv_hist {
-            *h = field(dec)?;
-        }
-        self.time = dec.take()?;
-        self.steps = dec.take::<u64>()? as usize;
-        self.cg_iterations = dec.take::<u64>()? as usize;
-        // A pair whose DoF is no Dirichlet DoF of this solver (older
-        // snapshots could hold such) was never read by a step: dropped.
-        self.overrides.fill(None);
-        for _ in 0..dec.take::<u64>()? {
-            let k = dec.take::<usize>()?;
-            let o = (dec.take::<f64>()?, dec.take::<f64>()?);
-            if let Ok(slot) = self.vel_dofs.binary_search(&k) {
-                self.overrides[slot] = Some(o);
-            }
-        }
-        self.p_overrides.fill(None);
-        for _ in 0..dec.take::<u64>()? {
-            let k = dec.take::<usize>()?;
-            let pv = dec.take::<f64>()?;
-            if let Ok(slot) = self.p_dofs.binary_search(&k) {
-                self.p_overrides[slot] = Some(pv);
-            }
-        }
-        self.p_engine.restore_proj(dec)?;
-        self.v_engine = None;
-        if dec.take::<u64>()? != 0 {
-            let lambda: f64 = dec.take()?;
-            let mut eng = EllipticSolver::new(
-                &self.space,
-                lambda,
-                &self.vel_dofs,
-                self.cfg.precon,
-                self.cfg.tol,
-                self.cfg.max_iter,
-                2,
-                self.cfg.proj_depth,
-            );
-            eng.restore_proj(dec)?;
-            self.v_engine = Some(eng);
-        }
-        self.last_stats = StepSolveStats::restore_from(dec)?;
-        Ok(())
+        let (core, f) = self.fields();
+        core.restore(dec, f)
     }
 }
 

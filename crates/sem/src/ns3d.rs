@@ -1,63 +1,25 @@
-//! 3D incompressible Navier–Stokes via the same stiffly-stable
-//! velocity-correction splitting as [`crate::ns2d`], on structured hex
-//! SEM spaces.
+//! 3D incompressible Navier–Stokes: the velocity-correction stepper of
+//! [`crate::ns2d`] on hexahedral spaces, one velocity field per component.
 
-use crate::precon::{ApplyScratch, EllipticSolver};
+use crate::ns::{kinetic_energy, Fields, Stepper};
 use crate::space3d::Space3d;
 use nkg_mesh::quad::BoundaryTag;
 
-pub use crate::ns2d::{NsConfig, StepSolveStats};
-
-type VelBcFn3 = Box<dyn Fn(f64, f64, f64, f64) -> [f64; 3] + Send>;
-type ForceFn3 = Box<dyn Fn(f64, f64, f64, f64) -> [f64; 3] + Send>;
+pub use crate::ns::{NsConfig, StepSolveStats};
 
 /// 3D incompressible Navier–Stokes solver.
 pub struct NsSolver3d {
     /// Shared function space.
     pub space: Space3d,
-    cfg: NsConfig,
-    vel_dofs: Vec<usize>,
-    vel_bc: VelBcFn3,
-    force: ForceFn3,
-    /// Velocity overrides (coupling data), slot `i` for `vel_dofs[i]`.
-    overrides: Vec<Option<[f64; 3]>>,
     /// Velocity components.
     pub vel: [Vec<f64>; 3],
     /// Pressure.
     pub p: Vec<f64>,
-    vel_prev: [Vec<f64>; 3],
-    adv_prev: [Vec<f64>; 3],
     /// Simulated time.
     pub time: f64,
-    steps: usize,
     /// Cumulative CG iterations.
     pub cg_iterations: usize,
-    /// Persistent pressure-Poisson engine (λ = 0, one projection slot).
-    p_engine: EllipticSolver,
-    /// Persistent viscous engine (3 slots); rebuilt when λ changes.
-    v_engine: Option<EllipticSolver>,
-    last_stats: StepSolveStats,
-    ws: StepWorkspace3,
-}
-
-/// Buffers of one [`NsSolver3d::step`], allocated once so stepping does
-/// not touch the heap.
-struct StepWorkspace3 {
-    grad_ws: ApplyScratch,
-    /// Advection terms of the current fields; swapped into the history at
-    /// the end of the step.
-    adv: [Vec<f64>; 3],
-    star: [Vec<f64>; 3],
-    /// Output of the latest gradient.
-    grad: [Vec<f64>; 3],
-    div: Vec<f64>,
-    /// Weak right-hand side of the solve in progress.
-    rhs: Vec<f64>,
-    /// Dirichlet values at `vel_dofs`, and one component of them.
-    bc: Vec<[f64; 3]>,
-    bc_comp: Vec<f64>,
-    /// Homogeneous pressure Dirichlet data.
-    pbc: Vec<f64>,
+    core: Stepper<3, [f64; 3]>,
 }
 
 impl NsSolver3d {
@@ -68,202 +30,71 @@ impl NsSolver3d {
         space: Space3d,
         cfg: NsConfig,
         vel_tags: impl Fn(BoundaryTag) -> bool,
-        vel_bc: impl Fn(f64, f64, f64, f64) -> [f64; 3] + Send + 'static,
+        vel_bc: impl Fn(f64, f64, f64, f64) -> [f64; 3] + Send + Sync + 'static,
         p_tags: impl Fn(BoundaryTag) -> bool,
-        force: impl Fn(f64, f64, f64, f64) -> [f64; 3] + Send + 'static,
+        force: impl Fn(f64, f64, f64, f64) -> [f64; 3] + Send + Sync + 'static,
     ) -> Self {
-        assert!(matches!(cfg.time_order, 1 | 2));
-        let vel_dofs = space.boundary_dofs(&vel_tags);
-        let p_dofs = space.boundary_dofs(&p_tags);
-        let n = space.nglobal;
-        // Pure-Neumann pressure: pin DoF 0 to fix the nullspace.
-        let p_pin = if p_dofs.is_empty() { vec![0] } else { p_dofs };
-        let p_engine = EllipticSolver::new(
+        let core = Stepper::new(
             &space,
-            0.0,
-            &p_pin,
-            cfg.precon,
-            cfg.tol,
-            cfg.max_iter,
-            1,
-            cfg.proj_depth,
+            cfg,
+            vel_tags,
+            move |&[x, y, z], t| vel_bc(x, y, z, t),
+            p_tags,
+            |_, _| 0.0,
+            move |&[x, y, z], t| force(x, y, z, t),
         );
+        let n = space.nglobal;
         Self {
             space,
-            cfg,
-            vel_bc: Box::new(vel_bc),
-            force: Box::new(force),
-            overrides: vec![None; vel_dofs.len()],
             vel: std::array::from_fn(|_| vec![0.0; n]),
             p: vec![0.0; n],
-            vel_prev: std::array::from_fn(|_| vec![0.0; n]),
-            adv_prev: std::array::from_fn(|_| vec![0.0; n]),
             time: 0.0,
-            steps: 0,
             cg_iterations: 0,
-            p_engine,
-            v_engine: None,
-            last_stats: StepSolveStats::default(),
-            ws: StepWorkspace3 {
-                grad_ws: ApplyScratch::new(),
-                adv: std::array::from_fn(|_| vec![0.0; n]),
-                star: std::array::from_fn(|_| vec![0.0; n]),
-                grad: std::array::from_fn(|_| vec![0.0; n]),
-                div: vec![0.0; n],
-                rhs: vec![0.0; n],
-                bc: vec![[0.0; 3]; vel_dofs.len()],
-                bc_comp: vec![0.0; vel_dofs.len()],
-                pbc: vec![0.0; p_pin.len()],
-            },
-            vel_dofs,
+            core,
         }
     }
 
     /// Elliptic-solve telemetry of the most recent [`NsSolver3d::step`].
     pub fn last_step_stats(&self) -> StepSolveStats {
-        self.last_stats
+        self.core.last_stats
     }
 
     /// Set the initial velocity field.
     pub fn set_initial(&mut self, f: impl Fn(f64, f64, f64) -> [f64; 3]) {
-        for i in 0..self.space.nglobal {
-            let [x, y, z] = self.space.coords[i];
-            let v = f(x, y, z);
-            for c in 0..3 {
-                self.vel[c][i] = v[c];
-                self.vel_prev[c][i] = v[c];
+        for (i, &[x, y, z]) in self.space.coords.iter().enumerate() {
+            for (v, fc) in self.vel.iter_mut().zip(f(x, y, z)) {
+                v[i] = fc;
             }
         }
+        self.core.set_initial(self.vel.each_ref().map(|v| &v[..]));
     }
 
-    /// Coupling overrides of the velocity Dirichlet values (the continuum
-    /// side of the NS→DPD interface in reverse and the patch-interface
-    /// condition), slot `i` for `velocity_bc_dofs()[i]`: a `Some` replaces
-    /// the closure's value at that DoF until it is reset.
+    /// Coupling overrides of the velocity Dirichlet values, slot `i` for
+    /// `velocity_bc_dofs()[i]`: a `Some` replaces the closure's value at
+    /// that DoF until it is reset.
     pub fn velocity_overrides_mut(&mut self) -> &mut [Option<[f64; 3]>] {
-        &mut self.overrides
+        &mut self.core.overrides
     }
 
     /// Velocity Dirichlet DoF ids.
     pub fn velocity_bc_dofs(&self) -> &[usize] {
-        &self.vel_dofs
+        &self.core.vel_dofs
     }
 
     /// Advance one time step.
     pub fn step(&mut self) {
-        let n = self.space.nglobal;
-        let dt = self.cfg.dt;
-        let t_new = self.time + dt;
-        let order = self.cfg.time_order.min(self.steps + 1);
-        let (gamma0, alpha, beta): (f64, [f64; 2], [f64; 2]) = match order {
-            1 => (1.0, [1.0, 0.0], [1.0, 0.0]),
-            _ => (1.5, [2.0, -0.5], [2.0, -1.0]),
-        };
-        let Self {
-            space, ws, vel, p, ..
-        } = self;
-        // Advection `(u·∇)u` in collocation form.
-        for c in 0..3 {
-            space.gradient_ws(&vel[c], &mut ws.grad, &mut ws.grad_ws);
-            for i in 0..n {
-                ws.adv[c][i] = vel[0][i] * ws.grad[0][i]
-                    + vel[1][i] * ws.grad[1][i]
-                    + vel[2][i] * ws.grad[2][i];
-            }
-        }
-        for i in 0..n {
-            let [x, y, z] = space.coords[i];
-            let f = (self.force)(x, y, z, t_new);
-            for c in 0..3 {
-                ws.star[c][i] = alpha[0] * vel[c][i]
-                    + alpha[1] * self.vel_prev[c][i]
-                    + dt * (-(beta[0] * ws.adv[c][i] + beta[1] * self.adv_prev[c][i]) + f[c]);
-            }
-        }
-        // Pressure Poisson.
-        ws.div.fill(0.0);
-        for c in 0..3 {
-            space.gradient_ws(&ws.star[c], &mut ws.grad, &mut ws.grad_ws);
-            for i in 0..n {
-                ws.div[i] += ws.grad[c][i];
-            }
-        }
-        ws.div.iter_mut().for_each(|d| *d /= dt);
-        space.apply_mass_into(&ws.div, &mut ws.rhs);
-        ws.rhs.iter_mut().for_each(|b| *b = -*b);
-        let pres = self.p_engine.solve_into(space, &ws.rhs, &ws.pbc, p, 0);
-        self.cg_iterations += pres.cg.iterations;
-        space.gradient_ws(p, &mut ws.grad, &mut ws.grad_ws);
-        for c in 0..3 {
-            for i in 0..n {
-                ws.star[c][i] -= dt * ws.grad[c][i];
-            }
-        }
-        // Viscous solves.
-        let lambda = gamma0 / (self.cfg.nu * dt);
-        let scale = 1.0 / (self.cfg.nu * dt);
-        for ((val, &g), over) in ws.bc.iter_mut().zip(&self.vel_dofs).zip(&self.overrides) {
-            *val = over.unwrap_or_else(|| {
-                let [x, y, z] = space.coords[g];
-                (self.vel_bc)(x, y, z, t_new)
-            });
-        }
-        let ve = match &mut self.v_engine {
-            Some(e) if e.lambda().to_bits() == lambda.to_bits() => e,
-            stale => stale.insert(EllipticSolver::new(
-                space,
-                lambda,
-                &self.vel_dofs,
-                self.cfg.precon,
-                self.cfg.tol,
-                self.cfg.max_iter,
-                3,
-                self.cfg.proj_depth,
-            )),
-        };
-        let mut visc_iters = 0;
-        let mut visc_res = 0.0f64;
-        let mut visc_proj = 0;
-        let mut breakdown = pres.cg.breakdown;
-        for c in 0..3 {
-            space.apply_mass_into(&ws.star[c], &mut ws.rhs);
-            ws.rhs.iter_mut().for_each(|b| *b *= scale);
-            for (val, bc) in ws.bc_comp.iter_mut().zip(&ws.bc) {
-                *val = bc[c];
-            }
-            self.vel_prev[c].copy_from_slice(&vel[c]);
-            let res = ve.solve_into(space, &ws.rhs, &ws.bc_comp, &mut vel[c], c);
-            self.cg_iterations += res.cg.iterations;
-            visc_iters += res.cg.iterations;
-            visc_res = visc_res.max(res.cg.residual);
-            visc_proj = visc_proj.max(res.proj_dim);
-            breakdown |= res.cg.breakdown;
-        }
-        self.last_stats = StepSolveStats {
-            pressure_iterations: pres.cg.iterations,
-            pressure_residual: pres.cg.residual,
-            pressure_proj_dim: pres.proj_dim,
-            viscous_iterations: visc_iters,
-            viscous_residual: visc_res,
-            viscous_proj_dim: visc_proj,
-            breakdown,
-        };
-        std::mem::swap(&mut self.adv_prev, &mut ws.adv);
-        self.time = t_new;
-        self.steps += 1;
+        self.core.step(Fields {
+            space: &self.space,
+            vel: self.vel.each_mut(),
+            p: &mut self.p,
+            time: &mut self.time,
+            cg_iterations: &mut self.cg_iterations,
+        });
     }
 
     /// Kinetic energy `½∫|u|²`.
     pub fn kinetic_energy(&self) -> f64 {
-        let n = self.space.nglobal;
-        let ke: Vec<f64> = (0..n)
-            .map(|i| {
-                0.5 * (self.vel[0][i] * self.vel[0][i]
-                    + self.vel[1][i] * self.vel[1][i]
-                    + self.vel[2][i] * self.vel[2][i])
-            })
-            .collect();
-        self.space.integrate(&ke)
+        kinetic_energy(&self.space, self.vel.each_ref().map(|v| &v[..]))
     }
 }
 
@@ -279,7 +110,7 @@ mod tests {
         // Dirichlet... use body force with inflow/outflow natural: here we
         // use periodic_x spaces.
         let mesh = HexMesh::box_mesh(2, 2, 1, [0.0, 2.0], [0.0, 1.0], [0.0, 0.4]);
-        let space = Space3d::new(mesh, [2, 2, 1], 3, true);
+        let space = Space3d::new(mesh, 3, true);
         let (nu, f0) = (0.5, 0.3);
         let cfg = NsConfig {
             nu,
@@ -322,7 +153,7 @@ mod tests {
         // Exact solution is the classic double series; at the centroid the
         // ratio u_max/(f h²/ν) ≈ 0.0737 for a square duct (h = side).
         let mesh = HexMesh::box_mesh(1, 3, 3, [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]);
-        let space = Space3d::new(mesh, [1, 3, 3], 4, true);
+        let space = Space3d::new(mesh, 4, true);
         let (nu, f0) = (1.0, 1.0);
         let cfg = NsConfig {
             nu,
@@ -358,7 +189,7 @@ mod tests {
     #[test]
     fn zero_stays_zero_3d() {
         let mesh = HexMesh::box_mesh(1, 1, 1, [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]);
-        let space = Space3d::new(mesh, [1, 1, 1], 3, false);
+        let space = Space3d::new(mesh, 3, false);
         let mut ns = NsSolver3d::new(
             space,
             NsConfig::default(),

@@ -151,6 +151,16 @@ impl EllipticSolver {
         self.factors.op.nb()
     }
 
+    /// Element classes of the condensed operator, and the bytes of their
+    /// products (`S_e`, `W`, `A_ii⁻¹`) summed over the classes.
+    pub fn class_footprint(&self) -> (usize, usize) {
+        let classes = &self.factors.op.classes;
+        let words = classes
+            .iter()
+            .map(|c| c.s.len() + c.w.len() + c.aii_inv.len());
+        (classes.len(), 8 * words.sum::<usize>())
+    }
+
     /// Solve `(-∇² + λ) u = f` (weak RHS) with Dirichlet values
     /// `bc_value[i]` at the engine's `dirichlet[i]`, writing the solution
     /// into `x`. `slot` selects the projection stream; pass any index ≥

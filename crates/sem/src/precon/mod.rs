@@ -6,8 +6,7 @@
 //! "low-energy preconditioning" of the conjugate-gradient Helmholtz and
 //! Poisson solves, and NεκTαr applies that preconditioner to the
 //! *statically condensed* system. So does this module, for the SEM
-//! operators of [`crate::space2d::Space2d`] and
-//! [`crate::space3d::Space3d`]:
+//! operators of [`crate::Space`] in 2D and 3D:
 //!
 //! * the GLL nodes of an element split into **boundary** (vertex / edge /
 //!   face) and **interior** nodes; interiors couple to nothing outside
@@ -93,8 +92,8 @@ pub enum NodeRole {
 /// What a space must expose for the elliptic engine to condense and
 /// precondition it.
 ///
-/// Implemented by [`crate::Space2d`] and [`crate::Space3d`]; the engine
-/// itself is dimension-agnostic.
+/// Implemented by [`crate::Space`] in both dimensions; the engine itself is
+/// dimension-agnostic.
 pub trait EllipticSpace {
     /// Global DoF count.
     fn nglobal(&self) -> usize;

@@ -29,7 +29,7 @@ fn space2(nx: usize, ny: usize, p: usize) -> Space2d {
 
 fn space3(p: usize) -> Space3d {
     let mesh = HexMesh::box_mesh(2, 2, 2, [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]);
-    Space3d::new(mesh, [2, 2, 2], p, false)
+    Space3d::new(mesh, p, false)
 }
 
 /// One patch of the `coupled_sem` benchmark: 17×4 elements of side
@@ -200,7 +200,7 @@ fn condensed_solve_equals_full_space_cg_3d() {
     // One element wide in x: each element's x-faces are identified with
     // each other.
     let mesh = HexMesh::box_mesh(1, 2, 2, [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]);
-    let per = Space3d::new(mesh, [1, 2, 2], 3, true);
+    let per = Space3d::new(mesh, 3, true);
     let walls = per.boundary_dofs(|t| t == BoundaryTag::Wall);
     let wall_vals = vec![0.0; walls.len()];
     assert_matches_full_space("periodic x", &per, 0.5, &walls, &wall_vals);

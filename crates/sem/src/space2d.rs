@@ -1,468 +1,47 @@
-//! Continuous-Galerkin spectral-element discretization on quadrilateral
-//! meshes: global numbering, geometric factors, matrix-free elliptic
-//! operators and boundary handling.
+//! The 2D instance of [`Space`]: quadrilateral meshes, the bilinear
+//! element map, and point location (Newton inversion of that map) for
+//! interpolation at arbitrary points.
 
-use crate::basis::{lagrange_at, GllBasis};
-use crate::cg::CgResult;
-use crate::precon::{ApplyScratch, EllipticSolver, EllipticSpace, NodeRole, PreconKind};
-use nkg_artifact::{ArtifactKey, KeyHasher};
-use nkg_mesh::quad::{BoundaryTag, QuadMesh};
-use nkg_simd::{vecmat, vecmat2};
-use std::collections::HashMap;
-
-/// Geometric factors of one element, evaluated at the `(P+1)²` GLL nodes
-/// (local index `k = j·(P+1) + i`, `i` along ξ).
-#[derive(Debug, Clone)]
-pub struct ElemGeom {
-    /// Stiffness metrics including quadrature weights and |J|:
-    /// `g11 = w |J| (ξ_x² + ξ_y²)` etc.
-    pub g11: Vec<f64>,
-    /// Cross metric `w |J| (ξ_x η_x + ξ_y η_y)`.
-    pub g12: Vec<f64>,
-    /// `w |J| (η_x² + η_y²)`.
-    pub g22: Vec<f64>,
-    /// Diagonal mass `w_i w_j |J|`.
-    pub mass: Vec<f64>,
-    /// `∂ξ/∂x` at each node (for collocation gradients).
-    pub rx: Vec<f64>,
-    /// `∂ξ/∂y`.
-    pub ry: Vec<f64>,
-    /// `∂η/∂x`.
-    pub sx: Vec<f64>,
-    /// `∂η/∂y`.
-    pub sy: Vec<f64>,
-    /// Physical x of each node.
-    pub x: Vec<f64>,
-    /// Physical y of each node.
-    pub y: Vec<f64>,
-}
+use crate::basis::lagrange_at;
+use crate::space::{Cell, Dim, Space};
+use nkg_mesh::quad::QuadMesh;
 
 /// A scalar CG-SEM function space of order `p` on a quad mesh.
-pub struct Space2d {
-    /// The mesh.
-    pub mesh: QuadMesh,
-    /// 1D GLL basis (tensorized).
-    pub basis: GllBasis,
-    /// Per-element local→global DoF map.
-    pub gmap: Vec<Vec<usize>>,
-    /// Number of global DoFs.
-    pub nglobal: usize,
-    /// Per-element geometry.
-    pub geom: Vec<ElemGeom>,
-    /// Node multiplicity (how many elements share each global DoF).
-    pub mult: Vec<f64>,
-    /// Global coordinates of each DoF.
-    pub coords: Vec<[f64; 2]>,
-    /// Content fingerprint of (mesh geometry, connectivity, order,
-    /// periodicity) — the `nkg-artifact` key component under which setup
-    /// factorizations over this discretization are shared.
-    fp: ArtifactKey,
-    /// `Dᵀ` of the basis, row-major: the ξ-derivative of an element row is
-    /// then a sweep down contiguous rows, like the η-derivative down `D`'s.
-    dt: Vec<f64>,
-}
+pub type Space2d = Space<2>;
 
-#[derive(Hash, PartialEq, Eq, Clone, Copy)]
-enum NodeKey {
-    Vertex(usize),
-    Edge(usize, usize, usize), // (min vid, max vid, position from min)
-    Interior(usize, usize),    // (elem, local)
+impl Cell<2> for Dim<2> {
+    type Mesh = QuadMesh;
+    const NAME: &'static str = "space2d";
+
+    fn jacobian(vc: &[[f64; 2]], [xi, eta]: [f64; 2]) -> [[f64; 2]; 2] {
+        // The two ξ-edges (η = ∓1), then the two η-edges (ξ = ∓1).
+        let edge = |a: usize, b: usize, c: usize| vc[a][c] - vc[b][c];
+        let d_xi = |c| 0.25 * ((1.0 - eta) * edge(1, 0, c) + (1.0 + eta) * edge(2, 3, c));
+        let d_eta = |c| 0.25 * ((1.0 - xi) * edge(3, 0, c) + (1.0 + xi) * edge(2, 1, c));
+        [[d_xi(0), d_eta(0)], [d_xi(1), d_eta(1)]]
+    }
+
+    fn invert(j: &[[f64; 2]; 2]) -> (f64, [[f64; 2]; 2]) {
+        let det = j[0][0] * j[1][1] - j[0][1] * j[1][0];
+        let (a, b, c, d) = (j[0][0] / det, j[0][1] / det, j[1][0] / det, j[1][1] / det);
+        (det, [[d, -b], [-c, a]])
+    }
 }
 
 impl Space2d {
-    /// Build the space. `periodic_x`: identify DoFs on the `x = min` and
-    /// `x = max` lines (the mesh must have matching vertex y-coordinates
-    /// there), enabling streamwise-periodic channel flows.
-    pub fn new(mesh: QuadMesh, p: usize, periodic_x: bool) -> Self {
-        let basis = GllBasis::new(p);
-        let n = p + 1;
-        let nloc = n * n;
-        // Optional periodic vertex aliasing.
-        let alias = build_alias(&mesh, periodic_x);
-
-        let mut key_map: HashMap<NodeKey, usize> = HashMap::new();
-        let mut gmap = Vec::with_capacity(mesh.num_elems());
-        let mut nglobal = 0usize;
-        let mut intern = |key: NodeKey, nglobal: &mut usize| -> usize {
-            *key_map.entry(key).or_insert_with(|| {
-                let id = *nglobal;
-                *nglobal += 1;
-                id
-            })
-        };
-        for (e, verts) in mesh.elems.iter().enumerate() {
-            let v: Vec<usize> = verts.iter().map(|&vv| alias[vv]).collect();
-            let mut map = vec![usize::MAX; nloc];
-            for j in 0..n {
-                for i in 0..n {
-                    let k = j * n + i;
-                    let key = match (i, j) {
-                        (0, 0) => NodeKey::Vertex(v[0]),
-                        (x, 0) if x == p => NodeKey::Vertex(v[1]),
-                        (x, y) if x == p && y == p => NodeKey::Vertex(v[2]),
-                        (0, y) if y == p => NodeKey::Vertex(v[3]),
-                        (x, 0) => edge_key(v[0], v[1], x, p),
-                        (x, y) if x == p => edge_key(v[1], v[2], y, p),
-                        (x, y) if y == p => edge_key(v[3], v[2], x, p),
-                        (0, y) => edge_key(v[0], v[3], y, p),
-                        _ => NodeKey::Interior(e, k),
-                    };
-                    map[k] = intern(key, &mut nglobal);
-                }
-            }
-            gmap.push(map);
-        }
-
-        // Geometry per element (bilinear isoparametric mapping).
-        let mut geom = Vec::with_capacity(mesh.num_elems());
-        for verts in &mesh.elems {
-            geom.push(elem_geometry(&mesh, *verts, &basis));
-        }
-
-        // Multiplicity and representative coordinates.
-        let mut mult = vec![0.0f64; nglobal];
-        let mut coords = vec![[0.0f64; 2]; nglobal];
-        for (e, map) in gmap.iter().enumerate() {
-            for (k, &g) in map.iter().enumerate() {
-                mult[g] += 1.0;
-                coords[g] = [geom[e].x[k], geom[e].y[k]];
-            }
-        }
-        // Content fingerprint: exact vertex-coordinate bits, element
-        // connectivity, order and the (periodicity-aware) assembled
-        // numbering. Everything the elliptic setup products depend on is a
-        // pure function of these inputs, so equal fingerprints mean
-        // bitwise-interchangeable factorizations. Hashing is O(DoF) — noise
-        // next to the geometry build above.
-        let fp = {
-            let mut h = KeyHasher::new("space2d");
-            h.usize(p);
-            h.bool(periodic_x);
-            h.usize(nglobal);
-            h.usize(mesh.num_elems());
-            for verts in &mesh.elems {
-                for &v in verts {
-                    h.usize(v);
-                }
-            }
-            for c in &mesh.coords {
-                h.f64(c[0]);
-                h.f64(c[1]);
-            }
-            for map in &gmap {
-                h.usizes(map);
-            }
-            h.finish()
-        };
-        let dt = (0..nloc).map(|k| basis.d[(k % n) * n + k / n]).collect();
-        Self {
-            mesh,
-            basis,
-            gmap,
-            nglobal,
-            geom,
-            mult,
-            coords,
-            fp,
-            dt,
-        }
-    }
-
-    /// Polynomial order.
-    pub fn order(&self) -> usize {
-        self.basis.p
-    }
-
-    /// Nodes per element.
-    pub fn nloc(&self) -> usize {
-        self.basis.n() * self.basis.n()
-    }
-
     /// Interpolate a function onto the global DoFs (nodal projection).
     pub fn project(&self, f: impl Fn(f64, f64) -> f64) -> Vec<f64> {
-        self.coords.iter().map(|&[x, y]| f(x, y)).collect()
+        self.project_at(|&[x, y]| f(x, y))
     }
 
-    /// Weak right-hand side `(v, f)` for all test functions: element-wise
-    /// `mass .* f(nodes)`, assembled.
+    /// Weak right-hand side `(v, f)` for all test functions.
     pub fn weak_rhs(&self, f: impl Fn(f64, f64) -> f64) -> Vec<f64> {
-        let mut out = vec![0.0; self.nglobal];
-        for (e, map) in self.gmap.iter().enumerate() {
-            let g = &self.geom[e];
-            for (k, &gid) in map.iter().enumerate() {
-                out[gid] += g.mass[k] * f(g.x[k], g.y[k]);
-            }
-        }
-        out
-    }
-
-    /// Multiply a global (nodal) vector by the assembled diagonal mass
-    /// matrix: `out = M u`.
-    pub fn apply_mass(&self, u: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.nglobal];
-        self.apply_mass_into(u, &mut out);
-        out
-    }
-
-    /// [`Space2d::apply_mass`] into a caller-provided output.
-    pub fn apply_mass_into(&self, u: &[f64], out: &mut [f64]) {
-        out.fill(0.0);
-        for (e, map) in self.gmap.iter().enumerate() {
-            let g = &self.geom[e];
-            for (k, &gid) in map.iter().enumerate() {
-                out[gid] += g.mass[k] * u[gid];
-            }
-        }
-    }
-
-    /// Domain integral of a nodal field.
-    pub fn integrate(&self, u: &[f64]) -> f64 {
-        let mut total = 0.0;
-        for (e, map) in self.gmap.iter().enumerate() {
-            let g = &self.geom[e];
-            for (k, &gid) in map.iter().enumerate() {
-                total += g.mass[k] * u[gid];
-            }
-        }
-        total
-    }
-
-    /// Total domain area.
-    pub fn area(&self) -> f64 {
-        self.integrate(&vec![1.0; self.nglobal])
-    }
-
-    /// L2 norm of a nodal field.
-    pub fn l2_norm(&self, u: &[f64]) -> f64 {
-        let mut total = 0.0;
-        for (e, map) in self.gmap.iter().enumerate() {
-            let g = &self.geom[e];
-            for (k, &gid) in map.iter().enumerate() {
-                total += g.mass[k] * u[gid] * u[gid];
-            }
-        }
-        total.sqrt()
+        self.weak_rhs_at(|&[x, y]| f(x, y))
     }
 
     /// L2 norm of the difference between a nodal field and a function.
     pub fn l2_error(&self, u: &[f64], exact: impl Fn(f64, f64) -> f64) -> f64 {
-        let mut total = 0.0;
-        for (e, map) in self.gmap.iter().enumerate() {
-            let g = &self.geom[e];
-            for (k, &gid) in map.iter().enumerate() {
-                let d = u[gid] - exact(g.x[k], g.y[k]);
-                total += g.mass[k] * d * d;
-            }
-        }
-        total.sqrt()
-    }
-
-    /// Reference-space derivatives of one element's nodal values:
-    /// `ur = ∂u/∂ξ = U Dᵀ`, `us = ∂u/∂η = D U` with `U` the `n × n` array
-    /// of `ul`, one [`vecmat`] per output row. Every entry adds its `n`
-    /// terms in the order `m = 0, 1, …` from `0.0`, so it has the bits of
-    /// the triple loop `sr += d[i][m]·u[j][m]`, `ss += d[j][m]·u[m][i]`.
-    fn ref_derivatives(&self, ul: &[f64], ur: &mut [f64], us: &mut [f64]) {
-        let n = self.basis.n();
-        let d = &self.basis.d;
-        for (j, (ur_j, us_j)) in ur
-            .chunks_exact_mut(n)
-            .zip(us.chunks_exact_mut(n))
-            .enumerate()
-        {
-            let row = j * n..(j + 1) * n;
-            vecmat(&ul[row.clone()], &self.dt, ur_j);
-            vecmat(&d[row], ul, us_j);
-        }
-    }
-
-    /// One element's Helmholtz kernel on a gathered local vector:
-    /// `ol = DᵀGD ul + λ M ul`, scratch caller-provided.
-    ///
-    /// The output pass `Dξᵀ f1 + Dηᵀ f2` is again one sweep per row, the
-    /// two products interleaved term by term ([`vecmat2`]) as in the triple
-    /// loop `s += d[m][i]·f1[j][m]; s += d[m][j]·f2[m][i]`, which fixes
-    /// the bits of every entry.
-    fn helmholtz_elem_local(
-        &self,
-        e: usize,
-        lambda: f64,
-        ul: &[f64],
-        ur: &mut [f64],
-        us: &mut [f64],
-        f1: &mut [f64],
-        f2: &mut [f64],
-        ol: &mut [f64],
-    ) {
-        let n = self.basis.n();
-        let nloc = self.nloc();
-        let g = &self.geom[e];
-        self.ref_derivatives(ul, ur, us);
-        for k in 0..nloc {
-            f1[k] = g.g11[k] * ur[k] + g.g12[k] * us[k];
-            f2[k] = g.g12[k] * ur[k] + g.g22[k] * us[k];
-        }
-        // ol = Dξᵀ f1 + Dηᵀ f2 + λ M u
-        for (j, ol_j) in ol.chunks_exact_mut(n).enumerate() {
-            let row = j * n..(j + 1) * n;
-            vecmat2(
-                &f1[row.clone()],
-                &self.basis.d,
-                &self.dt[row.clone()],
-                f2,
-                ol_j,
-            );
-            for ((o, &m), &u) in ol_j.iter_mut().zip(&g.mass[row.clone()]).zip(&ul[row]) {
-                *o += lambda * m * u;
-            }
-        }
-    }
-
-    /// Apply the global Helmholtz operator `A u = ∫∇v·∇u + λ ∫v u` to a
-    /// global vector (matrix-free, gather → element tensor kernels →
-    /// scatter-add). Allocates scratch; the hot loops use
-    /// [`Space2d::apply_helmholtz_ws`].
-    pub fn apply_helmholtz(&self, lambda: f64, u: &[f64], out: &mut [f64]) {
-        self.apply_helmholtz_ws(lambda, u, out, &mut ApplyScratch::new());
-    }
-
-    /// [`Space2d::apply_helmholtz`] with caller-provided scratch: zero
-    /// heap allocation per application.
-    pub fn apply_helmholtz_ws(
-        &self,
-        lambda: f64,
-        u: &[f64],
-        out: &mut [f64],
-        ws: &mut ApplyScratch,
-    ) {
-        self.apply_helmholtz_elems(0..self.gmap.len(), lambda, u, out, ws);
-    }
-
-    /// [`Space2d::apply_helmholtz_ws`] summed over the elements `elems`
-    /// only — one rank's share of a partitioned operator; shared DoFs hold
-    /// partial sums until the caller assembles them.
-    pub fn apply_helmholtz_elems(
-        &self,
-        elems: impl IntoIterator<Item = usize>,
-        lambda: f64,
-        u: &[f64],
-        out: &mut [f64],
-        ws: &mut ApplyScratch,
-    ) {
-        out.iter_mut().for_each(|o| *o = 0.0);
-        let nloc = self.nloc();
-        ws.ensure(nloc);
-        let ApplyScratch { ul, du, fl, ol, .. } = ws;
-        let [ur, us, _] = du;
-        let [f1, f2, _] = fl;
-        for e in elems {
-            let map = &self.gmap[e];
-            for (k, &gid) in map.iter().enumerate() {
-                ul[k] = u[gid];
-            }
-            self.helmholtz_elem_local(
-                e,
-                lambda,
-                &ul[..nloc],
-                &mut ur[..nloc],
-                &mut us[..nloc],
-                &mut f1[..nloc],
-                &mut f2[..nloc],
-                &mut ol[..nloc],
-            );
-            for (k, &gid) in map.iter().enumerate() {
-                out[gid] += ol[k];
-            }
-        }
-    }
-
-    /// Collocation gradient of a global field: per-element tensor
-    /// derivatives mapped to physical space, averaged at shared DoFs.
-    /// Returns `(du/dx, du/dy)` as global vectors.
-    pub fn gradient(&self, u: &[f64]) -> (Vec<f64>, Vec<f64>) {
-        let mut gx = vec![0.0f64; self.nglobal];
-        let mut gy = vec![0.0f64; self.nglobal];
-        self.gradient_ws(u, &mut gx, &mut gy, &mut ApplyScratch::new());
-        (gx, gy)
-    }
-
-    /// [`Space2d::gradient`] into caller-provided outputs and scratch: no
-    /// per-call allocation.
-    pub fn gradient_ws(&self, u: &[f64], gx: &mut [f64], gy: &mut [f64], ws: &mut ApplyScratch) {
-        let nloc = self.nloc();
-        gx.iter_mut().for_each(|v| *v = 0.0);
-        gy.iter_mut().for_each(|v| *v = 0.0);
-        ws.ensure(nloc);
-        let ApplyScratch { ul, du, .. } = ws;
-        let [ur, us, _] = du;
-        for (e, map) in self.gmap.iter().enumerate() {
-            let g = &self.geom[e];
-            for (k, &gid) in map.iter().enumerate() {
-                ul[k] = u[gid];
-            }
-            self.ref_derivatives(&ul[..nloc], &mut ur[..nloc], &mut us[..nloc]);
-            for (k, &gid) in map.iter().enumerate() {
-                gx[gid] += g.rx[k] * ur[k] + g.sx[k] * us[k];
-                gy[gid] += g.ry[k] * ur[k] + g.sy[k] * us[k];
-            }
-        }
-        for gid in 0..self.nglobal {
-            gx[gid] /= self.mult[gid];
-            gy[gid] /= self.mult[gid];
-        }
-    }
-
-    /// Global DoF ids lying on boundary edges whose tag satisfies `pred`.
-    pub fn boundary_dofs(&self, pred: impl Fn(BoundaryTag) -> bool) -> Vec<usize> {
-        let n = self.basis.n();
-        let p = self.basis.p;
-        let mut out = std::collections::BTreeSet::new();
-        for &(e, edge, tag) in &self.mesh.boundary {
-            if !pred(tag) {
-                continue;
-            }
-            for t in 0..n {
-                let (i, j) = match edge {
-                    0 => (t, 0),
-                    1 => (p, t),
-                    2 => (t, p),
-                    3 => (0, t),
-                    _ => unreachable!(),
-                };
-                out.insert(self.gmap[e][j * n + i]);
-            }
-        }
-        out.into_iter().collect()
-    }
-
-    /// Solve the Helmholtz problem `-∇²u + λu = f` (weak form) with
-    /// Dirichlet data on the DoFs listed in `dirichlet` (values from
-    /// `bc_value`), by a one-shot condensed engine on the Jacobi rung.
-    ///
-    /// `rhs_weak` must already be in weak form (e.g. from
-    /// [`Space2d::weak_rhs`]). Returns the solution and CG diagnostics.
-    pub fn solve_helmholtz(
-        &self,
-        lambda: f64,
-        rhs_weak: &[f64],
-        dirichlet: &[usize],
-        bc_value: &[f64],
-        tol: f64,
-        max_iter: usize,
-    ) -> (Vec<f64>, CgResult) {
-        let mut eng = EllipticSolver::new(
-            self,
-            lambda,
-            dirichlet,
-            PreconKind::Jacobi,
-            tol,
-            max_iter,
-            0,
-            0,
-        );
-        let mut x = vec![0.0f64; self.nglobal];
-        let stats = eng.solve_into(self, rhs_weak, bc_value, &mut x, usize::MAX);
-        (x, stats.cg)
+        self.l2_error_at(u, |&[x, y]| exact(x, y))
     }
 
     /// Locate the element containing a physical point: an O(elements)
@@ -517,286 +96,10 @@ impl Space2d {
     }
 }
 
-impl EllipticSpace for Space2d {
-    fn nglobal(&self) -> usize {
-        self.nglobal
-    }
-
-    fn num_elems(&self) -> usize {
-        self.gmap.len()
-    }
-
-    fn nloc(&self) -> usize {
-        self.nloc()
-    }
-
-    fn elem_gids(&self, e: usize) -> &[usize] {
-        &self.gmap[e]
-    }
-
-    fn apply_helmholtz_ws(&self, lambda: f64, u: &[f64], out: &mut [f64], ws: &mut ApplyScratch) {
-        Space2d::apply_helmholtz_ws(self, lambda, u, out, ws);
-    }
-
-    fn apply_helmholtz_elems_ws(
-        &self,
-        elems: &[usize],
-        lambda: f64,
-        u: &[f64],
-        out: &mut [f64],
-        ws: &mut ApplyScratch,
-    ) {
-        self.apply_helmholtz_elems(elems.iter().copied(), lambda, u, out, ws);
-    }
-
-    /// Assembled from what a unit vector excites instead of pushing `nloc`
-    /// unit vectors through the `O(n³)` kernel. The unit vector at node
-    /// `(k, l)` (row `k`, `l` along ξ) has `∂/∂ξ` on row `k` only and
-    /// `∂/∂η` on column `l` only, so the fluxes `f1`, `f2` live on that
-    /// cross, and an output `(j, i)` off the cross sees two of them:
-    /// `d[l][i]·f1[j][l] + d[k][j]·f2[k][i]`. Outputs on row `k` or column
-    /// `l` keep their `n`-term sums. About `4n⁴` mul-adds instead of `4n⁵`.
-    ///
-    /// Every entry adds the non-zero terms of the kernel's sum in the
-    /// kernel's order from `0.0`; the terms left out are exact zeros, so
-    /// the entries `==` the probed ones (`tests::probe_elem_matrix`).
-    fn elem_matrix(&self, e: usize, lambda: f64, out: &mut [f64], ws: &mut ApplyScratch) {
-        let n = self.basis.n();
-        let nloc = self.nloc();
-        assert!(out.len() >= nloc * nloc);
-        ws.ensure(nloc);
-        let d = &self.basis.d;
-        let g = &self.geom[e];
-        let ApplyScratch { fl, ol, .. } = ws;
-        let [f1, f2, _] = fl;
-        // Fluxes on the cross: `*_row[m]` at node (k, m), `*_col[m]` at
-        // node (m, l); `col` is one column of the matrix.
-        let (f1_row, f1_col) = f1[..2 * n].split_at_mut(n);
-        let (f2_row, f2_col) = f2[..2 * n].split_at_mut(n);
-        let col = &mut ol[..nloc];
-        for k in 0..n {
-            for l in 0..n {
-                // `0.0 + d`: the kernel's derivative of a unit vector is a
-                // sum from `0.0`, which a `-0.0` entry of `D` leaves `+0.0`.
-                let (dkk, dll) = (0.0 + d[k * n + k], 0.0 + d[l * n + l]);
-                for m in 0..n {
-                    let q = k * n + m;
-                    let (ur, us) = (0.0 + d[m * n + l], if m == l { dkk } else { 0.0 });
-                    f1_row[m] = g.g11[q] * ur + g.g12[q] * us;
-                    f2_row[m] = g.g12[q] * ur + g.g22[q] * us;
-                    let q = m * n + l;
-                    let (ur, us) = (if m == k { dll } else { 0.0 }, 0.0 + d[m * n + k]);
-                    f1_col[m] = g.g11[q] * ur + g.g12[q] * us;
-                    f2_col[m] = g.g12[q] * ur + g.g22[q] * us;
-                }
-                // Off the cross. The kernel adds the `f1` term at `m = l`
-                // and the `f2` term at `m = k`, in either order: a sum of
-                // two terms from `0.0` has the same bits both ways.
-                let d_l = &d[l * n..(l + 1) * n];
-                for (j, col_j) in col.chunks_exact_mut(n).enumerate() {
-                    let (a, dkj) = (f1_col[j], d[k * n + j]);
-                    for ((c, &dli), &f) in col_j.iter_mut().zip(d_l).zip(&*f2_row) {
-                        *c = (0.0 + dli * a) + dkj * f;
-                    }
-                }
-                // Row k: all of `f1`'s row, `f2` at `m = k` alone.
-                for i in 0..n {
-                    if i == l {
-                        continue;
-                    }
-                    let mut s = 0.0;
-                    for m in 0..n {
-                        s += d[m * n + i] * f1_row[m];
-                        if m == k {
-                            s += dkk * f2_row[i];
-                        }
-                    }
-                    col[k * n + i] = s;
-                }
-                // Column l: `f1` at `m = l` alone, all of `f2`'s column.
-                for j in 0..n {
-                    if j == k {
-                        continue;
-                    }
-                    let mut s = 0.0;
-                    for m in 0..n {
-                        if m == l {
-                            s += dll * f1_col[j];
-                        }
-                        s += d[m * n + j] * f2_col[m];
-                    }
-                    col[j * n + l] = s;
-                }
-                // The node itself: both full sums, plus the mass term.
-                let c = k * n + l;
-                let mut s = 0.0;
-                for m in 0..n {
-                    s += d[m * n + l] * f1_row[m];
-                    s += d[m * n + k] * f2_col[m];
-                }
-                col[c] = s + lambda * g.mass[c];
-                for (q, &v) in col.iter().enumerate() {
-                    out[q * nloc + c] = v;
-                }
-            }
-        }
-    }
-
-    fn elem_geom_bits(&self, e: usize, out: &mut Vec<u64>) {
-        let g = &self.geom[e];
-        for f in [&g.g11, &g.g12, &g.g22, &g.mass] {
-            out.extend(f.iter().map(|v| v.to_bits()));
-        }
-    }
-
-    fn node_roles(&self) -> Vec<NodeRole> {
-        let n = self.basis.n();
-        let p = self.basis.p;
-        let mut roles = Vec::with_capacity(n * n);
-        for j in 0..n {
-            for i in 0..n {
-                let bi = i == 0 || i == p;
-                let bj = j == 0 || j == p;
-                roles.push(match (bi, bj) {
-                    (true, true) => NodeRole::Vertex,
-                    // Local edge ids follow the boundary numbering:
-                    // 0 = η-min, 1 = ξ-max, 2 = η-max, 3 = ξ-min.
-                    (false, true) => NodeRole::Edge(if j == 0 { 0 } else { 2 }),
-                    (true, false) => NodeRole::Edge(if i == p { 1 } else { 3 }),
-                    (false, false) => NodeRole::Interior,
-                });
-            }
-        }
-        roles
-    }
-
-    fn fingerprint(&self) -> Option<ArtifactKey> {
-        Some(self.fp)
-    }
-
-    fn corner_hats(&self) -> (Vec<usize>, Vec<Vec<f64>>) {
-        let n = self.basis.n();
-        let p = self.basis.p;
-        // Corner order matches the element vertex order of the mesh.
-        let locs = vec![0, p, p * n + p, p * n];
-        let pts = &self.basis.points;
-        let mut hats = vec![vec![0.0; n * n]; 4];
-        for j in 0..n {
-            for i in 0..n {
-                let (xi, eta) = (pts[i], pts[j]);
-                let k = j * n + i;
-                hats[0][k] = 0.25 * (1.0 - xi) * (1.0 - eta);
-                hats[1][k] = 0.25 * (1.0 + xi) * (1.0 - eta);
-                hats[2][k] = 0.25 * (1.0 + xi) * (1.0 + eta);
-                hats[3][k] = 0.25 * (1.0 - xi) * (1.0 + eta);
-            }
-        }
-        (locs, hats)
-    }
-}
-
-fn edge_key(va: usize, vb: usize, t: usize, p: usize) -> NodeKey {
-    // Position measured from the smaller vertex id, so both elements
-    // sharing the edge agree regardless of traversal direction.
-    if va < vb {
-        NodeKey::Edge(va, vb, t)
-    } else {
-        NodeKey::Edge(vb, va, p - t)
-    }
-}
-
-fn build_alias(mesh: &QuadMesh, periodic_x: bool) -> Vec<usize> {
-    let mut alias: Vec<usize> = (0..mesh.num_verts()).collect();
-    if !periodic_x {
-        return alias;
-    }
-    let xmin = mesh.coords.iter().map(|p| p[0]).fold(f64::MAX, f64::min);
-    let xmax = mesh.coords.iter().map(|p| p[0]).fold(f64::MIN, f64::max);
-    let tol = 1e-9 * (xmax - xmin).max(1.0);
-    for (v, pv) in mesh.coords.iter().enumerate() {
-        if (pv[0] - xmax).abs() < tol {
-            // Find the partner at xmin with the same y.
-            let partner = mesh
-                .coords
-                .iter()
-                .position(|q| (q[0] - xmin).abs() < tol && (q[1] - pv[1]).abs() < tol)
-                .expect("periodic_x: no matching vertex on the opposite side");
-            alias[v] = partner;
-        }
-    }
-    alias
-}
-
-fn elem_geometry(mesh: &QuadMesh, verts: [usize; 4], basis: &GllBasis) -> ElemGeom {
-    let n = basis.n();
-    let nloc = n * n;
-    let vc: Vec<[f64; 2]> = verts.iter().map(|&v| mesh.coords[v]).collect();
-    let sub = |a: usize, b: usize| [vc[a][0] - vc[b][0], vc[a][1] - vc[b][1]];
-    // The two ξ-edges (η = ∓1), then the two η-edges (ξ = ∓1).
-    let edge = [sub(1, 0), sub(2, 3), sub(3, 0), sub(2, 1)];
-    let mut g = ElemGeom {
-        g11: vec![0.0; nloc],
-        g12: vec![0.0; nloc],
-        g22: vec![0.0; nloc],
-        mass: vec![0.0; nloc],
-        rx: vec![0.0; nloc],
-        ry: vec![0.0; nloc],
-        sx: vec![0.0; nloc],
-        sy: vec![0.0; nloc],
-        x: vec![0.0; nloc],
-        y: vec![0.0; nloc],
-    };
-    for j in 0..n {
-        for i in 0..n {
-            let (xi, eta) = (basis.points[i], basis.points[j]);
-            let k = j * n + i;
-            // Bilinear shape functions.
-            let nfun = [
-                0.25 * (1.0 - xi) * (1.0 - eta),
-                0.25 * (1.0 + xi) * (1.0 - eta),
-                0.25 * (1.0 + xi) * (1.0 + eta),
-                0.25 * (1.0 - xi) * (1.0 + eta),
-            ];
-            let (mut x, mut y) = (0.0, 0.0);
-            for a in 0..4 {
-                x += nfun[a] * vc[a][0];
-                y += nfun[a] * vc[a][1];
-            }
-            // The Jacobian from the edge vectors, not the vertex positions:
-            // translating an element leaves its edge vectors — and with
-            // them every geometric factor — bitwise unchanged, which is
-            // what lets congruent elements share condensed products.
-            let x_xi = 0.25 * ((1.0 - eta) * edge[0][0] + (1.0 + eta) * edge[1][0]);
-            let y_xi = 0.25 * ((1.0 - eta) * edge[0][1] + (1.0 + eta) * edge[1][1]);
-            let x_eta = 0.25 * ((1.0 - xi) * edge[2][0] + (1.0 + xi) * edge[3][0]);
-            let y_eta = 0.25 * ((1.0 - xi) * edge[2][1] + (1.0 + xi) * edge[3][1]);
-            let jac = x_xi * y_eta - x_eta * y_xi;
-            assert!(
-                jac > 1e-14,
-                "element has non-positive Jacobian {jac} (inverted or degenerate)"
-            );
-            let rx = y_eta / jac;
-            let ry = -x_eta / jac;
-            let sx = -y_xi / jac;
-            let sy = x_xi / jac;
-            let w = basis.weights[i] * basis.weights[j] * jac;
-            g.x[k] = x;
-            g.y[k] = y;
-            g.rx[k] = rx;
-            g.ry[k] = ry;
-            g.sx[k] = sx;
-            g.sy[k] = sy;
-            g.mass[k] = w;
-            g.g11[k] = w * (rx * rx + ry * ry);
-            g.g12[k] = w * (rx * sx + ry * sy);
-            g.g22[k] = w * (sx * sx + sy * sy);
-        }
-    }
-    g
-}
-
 /// Newton inversion of the bilinear map; returns reference coordinates when
-/// the point is inside (|ξ|,|η| ≤ 1 + 1e-8).
+/// the point is inside (|ξ|,|η| ≤ 1 + 1e-8). Inlined into `locate`'s scan:
+/// as an out-of-line call it doubles the cost of locating a point.
+#[inline(always)]
 fn invert_bilinear(vc: &[[f64; 2]], x: f64, y: f64) -> Option<(f64, f64)> {
     // Quick reject by bounding box.
     let (mut lo, mut hi) = ([f64::MAX; 2], [f64::MIN; 2]);
@@ -862,6 +165,11 @@ fn invert_bilinear(vc: &[[f64; 2]], x: f64, y: f64) -> Option<(f64, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::precon::{ApplyScratch, EllipticSpace};
+    use crate::space::sym;
+    use crate::space3d::Space3d;
+    use nkg_mesh::hex::HexMesh;
+    use nkg_mesh::quad::BoundaryTag;
 
     fn channel(nx: usize, ny: usize, p: usize) -> Space2d {
         let mesh = QuadMesh::rectangle(nx, ny, 0.0, 2.0, 0.0, 1.0);
@@ -869,76 +177,71 @@ mod tests {
     }
 
     /// A 2×2 mesh of rectangles (`mapped = false`) or of general
-    /// quadrilaterals with a varying Jacobian and a non-zero cross metric.
-    fn patch(p: usize, mapped: bool) -> Space2d {
+    /// quadrilaterals with a varying Jacobian and a non-zero cross metric;
+    /// in 3D a 2×2×2 box or a tube whose map curves every element.
+    fn patch(p: usize, mapped: bool) -> (Space2d, Space3d) {
         let mesh = QuadMesh::rectangle(2, 2, 0.0, 2.0, 0.0, 1.0);
-        let mesh = if mapped {
-            mesh.mapped(|[x, y]| [x + 0.3 * y * y + 0.1 * x * y, y + 0.2 * (1.3 * x).sin()])
-        } else {
-            mesh
+        let mesh = match mapped {
+            true => {
+                mesh.mapped(|[x, y]| [x + 0.3 * y * y + 0.1 * x * y, y + 0.2 * (1.3 * x).sin()])
+            }
+            false => mesh,
         };
-        Space2d::new(mesh, p, false)
+        let hex = match mapped {
+            true => HexMesh::tube(2, 2, 1.0, 2.0),
+            false => HexMesh::box_mesh(2, 2, 2, [0.0, 2.0], [0.0, 1.0], [0.0, 1.0]),
+        };
+        (
+            Space2d::new(mesh, p, false),
+            Space3d::new(hex, p.min(6), false),
+        )
     }
 
-    /// The element kernels as they are defined: one scalar sum per output,
-    /// `m` ascending from `0.0`. Returns `(ur, us, ol)`.
-    fn triple_loop_kernel(
-        s: &Space2d,
+    /// The element kernel as it is defined — the 2D and 3D triple loops
+    /// written once: one scalar sum per output from `0.0`, `m` ascending,
+    /// the axes interleaved per `m`. Returns `(∂u/∂ξ_a, ol)`.
+    fn triple_loop_kernel<const D: usize>(
+        s: &Space<D>,
         e: usize,
         lambda: f64,
         ul: &[f64],
-    ) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-        let n = s.basis.n();
-        let nloc = n * n;
-        let d = &s.basis.d;
-        let g = &s.geom[e];
-        let (mut ur, mut us) = (vec![0.0; nloc], vec![0.0; nloc]);
-        for j in 0..n {
-            for i in 0..n {
-                let mut sr = 0.0;
-                let mut ss = 0.0;
-                for m in 0..n {
-                    sr += d[i * n + m] * ul[j * n + m];
-                    ss += d[j * n + m] * ul[m * n + i];
-                }
-                ur[j * n + i] = sr;
-                us[j * n + i] = ss;
-            }
-        }
-        let (mut f1, mut f2) = (vec![0.0; nloc], vec![0.0; nloc]);
+    ) -> (Vec<Vec<f64>>, Vec<f64>)
+    where
+        Dim<D>: Cell<D>,
+    {
+        let (n, nloc, d, g) = (s.basis.n(), s.nloc(), &s.basis.d, &s.geom[e]);
+        let i = |k: usize, a: usize| k / n.pow(a as u32) % n;
+        // Node `k` with its axis-`a` index replaced by `m`.
+        let at = |k: usize, a: usize, m: usize| k - i(k, a) * n.pow(a as u32) + m * n.pow(a as u32);
+        let (mut du, mut f, mut ol) = (
+            vec![vec![0.0; nloc]; D],
+            vec![vec![0.0; nloc]; D],
+            vec![0.0; nloc],
+        );
         for k in 0..nloc {
-            f1[k] = g.g11[k] * ur[k] + g.g12[k] * us[k];
-            f2[k] = g.g12[k] * ur[k] + g.g22[k] * us[k];
-        }
-        let mut ol = vec![0.0; nloc];
-        for j in 0..n {
-            for i in 0..n {
-                let mut s = 0.0;
+            for (a, du_a) in du.iter_mut().enumerate() {
                 for m in 0..n {
-                    s += d[m * n + i] * f1[j * n + m];
-                    s += d[m * n + j] * f2[m * n + i];
+                    du_a[k] += d[i(k, a) * n + m] * ul[at(k, a, m)];
                 }
-                let k = j * n + i;
-                ol[k] = s + lambda * g.mass[k] * ul[k];
             }
         }
-        (ur, us, ol)
-    }
-
-    /// The element matrix by its definition: column `l` is the kernel's
-    /// image of the `l`-th unit vector.
-    fn probe_elem_matrix(s: &Space2d, e: usize, lambda: f64) -> Vec<f64> {
-        let nloc = s.nloc();
-        let mut a = vec![0.0; nloc * nloc];
-        for l in 0..nloc {
-            let mut ul = vec![0.0; nloc];
-            ul[l] = 1.0;
-            let (_, _, ol) = triple_loop_kernel(s, e, lambda, &ul);
+        for (a, f_a) in f.iter_mut().enumerate() {
             for k in 0..nloc {
-                a[k * nloc + l] = ol[k];
+                f_a[k] = g.g[sym(a, 0, D)][k] * du[0][k];
+                for b in 1..D {
+                    f_a[k] += g.g[sym(a, b, D)][k] * du[b][k];
+                }
             }
         }
-        a
+        for (k, o) in ol.iter_mut().enumerate() {
+            for m in 0..n {
+                for a in 0..D {
+                    *o += d[m * n + i(k, a)] * f[a][at(k, a, m)];
+                }
+            }
+            *o += lambda * g.mass[k] * ul[k];
+        }
+        (du, ol)
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {
@@ -946,76 +249,90 @@ mod tests {
     }
 
     /// The row-sweep contractions are a reordering of loops, not of sums:
-    /// the operator, both reference derivatives and the assembled gradient
-    /// have the bits of the triple loops on random fields.
+    /// the operator, the reference derivatives and the assembled gradient
+    /// have the bits of the triple loops on random fields, in 2D and 3D.
     #[test]
     fn row_sweep_kernels_are_bitwise_the_triple_loops() {
-        for p in 1..=10 {
-            for mapped in [false, true] {
-                let s = patch(p, mapped);
-                let (n, nloc) = (s.basis.n(), s.nloc());
-                // An irregular field: no two nodes alike, no symmetry.
-                let u: Vec<f64> = (0..s.nglobal)
-                    .map(|i| ((i * 7919 + p) as f64).sin())
-                    .collect();
-                let mut want_a = vec![0.0; s.nglobal];
-                let (mut want_gx, mut want_gy) = (vec![0.0; s.nglobal], vec![0.0; s.nglobal]);
-                for (e, map) in s.gmap.iter().enumerate() {
-                    let ul: Vec<f64> = map.iter().map(|&g| u[g]).collect();
-                    let (ur, us, ol) = triple_loop_kernel(&s, e, 600.0, &ul);
-                    let (mut got_r, mut got_s) = (vec![1.0; nloc], vec![1.0; nloc]);
-                    s.ref_derivatives(&ul, &mut got_r, &mut got_s);
-                    assert_eq!(bits(&got_r), bits(&ur), "ur, p={p} mapped={mapped} e={e}");
-                    assert_eq!(bits(&got_s), bits(&us), "us, p={p} mapped={mapped} e={e}");
-                    let g = &s.geom[e];
-                    for (k, &gid) in map.iter().enumerate() {
-                        want_a[gid] += ol[k];
-                        want_gx[gid] += g.rx[k] * ur[k] + g.sx[k] * us[k];
-                        want_gy[gid] += g.ry[k] * ur[k] + g.sy[k] * us[k];
+        fn check<const D: usize>(s: &Space<D>)
+        where
+            Dim<D>: Cell<D>,
+        {
+            let (nloc, ng) = (s.nloc(), s.nglobal);
+            // An irregular field: no two nodes alike, no symmetry.
+            let u: Vec<f64> = (0..ng).map(|i| ((i * 7919 + nloc) as f64).sin()).collect();
+            let (mut want_a, mut want_g) = (vec![0.0; ng], vec![vec![0.0; ng]; D]);
+            let mut ws = ApplyScratch::new();
+            ws.ensure(nloc);
+            for (e, map) in s.gmap.iter().enumerate() {
+                let ul: Vec<f64> = map.iter().map(|&g| u[g]).collect();
+                let (du, ol) = triple_loop_kernel(s, e, 600.0, &ul);
+                s.ref_derivatives(&ul, &mut ws.du);
+                for a in 0..D {
+                    assert_eq!(
+                        bits(&ws.du[a][..nloc]),
+                        bits(&du[a]),
+                        "D={D} p={} ∂_{a}",
+                        s.order()
+                    );
+                }
+                for (k, &gid) in map.iter().enumerate() {
+                    want_a[gid] += ol[k];
+                    for (b, w) in want_g.iter_mut().enumerate() {
+                        let mut t = s.geom[e].dref[b][k] * du[0][k];
+                        for a in 1..D {
+                            t += s.geom[e].dref[a * D + b][k] * du[a][k];
+                        }
+                        w[gid] += t;
                     }
                 }
-                for gid in 0..s.nglobal {
-                    want_gx[gid] /= s.mult[gid];
-                    want_gy[gid] /= s.mult[gid];
-                }
-                let mut got_a = vec![0.0; s.nglobal];
-                s.apply_helmholtz(600.0, &u, &mut got_a);
-                assert_eq!(
-                    bits(&got_a),
-                    bits(&want_a),
-                    "A u, p={p} n={n} mapped={mapped}"
-                );
-                let (gx, gy) = s.gradient(&u);
-                assert_eq!(bits(&gx), bits(&want_gx), "du/dx, p={p} mapped={mapped}");
-                assert_eq!(bits(&gy), bits(&want_gy), "du/dy, p={p} mapped={mapped}");
+            }
+            let mut got_a = vec![0.0; ng];
+            s.apply_helmholtz(600.0, &u, &mut got_a);
+            assert_eq!(bits(&got_a), bits(&want_a), "A u, D={D} p={}", s.order());
+            for (got, want) in s.gradient(&u).iter().zip(&want_g) {
+                let want: Vec<f64> = want.iter().zip(&s.mult).map(|(w, m)| w / m).collect();
+                assert_eq!(bits(got), bits(&want), "gradient, D={D} p={}", s.order());
+            }
+        }
+        for (p, mapped) in (1..=10).flat_map(|p| [(p, false), (p, true)]) {
+            let (s2, s3) = patch(p, mapped);
+            check(&s2);
+            if p <= 6 {
+                check(&s3);
             }
         }
     }
 
-    /// The assembled element matrix is the probed one, entry by entry.
+    /// The assembled element matrix is the probed one — column `l` the
+    /// kernel's image of the `l`-th unit vector — entry by entry.
     #[test]
     fn assembled_elem_matrix_equals_the_probe() {
-        let mut ws = ApplyScratch::new();
-        for p in 2..=8 {
-            for mapped in [false, true] {
-                let s = patch(p, mapped);
-                let nloc = s.nloc();
-                for lambda in [0.0, 600.0] {
-                    for e in [0, s.gmap.len() - 1] {
-                        let want = probe_elem_matrix(&s, e, lambda);
-                        let mut got = vec![f64::NAN; nloc * nloc];
-                        s.elem_matrix(e, lambda, &mut got, &mut ws);
-                        for (k, (g, w)) in got.iter().zip(&want).enumerate() {
-                            assert!(
-                                g == w,
-                                "p={p} mapped={mapped} λ={lambda} e={e} entry ({}, {}): {g:e} vs {w:e}",
-                                k / nloc,
-                                k % nloc
-                            );
-                        }
-                        assert_eq!(bits(&got), bits(&want), "signs of zero");
+        fn check<const D: usize>(s: &Space<D>)
+        where
+            Dim<D>: Cell<D>,
+        {
+            let (mut ws, nloc, p, last) =
+                (ApplyScratch::new(), s.nloc(), s.order(), s.gmap.len() - 1);
+            for (lambda, e) in [(0.0, 0), (0.0, last), (600.0, 0), (600.0, last)] {
+                let mut got = vec![f64::NAN; nloc * nloc];
+                s.elem_matrix(e, lambda, &mut got, &mut ws);
+                for l in 0..nloc {
+                    let unit: Vec<f64> = (0..nloc).map(|k| (k == l) as u8 as f64).collect();
+                    let (_, want) = triple_loop_kernel(s, e, lambda, &unit);
+                    for (k, w) in want.iter().enumerate() {
+                        let g = got[k * nloc + l];
+                        let what = || format!("D={D} p={p} λ={lambda} e={e} ({k}, {l})");
+                        assert!(g == *w, "{}: {g:e} vs {w:e}", what());
+                        assert_eq!(g.to_bits(), w.to_bits(), "{}: signs of zero", what());
                     }
                 }
+            }
+        }
+        for (p, mapped) in (2..=8).flat_map(|p| [(p, false), (p, true)]) {
+            let (s2, s3) = patch(p, mapped);
+            check(&s2);
+            if p <= 5 {
+                check(&s3);
             }
         }
     }
@@ -1057,7 +374,7 @@ mod tests {
     fn gradient_exact_for_polynomials() {
         let s = channel(2, 2, 5);
         let u = s.project(|x, y| x * x * y + 3.0 * y * y);
-        let (gx, gy) = s.gradient(&u);
+        let [gx, gy] = s.gradient(&u);
         for (g, &[x, y]) in gx.iter().zip(&s.coords) {
             assert!((g - 2.0 * x * y).abs() < 1e-9, "at ({x},{y})");
         }
@@ -1159,6 +476,33 @@ mod tests {
         let periodic = Space2d::new(mesh, 3, true);
         // Periodic merge removes one column of (ny*p+1) DoFs.
         assert_eq!(plain.nglobal - periodic.nglobal, 2 * 3 + 1);
+    }
+
+    /// A periodic space `nx` elements long has `nx·p` distinct DoF columns
+    /// and differentiates `sin(2πx)` across the seam — also two elements
+    /// long, where after vertex aliasing both columns' bottom edges have
+    /// the same vertex pair.
+    #[test]
+    fn periodic_numbering_is_one_column_short_for_every_length() {
+        let two_pi = 2.0 * std::f64::consts::PI;
+        let (p, ny) = (10, 2);
+        for nx in 1..=3 {
+            let s = Space2d::new(QuadMesh::rectangle(nx, ny, 0.0, 1.0, 0.0, 1.0), p, true);
+            assert_eq!(s.nglobal, nx * p * (ny * p + 1), "2D nx={nx}");
+            let [gx, _] = s.gradient(&s.project(|x, _| (two_pi * x).sin()));
+            for (g, &[x, _]) in gx.iter().zip(&s.coords) {
+                let err = (g - two_pi * (two_pi * x).cos()).abs();
+                assert!(err < 1e-2, "2D nx={nx}: d/dx error {err} at x={x}");
+            }
+            let mesh = HexMesh::box_mesh(nx, ny, 1, [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]);
+            let s = Space3d::new(mesh, p, true);
+            assert_eq!(s.nglobal, nx * p * (ny * p + 1) * (p + 1), "3D nx={nx}");
+            let [gx, _, _] = s.gradient(&s.project(|x, _, _| (two_pi * x).sin()));
+            for (g, &[x, _, _]) in gx.iter().zip(&s.coords) {
+                let err = (g - two_pi * (two_pi * x).cos()).abs();
+                assert!(err < 1e-2, "3D nx={nx}: d/dx error {err} at x={x}");
+            }
+        }
     }
 
     #[test]

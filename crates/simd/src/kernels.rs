@@ -174,44 +174,68 @@ pub fn xpby(x: &[f64], b: f64, p: &mut [f64]) {
 /// Panics if `b.len() != x.len() * y.len()`.
 #[inline]
 pub fn vecmat(x: &[f64], b: &[f64], y: &mut [f64]) {
-    sweep([x], [b], y);
+    assert_eq!(b.len(), x.len() * y.len());
+    sweep([x], [b], [y.len()], y);
 }
 
 /// Two interleaved [`vecmat`] sums into one output:
 /// `y[i] = Σ_m (x0[m]·B0[m][i] + x1[m]·B1[m][i])`, each `m` adding its `B0`
 /// term and then its `B1` term — bitwise the scalar loop
 /// `for m { s += x0[m]*b0[m][i]; s += x1[m]*b1[m][i] }` from `s = 0.0`.
+/// The reference two-term case of [`vecmat_strided`].
+#[cfg(test)]
+fn vecmat2(x0: &[f64], b0: &[f64], x1: &[f64], b1: &[f64], y: &mut [f64]) {
+    let n = y.len();
+    assert!(b0.len() == x0.len() * n && b1.len() == x1.len() * n);
+    sweep([x0, x1], [b0, b1], [n, n], y);
+}
+
+/// `K` interleaved [`vecmat`] sums into one output, row `m` of `B_k`
+/// starting at `b[k][m·stride[k]]`:
+/// `y[i] = Σ_m Σ_k x_k[m]·b_k[m·stride_k + i]`, each `m` adding its terms
+/// in the order `k = 0, 1, …` — bitwise the scalar loop from `s = 0.0`. A
+/// stride wider than `y` reads `B_k` as a slab of a larger array, as the
+/// ζ-term of a 3D tensor contraction does.
+///
+/// # Panics
+/// Panics if the `x_k` differ in length or a `b_k` does not end with its
+/// last row: `b_k.len() == (rows − 1)·stride_k + y.len()`.
 #[inline]
-pub fn vecmat2(x0: &[f64], b0: &[f64], x1: &[f64], b1: &[f64], y: &mut [f64]) {
-    sweep([x0, x1], [b0, b1], y);
+pub fn vecmat_strided<const K: usize>(
+    x: [&[f64]; K],
+    b: [&[f64]; K],
+    stride: [usize; K],
+    y: &mut [f64],
+) {
+    sweep(x, b, stride, y);
 }
 
 #[inline(always)]
-fn sweep<const K: usize>(x: [&[f64]; K], b: [&[f64]; K], y: &mut [f64]) {
+fn sweep<const K: usize>(x: [&[f64]; K], b: [&[f64]; K], stride: [usize; K], y: &mut [f64]) {
     let (rows, n) = (x[0].len(), y.len());
     for k in 0..K {
         assert_eq!(x[k].len(), rows);
-        assert_eq!(b[k].len(), rows * n);
+        assert!(rows == 0 || b[k].len() == (rows - 1) * stride[k] + n);
     }
     let mut i = 0;
     while n - i >= 16 {
-        sweep_block::<K, 16>(x, b, i, y);
+        sweep_block::<K, 16>(x, b, stride, i, y);
         i += 16;
     }
     if n - i >= 8 {
-        sweep_block::<K, 8>(x, b, i, y);
+        sweep_block::<K, 8>(x, b, stride, i, y);
         i += 8;
     }
     if n - i >= 4 {
-        sweep_block::<K, 4>(x, b, i, y);
+        sweep_block::<K, 4>(x, b, stride, i, y);
         i += 4;
     }
     if n - i >= 2 {
-        sweep_block::<K, 2>(x, b, i, y);
+        sweep_block::<K, 2>(x, b, stride, i, y);
         i += 2;
     }
     if n - i >= 1 {
-        sweep_block::<K, 1>(x, b, i, y);
+        sweep_block::<K, 1>(x, b, stride, i, y);
     }
 }
 
@@ -220,15 +244,15 @@ fn sweep<const K: usize>(x: [&[f64]; K], b: [&[f64]; K], y: &mut [f64]) {
 fn sweep_block<const K: usize, const W: usize>(
     x: [&[f64]; K],
     b: [&[f64]; K],
+    stride: [usize; K],
     i0: usize,
     y: &mut [f64],
 ) {
-    let n = y.len();
     let mut acc = [0.0f64; W];
     for m in 0..x[0].len() {
         for k in 0..K {
             let xm = x[k][m];
-            let row = &b[k][m * n + i0..][..W];
+            let row = &b[k][m * stride[k] + i0..][..W];
             for w in 0..W {
                 acc[w] += xm * row[w];
             }

@@ -33,5 +33,5 @@ pub mod kernels;
 pub use aligned::AlignedBuf;
 pub use kernels::{
     axpy, dot, min_image_dist2_batch, mul_scalar, mul_vec, norm2, triple_dot_scalar,
-    triple_dot_vec, vecmat, vecmat2, wdot_scalar, wdot_vec, xpby,
+    triple_dot_vec, vecmat, vecmat_strided, wdot_scalar, wdot_vec, xpby,
 };

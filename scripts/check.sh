@@ -51,7 +51,11 @@ cargo run --release -q -p nkg-bench --bin bench_serve -- --smoke
 
 echo "== bench_e2e: its own workspace, so build, unit-test and smoke it here =="
 cargo test --manifest-path bench_e2e/Cargo.toml --offline -q
-bash bench_e2e/run.sh --smoke
+bash bench_e2e/run.sh --smoke | tee target/bench_e2e.smoke.out
+
+echo "== smoke state hashes: every workload's equals scripts/smoke_state_hashes.txt =="
+diff <(awk '$1 == "bench_e2e" { w = $2 } $1 == "state_hash" { print w, $2 }' target/bench_e2e.smoke.out) \
+    <(grep -v '^#' scripts/smoke_state_hashes.txt)
 
 echo "== tracked Rust lines per top-level directory =="
 bash scripts/loc.sh

@@ -77,10 +77,10 @@ fn unfused_cg(
                 let k = j * n + i;
                 let mut v = 0.0;
                 for m in 0..n {
-                    v += g.g11[j * n + m] * d[m * n + i] * d[m * n + i];
-                    v += g.g22[m * n + i] * d[m * n + j] * d[m * n + j];
+                    v += g.g[0][j * n + m] * d[m * n + i] * d[m * n + i];
+                    v += g.g[2][m * n + i] * d[m * n + j] * d[m * n + j];
                 }
-                v += 2.0 * g.g12[k] * d[i * n + i] * d[j * n + j];
+                v += 2.0 * g.g[1][k] * d[i * n + i] * d[j * n + j];
                 diag[space.gmap[e][k]] += v;
             }
         }
