@@ -5,7 +5,7 @@
 //! that cannot snapshot and resume does not finish. This crate provides
 //! the substrate:
 //!
-//! * [`format`] — a versioned, chunked binary container (magic + format
+//! * [`format`](mod@format) — a versioned, chunked binary container (magic + format
 //!   version + per-section type tags, lengths and CRC32 integrity checks),
 //!   written atomically via temp-file-then-rename, with `.prev` rotation
 //!   so one bad write never destroys the last good snapshot;

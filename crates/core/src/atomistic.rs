@@ -14,58 +14,12 @@
 //! uniformly in z. This preserves the paper's data path (interpolate →
 //! scale → impose → insert/delete) exactly.
 
-use crate::multipatch::Multipatch2d;
+use crate::multipatch::{resolve_trace, trace_velocity, Multipatch2d};
 use crate::scaling::UnitScaling;
-use nkg_artifact::{cached, Artifact, KeyHasher};
 use nkg_ckpt::{CkptError, Dec, Enc, Snapshot};
 use nkg_dpd::sim::DpdSim;
 use nkg_sem::interp::InterpTable;
-use nkg_sem::precon::EllipticSpace;
 use std::sync::Arc;
-
-/// The preprocessing product of §3.3 step 2 as one immutable artifact:
-/// per midpoint of one y-row of interface bins (every z-slab repeats the
-/// row — the continuum is 2D), the donor patch id (first containing patch)
-/// and the donor-element Lagrange row. Cached under kind
-/// `"midpoint-interp"` keyed by the continuum patch fingerprints and the
-/// exact midpoint coordinate bits.
-#[derive(Debug, Clone)]
-struct MidpointInterp {
-    /// Donor patch per midpoint.
-    pids: Vec<usize>,
-    /// Interpolation rows, one per midpoint, against the donor's space.
-    table: InterpTable,
-}
-
-impl Artifact for MidpointInterp {
-    fn approx_bytes(&self) -> usize {
-        self.pids.len() * 8 + self.table.approx_bytes()
-    }
-
-    fn encode(&self) -> Option<Vec<u8>> {
-        let mut e = Enc::new();
-        let pids: Vec<u64> = self.pids.iter().map(|&p| p as u64).collect();
-        e.put_slice(&pids);
-        e.put_slice(&self.table.encode()?);
-        Some(e.into_bytes())
-    }
-
-    fn decode(bytes: &[u8]) -> Option<Self> {
-        let mut d = Dec::new(bytes);
-        let pids: Vec<usize> = d
-            .take_vec::<u64>()
-            .ok()?
-            .into_iter()
-            .map(|p| p as usize)
-            .collect();
-        let table = InterpTable::decode(&d.take_vec::<u8>().ok()?)?;
-        d.finish().ok()?;
-        if table.len() != pids.len() {
-            return None;
-        }
-        Some(Self { pids, table })
-    }
-}
 
 /// The embedding of a DPD box into continuum coordinates.
 #[derive(Debug, Clone, Copy)]
@@ -99,13 +53,12 @@ pub struct AtomisticDomain {
     /// History of interface continuity errors (one entry per exchange):
     /// RMS over bins of |u_NS − u_DPD→NS| at the interface.
     pub continuity_history: Vec<f64>,
-    /// Lazily built interpolation table over one y-row of the static bin
-    /// midpoints: per midpoint, the donor patch (first containing patch,
-    /// matching [`Multipatch2d::eval_velocity`]'s scan order) and the
-    /// donor-element Lagrange row. Derived from static configuration —
-    /// never checkpointed, rebuilt (or cache-fetched) on first exchange
-    /// after construction.
-    interp: Option<Arc<MidpointInterp>>,
+    /// The interface trace of one y-row of the static bin midpoints,
+    /// resolved against every continuum patch on the first exchange after
+    /// construction (so each midpoint's donor is the first containing
+    /// patch, as in [`Multipatch2d::eval_velocity`]). Derived from static
+    /// configuration: never checkpointed.
+    interp: Option<Arc<InterpTable>>,
     /// Exchange buffers, reused from call to call (never checkpointed):
     /// the scaled targets of one y-row, and the inlet-buffer velocity sum
     /// and particle count per bin.
@@ -149,48 +102,6 @@ impl AtomisticDomain {
         }
     }
 
-    /// One y-row of bin midpoints: the distinct interpolation points.
-    fn midpoint_row(&self) -> &[[f64; 2]] {
-        let (ny, _) = self.sim.open_x.as_ref().expect("open x boundary").bins;
-        &self.bin_midpoints_ns[..ny]
-    }
-
-    /// Build (or rebuild) the midpoint interpolation table against
-    /// `continuum`: per midpoint of the row, the first patch whose mesh
-    /// contains it — identical tie-break to
-    /// [`Multipatch2d::eval_velocity`] — plus the donor element and
-    /// Lagrange weights.
-    fn build_interp(&mut self, continuum: &Multipatch2d) {
-        let nloc = continuum.patches[0].space.nloc();
-        let row = self.midpoint_row();
-        let key = {
-            let mut h = KeyHasher::new("midpoint-interp");
-            h.usize(nloc);
-            for s in &continuum.patches {
-                h.key(s.space.fingerprint().expect("Space2d fp"));
-            }
-            for &[x, y] in row {
-                h.f64(x);
-                h.f64(y);
-            }
-            h.finish()
-        };
-        self.interp = Some(cached("midpoint-interp", key, || {
-            let mut pids = Vec::with_capacity(row.len());
-            let mut table = InterpTable::with_capacity(nloc, row.len());
-            for &[x, y] in row {
-                let pid = continuum
-                    .patches
-                    .iter()
-                    .position(|s| s.space.locate(x, y).is_some())
-                    .expect("interface midpoint outside continuum domain");
-                table.push(&continuum.patches[pid].space, x, y);
-                pids.push(pid);
-            }
-            MidpointInterp { pids, table }
-        }));
-    }
-
     /// The exchange: interpolate the continuum velocity at each interface
     /// bin midpoint, scale with Eq. (1), impose as the DPD inflow targets.
     /// Records the continuity metric against the current DPD state.
@@ -199,21 +110,21 @@ impl AtomisticDomain {
     /// for bit what interpolating every bin midpoint gives.
     pub fn exchange_from_continuum(&mut self, continuum: &Multipatch2d) {
         let vf = self.embedding.scaling.velocity_factor();
-        if self.interp.is_none() {
-            self.build_interp(continuum);
-        }
-        let mi = self.interp.as_ref().expect("table just built");
+        let patches = &continuum.patches;
+        let (ny, _) = self.sim.open_x.as_ref().expect("open x boundary").bins;
+        let row = &self.bin_midpoints_ns[..ny];
+        let trace = self.interp.get_or_insert_with(|| {
+            let every_patch: Vec<usize> = (0..patches.len()).collect();
+            resolve_trace(patches, &every_patch, row)
+        });
         self.row_targets.clear();
-        for (q, &pid) in mi.pids.iter().enumerate() {
-            let donor = &continuum.patches[pid];
-            let u = mi.table.eval(&donor.space, &donor.u, q).expect("table row");
-            let v = mi.table.eval(&donor.space, &donor.v, q).expect("table row");
+        for q in 0..trace.len() {
+            let (u, v) = trace_velocity(patches, trace, q);
             self.row_targets.push([u * vf, v * vf, 0.0]);
         }
         // Continuity metric before imposing: compare DPD near-inlet bin
         // means (scaled back to NS units) with the fresh continuum values.
         inlet_sums(&self.sim, &mut self.inlet_sums, &mut self.inlet_counts);
-        let ny = self.row_targets.len();
         let mut err = 0.0;
         let mut cnt = 0;
         for (b, (sum, &c)) in self.inlet_sums.iter().zip(&self.inlet_counts).enumerate() {
@@ -507,5 +418,53 @@ mod tests {
             "interface continuity error {err} (history {:?})",
             d.continuity_history
         );
+    }
+
+    /// The donor column survives the artifact disk tier. The inflow face
+    /// of this 3-patch continuum lies only in patch 1, so a codec that
+    /// dropped the donor would read patch 0. Built under a disk cache and
+    /// again under a fresh cache on the same directory, every `interp`
+    /// lookup of the second build is served from disk or memory, and the
+    /// exchanges impose the same values bit for bit.
+    #[test]
+    fn traces_round_trip_through_the_disk_tier() {
+        use nkg_artifact::{with_cache, ArtifactCache};
+        let dir = std::env::temp_dir().join(format!("nkg-trace-disk-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let sc = Scenario {
+            patches: 3,
+            origin: [3.0, 0.3],
+            ..scenario()
+        };
+        let run = || {
+            let cache = Arc::new(ArtifactCache::on_disk(dir.clone()));
+            let bits = with_cache(&cache, || {
+                let mut ng = sc.build();
+                ng.atomistic.exchange_from_continuum(&ng.continuum);
+                let trace = ng.atomistic.interp.as_ref().unwrap();
+                assert!((0..trace.len()).all(|q| trace.donor(q) == 1));
+                ng.continuum.step();
+                let targets = ng.atomistic.sim.open_x.as_ref().unwrap().target.clone();
+                let fields = ng.continuum.patches.iter().flat_map(|s| [&s.u, &s.v, &s.p]);
+                (targets.iter().flatten().chain(fields.flatten()))
+                    .map(|x| x.to_bits())
+                    .collect::<Vec<_>>()
+            });
+            let stats = cache.stats();
+            (
+                bits,
+                stats.iter().find(|(kind, _)| *kind == "interp").unwrap().1,
+            )
+        };
+        let (cold, cold_stats) = run();
+        let (warm, warm_stats) = run();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(warm_stats.misses, 0, "an interp table was rebuilt");
+        assert_eq!(warm_stats.disk_hits, cold_stats.misses);
+        assert_eq!(
+            warm_stats.hits + warm_stats.disk_hits,
+            cold_stats.hits + cold_stats.misses
+        );
+        assert!(cold == warm, "disk-tier traces changed the exchange");
     }
 }

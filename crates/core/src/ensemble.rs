@@ -692,8 +692,10 @@ pub struct SweepJob {
     pub np: usize,
     /// Polynomial order.
     pub p: usize,
-    /// Patch overlap fraction.
-    pub overlap: f64,
+    /// Kinematic viscosity: it sets the viscous Helmholtz λ, so it is
+    /// part of the discretization. (The patch overlap is always one
+    /// element, see `QuadMesh::split_overlapping_x`.)
+    pub nu: f64,
     /// Swept body force (does not touch setup artifacts).
     pub force: f64,
     /// Time step.
@@ -712,7 +714,7 @@ impl SweepJob {
             ny: 2,
             np,
             p,
-            overlap: 0.5,
+            nu: 0.5,
             force,
             dt: 5e-3,
             steps,
@@ -726,7 +728,7 @@ impl SweepJob {
     pub fn discretization_key(&self) -> ArtifactKey {
         let mut h = KeyHasher::new("ensemble/discretization");
         h.usizes(&[self.nx, self.ny, self.np, self.p]);
-        h.f64s(&[self.len, self.height, self.overlap, self.dt]);
+        h.f64s(&[self.len, self.height, self.nu, self.dt]);
         h.finish()
     }
 
@@ -753,7 +755,7 @@ impl SweepJob {
             self.ny,
             self.np,
             self.p,
-            self.overlap,
+            self.nu,
             self.force,
             self.dt,
         )

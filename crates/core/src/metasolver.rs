@@ -166,19 +166,9 @@ pub struct RunReport {
     /// atomistic task and exchange. Measurement only — excluded from
     /// equality and from checkpoints.
     pub window_timings: Vec<WindowTiming>,
-    /// Ring cap on the per-step telemetry vectors
-    /// (`pressure_iters_per_step`, `viscous_iters_per_step`,
-    /// `elliptic_residual_per_step`) and `window_timings`: `None`
-    /// (default) keeps full history, `Some(n)` retains only the most
-    /// recent `n` entries so multi-hour scheduler jobs run in bounded
-    /// memory. Local configuration — excluded from equality and
-    /// checkpoints (a restore keeps the receiving instance's cap).
-    pub history_cap: Option<usize>,
-    /// Continuum steps whose solver telemetry was ever recorded —
-    /// survives ring eviction, so [`RunReport::solve_summary`] keeps the
-    /// exact step count.
+    /// Continuum steps whose solver telemetry was recorded.
     pub telemetry_steps: usize,
-    /// Worst elliptic residual ever observed — survives ring eviction.
+    /// Worst elliptic residual observed.
     pub worst_residual_seen: f64,
 }
 
@@ -201,58 +191,15 @@ impl PartialEq for RunReport {
 }
 
 impl RunReport {
-    /// Install (or lift) the telemetry ring cap, trimming existing
-    /// history to fit immediately.
-    pub fn set_history_cap(&mut self, cap: Option<usize>) {
-        self.history_cap = cap;
-        Self::trim(cap, &mut self.pressure_iters_per_step);
-        Self::trim(cap, &mut self.viscous_iters_per_step);
-        Self::trim(cap, &mut self.elliptic_residual_per_step);
-        Self::trim(cap, &mut self.window_timings);
-    }
-
-    /// Drop the oldest entries of `v` until it fits `cap`.
-    fn trim<T>(cap: Option<usize>, v: &mut Vec<T>) {
-        if let Some(c) = cap {
-            if v.len() > c {
-                v.drain(..v.len() - c);
-            }
-        }
-    }
-
-    /// Ring-push: evict the oldest entry when the cap is reached. A cap
-    /// of zero keeps no history at all (summaries still stay exact via
-    /// the cumulative counters).
-    fn ring<T>(cap: Option<usize>, v: &mut Vec<T>, x: T) {
-        if let Some(c) = cap {
-            if c == 0 {
-                return;
-            }
-            if v.len() >= c {
-                v.drain(..=v.len() - c);
-            }
-        }
-        v.push(x);
-    }
-
     /// Record one continuum step's elliptic-solver telemetry (the run
-    /// hook both window orderings call). Per-step vectors honor the
-    /// ring cap; breakdowns are sparse diagnostics and always kept; the
-    /// cumulative step count and worst residual survive eviction.
+    /// hook both window orderings call).
     pub(crate) fn push_step_telemetry(&mut self, solve: &StepSolveStats, step: u64) {
-        let cap = self.history_cap;
-        Self::ring(
-            cap,
-            &mut self.pressure_iters_per_step,
-            solve.pressure_iterations as u64,
-        );
-        Self::ring(
-            cap,
-            &mut self.viscous_iters_per_step,
-            solve.viscous_iterations as u64,
-        );
+        self.pressure_iters_per_step
+            .push(solve.pressure_iterations as u64);
+        self.viscous_iters_per_step
+            .push(solve.viscous_iterations as u64);
         let residual = solve.pressure_residual.max(solve.viscous_residual);
-        Self::ring(cap, &mut self.elliptic_residual_per_step, residual);
+        self.elliptic_residual_per_step.push(residual);
         if solve.breakdown {
             self.breakdown_steps.push(step);
         }
@@ -262,20 +209,13 @@ impl RunReport {
         }
     }
 
-    /// Record one window's wall-clock timing, honoring the ring cap.
+    /// Record one window's wall-clock timing.
     pub(crate) fn push_window_timing(&mut self, t: WindowTiming) {
-        let cap = self.history_cap;
-        Self::ring(cap, &mut self.window_timings, t);
+        self.window_timings.push(t);
     }
 
     /// Compact order statistics of the elliptic-solver telemetry: p50/p95/
     /// max iteration counts, worst residual and breakdown count.
-    ///
-    /// Exact even under a ring cap: the step count and worst residual
-    /// come from cumulative accumulators, the breakdown count from the
-    /// (never-evicted) breakdown list. The iteration percentiles are
-    /// computed over the retained window — the full series when
-    /// unbounded, the most recent `history_cap` steps otherwise.
     pub fn solve_summary(&self) -> TelemetrySummary {
         TelemetrySummary {
             steps: self.telemetry_steps.max(self.pressure_iters_per_step.len()),
@@ -392,9 +332,6 @@ impl Snapshot for RunReport {
         self.window_timings.clear();
         self.rejoins.clear();
         self.snapshot_fallbacks.clear();
-        // The ring cap is local configuration: keep this instance's and
-        // re-trim whatever the (possibly uncapped) writer recorded.
-        self.set_history_cap(self.history_cap);
         Ok(())
     }
 }
@@ -622,15 +559,6 @@ impl NektarG {
     /// Select the execution policy (see [`ExecutionPolicy`]).
     pub fn with_policy(mut self, policy: ExecutionPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Bound the report's per-step telemetry history (see
-    /// [`RunReport::set_history_cap`]) so long-running serving jobs hold
-    /// at most `cap` step entries in memory. `None` restores the default
-    /// full-history behavior.
-    pub fn with_history_cap(mut self, cap: Option<usize>) -> Self {
-        self.report.set_history_cap(cap);
         self
     }
 
@@ -1059,59 +987,6 @@ mod tests {
         assert!(s.pressure.max > 0, "pressure solves should iterate");
         assert!(s.worst_residual.is_finite());
         assert_eq!(s.breakdowns, 0);
-    }
-
-    /// Satellite: the telemetry ring bounds per-step memory while
-    /// `solve_summary` keeps the exact step count, breakdown count and
-    /// worst residual — even after the worst step was evicted.
-    #[test]
-    fn history_ring_bounds_memory_with_exact_summary() {
-        let full = {
-            let mut ng = small_metasolver();
-            ng.run(12)
-        };
-        let capped = {
-            let mut ng = small_metasolver().with_history_cap(Some(4));
-            ng.run(12)
-        };
-        assert_eq!(capped.pressure_iters_per_step.len(), 4);
-        assert_eq!(capped.viscous_iters_per_step.len(), 4);
-        assert_eq!(capped.elliptic_residual_per_step.len(), 4);
-        assert!(capped.window_timings.len() <= 4);
-        // Retained window = the most recent 4 steps, in order.
-        assert_eq!(
-            capped.pressure_iters_per_step,
-            full.pressure_iters_per_step[8..],
-        );
-        let (fs, cs) = (full.solve_summary(), capped.solve_summary());
-        assert_eq!(cs.steps, 12, "step count must survive eviction");
-        assert_eq!(cs.breakdowns, fs.breakdowns);
-        assert_eq!(
-            cs.worst_residual, fs.worst_residual,
-            "worst residual must survive eviction"
-        );
-        // Physics is untouched by the ring: same trajectory bitwise.
-        assert!(capped.physics_matches(&full));
-
-        // The counters travel through a checkpoint, and a capped
-        // receiver trims an uncapped writer's history on restore.
-        let bytes = nkg_ckpt::snapshot_bytes(&full);
-        let mut restored = RunReport::default();
-        restored.set_history_cap(Some(4));
-        nkg_ckpt::restore_bytes(&mut restored, &bytes).unwrap();
-        assert_eq!(restored.pressure_iters_per_step.len(), 4);
-        let rs = restored.solve_summary();
-        assert_eq!(rs.steps, 12);
-        assert_eq!(rs.worst_residual, fs.worst_residual);
-
-        // Cap zero: no history at all, summary still exact on the
-        // cumulative numbers.
-        let none = {
-            let mut ng = small_metasolver().with_history_cap(Some(0));
-            ng.run(6)
-        };
-        assert!(none.pressure_iters_per_step.is_empty());
-        assert_eq!(none.solve_summary().steps, 6);
     }
 
     /// Wall-clock timings must not leak into checkpoints or equality:

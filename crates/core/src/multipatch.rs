@@ -21,6 +21,14 @@
 //! iteration (carried by the time stepping) contract; imposing velocity on
 //! both sides over-constrains the patch and drifts. The continuity of the
 //! resulting fields across interfaces is the paper's Fig. 9 check.
+//!
+//! Both couplings read the continuum through one interface trace: a
+//! static point set resolved once against an ordered list of candidate
+//! patches (`resolve_trace`) into an [`InterpTable`], then evaluated at
+//! every exchange (`trace_velocity`). The links here resolve their DoFs
+//! against the one adjacent patch; the DPD insert
+//! ([`crate::atomistic::AtomisticDomain`]) resolves its bin midpoints
+//! against every patch.
 
 use nkg_artifact::{cached, KeyHasher};
 use nkg_ckpt::{CkptError, Dec, Enc, Snapshot};
@@ -33,29 +41,60 @@ use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+/// Resolve the interface trace of `points` against `patches`: each point's
+/// donor is the first of `candidates` (patch ids, in order) that contains
+/// it, the tie-break [`Multipatch2d::eval_velocity`] uses when every patch
+/// is a candidate. Cached under `"interp"`, keyed by the element size,
+/// each candidate's id and space fingerprint in order and the exact point
+/// bits, so a table resolved against other candidates is never handed
+/// out. Panics if a point lies outside every candidate.
+pub(crate) fn resolve_trace(
+    patches: &[NsSolver2d],
+    candidates: &[usize],
+    points: &[[f64; 2]],
+) -> Arc<InterpTable> {
+    let nloc = patches[0].space.nloc();
+    let mut h = KeyHasher::new("interp");
+    h.usize(nloc);
+    for &c in candidates {
+        h.usize(c);
+        h.key(patches[c].space.fingerprint().expect("Space2d fp"));
+    }
+    for &[x, y] in points {
+        h.f64(x);
+        h.f64(y);
+    }
+    cached("interp", h.finish(), || {
+        let mut t = InterpTable::with_capacity(nloc, points.len());
+        for &[x, y] in points {
+            // The last candidate is located only once, by `push`.
+            let (&last, rest) = candidates.split_last().expect("a point needs a candidate");
+            let donor = (rest.iter().copied())
+                .find(|&c| patches[c].space.locate(x, y).is_some())
+                .unwrap_or(last);
+            assert!(
+                t.push(donor, &patches[donor].space, x, y),
+                "interface point ({x}, {y}) outside every candidate patch"
+            );
+        }
+        t
+    })
+}
+
+/// The donor velocity at row `q` of a trace resolved against `patches`:
+/// bitwise `Space2d::eval_at` on the donor at the row's point.
+pub(crate) fn trace_velocity(patches: &[NsSolver2d], trace: &InterpTable, q: usize) -> (f64, f64) {
+    let d = &patches[trace.donor(q)];
+    let at = |f: &[f64]| trace.eval(&d.space, f, q).expect("resolved trace row");
+    (at(&d.u), at(&d.v))
+}
+
 /// A multipatch 2D Navier–Stokes solver over overlapping patches.
 pub struct Multipatch2d {
     /// One solver per patch.
     pub patches: Vec<NsSolver2d>,
-    /// Per patch: upstream-interface DoFs receiving donor velocity.
-    vel_links: Vec<Vec<(usize, usize)>>,
-    /// Per patch: downstream-interface DoFs receiving donor pressure.
-    p_links: Vec<Vec<(usize, usize)>>,
-    /// Per patch: precomputed interpolation rows for `vel_links` (row `q`
-    /// pairs with `vel_links[pi][q]`, built against the donor's space).
-    /// `Arc`-shared so an ambient [`nkg_artifact`] cache can hand the same
-    /// table to every job of an ensemble.
-    vel_interp: Vec<Arc<InterpTable>>,
-    /// Per patch: precomputed interpolation rows for `p_links`.
-    p_interp: Vec<Arc<InterpTable>>,
-    /// Per patch: for each link, its DoF's slot in the patch solver's
-    /// override vectors (`velocity_bc_dofs()` / `pressure_bc_dofs()`),
-    /// resolved once so an exchange writes values in place.
-    vel_slots: Vec<Vec<usize>>,
-    p_slots: Vec<Vec<usize>>,
-    /// Per patch: the donor values of the exchange in progress —
-    /// evaluated for every patch before any solver is touched.
-    incoming: Vec<LinkValues>,
+    /// Per patch: its pair of links.
+    links: Vec<PatchLinks>,
     /// Fan donor evaluation and patch stepping out over per-patch tasks.
     /// Overrides are computed from pre-exchange state and each patch's
     /// step touches only its own fields, so the fan-out is bitwise
@@ -66,26 +105,65 @@ pub struct Multipatch2d {
     pub extra_p_overrides: Vec<HashMap<usize, f64>>,
 }
 
-/// Donor values for one patch, one per entry of its `vel_links` / `p_links`.
-struct LinkValues {
-    vel: Vec<(f64, f64)>,
-    p: Vec<f64>,
+/// A patch's upstream link, receiving donor velocity, and its downstream
+/// link, receiving donor pressure.
+type PatchLinks = (Link<(f64, f64)>, Link<f64>);
+
+/// One artificial boundary of a patch: the DoFs it overrides, each DoF's
+/// slot in the solver's override vector, the trace of their coordinates
+/// resolved against the donor (`Arc`-shared, so an ambient
+/// [`nkg_artifact`] cache hands one table to every job of an ensemble)
+/// and the donor values of the exchange in progress.
+struct Link<T> {
+    dofs: Vec<usize>,
+    slots: Vec<usize>,
+    trace: Arc<InterpTable>,
+    values: Vec<T>,
 }
 
-/// Evaluate the donor field for link entry `q` of a link list: the
-/// precomputed table row against the donor's space, bitwise what
-/// `Space2d::eval_at` gives at the receiving DoF's coordinates.
-fn eval_link(
-    patches: &[NsSolver2d],
-    links: &[(usize, usize)],
-    table: &InterpTable,
-    q: usize,
-    field: impl Fn(&NsSolver2d) -> &[f64],
-) -> f64 {
-    let donor = &patches[links[q].1];
-    table
-        .eval(&donor.space, field(donor), q)
-        .expect("interface DoF outside donor patch")
+impl<T: Copy + Default> Link<T> {
+    /// The link of patch `pi` on `Interface(cut)` fed by `donor`, or an
+    /// empty one for `None`. `bc_dofs` is the solver's Dirichlet set the
+    /// link writes into.
+    fn new(
+        patches: &[NsSolver2d],
+        pi: usize,
+        cut_donor: Option<(usize, usize)>,
+        bc_dofs: fn(&NsSolver2d) -> &[usize],
+    ) -> Self {
+        let solver = &patches[pi];
+        let (dofs, candidates) = match cut_donor {
+            Some((cut, donor)) => {
+                let on_cut = |t| t == BoundaryTag::Interface(cut as u32);
+                (solver.space.boundary_dofs(on_cut), vec![donor])
+            }
+            None => (Vec::new(), Vec::new()),
+        };
+        let points: Vec<[f64; 2]> = dofs.iter().map(|&d| solver.space.coords[d]).collect();
+        // `make_solver`'s contract puts every link DoF in the matching
+        // Dirichlet set (sorted ascending by `boundary_dofs`).
+        let slots = (dofs.iter())
+            .map(|d| {
+                bc_dofs(solver)
+                    .binary_search(d)
+                    .expect("interface cut carries no Dirichlet condition (see `from_channel`)")
+            })
+            .collect();
+        Self {
+            trace: resolve_trace(patches, &candidates, &points),
+            values: vec![T::default(); dofs.len()],
+            dofs,
+            slots,
+        }
+    }
+
+    /// Write the donor values into their override slots, clearing the rest.
+    fn impose(&self, over: &mut [Option<T>]) {
+        over.fill(None);
+        for (&slot, &val) in self.slots.iter().zip(&self.values) {
+            over[slot] = Some(val);
+        }
+    }
 }
 
 impl Multipatch2d {
@@ -104,121 +182,47 @@ impl Multipatch2d {
         make_solver: impl Fn(Space2d, usize) -> NsSolver2d,
     ) -> Self {
         let sub = mesh.split_overlapping_x(nx, np);
-        let mut patches = Vec::with_capacity(np);
-        for (pi, m) in sub.into_iter().enumerate() {
-            let space = Space2d::new(m, p_order, false);
-            patches.push(make_solver(space, pi));
-        }
-        // Wire the links. Cut `c` joins patches `c` (left) and `c+1`
-        // (right): patch c+1's upstream boundary carries Interface(c), fed
-        // by patch c; patch c's downstream boundary carries Interface(c),
-        // fed by patch c+1.
-        let mut vel_links = Vec::with_capacity(np);
-        let mut p_links = Vec::with_capacity(np);
-        for (pi, solver) in patches.iter().enumerate() {
-            let upstream: Vec<(usize, usize)> = if pi > 0 {
-                let cut = (pi - 1) as u32;
-                solver
-                    .space
-                    .boundary_dofs(|t| t == BoundaryTag::Interface(cut))
-                    .into_iter()
-                    .map(|d| (d, pi - 1))
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            let downstream: Vec<(usize, usize)> = if pi + 1 < np {
-                let cut = pi as u32;
-                solver
-                    .space
-                    .boundary_dofs(|t| t == BoundaryTag::Interface(cut))
-                    .into_iter()
-                    .map(|d| (d, pi + 1))
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            vel_links.push(upstream);
-            p_links.push(downstream);
-        }
-        // Interface interpolation tables: every link's query point is
-        // static (the receiving DoF's coordinates), so the donor element
-        // and Lagrange weights are resolved once here — or, under an
-        // ambient artifact cache, fetched from a previous identical build.
-        // The key covers everything a row depends on: each donor space's
-        // content fingerprint and the exact query-point bits.
-        let build_tables = |links: &[Vec<(usize, usize)>]| -> Vec<Arc<InterpTable>> {
-            links
-                .iter()
-                .enumerate()
-                .map(|(pi, ll)| {
-                    let nloc = patches[pi].space.nloc();
-                    let key = {
-                        let mut h = KeyHasher::new("interp");
-                        h.usize(nloc);
-                        for &(dof, donor) in ll {
-                            h.key(patches[donor].space.fingerprint().expect("Space2d fp"));
-                            let [x, y] = patches[pi].space.coords[dof];
-                            h.f64(x);
-                            h.f64(y);
-                        }
-                        h.finish()
-                    };
-                    cached("interp", key, || {
-                        let mut t = InterpTable::with_capacity(nloc, ll.len());
-                        for &(dof, donor) in ll {
-                            let [x, y] = patches[pi].space.coords[dof];
-                            assert!(
-                                t.push(&patches[donor].space, x, y),
-                                "interface DoF outside donor patch"
-                            );
-                        }
-                        t
-                    })
-                })
-                .collect()
-        };
-        let vel_interp = build_tables(&vel_links);
-        let p_interp = build_tables(&p_links);
-        // `make_solver`'s contract puts every link DoF in the matching
-        // Dirichlet set (sorted ascending by `boundary_dofs`).
-        type BcDofs = fn(&NsSolver2d) -> &[usize];
-        let slots = |links: &[Vec<(usize, usize)>], bc_dofs: BcDofs| -> Vec<Vec<usize>> {
-            let slot = |solver, dof| {
-                bc_dofs(solver)
-                    .binary_search(dof)
-                    .expect("interface cut carries no Dirichlet condition (see `from_channel`)")
-            };
-            (patches.iter().zip(links))
-                .map(|(solver, ll)| ll.iter().map(|(dof, _)| slot(solver, dof)).collect())
-                .collect()
-        };
-        let vel_slots = slots(&vel_links, NsSolver2d::velocity_bc_dofs);
-        let p_slots = slots(&p_links, NsSolver2d::pressure_bc_dofs);
-        let extra = vec![HashMap::new(); patches.len()];
-        let incoming = (vel_links.iter().zip(&p_links))
-            .map(|(vl, pl)| LinkValues {
-                vel: vec![(0.0, 0.0); vl.len()],
-                p: vec![0.0; pl.len()],
+        let patches: Vec<NsSolver2d> = (sub.into_iter().enumerate())
+            .map(|(pi, m)| make_solver(Space2d::new(m, p_order, false), pi))
+            .collect();
+        // Cut `c` joins patches `c` (left) and `c+1` (right): patch c+1's
+        // upstream boundary carries Interface(c), fed by patch c; patch c's
+        // downstream boundary carries Interface(c), fed by patch c+1. The
+        // velocity links resolve first, then the pressure links.
+        let vel: Vec<_> = (0..np)
+            .map(|pi| {
+                let cut_donor = pi.checked_sub(1).map(|c| (c, c));
+                Link::new(&patches, pi, cut_donor, NsSolver2d::velocity_bc_dofs)
+            })
+            .collect();
+        let p: Vec<_> = (0..np)
+            .map(|pi| {
+                let cut_donor = (pi + 1 < np).then_some((pi, pi + 1));
+                Link::new(&patches, pi, cut_donor, NsSolver2d::pressure_bc_dofs)
             })
             .collect();
         Self {
-            incoming,
+            links: vel.into_iter().zip(p).collect(),
+            extra_p_overrides: vec![HashMap::new(); np],
             patches,
-            vel_links,
-            p_links,
-            vel_interp,
-            p_interp,
-            vel_slots,
-            p_slots,
             parallel: false,
-            extra_p_overrides: extra,
         }
     }
 
     /// Number of patches.
     pub fn num_patches(&self) -> usize {
         self.patches.len()
+    }
+
+    /// Every link's receiving patch, DoFs and trace, in evaluation order:
+    /// per patch, the upstream link, then the downstream one.
+    fn traces(&self) -> impl Iterator<Item = (usize, &[usize], &InterpTable)> {
+        (self.links.iter().enumerate()).flat_map(|(pi, (vel, p))| {
+            [
+                (pi, &vel.dofs[..], &*vel.trace),
+                (pi, &p.dofs[..], &*p.trace),
+            ]
+        })
     }
 
     /// Perform the once-per-step interface exchange: upstream cuts receive
@@ -230,47 +234,32 @@ impl Multipatch2d {
     pub fn exchange(&mut self) {
         let Self {
             patches,
-            vel_links,
-            p_links,
-            vel_interp,
-            p_interp,
-            vel_slots,
-            p_slots,
-            incoming,
+            links,
             parallel,
             extra_p_overrides,
         } = self;
         let donors = &*patches;
-        let eval_patch = |(pi, vals): (usize, &mut LinkValues)| {
-            let (links, table) = (&vel_links[pi], &vel_interp[pi]);
-            for (q, val) in vals.vel.iter_mut().enumerate() {
-                let u = eval_link(donors, links, table, q, |s| &s.u);
-                let v = eval_link(donors, links, table, q, |s| &s.v);
-                *val = (u, v);
+        let evaluate = |(vel, p): &mut PatchLinks| {
+            for (q, val) in vel.values.iter_mut().enumerate() {
+                *val = trace_velocity(donors, &vel.trace, q);
             }
-            for (q, val) in vals.p.iter_mut().enumerate() {
-                *val = eval_link(donors, &p_links[pi], &p_interp[pi], q, |s| &s.p);
+            for (q, val) in p.values.iter_mut().enumerate() {
+                let d = &donors[p.trace.donor(q)];
+                *val = p.trace.eval(&d.space, &d.p, q).expect("resolved trace row");
             }
         };
         if *parallel && donors.len() > 1 {
-            incoming.par_iter_mut().enumerate().for_each(eval_patch);
+            links.par_iter_mut().for_each(evaluate);
         } else {
-            incoming.iter_mut().enumerate().for_each(eval_patch);
+            links.iter_mut().for_each(evaluate);
         }
-        for (pi, solver) in patches.iter_mut().enumerate() {
-            let over = solver.velocity_overrides_mut();
-            over.fill(None);
-            for (&slot, &val) in vel_slots[pi].iter().zip(&incoming[pi].vel) {
-                over[slot] = Some(val);
-            }
-            let over = solver.pressure_overrides_mut();
-            over.fill(None);
-            for (&slot, &val) in p_slots[pi].iter().zip(&incoming[pi].p) {
-                over[slot] = Some(val);
-            }
+        for ((solver, (vel, p)), extra) in patches.iter_mut().zip(&*links).zip(&*extra_p_overrides)
+        {
+            vel.impose(solver.velocity_overrides_mut());
+            p.impose(solver.pressure_overrides_mut());
             // External overrides last, so they win on a shared DoF; one
             // that names no pressure Dirichlet DoF has nothing to override.
-            for (dof, &val) in &extra_p_overrides[pi] {
+            for (dof, &val) in extra {
                 if let Ok(slot) = solver.pressure_bc_dofs().binary_search(dof) {
                     solver.pressure_overrides_mut()[slot] = Some(val);
                 }
@@ -318,18 +307,12 @@ impl Multipatch2d {
     pub fn interface_mismatch(&self) -> f64 {
         let mut sum = 0.0;
         let mut count = 0usize;
-        for pi in 0..self.patches.len() {
-            for (links, table) in [
-                (&self.vel_links[pi], &self.vel_interp[pi]),
-                (&self.p_links[pi], &self.p_interp[pi]),
-            ] {
-                for (q, &(dof, _)) in links.iter().enumerate() {
-                    let du = eval_link(&self.patches, links, table, q, |s| &s.u);
-                    let dv = eval_link(&self.patches, links, table, q, |s| &s.v);
-                    sum += (self.patches[pi].u[dof] - du).powi(2)
-                        + (self.patches[pi].v[dof] - dv).powi(2);
-                    count += 2;
-                }
+        for (pi, dofs, trace) in self.traces() {
+            let s = &self.patches[pi];
+            for (q, &dof) in dofs.iter().enumerate() {
+                let (du, dv) = trace_velocity(&self.patches, trace, q);
+                sum += (s.u[dof] - du).powi(2) + (s.v[dof] - dv).powi(2);
+                count += 2;
             }
         }
         (sum / count.max(1) as f64).sqrt()
@@ -337,22 +320,20 @@ impl Multipatch2d {
 
     /// The static interface query set, in evaluation order: for every link
     /// entry of every patch, the donor patch id and the physical query
-    /// point. This is exactly the point set the interpolation tables
-    /// precompute; exposed for benchmarks and diagnostics.
+    /// point. This is exactly the point set the traces precompute;
+    /// exposed for benchmarks and diagnostics.
     pub fn interface_queries(&self) -> Vec<(usize, [f64; 2])> {
-        let mut out = Vec::new();
-        for pi in 0..self.patches.len() {
-            for links in [&self.vel_links[pi], &self.p_links[pi]] {
-                for &(dof, donor) in links.iter() {
-                    out.push((donor, self.patches[pi].space.coords[dof]));
-                }
-            }
-        }
-        out
+        (self.traces())
+            .flat_map(|(pi, dofs, trace)| {
+                let coords = &self.patches[pi].space.coords;
+                (dofs.iter().enumerate()).map(move |(q, &dof)| (trace.donor(q), coords[dof]))
+            })
+            .collect()
     }
 
     /// Evaluate the multipatch velocity at a physical point (first
-    /// containing patch wins).
+    /// containing patch wins) by scanning: the reference the traces are
+    /// held to bit for bit.
     pub fn eval_velocity(&self, x: f64, y: f64) -> Option<(f64, f64)> {
         for s in &self.patches {
             if let (Some(u), Some(v)) = (s.space.eval_at(&s.u, x, y), s.space.eval_at(&s.v, x, y)) {
@@ -371,9 +352,9 @@ impl Snapshot for Multipatch2d {
         // record only its shape for verification. The evolving per-patch
         // state (fields, histories, overrides) nests as NSSV payloads.
         enc.put(self.patches.len() as u64);
-        for (vl, pl) in self.vel_links.iter().zip(&self.p_links) {
-            enc.put(vl.len() as u64);
-            enc.put(pl.len() as u64);
+        for (vel, p) in &self.links {
+            enc.put(vel.dofs.len() as u64);
+            enc.put(p.dofs.len() as u64);
         }
         for solver in &self.patches {
             solver.snapshot(enc);
@@ -397,14 +378,14 @@ impl Snapshot for Multipatch2d {
                 self.patches.len()
             )));
         }
-        for (vl, pl) in self.vel_links.iter().zip(&self.p_links) {
+        for (vel, p) in &self.links {
             let nv = dec.take::<u64>()? as usize;
             let npr = dec.take::<u64>()? as usize;
-            if nv != vl.len() || npr != pl.len() {
+            if nv != vel.dofs.len() || npr != p.dofs.len() {
                 return Err(CkptError::Mismatch(format!(
                     "interface link shape {nv}/{npr} in snapshot, {}/{} reconstructed",
-                    vl.len(),
-                    pl.len()
+                    vel.dofs.len(),
+                    p.dofs.len()
                 )));
             }
         }
@@ -473,17 +454,20 @@ mod tests {
     fn links_point_to_adjacent_patches() {
         let mp = poiseuille_multipatch(6.0, 1.0, 12, 2, 3, 3, 0.5, 0.2, 5e-3);
         assert_eq!(mp.num_patches(), 3);
+        let donors = |t: &InterpTable| (0..t.len()).map(|q| t.donor(q)).collect::<Vec<_>>();
+        let vel = |pi: usize| &mp.links[pi].0;
+        let p = |pi: usize| &mp.links[pi].1;
         // Patch 0: no upstream, downstream donor 1.
-        assert!(mp.vel_links[0].is_empty());
-        assert!(mp.p_links[0].iter().all(|&(_, d)| d == 1));
+        assert!(vel(0).dofs.is_empty());
+        assert!(donors(&p(0).trace).iter().all(|&d| d == 1));
         // Patch 1: upstream donor 0, downstream donor 2.
-        assert!(mp.vel_links[1].iter().all(|&(_, d)| d == 0));
-        assert!(mp.p_links[1].iter().all(|&(_, d)| d == 2));
+        assert!(donors(&vel(1).trace).iter().all(|&d| d == 0));
+        assert!(donors(&p(1).trace).iter().all(|&d| d == 2));
         // Patch 2: upstream donor 1, no downstream.
-        assert!(mp.vel_links[2].iter().all(|&(_, d)| d == 1));
-        assert!(mp.p_links[2].is_empty());
-        assert!(!mp.p_links[0].is_empty());
-        assert!(!mp.vel_links[1].is_empty());
+        assert!(donors(&vel(2).trace).iter().all(|&d| d == 1));
+        assert!(p(2).dofs.is_empty());
+        assert!(!p(0).dofs.is_empty());
+        assert!(!vel(1).dofs.is_empty());
     }
 
     #[test]
@@ -557,20 +541,15 @@ mod tests {
                 mp.step();
             }
             let mut checked = 0;
-            for pi in 0..mp.num_patches() {
-                for (links, table) in [
-                    (&mp.vel_links[pi], &mp.vel_interp[pi]),
-                    (&mp.p_links[pi], &mp.p_interp[pi]),
-                ] {
-                    for (q, &(dof, donor)) in links.iter().enumerate() {
-                        let [x, y] = mp.patches[pi].space.coords[dof];
-                        let d = &mp.patches[donor];
-                        for field in [&d.u, &d.v, &d.p] {
-                            let scan = d.space.eval_at(field, x, y).unwrap();
-                            let tabled = table.eval(&d.space, field, q).unwrap();
-                            assert_eq!(tabled.to_bits(), scan.to_bits(), "table vs eval_at");
-                            checked += 1;
-                        }
+            for (pi, dofs, table) in mp.traces() {
+                for (q, &dof) in dofs.iter().enumerate() {
+                    let [x, y] = mp.patches[pi].space.coords[dof];
+                    let d = &mp.patches[table.donor(q)];
+                    for field in [&d.u, &d.v, &d.p] {
+                        let scan = d.space.eval_at(field, x, y).unwrap();
+                        let tabled = table.eval(&d.space, field, q).unwrap();
+                        assert_eq!(tabled.to_bits(), scan.to_bits(), "table vs eval_at");
+                        checked += 1;
                     }
                 }
             }
@@ -623,5 +602,27 @@ mod tests {
             assert!(u.is_finite());
         }
         assert!(mp.eval_velocity(10.0, 0.5).is_none());
+    }
+
+    /// One cache kind serves every trace, so its key must name the
+    /// candidates: points in the overlap of two patches resolve to patch 1
+    /// against `[1]` and to patch 0 against `[0, 1]`, and the second
+    /// lookup must miss rather than hand out the first table.
+    #[test]
+    fn trace_key_names_its_candidates() {
+        use nkg_artifact::{with_cache, ArtifactCache, CacheMode};
+        let mp = poiseuille_multipatch(6.0, 1.0, 12, 2, 2, 3, 0.5, 0.4, 5e-3);
+        let pts = [[3.0, 0.25], [3.2, 0.75]];
+        let cache = Arc::new(ArtifactCache::new(CacheMode::Process));
+        let (one, both) = with_cache(&cache, || {
+            let one = resolve_trace(&mp.patches, &[1], &pts);
+            (one, resolve_trace(&mp.patches, &[0, 1], &pts))
+        });
+        for q in 0..pts.len() {
+            assert_eq!((one.donor(q), both.donor(q)), (1, 0), "point {q}");
+        }
+        let stats = cache.stats();
+        let interp = stats.iter().find(|(kind, _)| *kind == "interp").unwrap().1;
+        assert_eq!((interp.hits, interp.misses), (0, 2));
     }
 }

@@ -203,9 +203,10 @@ impl Mailbox {
     /// [`RecvError::PeerDead`] as soon as the buffered backlog is known
     /// not to contain a match, rather than burning the whole deadline.
     ///
-    /// When every rank has a core to itself the first [`SPIN_BUDGET`] of
-    /// the wait polls the channel instead of parking on it, re-running the
-    /// same match, liveness and deadline checks on every poll.
+    /// When every rank has a core to itself the first `SPIN_BUDGET`
+    /// (100 µs) of the wait polls the channel instead of parking on it,
+    /// re-running the same match, liveness and deadline checks on every
+    /// poll.
     pub fn recv_match_deadline(
         &mut self,
         ctx: u64,

@@ -112,7 +112,7 @@ impl Hierarchy {
 /// 3. each root scatters the received payload back to its members.
 ///
 /// Only two world-level messages cross the domain boundary per exchange,
-/// "performed only a few times at each time step and thus [having]
+/// "performed only a few times at each time step and thus \[having\]
 /// negligible impact on the performance" (paper §3.1).
 pub struct InterfaceLink {
     /// The local interface group. Index 0 is the root.
@@ -559,7 +559,7 @@ impl ReplicaSet {
     }
 
     /// Master broadcasts data to the same-index ranks of every replica
-    /// (the paper's "master L4 ... broadcast[s] ... to the slaves"). The
+    /// (the paper's "master L4 ... broadcast\[s\] ... to the slaves"). The
     /// `across` communicator orders ranks by replica index, so the current
     /// master is root `master_index`.
     pub fn master_bcast(&self, data: &mut Vec<f64>) {

@@ -1,13 +1,16 @@
-//! Precomputed point-interpolation tables for static query sets.
+//! The interface trace: a static point set located once, then
+//! interpolated at every exchange.
 //!
 //! [`Space2d::eval_at`] locates the containing element with an O(elements)
 //! scan and a Newton inversion of the bilinear map, then allocates two
 //! Lagrange-coefficient vectors — fine for one-off probes, ruinous when
 //! the same static points (interface DoFs, embedded-domain bin midpoints)
 //! are evaluated every coupled step. An [`InterpTable`] performs the
-//! location and weight computation once; each subsequent evaluation is a
+//! location and weight computation once. Each row records its donor (the
+//! caller's index of the space the point was located in, a patch id for
+//! the couplings) beside the donor element; each evaluation is then a
 //! dense dot product of `(P+1)²` precomputed tensor-Lagrange weights with
-//! the field values of one donor element.
+//! the field values of that element.
 //!
 //! Bitwise contract: [`InterpTable::eval`] reproduces
 //! [`Space2d::eval_at`] exactly. `eval_at` accumulates
@@ -19,19 +22,23 @@
 use crate::space2d::Space2d;
 use nkg_ckpt::{Dec, Enc};
 
-/// Precomputed interpolation rows: one donor element id plus `(P+1)²`
-/// tensor-product Lagrange weights per query point.
+/// Element id of a row whose point lay outside its donor space.
+const UNLOCATED: u32 = u32::MAX;
+
+/// Precomputed interpolation rows: per query point, the donor, the donor
+/// element and `(P+1)²` tensor-product Lagrange weights.
 ///
-/// Rows may be appended against *different* spaces (e.g. per-point donor
-/// patches) as long as all spaces share the polynomial order; the caller
-/// must pass the same space used at [`push`](InterpTable::push) time back
-/// to [`eval`](InterpTable::eval) for that row.
+/// Rows may be pushed against *different* spaces (one per donor) as long
+/// as all spaces share the polynomial order; the caller passes the space
+/// of [`donor`](InterpTable::donor)`(q)` back to
+/// [`eval`](InterpTable::eval) for row `q`.
 #[derive(Debug, Clone)]
 pub struct InterpTable {
     /// Local nodes per element, `(P+1)²` — the weight stride.
     nloc: usize,
-    /// Donor element per point (`None`: the point was outside the space).
-    elems: Vec<Option<u32>>,
+    /// Per point: `(donor, element)`; the element is [`UNLOCATED`] when
+    /// the point was outside the donor space.
+    rows: Vec<(u32, u32)>,
     /// Flat weights, `nloc` per point (zeros for unlocated points).
     weights: Vec<f64>,
 }
@@ -42,89 +49,88 @@ impl InterpTable {
     pub fn with_capacity(nloc: usize, cap: usize) -> Self {
         Self {
             nloc,
-            elems: Vec::with_capacity(cap),
+            rows: Vec::with_capacity(cap),
             weights: Vec::with_capacity(cap * nloc),
         }
     }
 
-    /// Locate `(x, y)` in `space` and append its interpolation row.
-    /// Returns whether the point was found; an unlocated point appends a
-    /// `None` row so indices stay aligned with the caller's point list.
-    pub fn push(&mut self, space: &Space2d, x: f64, y: f64) -> bool {
+    /// Locate `(x, y)` in `space`, the caller's donor number `donor`, and
+    /// append its interpolation row. Returns whether the point was found;
+    /// an unlocated point appends an empty row so indices stay aligned
+    /// with the caller's point list.
+    pub fn push(&mut self, donor: usize, space: &Space2d, x: f64, y: f64) -> bool {
         debug_assert_eq!(space.nloc(), self.nloc, "donor space order mismatch");
-        match space.locate(x, y) {
-            Some((e, xi, eta)) => {
-                self.elems.push(Some(e as u32));
-                space.interp_weights_into(xi, eta, &mut self.weights);
-                true
-            }
-            None => {
-                self.elems.push(None);
-                self.weights.extend(std::iter::repeat_n(0.0, self.nloc));
-                false
-            }
+        let donor = u32::try_from(donor).expect("donor id fits u32");
+        let located = space.locate(x, y);
+        let elem = located.map_or(UNLOCATED, |(e, _, _)| e as u32);
+        self.rows.push((donor, elem));
+        match located {
+            Some((_, xi, eta)) => space.interp_weights_into(xi, eta, &mut self.weights),
+            None => self.weights.extend(std::iter::repeat_n(0.0, self.nloc)),
         }
+        located.is_some()
     }
 
-    /// Build a table over `points` against a single space.
+    /// Build a table over `points` against a single space (donor 0).
     pub fn build(space: &Space2d, points: &[[f64; 2]]) -> Self {
         let mut t = Self::with_capacity(space.nloc(), points.len());
         for &[x, y] in points {
-            t.push(space, x, y);
+            t.push(0, space, x, y);
         }
         t
     }
 
     /// Number of query points.
     pub fn len(&self) -> usize {
-        self.elems.len()
+        self.rows.len()
     }
 
     /// Whether the table holds no points.
     pub fn is_empty(&self) -> bool {
-        self.elems.is_empty()
+        self.rows.is_empty()
     }
 
     /// Whether point `q` was located at build time.
     pub fn found(&self, q: usize) -> bool {
-        self.elems[q].is_some()
+        self.rows[q].1 != UNLOCATED
+    }
+
+    /// The donor point `q` was pushed against.
+    pub fn donor(&self, q: usize) -> usize {
+        self.rows[q].0 as usize
     }
 
     /// Evaluate the global field `u` of `space` at query point `q`:
     /// bitwise identical to `space.eval_at(u, x_q, y_q)`. `space` must be
-    /// the space point `q` was pushed against.
+    /// the space of [`donor`](InterpTable::donor)`(q)`.
     pub fn eval(&self, space: &Space2d, u: &[f64], q: usize) -> Option<f64> {
-        let e = self.elems[q]? as usize;
+        let e = self.rows[q].1;
+        if e == UNLOCATED {
+            return None;
+        }
         let w = &self.weights[q * self.nloc..(q + 1) * self.nloc];
-        let gids = &space.gmap[e];
         let mut val = 0.0;
-        for (wk, &g) in w.iter().zip(gids) {
+        for (wk, &g) in w.iter().zip(&space.gmap[e as usize]) {
             val += wk * u[g];
         }
         Some(val)
     }
 }
 
-/// Tables opt into the artifact disk tier: pure data (donor element ids
-/// plus weight rows), independent of which space the rows point at, with
-/// every weight round-tripping through its exact bit pattern. Locating a
-/// point is an O(elements) Newton scan per row, so an ensemble sharing one
-/// cache skips the entire scan on a hit.
+/// Tables opt into the artifact disk tier: pure data (donor and element
+/// ids plus weight rows), with every weight round-tripping through its
+/// exact bit pattern. Locating a point is an O(elements) Newton scan per
+/// row, so an ensemble sharing one cache skips the entire scan on a hit.
 impl nkg_artifact::Artifact for InterpTable {
     fn approx_bytes(&self) -> usize {
-        self.elems.len() * 8 + self.weights.len() * 8
+        self.rows.len() * 8 + self.weights.len() * 8
     }
 
     fn encode(&self) -> Option<Vec<u8>> {
         let mut e = Enc::new();
         e.put(self.nloc as u64);
-        // `u64::MAX` marks an unlocated point (donor ids are u32-sized).
-        let elems: Vec<u64> = self
-            .elems
-            .iter()
-            .map(|o| o.map_or(u64::MAX, |e| e as u64))
-            .collect();
-        e.put_slice(&elems);
+        let rows: Vec<u32> = self.rows.iter().flat_map(|&(d, el)| [d, el]).collect();
+        e.put_slice(&rows);
         e.put_slice(&self.weights);
         Some(e.into_bytes())
     }
@@ -132,20 +138,15 @@ impl nkg_artifact::Artifact for InterpTable {
     fn decode(bytes: &[u8]) -> Option<Self> {
         let mut d = Dec::new(bytes);
         let nloc = d.take::<u64>().ok()? as usize;
-        let elems: Vec<Option<u32>> = d
-            .take_vec::<u64>()
-            .ok()?
-            .into_iter()
-            .map(|v| if v == u64::MAX { None } else { Some(v as u32) })
-            .collect();
+        let rows = d.take_vec::<u32>().ok()?;
         let weights = d.take_vec::<f64>().ok()?;
         d.finish().ok()?;
-        if weights.len() != elems.len() * nloc {
+        if rows.len() % 2 != 0 || weights.len() != rows.len() / 2 * nloc {
             return None;
         }
         Some(Self {
             nloc,
-            elems,
+            rows: rows.chunks_exact(2).map(|r| (r[0], r[1])).collect(),
             weights,
         })
     }

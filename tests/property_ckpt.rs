@@ -260,10 +260,7 @@ proptest! {
             viscous_iters_per_step: (0..(ns_steps % 5) as u64).map(|i| i * 3).collect(),
             elliptic_residual_per_step: vec![1e-11; ns_steps % 4],
             breakdown_steps: (0..(ns_steps % 2) as u64).collect(),
-            // Telemetry-ring bookkeeping: the cumulative counters ride
-            // the snapshot (solve_summary stays exact after eviction);
-            // the cap itself is receiver-side config and does not.
-            history_cap: None,
+            // Cumulative telemetry counters ride the snapshot.
             telemetry_steps: ns_steps % 6,
             worst_residual_seen: 1e-11,
             // Wall-clock telemetry: excluded from snapshots and equality,
