@@ -34,7 +34,7 @@
 //! eviction counters tick, and evicted disk-tier kinds are re-served from
 //! disk. Under a capacity bound, *scheduling order* decides the hit rate —
 //! which is exactly the lever the ensemble scheduler's cache-affinity
-//! admission pulls (DESIGN.md §18).
+//! admission pulls (DESIGN.md §16).
 //!
 //! The headline contract mirrors the rest of the workspace: a cache-hit
 //! artifact is **bitwise identical** to the cold-built one. That holds
@@ -71,7 +71,7 @@ impl ArtifactKey {
     /// ensemble scheduler groups jobs by. Jobs whose setup flows from the
     /// same configuration words share this prefix for every artifact kind
     /// they request, so co-scheduling equal-prefix jobs maximizes the
-    /// cache-warm window (DESIGN.md §18).
+    /// cache-warm window (DESIGN.md §16).
     pub fn prefix64(&self) -> u64 {
         self.0[0]
     }
@@ -156,14 +156,6 @@ impl KeyHasher {
     /// Absorb a UTF-8 string.
     pub fn str(&mut self, s: &str) {
         self.bytes(s.as_bytes());
-    }
-
-    /// Absorb a slice of `u64`s (length-prefixed).
-    pub fn u64s(&mut self, vs: &[u64]) {
-        self.word(vs.len() as u64);
-        for &v in vs {
-            self.word(v);
-        }
     }
 
     /// Absorb a slice of `usize`s (length-prefixed).
@@ -380,11 +372,6 @@ impl ArtifactCache {
     /// The configured mode.
     pub fn mode(&self) -> CacheMode {
         self.mode
-    }
-
-    /// The configured capacity bound, if any.
-    pub fn capacity_bytes(&self) -> Option<u64> {
-        self.capacity
     }
 
     /// Bytes of `Ready` entries currently resident in the memory tier.

@@ -9,7 +9,7 @@
 //! deterministic so a failing recovery test replays exactly.
 
 use crate::format::scan;
-use crate::{CkptError, Snapshot};
+use crate::CkptError;
 use std::fs;
 use std::path::Path;
 
@@ -33,16 +33,6 @@ impl FaultPlan {
     pub fn kill_after(k: u64) -> Self {
         Self {
             kill_after_exchange: Some(k),
-            ..Default::default()
-        }
-    }
-
-    /// A plan that kills after `k` exchanges and corrupts the section
-    /// tagged [`Snapshot::TAG`] of `T` in every checkpoint written.
-    pub fn kill_and_corrupt<T: Snapshot>(k: u64) -> Self {
-        Self {
-            kill_after_exchange: Some(k),
-            corrupt_section: Some(T::TAG),
             ..Default::default()
         }
     }

@@ -123,6 +123,12 @@ impl SnapshotWriter {
         &self.image.buf
     }
 
+    /// Seal and hand over the finished image without copying it.
+    pub fn into_image(mut self) -> Vec<u8> {
+        self.seal();
+        self.image.into_bytes()
+    }
+
     /// Seal, then atomically write the snapshot to `path` (temp sibling +
     /// fsync + rename). Returns the number of bytes written.
     pub fn write_atomic(&mut self, path: &Path) -> Result<u64, CkptError> {

@@ -176,48 +176,6 @@ pub fn restore_bytes<T: Snapshot>(x: &mut T, bytes: &[u8]) -> Result<(), CkptErr
     dec.finish()
 }
 
-/// Magic of a sealed in-memory snapshot payload ("NKGS").
-const SEAL_MAGIC: u32 = tag4(b"NKGS");
-
-/// Wrap an in-memory snapshot payload in a tiny integrity envelope:
-/// `[magic][len][crc32][payload]`. The ensemble scheduler carries
-/// preempted-job state through its requeue path in this form, so a
-/// payload that rotted while parked (or was truncated by a future
-/// spill-to-disk tier) is *detected* at resume rather than silently
-/// replayed into wrong physics. Cheap: one CRC pass, no copy on unseal.
-pub fn seal_bytes(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(12 + payload.len());
-    out.extend_from_slice(&SEAL_MAGIC.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32::crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
-}
-
-/// Validate a [`seal_bytes`] envelope and borrow its payload. Fails with
-/// [`CkptError::BadMagic`], [`CkptError::Truncated`] or
-/// [`CkptError::Corrupt`] — all integrity errors, so callers can route
-/// them through the same rebuild-from-scratch fallback as damaged
-/// on-disk snapshots.
-pub fn unseal_bytes(sealed: &[u8]) -> Result<&[u8], CkptError> {
-    if sealed.len() < 12 {
-        return Err(CkptError::Truncated);
-    }
-    let word = |i: usize| u32::from_le_bytes(sealed[i..i + 4].try_into().unwrap());
-    if word(0) != SEAL_MAGIC {
-        return Err(CkptError::BadMagic);
-    }
-    let len = word(4) as usize;
-    let payload = sealed.get(12..12 + len).ok_or(CkptError::Truncated)?;
-    if sealed.len() != 12 + len {
-        return Err(CkptError::Truncated);
-    }
-    if crc32::crc32(payload) != word(8) {
-        return Err(CkptError::Corrupt { tag: SEAL_MAGIC });
-    }
-    Ok(payload)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,34 +194,5 @@ mod tests {
         assert!(CkptError::Corrupt { tag: 1 }.is_integrity());
         assert!(CkptError::BadMagic.is_integrity());
         assert!(!CkptError::Mismatch("seed differs".into()).is_integrity());
-    }
-
-    #[test]
-    fn seal_round_trips_and_detects_damage() {
-        let payload = b"preempted job state".to_vec();
-        let sealed = seal_bytes(&payload);
-        assert_eq!(unseal_bytes(&sealed).unwrap(), payload.as_slice());
-        // Empty payloads are legal (a zero-state job).
-        assert_eq!(unseal_bytes(&seal_bytes(&[])).unwrap(), &[] as &[u8]);
-
-        // Flip one payload bit → CRC failure.
-        let mut bad = sealed.clone();
-        *bad.last_mut().unwrap() ^= 1;
-        assert!(matches!(unseal_bytes(&bad), Err(CkptError::Corrupt { .. })));
-        // Truncate → Truncated, never a panic.
-        for cut in [0, 5, 11, sealed.len() - 1] {
-            assert!(matches!(
-                unseal_bytes(&sealed[..cut]),
-                Err(CkptError::Truncated)
-            ));
-        }
-        // Wrong magic → BadMagic.
-        let mut wrong = sealed.clone();
-        wrong[0] ^= 0xFF;
-        assert!(matches!(unseal_bytes(&wrong), Err(CkptError::BadMagic)));
-        // Length field lying long → Truncated.
-        let mut long = sealed;
-        long[4] = 0xFF;
-        assert!(matches!(unseal_bytes(&long), Err(CkptError::Truncated)));
     }
 }

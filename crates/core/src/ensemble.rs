@@ -41,7 +41,7 @@
 //! index, so scheduling *decisions* are reproducible too.
 
 use nkg_artifact::{with_cache, ArtifactCache, ArtifactKey, CacheMode, KeyHasher, KindStats};
-use nkg_ckpt::{restore_bytes, seal_bytes, snapshot_bytes, unseal_bytes, CkptError};
+use nkg_ckpt::{restore_bytes, snapshot_bytes, tag4, CkptError, SnapshotFile, SnapshotWriter};
 use nkg_mci::panic_message;
 use nkg_perfmodel::EnsembleJobModel;
 use nkg_topo::cost_weighted_pool_width;
@@ -56,6 +56,10 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// Section tag of a preempted job's state inside its sealed snapshot
+/// container.
+const JOB_STATE_TAG: u32 = tag4(b"JOBS");
 
 /// How long an idle worker parks on the admission queue before polling
 /// the resume queue again.
@@ -305,9 +309,13 @@ pub fn admission_order<J>(specs: &[JobSpec<J>], policy: SchedPolicy) -> Vec<usiz
 /// the progress it carries across preemptions.
 struct Task {
     idx: usize,
-    /// CRC-sealed snapshot to resume from (`None` = fresh build).
+    /// Snapshot container (one [`JOB_STATE_TAG`] section) to resume from
+    /// (`None` = fresh build).
     sealed: Option<Vec<u8>>,
     slices_done: usize,
+    /// Whether the spec's scripted preemption already fired (a replay
+    /// from slice 0 passes its slice again).
+    scripted_fired: bool,
     preemptions: u32,
     restore_fallbacks: u32,
     dispatch_order: usize,
@@ -322,6 +330,7 @@ impl Task {
             idx,
             sealed: None,
             slices_done: 0,
+            scripted_fired: false,
             preemptions: 0,
             restore_fallbacks: 0,
             dispatch_order: usize::MAX,
@@ -410,18 +419,18 @@ impl<'a, J, O: JobOps<J>> Engine<'a, J, O> {
 
         let t0 = Instant::now();
         let restored = match task.sealed.take() {
-            Some(sealed) => {
-                match unseal_bytes(&sealed).and_then(|payload| self.ops.restore(job, payload)) {
-                    Ok(s) => Some(s),
-                    Err(_) => {
-                        // Damaged or incompatible payload: replay from
-                        // scratch rather than resume wrong state.
-                        task.restore_fallbacks += 1;
-                        task.slices_done = 0;
-                        None
-                    }
+            Some(image) => match SnapshotFile::from_image(image)
+                .and_then(|file| self.ops.restore(job, file.payload(JOB_STATE_TAG)?))
+            {
+                Ok(s) => Some(s),
+                Err(_) => {
+                    // Damaged or incompatible payload: replay from
+                    // scratch rather than resume wrong state.
+                    task.restore_fallbacks += 1;
+                    task.slices_done = 0;
+                    None
                 }
-            }
+            },
             None => None,
         };
         let mut state = match restored {
@@ -467,7 +476,7 @@ impl<'a, J, O: JobOps<J>> Engine<'a, J, O> {
             if task.slices_done == total {
                 break;
             }
-            let scripted = spec.preempt_after == Some(task.slices_done);
+            let scripted = !task.scripted_fired && spec.preempt_after == Some(task.slices_done);
             let quantum = spec.priority == Priority::Batch
                 && self.quantum.is_some_and(|q| ran_this_dispatch >= q)
                 && self.interactive_pending.load(Ordering::SeqCst) > 0;
@@ -475,7 +484,10 @@ impl<'a, J, O: JobOps<J>> Engine<'a, J, O> {
                 if let Some(payload) = self.ops.snapshot(&state, job) {
                     task.run_seconds += t1.elapsed().as_secs_f64();
                     task.preemptions += 1;
-                    task.sealed = Some(seal_bytes(&payload));
+                    task.scripted_fired |= scripted;
+                    let mut writer = SnapshotWriter::new();
+                    writer.add(JOB_STATE_TAG, &payload);
+                    task.sealed = Some(writer.into_image());
                     requeue(task);
                     return;
                 }
@@ -1009,6 +1021,47 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A resume that fails its integrity check takes the fallback arm:
+    /// the job is rebuilt and replayed from slice 0, and its output is
+    /// still bitwise the unpreempted run's.
+    #[test]
+    fn failed_restore_replays_from_scratch() {
+        /// `SweepOps`, except every restore reports a damaged payload.
+        struct RottenOps;
+        impl JobOps<SweepJob> for RottenOps {
+            type State = Multipatch2d;
+            type Out = u64;
+            fn build(&self, job: &SweepJob) -> Multipatch2d {
+                SweepOps.build(job)
+            }
+            fn slices(&self, job: &SweepJob) -> usize {
+                SweepOps.slices(job)
+            }
+            fn run_slice(&self, mp: &mut Multipatch2d, job: &SweepJob, slice: usize) {
+                SweepOps.run_slice(mp, job, slice);
+            }
+            fn finish(&self, mp: &mut Multipatch2d, job: &SweepJob) -> u64 {
+                SweepOps.finish(mp, job)
+            }
+            fn snapshot(&self, mp: &Multipatch2d, job: &SweepJob) -> Option<Vec<u8>> {
+                SweepOps.snapshot(mp, job)
+            }
+            fn restore(&self, _job: &SweepJob, _payload: &[u8]) -> Result<Multipatch2d, CkptError> {
+                Err(CkptError::Corrupt { tag: JOB_STATE_TAG })
+            }
+        }
+        let spec = SweepJob::channel(8, 2, 3, 0.3, 4).spec();
+        let cfg = SchedulerConfig::default();
+        let ens = Ensemble::new(CacheMode::Process);
+        let plain = ens.serve(std::slice::from_ref(&spec), &SweepOps, &cfg);
+        let rotten = ens.serve(&[spec.preempt_after(1)], &RottenOps, &cfg);
+        let (report, out) = &rotten[0];
+        assert_eq!(report.preemptions, 1);
+        assert_eq!(report.restore_fallbacks, 1);
+        assert_eq!(report.slices, 4);
+        assert_eq!(out.unwrap(), plain[0].1.unwrap());
     }
 
     /// Scheduling policy and worker count change dispatch order, never

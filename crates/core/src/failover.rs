@@ -7,7 +7,7 @@
 //! the *master* replica additionally reports each exchange window's
 //! interface physics to the driver. The driver is the continuum-side
 //! consumer of those windows and, when one is missed, climbs down one
-//! ladder (`Flow::advance`, DESIGN.md §11):
+//! ladder (`Flow::advance`, DESIGN.md §9):
 //!
 //! 1. **Hold-last-value** — a late but live master costs one `τ` window on
 //!    the previous window's boundary values, recorded as a degradation.
@@ -232,17 +232,6 @@ pub fn driver_outcome(run: &FaultRun<RankOutcome>) -> &DriverOutcome {
     match run.results[0].as_ref() {
         Some(RankOutcome::Driver(d)) => d,
         _ => panic!("rank 0 did not produce a driver outcome"),
-    }
-}
-
-/// The per-flow driver views of a sharded run.
-///
-/// # Panics
-/// Panics if rank 0 died or ran in replicated (non-sharded) mode.
-pub fn sharded_outcomes(run: &FaultRun<RankOutcome>) -> &[DriverOutcome] {
-    match run.results[0].as_ref() {
-        Some(RankOutcome::ShardedDriver(flows)) => flows,
-        _ => panic!("rank 0 did not produce a sharded driver outcome"),
     }
 }
 

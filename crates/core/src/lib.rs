@@ -33,7 +33,7 @@
 //!   constructor that assembles it;
 //! * [`failover`] — replicated execution of the metasolver with
 //!   hold-last-value degradation and master → slave failover over the MCI
-//!   fault-tolerant runtime (DESIGN.md §11).
+//!   fault-tolerant runtime (DESIGN.md §9).
 
 pub mod atomistic;
 pub mod dist;

@@ -14,8 +14,8 @@
 //! Setup caching: everything a metasolver builds flows through
 //! constructors that consult the ambient [`nkg_artifact`] cache — GLL
 //! bases and preconditioner factorizations inside each patch's solvers,
-//! interface interpolation tables in [`Multipatch2d::from_channel`], the
-//! midpoint registration in the atomistic exchange. Construct (and step)
+//! and the interface trace tables that both the patch links and the
+//! atomistic bin midpoints read the continuum through. Construct (and step)
 //! a [`NektarG`] inside [`nkg_artifact::with_cache`] — most conveniently
 //! via [`crate::ensemble::Ensemble`] — and repeated setups of the same
 //! discretization are served from the cache, bitwise identical to a cold

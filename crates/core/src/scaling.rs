@@ -83,11 +83,6 @@ impl UnitScaling {
         self.length_factor() / self.velocity_factor()
     }
 
-    /// NS time value → DPD time value.
-    pub fn time_ns_to_dpd(&self, t_ns: f64) -> f64 {
-        t_ns * self.time_factor()
-    }
-
     /// Reynolds number from NS values.
     pub fn reynolds_ns(&self, v: f64, l: f64) -> f64 {
         v * l / self.nu_ns

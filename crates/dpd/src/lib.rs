@@ -27,9 +27,6 @@
 //! * [`platelet`] — the Pivkin–Richardson–Karniadakis-style aggregation
 //!   model: passive → triggered → active states with an activation delay
 //!   time, Morse adhesion to wall sites and between active platelets;
-//! * [`rbc`] — explicit bead-spring cell membranes (ring vesicles with
-//!   elastic bonds, bending resistance and area conservation), the
-//!   laptop-scale stand-in for the paper's full RBC membranes;
 //! * [`sim`] — the integrator (modified velocity-Verlet, one force
 //!   evaluation per step, open boundary included) and measurement
 //!   machinery (temperature, momentum, velocity/density profiles, WPOD
@@ -50,7 +47,6 @@ pub mod force;
 pub mod inflow;
 pub mod particles;
 pub mod platelet;
-pub mod rbc;
 pub mod sim;
 pub mod streams;
 pub mod walls;

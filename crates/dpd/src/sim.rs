@@ -9,7 +9,6 @@ use crate::force::{
 use crate::inflow::OpenBoundaryX;
 use crate::particles::{Particles, PlateletState};
 use crate::platelet::{adhesion_forces, update_states, PlateletParams, WallSites};
-use crate::rbc::CellModel;
 use crate::streams::{stream_u01, StreamLane, DOMAIN_FILL, DOMAIN_PLATELET_SEED};
 use crate::walls::{bounce_back_cylinder, bounce_back_plane, wall_force, EffectiveWallForce};
 use nkg_ckpt::{CkptError, Dec, Enc, Snapshot};
@@ -107,8 +106,6 @@ pub struct DpdSim {
     pub sites: WallSites,
     /// Platelet model parameters.
     pub platelet_params: PlateletParams,
-    /// Explicit cell membranes (bead-spring rings) immersed in the solvent.
-    pub cells: Vec<CellModel>,
     /// Pair-force sweep selection (default [`ForceBackend::Parallel`]).
     pub force_backend: ForceBackend,
     body_force: BodyForceFn,
@@ -161,7 +158,6 @@ impl DpdSim {
             open_x: None,
             sites: WallSites::default(),
             platelet_params: PlateletParams::default(),
-            cells: Vec::new(),
             force_backend: ForceBackend::default(),
             body_force: Box::new(|_| [0.0; 3]),
             particles: Particles::new(),
@@ -310,12 +306,6 @@ impl DpdSim {
             &mut self.sweep,
         );
         self.single_particle_forces();
-        // Cell membrane elasticity.
-        let cells = std::mem::take(&mut self.cells);
-        for cell in &cells {
-            cell.accumulate_forces(&mut self.particles, &self.bx);
-        }
-        self.cells = cells;
         // Platelet adhesion.
         if !self.sites.pos.is_empty() {
             adhesion_forces(
@@ -677,13 +667,7 @@ impl Snapshot for DpdSim {
             enc.put(v);
         }
         enc.put(self.platelet_params.delay_steps);
-        enc.put(self.cells.len() as u64);
-        for cell in &self.cells {
-            enc.put_slice(&cell.beads);
-            for v in [cell.r0, cell.k_spring, cell.k_bend, cell.k_area, cell.area0] {
-                enc.put(v);
-            }
-        }
+        enc.put(0u64); // cell count of the v2 layout: no cell membranes
         enc.put_bool(self.open_x.is_some());
         if let Some(ob) = &self.open_x {
             ob.snapshot(enc);
@@ -775,19 +759,9 @@ impl Snapshot for DpdSim {
         self.platelet_params.bond_dist = dec.take()?;
         self.platelet_params.spring_k = dec.take()?;
         self.platelet_params.delay_steps = dec.take()?;
-        let n_cells = dec.take::<u64>()? as usize;
-        let mut cells = Vec::with_capacity(n_cells.min(1 << 20));
-        for _ in 0..n_cells {
-            cells.push(CellModel {
-                beads: dec.take_vec::<usize>()?,
-                r0: dec.take()?,
-                k_spring: dec.take()?,
-                k_bend: dec.take()?,
-                k_area: dec.take()?,
-                area0: dec.take()?,
-            });
+        if dec.take::<u64>()? != 0 {
+            return Err(CkptError::Malformed("DPD snapshot carries cell membranes"));
         }
-        self.cells = cells;
         let has_ob = dec.take_bool()?;
         match (&mut self.open_x, has_ob) {
             (Some(ob), true) => ob.restore(dec)?,
@@ -1310,6 +1284,25 @@ mod tests {
         reorder[reserved_at] = 20;
         assert!(matches!(
             nkg_ckpt::restore_bytes(&mut sim, &reorder),
+            Err(CkptError::Malformed(_))
+        ));
+        nkg_ckpt::restore_bytes(&mut sim, &bytes).unwrap();
+    }
+
+    /// The cell-count word of the v2 layout is kept as a literal zero; a
+    /// snapshot that claims cell membranes is refused with a typed error.
+    #[test]
+    fn checkpoint_refuses_cell_membranes() {
+        let mut sim = periodic_box(30);
+        let bytes = nkg_ckpt::snapshot_bytes(&sim);
+        // Without an open boundary the payload ends with the cell count
+        // and the open-boundary presence flag.
+        let count_at = bytes.len() - 1 - 8;
+        assert_eq!(bytes[count_at..], [0, 0, 0, 0, 0, 0, 0, 0, 0]);
+        let mut image = bytes.clone();
+        image[count_at] = 1;
+        assert!(matches!(
+            nkg_ckpt::restore_bytes(&mut sim, &image),
             Err(CkptError::Malformed(_))
         ));
         nkg_ckpt::restore_bytes(&mut sim, &bytes).unwrap();

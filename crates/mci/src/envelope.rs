@@ -265,9 +265,4 @@ impl Mailbox {
             .iter()
             .any(|e| e.ctx == ctx && e.src == src && e.tag == tag)
     }
-
-    /// Number of buffered (arrived, unmatched) messages. Used by tests.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
 }

@@ -44,7 +44,7 @@
 //! Run faulty programs with [`Universe::run_surviving`]; recover with the
 //! typed receive surface ([`Comm::try_recv`], [`Comm::recv_deadline`],
 //! [`RecvError`]), the per-universe liveness view ([`Comm::liveness`]),
-//! and the retrying [`InterfaceLink::exchange_ft`]. See DESIGN.md §11.
+//! and the retrying [`InterfaceLink::exchange_ft`]. See DESIGN.md §9.
 //!
 //! ## Transports
 //!
@@ -55,7 +55,7 @@
 //! because all traffic is judged by one shared router. Process-mode runs
 //! ([`Universe::spawn_processes`] + the `nkg-rank` worker binary) put
 //! each rank in its own OS process over the socket backends. See
-//! DESIGN.md §15.
+//! DESIGN.md §13.
 //!
 //! ```
 //! use nkg_mci::Universe;

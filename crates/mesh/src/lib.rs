@@ -13,10 +13,7 @@
 //! * [`quad`] — 2D quadrilateral spectral-element meshes (channels, mapped
 //!   geometries, overlapping patch decompositions);
 //! * [`hex`] — 3D hexahedral spectral-element meshes (boxes and mapped
-//!   tubes);
-//! * [`patchgraph`] — the multipatch description of a vascular network
-//!   (patch sizes + interface topology) consumed by the coupling layer and
-//!   the performance model.
+//!   tubes).
 //!
 //! Element-adjacency extraction for partitioning (face-only vs. full
 //! vertex adjacency — the two strategies of Table 2) lives here too, since
@@ -24,12 +21,10 @@
 
 pub mod hex;
 pub mod oned;
-pub mod patchgraph;
 pub mod quad;
 
 pub use hex::HexMesh;
 pub use oned::{ArterialNetwork, Segment, Windkessel};
-pub use patchgraph::{PatchGraph, PatchInfo};
 pub use quad::{BoundaryTag, QuadMesh};
 
 /// A conforming mesh of `D`-dimensional tensor-product cells

@@ -12,8 +12,6 @@
 //! * [`Torus3D`] — a 3D-torus interconnect (BG/P, Cray XT5/SeaStar):
 //!   rank→node→coordinate mapping, minimal-path routing (deterministic
 //!   XYZ dimension order vs adaptive spreading), per-link load accounting;
-//! * [`FatTree`] — a two-level fat tree (Sun Constellation-like) for the
-//!   third machine in the paper's evaluation;
 //! * [`schedule`] — the 6-outstanding-directions message scheduler;
 //! * [`Machine`] — named presets with per-core compute rate, link bandwidth
 //!   and latency used by `nkg-perfmodel` to turn traffic into seconds.
@@ -22,13 +20,11 @@
 //! Tables 2-5; they are also exercised directly by the `torus_ablation`
 //! bench (scheduled vs unscheduled injection).
 
-pub mod fattree;
 pub mod machine;
 pub mod schedule;
 pub mod torus;
 
-pub use fattree::FatTree;
-pub use machine::{Machine, MachineKind};
+pub use machine::Machine;
 pub use schedule::{schedule_rounds, Direction};
 pub use torus::{LinkLoads, Routing, Torus3D};
 

@@ -1,32 +1,21 @@
 //! Named machine presets used by the performance model.
 //!
-//! The constants below are public-spec figures for the three machines of the
-//! paper's evaluation (per-core peak, link bandwidth and MPI-level latency).
+//! The constants below are public-spec figures for the two torus machines
+//! of the paper's evaluation (per-core peak, link bandwidth and MPI-level
+//! latency).
 //! The discrete-event model in `nkg-perfmodel` additionally *calibrates* the
 //! achievable per-core floating-point rate from this host's measured kernel
 //! throughput, so the presets only have to carry machine *ratios* (e.g. XT5
 //! cores ~2.9x faster than BG/P cores), which is what the scaling-table
 //! shapes depend on.
 
-use crate::fattree::FatTree;
 use crate::torus::Torus3D;
 
-/// Interconnect family of a machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MachineKind {
-    /// 3D torus (Blue Gene/P, Cray XT5/SeaStar2+).
-    Torus,
-    /// Fat tree (Sun Constellation / InfiniBand).
-    FatTree,
-}
-
-/// A modeled supercomputer.
+/// A modeled supercomputer with a 3D-torus interconnect.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Machine {
     /// Display name.
     pub name: &'static str,
-    /// Interconnect family.
-    pub kind: MachineKind,
     /// Ranks (cores) per node.
     pub cores_per_node: usize,
     /// Sustained per-core compute rate relative to BG/P (=1.0).
@@ -47,7 +36,6 @@ impl Machine {
     pub fn bluegene_p() -> Self {
         Self {
             name: "BlueGene/P",
-            kind: MachineKind::Torus,
             cores_per_node: 4,
             core_speed: 1.0,
             link_bandwidth: 425.0e6,
@@ -61,7 +49,6 @@ impl Machine {
     pub fn cray_xt5() -> Self {
         Self {
             name: "Cray XT5",
-            kind: MachineKind::Torus,
             cores_per_node: 12,
             core_speed: 2.9,
             link_bandwidth: 9.6e9 / 6.0,
@@ -78,41 +65,9 @@ impl Machine {
         }
     }
 
-    /// Sun Constellation Linux cluster (Ranger-like): 16 cores/node,
-    /// InfiniBand fat tree.
-    pub fn sun_constellation() -> Self {
-        Self {
-            name: "Sun Constellation",
-            kind: MachineKind::FatTree,
-            cores_per_node: 16,
-            core_speed: 2.3,
-            link_bandwidth: 1.0e9,
-            latency: 2.3e-6,
-            cache_per_core: 0.75e6,
-        }
-    }
-
     /// Build the torus carved for a job of `cores` ranks.
-    ///
-    /// # Panics
-    /// Panics if the machine is not torus-based.
     pub fn torus_for(&self, cores: usize) -> Torus3D {
-        assert_eq!(self.kind, MachineKind::Torus, "{} has no torus", self.name);
         Torus3D::fitting(cores, self.cores_per_node)
-    }
-
-    /// Build the fat tree carved for a job of `cores` ranks.
-    ///
-    /// # Panics
-    /// Panics if the machine is not fat-tree-based.
-    pub fn fattree_for(&self, cores: usize) -> FatTree {
-        assert_eq!(
-            self.kind,
-            MachineKind::FatTree,
-            "{} has no fat tree",
-            self.name
-        );
-        FatTree::fitting(cores, 24, self.cores_per_node)
     }
 
     /// Time to move `bytes` over one link, including latency.
@@ -131,7 +86,6 @@ mod tests {
             Machine::bluegene_p(),
             Machine::cray_xt5(),
             Machine::cray_xt5_8(),
-            Machine::sun_constellation(),
         ] {
             assert!(m.core_speed > 0.0);
             assert!(m.link_bandwidth > 0.0);
@@ -151,12 +105,6 @@ mod tests {
         let t = m.torus_for(32768);
         assert!(t.num_ranks() >= 32768);
         assert_eq!(t.cores_per_node, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "no torus")]
-    fn fattree_machine_has_no_torus() {
-        Machine::sun_constellation().torus_for(64);
     }
 
     #[test]

@@ -16,7 +16,6 @@ use nektarg::coupling::metasolver::{CheckpointPolicy, ExecutionPolicy};
 use nektarg::coupling::scenario::Platelets;
 use nektarg::coupling::{NektarG, Scenario, TimeProgression};
 use nektarg::dpd::platelet::{PlateletParams, WallSites};
-use nektarg::mesh::patchgraph::PatchGraph;
 use std::path::PathBuf;
 
 /// Checkpoint-related command line options.
@@ -65,14 +64,6 @@ fn parse_args() -> Options {
 fn main() {
     let opts = parse_args();
     println!("aneurysm scenario: multipatch vessel + platelet-laden DPD sac\n");
-
-    // Report the paper-scale decomposition this stands in for.
-    let full = PatchGraph::circle_of_willis(10);
-    println!(
-        "paper-scale target: circle of Willis, {} patches, {:.2}B unknowns",
-        full.patches.len(),
-        full.total_unknowns() as f64 / 1e9
-    );
 
     // Build the run exactly as a resume would reconstruct it: the
     // `Scenario` is the configuration; the snapshot only replaces evolving

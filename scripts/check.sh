@@ -60,6 +60,9 @@ echo "== smoke state hashes: every workload's equals scripts/smoke_state_hashes.
 diff <(awk '$1 == "bench_e2e" { w = $2 } $1 == "state_hash" { print w, $2 }' target/bench_e2e.smoke.out) \
     <(grep -v '^#' scripts/smoke_state_hashes.txt)
 
+echo "== manifest edges: every [dependencies] entry is used by its package's src/ =="
+bash scripts/unused_deps.sh
+
 echo "== tracked Rust lines per top-level directory =="
 bash scripts/loc.sh
 

@@ -138,7 +138,7 @@ fn a_scenario_built_twice_is_byte_identical() {
     assert_eq!(image(&make()), image(&make()));
 }
 
-/// The threading contract (DESIGN.md §9): the pool width is not an input.
+/// The threading contract (DESIGN.md §7): the pool width is not an input.
 /// Every width under both execution policies leaves the same bytes.
 #[test]
 fn state_bits_do_not_depend_on_the_pool_width() {
