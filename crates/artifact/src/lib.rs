@@ -48,6 +48,8 @@
 //! (or under [`CacheMode::Off`]) cold-builds exactly as before — the test
 //! baseline is unchanged.
 
+#![forbid(unsafe_code)]
+
 use nkg_ckpt::{tag4, SnapshotFile, SnapshotWriter};
 use std::any::Any;
 use std::cell::RefCell;

@@ -8,16 +8,15 @@
 
 use nkg_bench::{header, time_median};
 use nkg_simd::kernels::*;
-use nkg_simd::AlignedBuf;
 
 fn main() {
     let n = 65_536;
     let reps = 200;
-    let fill = |f: fn(f64) -> f64| (0..n).map(|i| f(i as f64)).collect::<AlignedBuf>();
+    let fill = |f: fn(f64) -> f64| (0..n).map(|i| f(i as f64)).collect::<Vec<f64>>();
     let x = fill(|i| (i * 0.001).sin());
     let y = fill(|i| (i * 0.002).cos() + 1.5);
     let zv = fill(|i| 1.0 / (1.0 + i));
-    let mut out = AlignedBuf::zeros(n);
+    let mut out = vec![0.0; n];
 
     header("Table 1: SIMD performance tuning speed-up factors");
     println!("kernel                      paper XT5  paper BG/P  this host (vectorised)");

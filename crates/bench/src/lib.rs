@@ -27,6 +27,8 @@
 //! Every emitter takes one flag, `--smoke` (toy sizes, same rows, written
 //! under `target/`), and writes [`Row`]s through [`write_jsonl`] only.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::{Display, Write as _};
 use std::time::Instant;
 

@@ -8,7 +8,7 @@
 //! uninterrupted run" a *bitwise* contract rather than an approximate one.
 
 use crate::CkptError;
-use nkg_mci::wire::Wire;
+use nkg_net::wire::Wire;
 
 /// Append-only encoder. Free-standing it builds one payload; inside a
 /// [`crate::SnapshotWriter`] it is the whole snapshot image, and each

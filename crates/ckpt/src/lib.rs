@@ -23,6 +23,8 @@
 //! exchange `k` and resumed reproduces the uninterrupted run's report and
 //! final particle/field state byte-for-byte.
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 pub mod crc32;
 pub mod fault;

@@ -7,8 +7,9 @@
 //! PR 9 built the content-addressed setup cache; this module builds the
 //! scheduler that turns setup reuse into throughput:
 //!
-//! * **Admission** — jobs enter a bounded MPMC queue (backpressure on the
-//!   producer) in an order chosen by [`SchedPolicy`]:
+//! * **Admission** — jobs enter one bounded queue, a `Mutex` and a
+//!   `Condvar` shared with the workers (backpressure on the producer), in
+//!   an order chosen by [`SchedPolicy`]:
 //!   [`SchedPolicy::Fifo`] preserves submission order;
 //!   [`SchedPolicy::CostAffinity`] ranks by [`Priority`], then batches
 //!   jobs sharing an affinity key (derived from the `ArtifactKey` prefix
@@ -48,22 +49,16 @@ use nkg_topo::cost_weighted_pool_width;
 
 use crate::multipatch::{poiseuille_multipatch, Multipatch2d};
 
-use crossbeam_channel::{bounded, unbounded, Receiver, Sender, TryRecvError};
-use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Instant;
 
 /// Section tag of a preempted job's state inside its sealed snapshot
 /// container.
 const JOB_STATE_TAG: u32 = tag4(b"JOBS");
-
-/// How long an idle worker parks on the admission queue before polling
-/// the resume queue again.
-const PARK: Duration = Duration::from_micros(200);
 
 /// Priority class of a queued job. Lower variants outrank higher ones
 /// under [`SchedPolicy::CostAffinity`], and pending `Interactive` jobs
@@ -305,7 +300,7 @@ pub fn admission_order<J>(specs: &[JobSpec<J>], policy: SchedPolicy) -> Vec<usiz
     order
 }
 
-/// A dispatchable unit traveling through the queues: a job index plus
+/// A dispatchable unit traveling through the queue: a job index plus
 /// the progress it carries across preemptions.
 struct Task {
     idx: usize,
@@ -341,9 +336,22 @@ impl Task {
     }
 }
 
-/// Shared state of one `serve` call: specs, placement, progress counters
-/// and the result slots. Workers borrow it; the inline path drives it
-/// directly.
+/// Nothing panics while holding the work queue's lock.
+const POISONED: &str = "scheduler queue lock poisoned";
+
+/// The work queue of one `serve` call.
+struct Pending {
+    /// Admitted tasks in admission order, taken ahead of `resumed`.
+    fresh: VecDeque<Task>,
+    /// Preempted tasks in requeue order.
+    resumed: VecDeque<Task>,
+    /// Jobs that have not recorded a result yet.
+    unfinished: usize,
+}
+
+/// Shared state of one `serve` call: specs, placement, the work queue,
+/// progress counters and the result slots. Workers borrow it; with one
+/// worker the caller's thread runs the same loop.
 struct Engine<'a, J, O: JobOps<J>> {
     cache: &'a Arc<ArtifactCache>,
     specs: &'a [JobSpec<J>],
@@ -355,7 +363,10 @@ struct Engine<'a, J, O: JobOps<J>> {
     /// before yielding their quantum.
     interactive_pending: AtomicUsize,
     dispatch_counter: AtomicUsize,
-    completed: AtomicUsize,
+    queue: Mutex<Pending>,
+    /// Signalled on every push, pop and recorded result: wakes idle
+    /// workers and the admitting caller blocked on `queue_depth`.
+    wake: Condvar,
     results: Mutex<Vec<Option<JobResult<O::Out>>>>,
 }
 
@@ -389,14 +400,23 @@ impl<'a, J, O: JobOps<J>> Engine<'a, J, O> {
             start: Instant::now(),
             interactive_pending: AtomicUsize::new(interactive),
             dispatch_counter: AtomicUsize::new(0),
-            completed: AtomicUsize::new(0),
+            queue: Mutex::new(Pending {
+                fresh: VecDeque::new(),
+                resumed: VecDeque::new(),
+                unfinished: specs.len(),
+            }),
+            wake: Condvar::new(),
             results: Mutex::new(results),
         }
     }
 
+    fn pending(&self) -> MutexGuard<'_, Pending> {
+        self.queue.lock().expect(POISONED)
+    }
+
     /// Run one dispatch of `task` (fresh or resumed) to completion,
-    /// failure, or preemption (`requeue` receives the sealed task).
-    fn run_task(&self, mut task: Task, requeue: &impl Fn(Task)) {
+    /// failure, or preemption (the sealed task joins the resumed queue).
+    fn run_task(&self, mut task: Task) {
         if task.dispatch_order == usize::MAX {
             task.dispatch_order = self.dispatch_counter.fetch_add(1, Ordering::SeqCst);
             task.wait_seconds = self.start.elapsed().as_secs_f64();
@@ -409,10 +429,10 @@ impl<'a, J, O: JobOps<J>> Engine<'a, J, O> {
             .num_threads(width)
             .build()
             .expect("vendored rayon pool construction is infallible");
-        pool.install(|| with_cache(self.cache, || self.exec(task, requeue)));
+        pool.install(|| with_cache(self.cache, || self.exec(task)));
     }
 
-    fn exec(&self, mut task: Task, requeue: &impl Fn(Task)) {
+    fn exec(&self, mut task: Task) {
         let spec = &self.specs[task.idx];
         let job = &spec.params;
         let width = self.widths[task.idx];
@@ -488,7 +508,8 @@ impl<'a, J, O: JobOps<J>> Engine<'a, J, O> {
                     let mut writer = SnapshotWriter::new();
                     writer.add(JOB_STATE_TAG, &payload);
                     task.sealed = Some(writer.into_image());
-                    requeue(task);
+                    self.pending().resumed.push_back(task);
+                    self.wake.notify_all();
                     return;
                 }
             }
@@ -528,63 +549,28 @@ impl<'a, J, O: JobOps<J>> Engine<'a, J, O> {
             failure,
         };
         self.results.lock().unwrap()[task.idx] = Some((report, out));
-        self.completed.fetch_add(1, Ordering::SeqCst);
+        self.pending().unfinished -= 1;
+        self.wake.notify_all();
     }
 
-    /// Worker thread body: prefer the bounded admission queue (it carries
-    /// the policy's order), fall back to the resume queue, park briefly
-    /// when both are dry, exit when every job completed.
-    fn worker_loop(
-        &self,
-        main_rx: &Receiver<Task>,
-        res_rx: &Receiver<Task>,
-        res_tx: &Sender<Task>,
-    ) {
-        let total = self.specs.len();
-        let requeue = |t: Task| {
-            let _ = res_tx.send(t);
-        };
+    /// Worker body: take admitted tasks in order ahead of resumed ones,
+    /// wait while both are empty and a job is unfinished, return when
+    /// every job recorded a result.
+    fn work(&self) {
         loop {
-            if self.completed.load(Ordering::SeqCst) >= total {
-                return;
-            }
-            match main_rx.try_recv() {
-                Ok(t) => {
-                    self.run_task(t, &requeue);
-                    continue;
+            let mut q = self.pending();
+            let task = loop {
+                if let Some(t) = q.fresh.pop_front().or_else(|| q.resumed.pop_front()) {
+                    break t;
                 }
-                Err(TryRecvError::Empty) => {
-                    if let Ok(t) = main_rx.recv_timeout(PARK) {
-                        self.run_task(t, &requeue);
-                        continue;
-                    }
+                if q.unfinished == 0 {
+                    return;
                 }
-                Err(TryRecvError::Disconnected) => {
-                    // Admission finished; only resumes remain.
-                    if let Ok(t) = res_rx.recv_timeout(PARK) {
-                        self.run_task(t, &requeue);
-                    }
-                    continue;
-                }
-            }
-            if let Ok(t) = res_rx.try_recv() {
-                self.run_task(t, &requeue);
-            }
-        }
-    }
-
-    /// Single inline worker: same precedence (admitted order first, then
-    /// resumes) without threads — the facade path, and `workers == 1`.
-    fn drive_inline(&self, order: &[usize]) {
-        let resume: RefCell<VecDeque<Task>> = RefCell::new(VecDeque::new());
-        let mut fresh: VecDeque<Task> = order.iter().map(|&i| Task::fresh(i)).collect();
-        let total = self.specs.len();
-        while self.completed.load(Ordering::SeqCst) < total {
-            let task = fresh
-                .pop_front()
-                .or_else(|| resume.borrow_mut().pop_front())
-                .expect("scheduler is work-conserving: jobs incomplete but no runnable task");
-            self.run_task(task, &|t| resume.borrow_mut().push_back(t));
+                q = self.wake.wait(q).expect(POISONED);
+            };
+            drop(q);
+            self.wake.notify_all();
+            self.run_task(task);
         }
     }
 
@@ -640,7 +626,7 @@ impl Ensemble {
     }
 
     /// Run a batch through the scheduler: admission per `cfg.policy`,
-    /// `cfg.workers` persistent workers fed by a bounded queue, per-job
+    /// `cfg.workers` persistent workers sharing one bounded queue, per-job
     /// pool widths from the cost model, preemption per quantum/script.
     /// Returns one `(report, result)` per spec **in submission order**;
     /// `result` is `None` exactly when the report records a
@@ -659,24 +645,26 @@ impl Ensemble {
         let order = admission_order(specs, cfg.policy);
         let engine = Engine::new(&self.cache, specs, ops, cfg);
         if cfg.workers <= 1 {
-            engine.drive_inline(&order);
+            let fresh = order.into_iter().map(Task::fresh);
+            engine.pending().fresh.extend(fresh);
+            engine.work();
             return engine.into_results();
         }
-        let (main_tx, main_rx) = bounded::<Task>(cfg.queue_depth.max(1));
-        let (res_tx, res_rx) = unbounded::<Task>();
+        let depth = cfg.queue_depth.max(1);
         std::thread::scope(|s| {
             for _ in 0..cfg.workers {
-                let main_rx = main_rx.clone();
-                let res_rx = res_rx.clone();
-                let res_tx = res_tx.clone();
-                let engine = &engine;
-                s.spawn(move || engine.worker_loop(&main_rx, &res_rx, &res_tx));
+                s.spawn(|| engine.work());
             }
             for idx in order {
-                // Backpressure: blocks while `queue_depth` jobs wait.
-                let _ = main_tx.send(Task::fresh(idx));
+                // Backpressure: wait while `queue_depth` jobs are undispatched.
+                let mut q = engine.pending();
+                while q.fresh.len() >= depth {
+                    q = engine.wake.wait(q).expect(POISONED);
+                }
+                q.fresh.push_back(Task::fresh(idx));
+                drop(q);
+                engine.wake.notify_all();
             }
-            drop(main_tx);
         });
         engine.into_results()
     }
@@ -830,6 +818,8 @@ impl JobOps<SweepJob> for SweepOps {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::resume_unwind;
+    use std::sync::mpsc::RecvTimeoutError;
 
     /// A sweep over `forces` on one discretization, four steps per job,
     /// served FIFO on the inline worker.
@@ -1023,6 +1013,37 @@ mod tests {
         }
     }
 
+    /// Four workers, two jobs, one preempted after its first slice: the
+    /// requeued job wakes a waiting worker. `serve` runs on a helper
+    /// thread, so a lost wake-up fails here instead of hanging the suite.
+    #[test]
+    fn requeue_wakes_a_waiting_worker() {
+        let specs: Vec<_> = [0.3, 0.45]
+            .iter()
+            .map(|&f| SweepJob::channel(8, 2, 3, f, 4).spec())
+            .collect();
+        let plain =
+            Ensemble::new(CacheMode::Process).serve(&specs, &SweepOps, &SchedulerConfig::default());
+        let mut mixed = specs.clone();
+        mixed[1] = mixed[1].clone().preempt_after(1);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let cfg = SchedulerConfig {
+                workers: 4,
+                ..SchedulerConfig::default()
+            };
+            let _ = tx.send(Ensemble::new(CacheMode::Process).serve(&mixed, &SweepOps, &cfg));
+        });
+        let got = match rx.recv_timeout(std::time::Duration::from_secs(60)) {
+            Ok(got) => got,
+            Err(RecvTimeoutError::Timeout) => panic!("serve hung for 60 s: a wake-up was lost"),
+            Err(RecvTimeoutError::Disconnected) => resume_unwind(helper.join().unwrap_err()),
+        };
+        helper.join().unwrap();
+        assert_eq!(hashes(&got), hashes(&plain));
+        assert_eq!(got[1].0.preemptions, 1);
+    }
+
     /// A resume that fails its integrity check takes the fallback arm:
     /// the job is rebuilt and replayed from slice 0, and its output is
     /// still bitwise the unpreempted run's.
@@ -1064,9 +1085,10 @@ mod tests {
         assert_eq!(out.unwrap(), plain[0].1.unwrap());
     }
 
-    /// Scheduling policy and worker count change dispatch order, never
-    /// results: FIFO and affinity orders return identical hashes in
-    /// submission order.
+    /// Scheduling policy, worker count and queue depth change dispatch
+    /// order, never results: FIFO and affinity orders return identical
+    /// hashes in submission order. Depth 1 under four workers blocks the
+    /// admitting caller on the bound.
     #[test]
     fn policy_and_workers_never_change_physics() {
         // Two discretization groups interleaved at submission.
@@ -1083,15 +1105,20 @@ mod tests {
                 assert_eq!(g.unwrap(), r.unwrap(), "job {i} diverged under {what}");
             }
         };
+        let depth = SchedulerConfig::default().queue_depth;
         for policy in [SchedPolicy::Fifo, SchedPolicy::CostAffinity] {
-            for workers in [1, 2] {
+            for (workers, queue_depth) in [(1, depth), (2, depth), (4, 1)] {
                 let cfg = SchedulerConfig {
                     workers,
                     policy,
+                    queue_depth,
                     ..SchedulerConfig::default()
                 };
                 let got = Ensemble::new(CacheMode::Process).serve(&specs, &SweepOps, &cfg);
-                check(&got, &format!("{policy:?}/{workers} workers"));
+                check(
+                    &got,
+                    &format!("{policy:?}/{workers} workers/depth {queue_depth}"),
+                );
             }
         }
         // Quantum preemption: a batch job that has held its worker for two

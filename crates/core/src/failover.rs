@@ -534,7 +534,9 @@ impl Flow {
         let m = self.master;
         let view = world.liveness();
         let rejoined_unnoticed = view.incarnations[1 + m] > self.last_inc[m];
-        let dead = matches!(err, RecvError::PeerDead { .. }) || !view.alive[1 + m];
+        // A closed intake is as final as a dead peer: nothing can arrive.
+        let dead = matches!(err, RecvError::PeerDead { .. } | RecvError::Closed { .. })
+            || !view.alive[1 + m];
         if !dead && !rejoined_unnoticed && self.misses < 2 {
             // Transient lateness: degrade for this one τ window and move
             // on; the late frame will be skipped as stale.

@@ -35,6 +35,8 @@
 //!   hold-last-value degradation and master → slave failover over the MCI
 //!   fault-tolerant runtime (DESIGN.md §9).
 
+#![forbid(unsafe_code)]
+
 pub mod atomistic;
 pub mod dist;
 pub mod ensemble;

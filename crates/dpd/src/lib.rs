@@ -41,6 +41,8 @@
 //! Poiseuille profiles under body force, wall no-slip, density control
 //! under open boundaries, and the aggregation cascade.
 
+#![forbid(unsafe_code)]
+
 pub mod cells;
 pub mod domain;
 pub mod force;

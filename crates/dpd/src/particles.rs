@@ -1,14 +1,11 @@
 //! Structure-of-arrays particle storage.
 //!
-//! Every per-particle scalar lives in its own cache-line-aligned
-//! [`AlignedBuf`] component array (`x/y/z`, `vx/vy/vz`, `fx/fy/fz`), the
-//! layout the paper's Table-1 SIMDization assumes: the force sweep streams
-//! each coordinate component contiguously, so the batched distance kernel
-//! in `nkg-simd` vectorizes without gather instructions, and 64-byte
-//! alignment keeps component arrays from false-sharing when per-chunk
-//! force buffers are reduced from different threads.
-
-use nkg_simd::AlignedBuf;
+//! Every per-particle scalar lives in its own `Vec<f64>` component array
+//! (`x/y/z`, `vx/vy/vz`, `fx/fy/fz`), the layout the paper's Table-1
+//! SIMDization assumes: the force sweep streams each coordinate component
+//! contiguously, so the batched distance kernel in `nkg-simd` vectorizes
+//! without gather instructions. The kernels take slices and issue
+//! unaligned vector loads, so the arrays need no special alignment.
 
 /// Aggregation state of a platelet particle (solvent particles stay
 /// [`PlateletState::NotPlatelet`]).
@@ -27,28 +24,28 @@ pub enum PlateletState {
     Adhered(u32),
 }
 
-/// SoA particle container: nine aligned component arrays plus species and
+/// SoA particle container: nine component arrays plus species and
 /// platelet state. Removal is O(1) swap-remove (order is not preserved).
 #[derive(Debug, Clone, Default)]
 pub struct Particles {
     /// Position components.
-    pub x: AlignedBuf,
+    pub x: Vec<f64>,
     /// Position components.
-    pub y: AlignedBuf,
+    pub y: Vec<f64>,
     /// Position components.
-    pub z: AlignedBuf,
+    pub z: Vec<f64>,
     /// Velocity components.
-    pub vx: AlignedBuf,
+    pub vx: Vec<f64>,
     /// Velocity components.
-    pub vy: AlignedBuf,
+    pub vy: Vec<f64>,
     /// Velocity components.
-    pub vz: AlignedBuf,
+    pub vz: Vec<f64>,
     /// Accumulated force components.
-    pub fx: AlignedBuf,
+    pub fx: Vec<f64>,
     /// Accumulated force components.
-    pub fy: AlignedBuf,
+    pub fy: Vec<f64>,
     /// Accumulated force components.
-    pub fz: AlignedBuf,
+    pub fz: Vec<f64>,
     /// Species index (row into the interaction matrix).
     pub species: Vec<u8>,
     /// Platelet state.
@@ -138,8 +135,7 @@ impl Particles {
     ) -> Self {
         let n = pos.len();
         assert!(vel.len() == n && force.len() == n && species.len() == n && state.len() == n);
-        let comp =
-            |src: &[[f64; 3]], k: usize| -> AlignedBuf { src.iter().map(|v| v[k]).collect() };
+        let comp = |src: &[[f64; 3]], k: usize| -> Vec<f64> { src.iter().map(|v| v[k]).collect() };
         Self {
             x: comp(pos, 0),
             y: comp(pos, 1),

@@ -12,7 +12,7 @@
 
 use crate::comm::itag;
 use crate::comm::Comm;
-use crate::wire::Wire;
+use nkg_net::wire::Wire;
 
 /// Reduction operators over `f64` payloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

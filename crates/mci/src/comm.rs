@@ -1,10 +1,10 @@
 //! Communicators: contexts, point-to-point messaging and `split`.
 
 use crate::envelope::{Envelope, Mailbox, RecvError};
-use crate::liveness::LivenessView;
 use crate::universe::RankNet;
-use crate::wire::{decode, encode, Wire};
 use crate::{Tag, RESERVED_TAG_BASE};
+use nkg_net::liveness::LivenessView;
+use nkg_net::wire::{decode, encode, Wire};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;

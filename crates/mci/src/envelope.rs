@@ -4,10 +4,10 @@
 //! backend carries it); the receive-side machinery — matching, dedup,
 //! liveness-aware blocking — stays here with the communicator layer.
 
-use crate::liveness::Liveness;
 use crate::Tag;
-use crossbeam_channel::Receiver;
+use nkg_net::liveness::Liveness;
 use std::collections::{HashMap, HashSet};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -35,6 +35,12 @@ pub enum RecvError {
         /// The dead sender (world rank).
         src: usize,
     },
+    /// The rank's intake channel closed (its transport pump exited) and no
+    /// matching message remains buffered; nothing can arrive any more.
+    Closed {
+        /// Expected sender (world rank).
+        src: usize,
+    },
 }
 
 impl std::fmt::Display for RecvError {
@@ -54,6 +60,10 @@ impl std::fmt::Display for RecvError {
             RecvError::PeerDead { src } => {
                 write!(f, "peer world rank {src} is dead; message can never arrive")
             }
+            RecvError::Closed { src } => write!(
+                f,
+                "intake closed while awaiting world rank {src}; message can never arrive"
+            ),
         }
     }
 }
@@ -185,8 +195,9 @@ impl Mailbox {
     /// timeout — by construction of the runtime this indicates a deadlock or
     /// a mismatched communication pattern, and failing loudly is preferable
     /// to hanging the test suite. Also panics if the expected sender dies
-    /// with no matching message buffered; fallible callers should use
-    /// [`Mailbox::recv_match_deadline`] instead.
+    /// or the intake closes with no matching message buffered
+    /// ([`RecvError::PeerDead`], [`RecvError::Closed`]); fallible callers
+    /// should use [`Mailbox::recv_match_deadline`] instead.
     pub fn recv_match(&mut self, ctx: u64, src: usize, tag: Tag) -> Envelope {
         let timeout = self.timeout;
         match self.recv_match_deadline(ctx, src, tag, timeout) {
@@ -201,7 +212,9 @@ impl Mailbox {
     /// While waiting, the receive re-checks the sender's liveness every
     /// couple of milliseconds: a dead peer resolves to
     /// [`RecvError::PeerDead`] as soon as the buffered backlog is known
-    /// not to contain a match, rather than burning the whole deadline.
+    /// not to contain a match, rather than burning the whole deadline. An
+    /// intake whose senders all dropped resolves to [`RecvError::Closed`]
+    /// the same way.
     ///
     /// When every rank has a core to itself the first `SPIN_BUDGET`
     /// (100 µs) of the wait polls the channel instead of parking on it,
@@ -245,8 +258,12 @@ impl Mailbox {
             }
             let wait = LIVENESS_POLL.min(timeout - elapsed);
             // Sleep on the channel itself so arrival wakes us immediately.
-            if let Ok(env) = self.rx.recv_timeout(wait) {
-                self.intake(env);
+            match self.rx.recv_timeout(wait) {
+                Ok(env) => self.intake(env),
+                // Every sender dropped and the drained backlog holds no
+                // match: nothing can arrive any more.
+                Err(RecvTimeoutError::Disconnected) => return Err(RecvError::Closed { src }),
+                Err(RecvTimeoutError::Timeout) => {}
             }
         }
     }
@@ -264,5 +281,25 @@ impl Mailbox {
         self.pending
             .iter()
             .any(|e| e.ctx == ctx && e.src == src && e.tag == tag)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc::channel;
+
+    /// A receive whose intake has no sender left resolves to `Closed` at
+    /// once instead of spinning until its deadline.
+    #[test]
+    fn closed_intake_resolves_before_the_deadline() {
+        let (tx, rx) = channel::<Envelope>();
+        drop(tx);
+        let liveness = Arc::new(Liveness::new(2));
+        let mut mailbox = Mailbox::new(rx, Duration::from_secs(5), 0, liveness, false);
+        let start = Instant::now();
+        let got = mailbox.recv_match_deadline(0, 1, 7, Duration::from_secs(5));
+        assert_eq!(got.unwrap_err(), RecvError::Closed { src: 1 });
+        assert!(start.elapsed() < Duration::from_secs(1));
     }
 }

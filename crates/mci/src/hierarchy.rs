@@ -369,6 +369,10 @@ impl InterfaceLink {
                             peer_root: self.peer_root_world,
                         });
                     }
+                    Err(RecvError::Closed { .. }) => {
+                        // Our intake is gone: no resend can be answered.
+                        break Err(ExchangeError::Deadline { attempts: attempt });
+                    }
                     Err(RecvError::Timeout { .. }) => {
                         if attempt >= policy.max_attempts {
                             break Err(ExchangeError::Deadline { attempts: attempt });

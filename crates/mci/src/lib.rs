@@ -69,6 +69,8 @@
 //! assert_eq!(results, vec![6.0, 6.0, 6.0, 6.0]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod collectives;
 pub mod comm;
 pub mod envelope;
@@ -77,21 +79,16 @@ pub mod supervisor;
 pub mod universe;
 pub mod worker;
 
-// The transport primitives (wire encoding, fault plans, liveness, the
-// envelope) moved down into `nkg-net` so every backend shares them;
-// re-exported as modules here so historical paths keep resolving.
-pub use nkg_net::{endpoint, fault, liveness, wire};
-
 pub use comm::Comm;
 pub use envelope::RecvError;
-pub use fault::{FaultPlan, FaultStats, MsgAction, MsgMatcher, MsgRule, Pick, RankKill};
 pub use hierarchy::{
     ExchangeError, Hierarchy, HierarchySpec, InterfaceLink, ReplicaSet, RetryPolicy,
 };
-pub use liveness::{Liveness, LivenessView};
+pub use nkg_net::fault::{FaultPlan, FaultStats, MsgAction, MsgMatcher, MsgRule, Pick, RankKill};
+pub use nkg_net::liveness::{Liveness, LivenessView};
+pub use nkg_net::wire::Wire;
 pub use nkg_net::{panic_message, Backend};
 pub use supervisor::{RestartCause, RestartEvent, RestartPolicy};
 pub use universe::{FaultRun, MsgStats, ProcessOptions, ProcessRun, Universe};
-pub use wire::Wire;
 
 pub use nkg_net::{Tag, RESERVED_TAG_BASE};

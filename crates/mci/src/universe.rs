@@ -10,15 +10,14 @@
 
 use crate::comm::Comm;
 use crate::envelope::{Envelope, Mailbox};
-use crate::fault::{FaultPlan, FaultStats, ScriptedKill};
-use crate::liveness::Liveness;
 use crate::supervisor::{RestartCause, RestartEvent, RestartPolicy};
-use crossbeam_channel::{unbounded, Sender};
 use nkg_net::endpoint::{
     split_tcp, split_unix, Endpoint, ENV_CONNECT, ENV_INCARNATION, ENV_POOL_WIDTH, ENV_PROGRAM,
     ENV_RANK, ENV_TIMEOUT_MS, ENV_WORLD, EXIT_OK, EXIT_SCRIPTED_KILL,
 };
+use nkg_net::fault::{FaultPlan, FaultStats, ScriptedKill};
 use nkg_net::hub::{Hub, HubConfig};
+use nkg_net::liveness::Liveness;
 use nkg_net::port::RemotePort;
 use nkg_net::router::{RouterCore, Verdict};
 use nkg_net::Backend;
@@ -26,6 +25,7 @@ use std::cell::RefCell;
 use std::path::PathBuf;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex, Once};
 use std::time::{Duration, Instant};
 
@@ -356,7 +356,7 @@ impl Universe {
         let n = self.size;
         let liveness = Arc::new(Liveness::new(n));
         let dedup = self.fault_plan.is_some();
-        let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
+        let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| channel()).unzip();
         let core = Arc::new(RouterCore::new(
             senders,
             Arc::clone(&liveness),
@@ -729,7 +729,7 @@ impl Universe {
             let status = status.expect("every worker has a status");
             match status.code() {
                 Some(EXIT_OK) => match &report.results[rank] {
-                    Some(data) => results[rank] = Some(crate::wire::decode(data)),
+                    Some(data) => results[rank] = Some(nkg_net::wire::decode(data)),
                     None => {
                         dead.push(rank);
                         failures.push((rank, "worker exited 0 without reporting a result".into()));
@@ -817,7 +817,7 @@ fn raise_combined(n: usize, failures: Vec<(usize, String)>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{MsgAction, MsgMatcher, Pick};
+    use nkg_net::fault::{MsgAction, MsgMatcher, Pick};
 
     #[test]
     fn single_rank_runs() {

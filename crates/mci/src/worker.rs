@@ -12,14 +12,14 @@
 
 use crate::comm::Comm;
 use crate::envelope::{Mailbox, RecvError};
-use crate::fault::ScriptedKill;
 use crate::universe::{install_quiet_kill_hook, run_rank, RankNet, RemoteNet};
-use crate::wire::encode;
 use nkg_net::endpoint::{
     WorkerEnv, EXIT_BAD_ENV, EXIT_CONNECT_FAILED, EXIT_OK, EXIT_PANIC, EXIT_SCRIPTED_KILL,
     EXIT_UNKNOWN_PROGRAM,
 };
+use nkg_net::fault::ScriptedKill;
 use nkg_net::port::RemotePort;
+use nkg_net::wire::encode;
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;

@@ -19,6 +19,8 @@
 //! vertex adjacency — the two strategies of Table 2) lives here too, since
 //! it is a mesh property.
 
+#![forbid(unsafe_code)]
+
 pub mod hex;
 pub mod oned;
 pub mod quad;

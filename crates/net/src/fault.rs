@@ -66,12 +66,6 @@ impl MsgMatcher {
         self
     }
 
-    /// Additionally constrain the communicator context.
-    pub fn with_ctx(mut self, ctx: u64) -> Self {
-        self.ctx = Some(ctx);
-        self
-    }
-
     fn matches(&self, env: &Envelope, dst: usize) -> bool {
         self.ctx.is_none_or(|c| c == env.ctx)
             && self.src.is_none_or(|s| s == env.src)

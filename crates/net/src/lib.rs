@@ -20,6 +20,8 @@
 //! lives in [`endpoint`]; the rank-side connection state machine in
 //! [`port`].
 
+#![forbid(unsafe_code)]
+
 pub mod endpoint;
 pub mod envelope;
 pub mod fault;

@@ -15,9 +15,9 @@ use crate::envelope::Envelope;
 use crate::fault::ScriptedKill;
 use crate::frame::{read_frame, write_frame, Frame, NetError, PROTO_VERSION};
 use crate::liveness::Liveness;
-use crossbeam_channel::{unbounded, Receiver, Sender};
 use std::cell::RefCell;
 use std::io::{Read, Write};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -92,9 +92,9 @@ impl RemotePort {
             // incarnation are fenced instead of killing us locally.
             liveness.resurrect(rank, incarnation);
         }
-        let (env_tx, env_rx) = unbounded();
-        let (ack_tx, ack_rx) = unbounded();
-        let (ctx_tx, ctx_rx) = unbounded();
+        let (env_tx, env_rx) = channel();
+        let (ack_tx, ack_rx) = channel();
+        let (ctx_tx, ctx_rx) = channel();
         {
             let liveness = Arc::clone(&liveness);
             std::thread::Builder::new()

@@ -29,7 +29,7 @@ pub trait Sink: Send + Sync {
 }
 
 /// The in-proc backend: delivery is a channel send.
-impl Sink for crossbeam_channel::Sender<Envelope> {
+impl Sink for std::sync::mpsc::Sender<Envelope> {
     fn deliver(&self, env: Envelope) -> Result<(), SinkClosed> {
         self.send(env).map_err(|_| SinkClosed)
     }
@@ -239,7 +239,7 @@ impl<S: Sink> RouterCore<S> {
 mod tests {
     use super::*;
     use crate::fault::{MsgMatcher, Pick};
-    use crossbeam_channel::unbounded;
+    use std::sync::mpsc::channel;
 
     fn env(src: usize, tag: u32, data: Vec<u8>) -> Envelope {
         Envelope {
@@ -253,7 +253,7 @@ mod tests {
 
     #[test]
     fn routes_and_counts() {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let core = RouterCore::new(vec![tx], Arc::new(Liveness::new(1)), None);
         assert_eq!(core.route(0, env(0, 1, vec![0; 16]), 0), Verdict::Posted);
         let got = rx.try_recv().unwrap();
@@ -264,7 +264,7 @@ mod tests {
 
     #[test]
     fn kill_marks_dead_and_discards() {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let plan = FaultPlan::new().kill_rank(0, 1);
         let core = RouterCore::new(vec![tx], Arc::new(Liveness::new(1)), Some(plan));
         assert_eq!(core.route(0, env(0, 1, vec![1]), 0), Verdict::Killed);
@@ -275,7 +275,7 @@ mod tests {
 
     #[test]
     fn duplicate_copies_share_the_sequence_number() {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let plan =
             FaultPlan::new().with_rule(MsgMatcher::any(), Pick::Always, MsgAction::Duplicate);
         let core = RouterCore::new(vec![tx], Arc::new(Liveness::new(1)), Some(plan));
@@ -288,7 +288,7 @@ mod tests {
 
     #[test]
     fn stale_incarnation_posts_are_fenced() {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let core = RouterCore::new(vec![tx], Arc::new(Liveness::new(1)), None);
         core.liveness().mark_dead(0);
         assert!(core.liveness().resurrect(0, 1));

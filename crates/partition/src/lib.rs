@@ -15,6 +15,8 @@
 //!   communication-volume summaries consumed by the Table-2 performance
 //!   model.
 
+#![forbid(unsafe_code)]
+
 pub mod graph;
 pub mod kl;
 pub mod quality;

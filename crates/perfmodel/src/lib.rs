@@ -40,6 +40,8 @@
 //! adjacency strategies and feeds the measured cut/neighbor statistics into
 //! a per-iteration halo-cost term.
 
+#![forbid(unsafe_code)]
+
 pub mod dpdjob;
 pub mod ensemblejob;
 pub mod partition_study;

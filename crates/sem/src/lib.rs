@@ -37,6 +37,8 @@
 //! Kovasznay flow accuracy, Womersley phase/amplitude, and 1D wave speeds
 //! matching `c = sqrt(β √A / 2ρ)`.
 
+#![forbid(unsafe_code)]
+
 pub mod analytic;
 pub mod basis;
 pub mod cg;

@@ -325,7 +325,6 @@ pub fn min_image_dist2_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AlignedBuf;
     use proptest::prelude::*;
 
     fn approx(a: f64, b: f64, scale: f64) -> bool {
@@ -357,19 +356,15 @@ mod tests {
         let n = 257;
         let xj = (0..n)
             .map(|i| (i as f64 * 0.37) % l[0])
-            .collect::<AlignedBuf>();
+            .collect::<Vec<f64>>();
         let yj = (0..n)
             .map(|i| (i as f64 * 0.61) % l[1])
-            .collect::<AlignedBuf>();
+            .collect::<Vec<f64>>();
         let zj = (0..n)
             .map(|i| (i as f64 * 0.83) % l[2])
-            .collect::<AlignedBuf>();
-        let (mut dx, mut dy, mut dz, mut r2) = (
-            AlignedBuf::zeros(n),
-            AlignedBuf::zeros(n),
-            AlignedBuf::zeros(n),
-            AlignedBuf::zeros(n),
-        );
+            .collect::<Vec<f64>>();
+        let (mut dx, mut dy, mut dz, mut r2) =
+            (vec![0.0; n], vec![0.0; n], vec![0.0; n], vec![0.0; n]);
         min_image_dist2_batch(
             p, &xj, &yj, &zj, l, periodic, &mut dx, &mut dy, &mut dz, &mut r2,
         );
@@ -414,12 +409,12 @@ mod tests {
 
     #[test]
     fn mul_matches_reference() {
-        let x = (0..1003).map(|i| (i as f64).sin()).collect::<AlignedBuf>();
+        let x = (0..1003).map(|i| (i as f64).sin()).collect::<Vec<f64>>();
         let y = (0..1003)
             .map(|i| (i as f64 + 0.5).cos())
-            .collect::<AlignedBuf>();
-        let mut z0 = AlignedBuf::zeros(1003);
-        let mut z1 = AlignedBuf::zeros(1003);
+            .collect::<Vec<f64>>();
+        let mut z0 = vec![0.0; 1003];
+        let mut z1 = vec![0.0; 1003];
         mul_scalar(&mut z0, &x, &y);
         mul_vec(&mut z1, &x, &y);
         assert_eq!(z0.as_slice(), z1.as_slice());
@@ -428,11 +423,11 @@ mod tests {
     #[test]
     fn dots_match_reference() {
         let n = 517;
-        let x = (0..n).map(|i| 1.0 / (i + 1) as f64).collect::<AlignedBuf>();
+        let x = (0..n).map(|i| 1.0 / (i + 1) as f64).collect::<Vec<f64>>();
         let y = (0..n)
             .map(|i| (i as f64 * 0.01).sin())
-            .collect::<AlignedBuf>();
-        let z = (0..n).map(|i| (i % 7) as f64 - 3.0).collect::<AlignedBuf>();
+            .collect::<Vec<f64>>();
+        let z = (0..n).map(|i| (i % 7) as f64 - 3.0).collect::<Vec<f64>>();
         let scale = n as f64;
         assert!(approx(
             triple_dot_scalar(&x, &y, &z),

@@ -17,20 +17,22 @@
 //!   vectorization defeated (via opaque per-element access), standing in for
 //!   the paper's unoptimized baseline;
 //! * `*_vec` — implementations structured for auto-vectorization
-//!   (chunked, multiple independent accumulators, aligned data).
+//!   (chunked, multiple independent accumulators).
 //!
-//! [`aligned::AlignedBuf`] enforces the paper's `posix_memalign` 16-byte
-//! (we use 64-byte, a full cache line) alignment requirement.
+//! The paper aligns its arrays with `posix_memalign` so Double Hummer and
+//! SSE can issue aligned loads. These kernels take plain slices, and the
+//! compiler emits unaligned vector loads whatever the allocation, so the
+//! callers keep their data in ordinary `Vec<f64>`s.
 //!
 //! The higher-level solver crates (`nkg-sem` in particular) route their hot
 //! vector primitives (axpy, dot products, weighted norms) through this crate
 //! so that the Table-1 tuning benefits the whole stack, mirroring the paper's
 //! "SIMDization of all basic operations".
 
-pub mod aligned;
+#![forbid(unsafe_code)]
+
 pub mod kernels;
 
-pub use aligned::AlignedBuf;
 pub use kernels::{
     axpy, dot, min_image_dist2_batch, mul_scalar, mul_vec, norm2, triple_dot_scalar,
     triple_dot_vec, vecmat, vecmat_strided, wdot_scalar, wdot_vec, xpby,

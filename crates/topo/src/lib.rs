@@ -20,6 +20,8 @@
 //! Tables 2-5; they are also exercised directly by the `torus_ablation`
 //! bench (scheduled vs unscheduled injection).
 
+#![forbid(unsafe_code)]
+
 pub mod machine;
 pub mod schedule;
 pub mod torus;

@@ -7,6 +7,8 @@
 //! structured points (loadable by ParaView, the toolchain the paper's
 //! Argonne co-authors used).
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 
 /// A scalar or vector field sampled on a uniform 2D grid — the common

@@ -27,6 +27,8 @@
 //! * [`pdf`] — probability-density estimation of the extracted fluctuations
 //!   (paper Fig. 7 shows they are Gaussian with σ ≈ 1.03).
 
+#![forbid(unsafe_code)]
+
 pub mod eig;
 pub mod pdf;
 pub mod pod;

@@ -60,7 +60,7 @@ echo "== smoke state hashes: every workload's equals scripts/smoke_state_hashes.
 diff <(awk '$1 == "bench_e2e" { w = $2 } $1 == "state_hash" { print w, $2 }' target/bench_e2e.smoke.out) \
     <(grep -v '^#' scripts/smoke_state_hashes.txt)
 
-echo "== manifest edges: every [dependencies] entry is used by its package's src/ =="
+echo "== manifest edges: every [dependencies] entry is used by its src/, every [dev-dependencies] entry by its src/ or tests/ =="
 bash scripts/unused_deps.sh
 
 echo "== tracked Rust lines per top-level directory =="

@@ -101,7 +101,7 @@ fn shard(s: usize) -> Scenario {
 /// This worker's incarnation number (0 on first launch; the supervisor
 /// sets `NKG_INCARNATION` on respawns).
 fn incarnation_from_env() -> u64 {
-    std::env::var(nektarg::mci::endpoint::ENV_INCARNATION)
+    std::env::var(nektarg::net::endpoint::ENV_INCARNATION)
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(0)
