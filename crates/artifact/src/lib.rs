@@ -52,7 +52,7 @@
 
 use nkg_ckpt::{tag4, SnapshotFile, SnapshotWriter};
 use std::any::Any;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
@@ -241,7 +241,9 @@ pub struct KindStats {
     /// Resident bytes attributed to this kind (counted once per build or
     /// disk load, not per hit).
     pub bytes: u64,
-    /// Nanoseconds spent in cold builds.
+    /// Nanoseconds spent in cold builds, exclusive of the builds of other
+    /// artifacts nested inside them: each nanosecond is counted under one
+    /// kind, so the sum over kinds is the time spent building.
     pub build_ns: u64,
     /// Entries of this kind evicted by the LRU capacity bound (see
     /// [`ArtifactCache::with_capacity_bytes`]); 0 on unbounded caches.
@@ -406,9 +408,7 @@ impl ArtifactCache {
         build: impl FnOnce() -> T,
     ) -> Arc<T> {
         if self.mode == CacheMode::Off {
-            let t0 = Instant::now();
-            let v = build();
-            let dt = t0.elapsed().as_nanos() as u64;
+            let (v, dt) = timed(build);
             let nbytes = v.approx_bytes() as u64;
             let mut g = self.inner.lock().unwrap();
             let s = g.stats.entry(kind).or_default();
@@ -454,9 +454,8 @@ impl ArtifactCache {
         let (value, from_disk, build_ns) = match self.try_disk::<T>(kind, key) {
             Some(v) => (v, true, 0u64),
             None => {
-                let t0 = Instant::now();
-                let v = build();
-                (v, false, t0.elapsed().as_nanos() as u64)
+                let (v, dt) = timed(build);
+                (v, false, dt)
             }
         };
         let nbytes = value.approx_bytes() as u64;
@@ -591,6 +590,22 @@ impl ArtifactCache {
 
 thread_local! {
     static AMBIENT: RefCell<Vec<Arc<ArtifactCache>>> = const { RefCell::new(Vec::new()) };
+    /// Nanoseconds of cold builds nested in the build running on this
+    /// thread, which [`timed`] takes off that build's own count.
+    static NESTED_NS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Run a cold build and return it with its exclusive nanoseconds: the
+/// time of the builds it nests (a `"precon"` build fetching its
+/// `"eclass"` children) is subtracted here and counted under their kinds,
+/// and this build's whole time is charged to the build it is nested in.
+fn timed<T>(build: impl FnOnce() -> T) -> (T, u64) {
+    let outer = NESTED_NS.with(|n| n.replace(0));
+    let t0 = Instant::now();
+    let v = build();
+    let total = t0.elapsed().as_nanos() as u64;
+    let nested = NESTED_NS.with(|n| n.replace(outer + total));
+    (v, total.saturating_sub(nested))
 }
 
 /// Run `f` with `cache` installed as this thread's ambient artifact cache.
@@ -890,6 +905,36 @@ mod tests {
     fn prefix64_is_the_leading_lane() {
         let k = key_of(7);
         assert_eq!(k.prefix64(), k.0[0]);
+    }
+
+    /// A build nested in another build is timed under its own kind only:
+    /// the two counts add up to no more than the outer call took.
+    #[test]
+    fn nested_build_time_is_counted_once() {
+        for mode in [CacheMode::Off, CacheMode::Process] {
+            let c = Arc::new(ArtifactCache::new(mode));
+            let t0 = Instant::now();
+            with_cache(&c, || {
+                cached("outer", key_of(1), || {
+                    let inner = cached("inner", key_of(2), || {
+                        std::thread::sleep(std::time::Duration::from_millis(30));
+                        Table { xs: vec![1.0] }
+                    });
+                    Table {
+                        xs: inner.xs.clone(),
+                    }
+                })
+            });
+            let wall = t0.elapsed().as_nanos() as u64;
+            let ns = |kind| c.stats().iter().find(|s| s.0 == kind).unwrap().1.build_ns;
+            let (outer, inner) = (ns("outer"), ns("inner"));
+            assert!(inner >= 30_000_000, "{mode:?}: inner {inner} ns");
+            assert!(
+                outer + inner <= wall,
+                "{mode:?}: {outer} + {inner} > {wall} ns"
+            );
+            assert_eq!(c.totals().build_ns, outer + inner);
+        }
     }
 
     #[test]

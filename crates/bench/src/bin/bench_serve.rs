@@ -5,7 +5,8 @@
 //! 1. **Cold vs warm** — K multipatch jobs (same discretization, swept
 //!    body force) through [`Ensemble::serve`] with `CacheMode::Off` vs a
 //!    shared `CacheMode::Process` cache; one `serve_cold_warm` row and one
-//!    `serve_cache_kind` row per artifact kind.
+//!    `serve_cache_kind` row per artifact kind, `eclass` (the condensed
+//!    element classes engines share) among them.
 //! 2. **Disk tier** — the same sweep against an on-disk cache directory,
 //!    then again from a *fresh* ensemble over the same directory (a
 //!    simulated process restart): setup must come back as disk hits.
@@ -18,7 +19,8 @@
 //! Every leg asserts that its two batches return the same per-job golden
 //! hashes (tier-1 holds that contract in `ensemble.rs::
 //! warm_jobs_bitwise_match_cold`, `disk_tier_warm_starts_a_second_batch`
-//! and `policy_and_workers_never_change_physics`); the full run also
+//! and `policy_and_workers_never_change_physics`); the warm batch must hit
+//! the cache, on `eclass` as well, at every size; the full run also
 //! demands affinity strictly ahead of FIFO on hit rate and jobs/hour. The
 //! warm-setup ratio is recorded, not gated: both sides are a millisecond
 //! or two since the condensed engine made a cold build cheap, and the
@@ -180,6 +182,11 @@ fn main() {
     );
     assert_eq!(cold.totals.hits, 0, "CacheMode::Off must never hit");
     assert!(warm.totals.hits > 0, "warm batch produced no cache hits");
+    let eclass = warm.stats.iter().find(|(kind, _)| *kind == "eclass");
+    assert!(
+        eclass.is_some_and(|(_, st)| st.hit_rate() > 0.0),
+        "warm batch shared no element class: {eclass:?}"
+    );
 
     // Warm setup: jobs after the first, which pay only cache lookups.
     let cold_setup = median(cold.setups());

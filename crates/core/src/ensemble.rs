@@ -905,6 +905,43 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The four discretizations of the `serve_sweep` benchmark, two steps
+    /// each so the viscous engines are rebuilt at the order-ramp λ: under
+    /// one cache most element-class requests are hits, the jobs keep the
+    /// cache-off bits, and factors persisted by value still warm-start a
+    /// second batch from disk.
+    #[test]
+    fn element_classes_are_shared_across_a_served_sweep() {
+        let specs: Vec<_> = (0..4)
+            .map(|g| SweepJob::channel(12, 2 + g % 2, [6, 8][g / 2], 0.25, 2).spec())
+            .collect();
+        let cfg = SchedulerConfig::default();
+        let warm = Ensemble::new(CacheMode::Process);
+        let want = hashes(&Ensemble::new(CacheMode::Off).serve(&specs, &SweepOps, &cfg));
+        assert_eq!(hashes(&warm.serve(&specs, &SweepOps, &cfg)), want);
+        let kind = |ens: &Ensemble, k: &str| {
+            let st = ens.stats().into_iter().find(|(name, _)| *name == k);
+            st.unwrap_or_else(|| panic!("no {k:?} requests")).1
+        };
+        let eclass = kind(&warm, "eclass");
+        assert!(
+            2 * eclass.misses < eclass.hits + eclass.misses,
+            "{eclass:?}"
+        );
+
+        let dir = std::env::temp_dir().join(format!("nkg-ens-eclass-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(
+            hashes(&Ensemble::with_disk(&dir).serve(&specs, &SweepOps, &cfg)),
+            want
+        );
+        let second = Ensemble::with_disk(&dir);
+        assert_eq!(hashes(&second.serve(&specs, &SweepOps, &cfg)), want);
+        let _ = std::fs::remove_dir_all(&dir);
+        let precon = kind(&second, "precon");
+        assert!(precon.disk_hits > 0 && precon.misses == 0, "{precon:?}");
+    }
+
     /// A panicking job records a typed failure, the batch finishes, and
     /// the shared cache stays usable (no poisoned locks, no stuck
     /// in-flight builds).

@@ -12,12 +12,16 @@
 
 use super::dense::{gemv, gemv_t_sub, spd_inverse_in_place, symv};
 use super::{ApplyScratch, EllipticSpace, NodeRole};
+use nkg_artifact::{cached, Artifact, ArtifactKey, KeyHasher};
 use nkg_simd::axpy;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The condensed products of one class of congruent elements: equal
-/// geometric factors, equal λ (one per engine) and equal local Dirichlet
-/// pattern give bitwise equal products, so they are built and stored once.
+/// geometric factors, equal λ and equal local Dirichlet pattern give
+/// bitwise equal products, so they are built and stored once — once per
+/// engine, and once per ambient artifact cache across engines (kind
+/// `"eclass"`, memory-only).
 #[derive(Debug, Clone)]
 pub(super) struct ElemClass {
     /// Free boundary / free interior node counts.
@@ -39,7 +43,8 @@ pub(super) struct Condensed {
     pub(super) nglobal: usize,
     /// Compact → global id, strictly ascending.
     pub(super) bgid: Vec<u32>,
-    pub(super) classes: Vec<ElemClass>,
+    /// Shared with every other engine built under the same artifact cache.
+    pub(super) classes: Vec<Arc<ElemClass>>,
     /// Class of each element.
     pub(super) elem_class: Vec<u32>,
     /// Element-major: compact index of each free boundary node.
@@ -114,7 +119,7 @@ impl Condensed {
             }
         }
 
-        let mut classes: Vec<ElemClass> = Vec::new();
+        let mut classes: Vec<Arc<ElemClass>> = Vec::new();
         let mut class_bl: Vec<Vec<usize>> = Vec::new();
         let mut class_il: Vec<Vec<usize>> = Vec::new();
         let mut by_key: HashMap<Vec<u64>, u32> = HashMap::new();
@@ -127,6 +132,9 @@ impl Condensed {
         let mut ae_geom: Vec<u64> = Vec::new();
         let mut key: Vec<u64> = Vec::new();
         let mut ws = ApplyScratch::new();
+        // A space with a fingerprint lets its setup products be shared
+        // (`EllipticSpace::fingerprint`); one without builds every class.
+        let share = space.fingerprint().is_some();
         for e in 0..nelem {
             let gmap = space.elem_gids(e);
             key.clear();
@@ -136,11 +144,6 @@ impl Condensed {
             let c = match by_key.get(&key) {
                 Some(&c) => c,
                 None => {
-                    if ae_geom != key[..ngeom] {
-                        space.elem_matrix(e, lambda, &mut ae, &mut ws);
-                        ae_geom.clear();
-                        ae_geom.extend_from_slice(&key[..ngeom]);
-                    }
                     let free = |interior: bool| -> Vec<usize> {
                         (0..nloc)
                             .filter(|&k| {
@@ -149,7 +152,21 @@ impl Condensed {
                             .collect()
                     };
                     let (bl, il) = (free(false), free(true));
-                    classes.push(ElemClass::build(&ae, nloc, &bl, &il));
+                    let mut build = || {
+                        if ae_geom != key[..ngeom] {
+                            space.elem_matrix(e, lambda, &mut ae, &mut ws);
+                            ae_geom.clear();
+                            ae_geom.extend_from_slice(&key[..ngeom]);
+                        }
+                        ElemClass::build(&ae, nloc, &bl, &il)
+                    };
+                    let class = if share {
+                        let ck = class_key(space.dim(), nloc, ngeom, &key, lambda);
+                        cached("eclass", ck, build)
+                    } else {
+                        Arc::new(build())
+                    };
+                    classes.push(class);
                     class_bl.push(bl);
                     class_il.push(il);
                     let c = (classes.len() - 1) as u32;
@@ -281,19 +298,43 @@ impl Condensed {
         }
     }
 
-    /// Resident bytes; the class products are counted once however many
-    /// elements share them.
+    /// Resident bytes of this operator's own index arrays. The class
+    /// products are counted by the `"eclass"` artifacts that own them,
+    /// once however many elements and engines share them.
     pub(super) fn approx_bytes(&self) -> usize {
-        let classes: usize = self
-            .classes
-            .iter()
-            .map(|c| (c.s.len() + c.w.len() + c.aii_inv.len()) * 8)
-            .sum();
-        classes + (self.bgid.len() + self.elem_class.len() + self.bidx.len() + self.igid.len()) * 4
+        (self.bgid.len() + self.elem_class.len() + self.bidx.len() + self.igid.len()) * 4
+    }
+}
+
+/// The `"eclass"` artifact key: everything a class's products are a
+/// function of. (D, `nloc`) fixes the GLL basis; the geometry words, their
+/// count and the local Dirichlet mask (`words`, in that order) fix the
+/// element matrix up to λ and its split into free boundary and interior.
+fn class_key(dim: usize, nloc: usize, ngeom: usize, words: &[u64], lambda: f64) -> ArtifactKey {
+    let mut h = KeyHasher::new("eclass");
+    h.usize(dim);
+    h.usize(nloc);
+    h.usize(ngeom);
+    for &w in words {
+        h.u64(w);
+    }
+    h.f64(lambda);
+    h.finish()
+}
+
+/// Memory-only: a `Factors` on disk carries its classes by value.
+impl Artifact for ElemClass {
+    fn approx_bytes(&self) -> usize {
+        self.bytes()
     }
 }
 
 impl ElemClass {
+    /// Bytes of the products `S_e`, `W` and `A_ii⁻¹`.
+    pub(super) fn bytes(&self) -> usize {
+        (self.s.len() + self.w.len() + self.aii_inv.len()) * 8
+    }
+
     /// Condense the dense element matrix `ae` (`nloc × nloc`) onto the free
     /// boundary nodes `bl`, eliminating the free interior nodes `il`.
     fn build(ae: &[f64], nloc: usize, bl: &[usize], il: &[usize]) -> Self {

@@ -9,24 +9,43 @@
 
 use nkg_simd::{axpy, dot, vecmat};
 
-/// In-place lower Cholesky of a row-major `n×n` SPD matrix. Returns false
-/// (leaving `a` partially overwritten) when a non-positive pivot shows the
-/// matrix is not numerically SPD.
+/// In-place lower Cholesky of a row-major `n×n` SPD matrix, of which only
+/// the lower triangle is read. Returns false (leaving `a` partially
+/// overwritten) when a non-positive pivot shows the matrix is not
+/// numerically SPD.
+///
+/// Left-looking by columns of `L`, each held as a row of the upper
+/// triangle `U = Lᵀ` so that its update is one contiguous `axpy` per
+/// earlier row: `U[j][j..] −= U[k][j]·U[k][j..]` for `k = 0, 1, …, j−1`,
+/// then the square root of the pivot and a division. Every entry
+/// subtracts the same products in the same order as the row-oriented
+/// loop (`cholesky_rows`, kept in the tests), so `L` has its bits. `U` is mirrored
+/// into the lower triangle at the end.
 fn cholesky_in_place(a: &mut [f64], n: usize) -> bool {
-    for i in 0..n {
-        for j in 0..=i {
-            let mut s = a[i * n + j];
-            for k in 0..j {
-                s -= a[i * n + k] * a[j * n + k];
-            }
-            if i == j {
-                if s <= 0.0 {
-                    return false;
-                }
-                a[i * n + i] = s.sqrt();
-            } else {
-                a[i * n + j] = s / a[j * n + j];
-            }
+    for i in 1..n {
+        for j in 0..i {
+            a[j * n + i] = a[i * n + j];
+        }
+    }
+    for j in 0..n {
+        let (done, rest) = a.split_at_mut(j * n);
+        let row = &mut rest[j..n];
+        for k in 0..j {
+            let uk = &done[k * n + j..(k + 1) * n];
+            axpy(-uk[0], uk, row);
+        }
+        if row[0] <= 0.0 {
+            return false;
+        }
+        let d = row[0].sqrt();
+        row[0] = d;
+        for v in &mut row[1..] {
+            *v /= d;
+        }
+    }
+    for i in 1..n {
+        for j in 0..i {
+            a[i * n + j] = a[j * n + i];
         }
     }
     true
@@ -102,6 +121,28 @@ pub(super) fn gemv_t_sub(a: &[f64], x: &[f64], y: &mut [f64]) {
 mod tests {
     use super::*;
 
+    /// The row-oriented Cholesky [`cholesky_in_place`] replaced: the
+    /// reference for its bits.
+    fn cholesky_rows(a: &mut [f64], n: usize) -> bool {
+        for i in 0..n {
+            for j in 0..=i {
+                let mut s = a[i * n + j];
+                for k in 0..j {
+                    s -= a[i * n + k] * a[j * n + k];
+                }
+                if i == j {
+                    if s <= 0.0 {
+                        return false;
+                    }
+                    a[i * n + i] = s.sqrt();
+                } else {
+                    a[i * n + j] = s / a[j * n + j];
+                }
+            }
+        }
+        true
+    }
+
     /// `AᵀA + I` for a fixed `A`.
     fn spd(n: usize) -> Vec<f64> {
         let a0: Vec<f64> = (0..n * n)
@@ -168,6 +209,36 @@ mod tests {
             let scale = want.iter().fold(0.0f64, |s, v| s.max(v.abs()));
             for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                 assert!((g - w).abs() <= 1e-13 * scale, "n={n} row {i}: {g} vs {w}");
+            }
+        }
+    }
+
+    /// The column kernel has the row loop's lower triangle bit for bit,
+    /// reads no entry above the diagonal, and rejects what it rejects: an
+    /// indefinite pivot at the first, a middle and the last position.
+    #[test]
+    fn column_cholesky_is_bitwise_the_row_loop() {
+        for n in 1..=64usize {
+            let mut m = spd(n);
+            for i in 0..n {
+                for j in i + 1..n {
+                    m[i * n + j] = f64::NAN;
+                }
+            }
+            let (mut rows, mut cols) = (m.clone(), m.clone());
+            assert!(cholesky_rows(&mut rows, n) && cholesky_in_place(&mut cols, n));
+            for i in 0..n {
+                for j in 0..=i {
+                    let (r, c) = (rows[i * n + j], cols[i * n + j]);
+                    assert_eq!(r.to_bits(), c.to_bits(), "n={n} L[{i}][{j}]: {r} vs {c}");
+                }
+            }
+            for at in [0, n / 2, n - 1] {
+                let mut bad = m.clone();
+                bad[at * n + at] = -bad[at * n + at];
+                let (mut rows, mut cols) = (bad.clone(), bad);
+                assert!(!cholesky_rows(&mut rows, n), "n={n} pivot {at}");
+                assert!(!cholesky_in_place(&mut cols, n), "n={n} pivot {at}");
             }
         }
     }

@@ -155,10 +155,7 @@ impl EllipticSolver {
     /// products (`S_e`, `W`, `A_ii⁻¹`) summed over the classes.
     pub fn class_footprint(&self) -> (usize, usize) {
         let classes = &self.factors.op.classes;
-        let words = classes
-            .iter()
-            .map(|c| c.s.len() + c.w.len() + c.aii_inv.len());
-        (classes.len(), 8 * words.sum::<usize>())
+        (classes.len(), classes.iter().map(|c| c.bytes()).sum())
     }
 
     /// Solve `(-∇² + λ) u = f` (weak RHS) with Dirichlet values

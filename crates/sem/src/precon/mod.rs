@@ -97,6 +97,8 @@ pub enum NodeRole {
 pub trait EllipticSpace {
     /// Global DoF count.
     fn nglobal(&self) -> usize;
+    /// Spatial dimension D.
+    fn dim(&self) -> usize;
     /// Element count.
     fn num_elems(&self) -> usize;
     /// Nodes per element.

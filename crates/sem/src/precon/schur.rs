@@ -8,6 +8,7 @@ use super::{EllipticSpace, NodeRole, PreconKind};
 use nkg_artifact::Artifact;
 use nkg_ckpt::{Dec, Enc};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// `M⁻¹` for the compact system. Every stored matrix is an explicit
 /// inverse, so an application is gathers, dense products and scatter-adds.
@@ -452,13 +453,13 @@ impl Artifact for Factors {
             if s.len() != cnb * cnb || w.len() != cni * cnb || aii_inv.len() != cni * cni {
                 return None;
             }
-            classes.push(ElemClass {
+            classes.push(Arc::new(ElemClass {
                 nb: cnb,
                 ni: cni,
                 s,
                 w,
                 aii_inv,
-            });
+            }));
         }
         let elem_class = d.take_vec::<u32>().ok()?;
         let (bidx, igid) = (d.take_vec::<u32>().ok()?, d.take_vec::<u32>().ok()?);

@@ -12,6 +12,9 @@ impl<S: EllipticSpace> EllipticSpace for Unshared<'_, S> {
     fn nglobal(&self) -> usize {
         self.0.nglobal()
     }
+    fn dim(&self) -> usize {
+        self.0.dim()
+    }
     fn num_elems(&self) -> usize {
         self.0.num_elems()
     }
@@ -64,7 +67,7 @@ fn class_sharing_is_bitwise_identical_to_per_element_builds() {
         );
         assert_eq!(apart.factors.op.classes.len(), s.num_elems());
         assert_eq!(solve(&mut shared), solve(&mut apart));
-        assert!(shared.factors.approx_bytes() < apart.factors.approx_bytes());
+        assert!(shared.class_footprint().1 < apart.class_footprint().1);
     }
     // The benchmark patch with its pressure Dirichlet set: the outlet
     // column and everything else.
@@ -72,6 +75,100 @@ fn class_sharing_is_bitwise_identical_to_per_element_builds() {
     check(&s2, 0.0, &s2.boundary_dofs(|t| t == BoundaryTag::Outlet), 2);
     // A pinned-Neumann box: the pinned corner's element and the rest.
     check(&space3(2), 0.3, &[0], 2);
+}
+
+/// Under one artifact cache an element class is shared exactly when a
+/// cold build would reproduce it: equal dimension and `nloc` but not
+/// equal D, a λ one ulp apart and a different local Dirichlet pattern
+/// each build their own classes; two patches of congruent elements share
+/// every class and solve bitwise as engines built without a cache.
+#[test]
+fn element_classes_are_shared_only_under_equal_keys() {
+    use nkg_artifact::{with_cache, ArtifactCache, CacheMode, KindStats};
+    use std::sync::Arc;
+    let kind = PreconKind::LowEnergyCoarse;
+    let classes = |e: &EllipticSolver| e.factors.op.classes.clone();
+    let eclass = |c: &ArtifactCache| {
+        let st = c.stats().into_iter().find(|(k, _)| *k == "eclass");
+        st.map_or(KindStats::default(), |(_, st)| st)
+    };
+    // Build the two engines under one fresh cache; they share no class,
+    // and every class was its own miss.
+    let apart = |a: &dyn Fn() -> EllipticSolver, b: &dyn Fn() -> EllipticSolver, what: &str| {
+        let cache = Arc::new(ArtifactCache::new(CacheMode::Process));
+        let (a, b) = with_cache(&cache, || (classes(&a()), classes(&b())));
+        for x in &a {
+            assert!(
+                !b.iter().any(|y| Arc::ptr_eq(x, y)),
+                "{what}: shared a class"
+            );
+        }
+        let st = eclass(&cache);
+        assert_eq!(
+            (st.misses, st.hits),
+            ((a.len() + b.len()) as u64, 0),
+            "{what}"
+        );
+    };
+
+    let (s2, s3) = (space2(2, 1, 7), space3(3));
+    assert_eq!(s2.nloc(), s3.nloc());
+    apart(
+        &|| engine(&s2, 1.0, &[], kind),
+        &|| engine(&s3, 1.0, &[], kind),
+        "2D P = 7 and 3D P = 3",
+    );
+
+    let s = space2(3, 2, 4);
+    let wall = s.boundary_dofs(|t| t == BoundaryTag::Wall);
+    let up = f64::from_bits(2.5f64.to_bits() + 1);
+    apart(
+        &|| engine(&s, 2.5, &wall, kind),
+        &|| engine(&s, up, &wall, kind),
+        "λ and its next float up",
+    );
+
+    // One element, so every element's pattern differs between the two.
+    let one = space2(1, 1, 4);
+    let (top, inlet) = (
+        one.boundary_dofs(|t| t == BoundaryTag::Wall),
+        one.boundary_dofs(|t| t == BoundaryTag::Inlet),
+    );
+    apart(
+        &|| engine(&one, 2.5, &top, kind),
+        &|| engine(&one, 2.5, &inlet, kind),
+        "two Dirichlet patterns",
+    );
+
+    // Two congruent patches side by side: dyadic element sizes, so the
+    // translated Jacobians are bitwise equal.
+    let patch = |x0: f64| Space2d::new(QuadMesh::rectangle(4, 2, x0, x0 + 1.0, 0.0, 1.0), 4, false);
+    let (pa, pb) = (patch(0.0), patch(1.0));
+    let (wa, wb) = (
+        pa.boundary_dofs(|t| t == BoundaryTag::Wall),
+        pb.boundary_dofs(|t| t == BoundaryTag::Wall),
+    );
+    let cache = Arc::new(ArtifactCache::new(CacheMode::Process));
+    let (ea, eb) = with_cache(&cache, || {
+        (engine(&pa, 2.5, &wa, kind), engine(&pb, 2.5, &wb, kind))
+    });
+    let (ca, cb) = (classes(&ea), classes(&eb));
+    assert_eq!(ca.len(), cb.len());
+    assert!(ca.iter().zip(&cb).all(|(x, y)| Arc::ptr_eq(x, y)));
+    assert_eq!(eclass(&cache).hits, cb.len() as u64);
+    let solve = |s: &Space2d, dir: &[usize], mut eng: EllipticSolver| {
+        let mut x = vec![0.0; s.nglobal];
+        let st = eng.solve_into(s, &pseudo(s.nglobal, 3), &pseudo(dir.len(), 5), &mut x, 0);
+        (st, bits(&x))
+    };
+    assert_eq!(
+        solve(&pa, &wa, ea),
+        solve(&pa, &wa, engine(&pa, 2.5, &wa, kind))
+    );
+    assert_eq!(
+        solve(&pb, &wb, eb),
+        solve(&pb, &wb, engine(&pb, 2.5, &wb, kind))
+    );
 }
 
 /// The on-disk codec round-trips every bit: a decoded factor set solves

@@ -524,6 +524,10 @@ where
         self.nglobal
     }
 
+    fn dim(&self) -> usize {
+        D
+    }
+
     fn num_elems(&self) -> usize {
         self.gmap.len()
     }
