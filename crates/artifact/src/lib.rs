@@ -30,11 +30,12 @@
 //! everything). A serving fleet multiplexing *many distinct
 //! discretizations* over one machine can bound the memory tier with
 //! [`ArtifactCache::with_capacity_bytes`]: inserts then evict
-//! least-recently-used entries (never the one just inserted), per-kind
-//! eviction counters tick, and evicted disk-tier kinds are re-served from
-//! disk. Under a capacity bound, *scheduling order* decides the hit rate —
-//! which is exactly the lever the ensemble scheduler's cache-affinity
-//! admission pulls (DESIGN.md §16).
+//! least-recently-used entries (never the one just inserted, nor one
+//! whose `Arc` is held elsewhere), per-kind eviction counters tick, and
+//! evicted disk-tier kinds are re-served from disk. Under a capacity
+//! bound, *scheduling order* decides the hit rate — which is exactly the
+//! lever the ensemble scheduler's cache-affinity admission pulls
+//! (DESIGN.md §16).
 //!
 //! The headline contract mirrors the rest of the workspace: a cache-hit
 //! artifact is **bitwise identical** to the cold-built one. That holds
@@ -363,11 +364,15 @@ impl ArtifactCache {
     /// (by each artifact's `approx_bytes`). When an insert pushes the
     /// resident total past the bound, least-recently-used `Ready` entries
     /// are dropped (the newest entry itself is never evicted, so a single
-    /// oversized artifact still serves its own job). Outstanding `Arc`s
-    /// keep working — eviction only forgets the map entry; entries with a
-    /// disk tier are re-served from disk after eviction. This is the
-    /// capacity pressure that makes scheduling order matter: see the
-    /// cache-affinity admission policy in `nkg-coupling::ensemble`.
+    /// oversized artifact still serves its own job). An entry whose `Arc`
+    /// is held anywhere else — by a caller, or inside another resident
+    /// artifact — is pinned until that holder lets go, so an eviction
+    /// always frees the bytes it counts and a key never has two live
+    /// values; the bound can therefore be exceeded while holders keep more
+    /// than it alive. Entries with a disk tier are re-served from disk
+    /// after eviction. This is the capacity pressure that makes scheduling
+    /// order matter: see the cache-affinity admission policy in
+    /// `nkg-coupling::ensemble`.
     pub fn with_capacity_bytes(mut self, max_bytes: u64) -> Self {
         self.capacity = Some(max_bytes);
         self
@@ -495,7 +500,9 @@ impl ArtifactCache {
     /// Drop least-recently-used `Ready` entries until the resident total
     /// fits the capacity bound. The entry touched at `keep_tick` (the one
     /// just inserted or hit) is never evicted, and `Building` slots are
-    /// untouched — their builder still owns them.
+    /// untouched — their builder still owns them. An entry whose `Arc` is
+    /// also held outside the map is pinned: dropping it would free nothing,
+    /// and the next request for its key would build a second live copy.
     fn evict_to_capacity(&self, g: &mut Inner, keep_tick: u64) {
         let Some(cap) = self.capacity else {
             return;
@@ -505,14 +512,16 @@ impl ArtifactCache {
                 .map
                 .iter()
                 .filter_map(|(id, slot)| match slot {
-                    Slot::Ready { tick, bytes, .. } if *tick != keep_tick => {
+                    Slot::Ready { val, tick, bytes }
+                        if *tick != keep_tick && Arc::strong_count(val) == 1 =>
+                    {
                         Some((*tick, *id, *bytes))
                     }
                     _ => None,
                 })
                 .min_by_key(|&(tick, ..)| tick);
             let Some((_, id, bytes)) = victim else {
-                return; // only the protected entry (and builders) remain
+                return; // only protected and pinned entries (and builders) remain
             };
             g.map.remove(&id);
             g.resident -= bytes;
@@ -974,6 +983,45 @@ mod tests {
                 prop_assert_eq!(t.xs.len(), back.xs.len());
                 for (a, b) in t.xs.iter().zip(&back.xs) {
                     prop_assert_eq!(a.to_bits(), b.to_bits());
+                }
+            }
+
+            /// Under a capacity bound, any sequence of requests, holds and
+            /// drops leaves at most one live value per key: a held entry is
+            /// never evicted, so a later request for its key hits instead of
+            /// building a second copy. Every build is watched through a
+            /// `Weak`.
+            #[test]
+            fn a_key_never_has_two_live_values(
+                ops in proptest::collection::vec(0u64..24, 1..80),
+                cap_entries in 1u64..4,
+            ) {
+                // Every Table below is 16 bytes.
+                let c = ArtifactCache::new(CacheMode::Process)
+                    .with_capacity_bytes(16 * cap_entries);
+                let mut held: Vec<Arc<Table>> = Vec::new();
+                let mut built: Vec<Vec<std::sync::Weak<Table>>> = vec![Vec::new(); 6];
+                for op in ops {
+                    let (k, action) = (op % 6, op / 6);
+                    if action == 0 && !held.is_empty() {
+                        held.remove(0); // drop the oldest hold
+                    } else {
+                        let mut ran = false;
+                        let v = c.get_or_build("tab", key_of(k), || {
+                            ran = true;
+                            Table { xs: vec![k as f64, 0.0] }
+                        });
+                        if ran {
+                            built[k as usize].push(Arc::downgrade(&v));
+                        }
+                        if action >= 2 {
+                            held.push(v); // hold; otherwise drop at once
+                        }
+                    }
+                    for (key, ws) in built.iter().enumerate() {
+                        let live = ws.iter().filter(|w| w.strong_count() > 0).count();
+                        prop_assert!(live <= 1, "key {} has {} live values", key, live);
+                    }
                 }
             }
 

@@ -4,11 +4,15 @@
 //! `step_over_forces` — median `step()` ÷ median `compute_forces()` on an
 //! open-boundary box. That ratio is host-independent: ≈ 1.1 when a step
 //! evaluates forces once, ≈ 2.1 if a second evaluation ever comes back,
-//! and the run fails above 1.35.
+//! and the run fails above 1.35. One `dpd_setup` row times the cold
+//! set-up of the `coupled_dpd` box (30 × 20 × 16, slab walls, 28 800
+//! particles) piece by piece: the effective wall-force table (on the
+//! default pool and on one thread), the cell grid's neighbour tables, the
+//! solvent fill, and the whole `DpdSim::new` plus fill.
 //!
 //! Overwrites `BENCH_dpd.json` in the current directory (one row per leg,
 //! one per pool size) and prints the same tables. `--smoke` runs the same
-//! code at N ≈ 5 000.
+//! code at N ≈ 5 000 (the set-up row keeps its box, with fewer reps).
 
 use nkg_bench::{bench_path, cpu_seconds, header, median, time_median, write_jsonl, Row};
 use nkg_dpd::cells::CellGrid;
@@ -17,6 +21,7 @@ use nkg_dpd::force::{
 };
 use nkg_dpd::inflow::OpenBoundaryX;
 use nkg_dpd::sim::{DpdConfig, DpdSim, ForceBackend, WallGeometry};
+use nkg_dpd::walls::EffectiveWallForce;
 use nkg_dpd::Box3;
 use std::time::Instant;
 
@@ -40,6 +45,66 @@ fn scene(n_target: usize, open: bool) -> DpdSim {
         sim.set_open_x(ob);
     }
     sim
+}
+
+/// The cold set-up of the `coupled_dpd` box, piece by piece: medians
+/// over `reps` constructions, each piece timed alone.
+fn setup_row(reps: usize) -> Row {
+    let cfg = DpdConfig::default();
+    let bx = Box3::new([0.0; 3], [30.0, 20.0, 16.0], [false, false, true]);
+    let table = || EffectiveWallForce::new(cfg.a, cfg.density, cfg.rc);
+    let t_table = time_median(reps, || {
+        std::hint::black_box(table());
+    });
+    let one = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("pool build");
+    let t_table_1t = one.install(|| {
+        time_median(reps, || {
+            std::hint::black_box(table());
+        })
+    });
+    let t_grid = time_median(reps, || {
+        std::hint::black_box(CellGrid::new(bx, cfg.rc));
+    });
+    let mut fill_samples = Vec::with_capacity(reps);
+    let mut n = 0;
+    for _ in 0..reps {
+        let mut sim = DpdSim::new(cfg, bx, WallGeometry::SlabY);
+        fill_samples.push(time_median(1, || sim.fill_solvent()));
+        n = sim.particles.len();
+    }
+    let t_fill = median(fill_samples);
+    let t_setup = time_median(reps, || {
+        let mut sim = DpdSim::new(cfg, bx, WallGeometry::SlabY);
+        sim.fill_solvent();
+        std::hint::black_box(sim);
+    });
+    let grid = CellGrid::new(bx, cfg.rc);
+    let cells = grid.num_cells();
+    let entries: usize = (0..cells).map(|c| grid.fwd_neighbors(c).len()).sum();
+    println!(
+        "\ncold set-up, coupled_dpd box (N = {n}, {cells} cells, {entries} neighbour entries), \
+         ms: wall table {:.3} ({:.3} on 1 thread), cell grid {:.3}, fill {:.3}, \
+         DpdSim::new + fill {:.3}",
+        t_table * 1e3,
+        t_table_1t * 1e3,
+        t_grid * 1e3,
+        t_fill * 1e3,
+        t_setup * 1e3
+    );
+    let ms = |t: f64| format!("{:.4}", t * 1e3);
+    Row::new("dpd_setup")
+        .num("n_particles", n)
+        .num("cells", cells)
+        .num("neighbor_entries", entries)
+        .num("reps", reps)
+        .num("wall_table_ms", ms(t_table))
+        .num("wall_table_1_thread_ms", ms(t_table_1t))
+        .num("cell_grid_ms", ms(t_grid))
+        .num("fill_ms", ms(t_fill))
+        .num("sim_new_and_fill_ms", ms(t_setup))
 }
 
 fn main() {
@@ -139,6 +204,8 @@ fn main() {
         open.particles.len()
     );
 
+    let setup = setup_row(if smoke { 5 } else { 21 });
+
     // --- Thread-pool sweep ---------------------------------------------
     // Each row records the size the pool *actually* provided (a container
     // quota can hand back fewer threads than requested) and cpu/wall of
@@ -169,6 +236,7 @@ fn main() {
             .num("step_seconds", secs(t_open_step))
             .num("compute_forces_seconds", secs(t_open_forces))
             .num("step_over_forces", format_args!("{step_over_forces:.3}")),
+        setup,
     ];
     let mut sweep_1t = 0.0;
     for &k in &sizes {

@@ -241,10 +241,29 @@ impl CellGrid {
 }
 
 /// Precompute the per-cell forward-neighbor id lists (flattened CSR).
+///
+/// Every cell walks the 3×3×3 stencil in `(dz, dy, dx)` order, wraps
+/// periodic axes, drops out-of-box offsets and keeps ids `> c`. A cell
+/// with all 26 neighbours inside the grid keeps exactly the 13 offsets
+/// after `(0, 0, 0)` in that order, so it takes their fixed id deltas
+/// without the walk. Two offsets can wrap onto one cell only on a periodic
+/// axis of fewer than 3 cells; only then are the lists de-duplicated.
 fn build_neighbor_tables(dims: [usize; 3], periodic: [bool; 3]) -> (Vec<u32>, Vec<u32>) {
     let ncell = dims[0] * dims[1] * dims[2];
     assert!(ncell <= u32::MAX as usize, "cell count overflows u32 ids");
     let idims = [dims[0] as isize, dims[1] as isize, dims[2] as isize];
+    let dedup = (0..3).any(|k| periodic[k] && dims[k] < 3);
+    let mut interior_deltas = Vec::with_capacity(13);
+    for dz in -1..=1isize {
+        for dy in -1..=1isize {
+            for dx in -1..=1isize {
+                if (dz, dy, dx) > (0, 0, 0) {
+                    interior_deltas.push(((dz * idims[1] + dy) * idims[0] + dx) as usize);
+                }
+            }
+        }
+    }
+    let interior = |q: isize, k: usize| q >= 1 && q + 1 < idims[k];
     let mut fwd = Vec::with_capacity(ncell * 13);
     let mut fwd_starts = Vec::with_capacity(ncell + 1);
     fwd_starts.push(0u32);
@@ -252,6 +271,11 @@ fn build_neighbor_tables(dims: [usize; 3], periodic: [bool; 3]) -> (Vec<u32>, Ve
         let cx = (c % dims[0]) as isize;
         let cy = ((c / dims[0]) % dims[1]) as isize;
         let cz = (c / (dims[0] * dims[1])) as isize;
+        if interior(cx, 0) && interior(cy, 1) && interior(cz, 2) {
+            fwd.extend(interior_deltas.iter().map(|&d| (c + d) as u32));
+            fwd_starts.push(fwd.len() as u32);
+            continue;
+        }
         let fwd_base = fwd.len();
         for dz in -1..=1isize {
             for dy in -1..=1isize {
@@ -272,7 +296,7 @@ fn build_neighbor_tables(dims: [usize; 3], periodic: [bool; 3]) -> (Vec<u32>, Ve
                     }
                     let id = (((q[2] as usize) * dims[1] + q[1] as usize) * dims[0] + q[0] as usize)
                         as u32;
-                    if id as usize > c && !fwd[fwd_base..].contains(&id) {
+                    if id as usize > c && !(dedup && fwd[fwd_base..].contains(&id)) {
                         fwd.push(id);
                     }
                 }
@@ -287,6 +311,79 @@ fn build_neighbor_tables(dims: [usize; 3], periodic: [bool; 3]) -> (Vec<u32>, Ve
 mod tests {
     use super::*;
     use std::collections::HashSet;
+
+    /// The plain stencil walk with a de-duplication scan on every cell,
+    /// which [`build_neighbor_tables`] reproduces id for id.
+    fn build_neighbor_tables_reference(
+        dims: [usize; 3],
+        periodic: [bool; 3],
+    ) -> (Vec<u32>, Vec<u32>) {
+        let ncell = dims[0] * dims[1] * dims[2];
+        assert!(ncell <= u32::MAX as usize, "cell count overflows u32 ids");
+        let idims = [dims[0] as isize, dims[1] as isize, dims[2] as isize];
+        let mut fwd = Vec::with_capacity(ncell * 13);
+        let mut fwd_starts = Vec::with_capacity(ncell + 1);
+        fwd_starts.push(0u32);
+        for c in 0..ncell {
+            let cx = (c % dims[0]) as isize;
+            let cy = ((c / dims[0]) % dims[1]) as isize;
+            let cz = (c / (dims[0] * dims[1])) as isize;
+            let fwd_base = fwd.len();
+            for dz in -1..=1isize {
+                for dy in -1..=1isize {
+                    for dx in -1..=1isize {
+                        let mut q = [cx + dx, cy + dy, cz + dz];
+                        let mut ok = true;
+                        for k in 0..3 {
+                            if q[k] < 0 || q[k] >= idims[k] {
+                                if periodic[k] {
+                                    q[k] = (q[k] + idims[k]) % idims[k];
+                                } else {
+                                    ok = false;
+                                }
+                            }
+                        }
+                        if !ok {
+                            continue;
+                        }
+                        let id = (((q[2] as usize) * dims[1] + q[1] as usize) * dims[0]
+                            + q[0] as usize) as u32;
+                        if id as usize > c && !fwd[fwd_base..].contains(&id) {
+                            fwd.push(id);
+                        }
+                    }
+                }
+            }
+            fwd_starts.push(fwd.len() as u32);
+        }
+        (fwd, fwd_starts)
+    }
+
+    /// The neighbour tables equal the reference walk's, ids and order, for
+    /// every grid of 1..=4 cells per axis under all 8 periodic patterns,
+    /// and on a box with a large interior.
+    #[test]
+    fn neighbor_tables_are_the_reference_walk() {
+        let mut grids: Vec<[usize; 3]> = Vec::new();
+        for d0 in 1..=4 {
+            for d1 in 1..=4 {
+                for d2 in 1..=4 {
+                    grids.push([d0, d1, d2]);
+                }
+            }
+        }
+        grids.push([30, 20, 16]);
+        for dims in grids {
+            for pattern in 0..8 {
+                let periodic = [pattern & 1 != 0, pattern & 2 != 0, pattern & 4 != 0];
+                assert_eq!(
+                    build_neighbor_tables(dims, periodic),
+                    build_neighbor_tables_reference(dims, periodic),
+                    "dims {dims:?}, periodic {periodic:?}"
+                );
+            }
+        }
+    }
 
     fn scatter(n: usize, seed: u64, scale: f64) -> Vec<[f64; 3]> {
         let mut pts = Vec::new();

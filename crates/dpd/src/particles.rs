@@ -167,6 +167,50 @@ impl Particles {
         self.x.len() - 1
     }
 
+    /// Append `n` particles of `species`, particle `len() + k` at
+    /// `init(k) = (position, velocity)`, writing the component arrays in
+    /// place over the rayon pool. Each array is sized once; `init` sees
+    /// only `k`, so the result is the same at every pool width, and the
+    /// same as pushing the particles one by one.
+    pub(crate) fn extend_par(
+        &mut self,
+        n: usize,
+        species: u8,
+        init: impl Fn(usize) -> ([f64; 3], [f64; 3]) + Sync,
+    ) {
+        use rayon::prelude::*;
+        let base = self.len();
+        let len = base + n;
+        for v in [
+            &mut self.x,
+            &mut self.y,
+            &mut self.z,
+            &mut self.vx,
+            &mut self.vy,
+            &mut self.vz,
+            &mut self.fx,
+            &mut self.fy,
+            &mut self.fz,
+        ] {
+            v.resize(len, 0.0);
+        }
+        self.species.resize(len, species);
+        self.state.resize(len, PlateletState::NotPlatelet);
+        self.x[base..]
+            .par_iter_mut()
+            .zip(self.y[base..].par_iter_mut())
+            .zip(self.z[base..].par_iter_mut())
+            .zip(self.vx[base..].par_iter_mut())
+            .zip(self.vy[base..].par_iter_mut())
+            .zip(self.vz[base..].par_iter_mut())
+            .enumerate()
+            .for_each(|(k, (((((x, y), z), vx), vy), vz))| {
+                let (p, v) = init(k);
+                [*x, *y, *z] = p;
+                [*vx, *vy, *vz] = v;
+            });
+    }
+
     /// Append a platelet in the passive state.
     pub fn push_platelet(&mut self, pos: [f64; 3], vel: [f64; 3], species: u8) -> usize {
         let i = self.push(pos, vel, species);

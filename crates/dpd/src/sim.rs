@@ -84,6 +84,34 @@ impl Default for DpdConfig {
     }
 }
 
+/// Centre `(y, z)` of a [`WallGeometry::CylinderX`] pipe: the box's
+/// x-axis centreline.
+fn cyl_center(bx: &Box3) -> (f64, f64) {
+    (0.5 * (bx.lo[1] + bx.hi[1]), 0.5 * (bx.lo[2] + bx.hi[2]))
+}
+
+/// A uniform point of the fluid region, drawn from `lane` (rejection
+/// sampling inside a pipe).
+fn random_interior_point(bx: &Box3, walls: WallGeometry, lane: &mut StreamLane) -> [f64; 3] {
+    loop {
+        let mut p = [0.0; 3];
+        for k in 0..3 {
+            p[k] = bx.lo[k] + lane.u01() * (bx.hi[k] - bx.lo[k]);
+        }
+        match walls {
+            WallGeometry::CylinderX(r) => {
+                let (cy, cz) = cyl_center(bx);
+                let dy = p[1] - cy;
+                let dz = p[2] - cz;
+                if dy * dy + dz * dz < r * r {
+                    return p;
+                }
+            }
+            _ => return p,
+        }
+    }
+}
+
 type BodyForceFn = Box<dyn Fn(f64) -> [f64; 3] + Send>;
 
 /// A DPD simulation.
@@ -174,20 +202,22 @@ impl DpdSim {
 
     /// Fill the domain with solvent (species 0) at the configured density,
     /// thermal velocities at `k_B T`. Counter-based: the fill is a pure
-    /// function of `(seed, step_count)`, keyed per particle ordinal.
+    /// function of `(seed, step_count)`, keyed per particle ordinal, so the
+    /// particles are drawn in parallel and the pool width moves no bit.
     pub fn fill_solvent(&mut self) {
         let n = (self.cfg.density * self.interior_volume()).round() as usize;
         let vth = self.cfg.kbt.sqrt();
-        for i in 0..n {
-            let mut lane = StreamLane::new(self.cfg.seed, DOMAIN_FILL, self.step_count, i as u64);
-            let p = self.random_interior_point(&mut lane);
+        let (seed, step, bx, walls) = (self.cfg.seed, self.step_count, self.bx, self.walls);
+        self.particles.extend_par(n, 0, |i| {
+            let mut lane = StreamLane::new(seed, DOMAIN_FILL, step, i as u64);
+            let p = random_interior_point(&bx, walls, &mut lane);
             let v = [
                 vth * lane.gaussian(),
                 vth * lane.gaussian(),
                 vth * lane.gaussian(),
             ];
-            self.particles.push(p, v, 0);
-        }
+            (p, v)
+        });
         // Remove any net momentum so measured flow is purely forced.
         let mom = self.particles.momentum();
         let n = self.particles.len().max(1) as f64;
@@ -256,33 +286,6 @@ impl DpdSim {
         }
     }
 
-    fn random_interior_point(&self, lane: &mut StreamLane) -> [f64; 3] {
-        loop {
-            let mut p = [0.0; 3];
-            for k in 0..3 {
-                p[k] = self.bx.lo[k] + lane.u01() * (self.bx.hi[k] - self.bx.lo[k]);
-            }
-            match self.walls {
-                WallGeometry::CylinderX(r) => {
-                    let (cy, cz) = self.cyl_center();
-                    let dy = p[1] - cy;
-                    let dz = p[2] - cz;
-                    if dy * dy + dz * dz < r * r {
-                        return p;
-                    }
-                }
-                _ => return p,
-            }
-        }
-    }
-
-    fn cyl_center(&self) -> (f64, f64) {
-        (
-            0.5 * (self.bx.lo[1] + self.bx.hi[1]),
-            0.5 * (self.bx.lo[2] + self.bx.hi[2]),
-        )
-    }
-
     /// Evaluate all forces (pair + wall + body + adhesion) at the current
     /// positions and velocities.
     pub fn compute_forces(&mut self) {
@@ -326,7 +329,7 @@ impl DpdSim {
         let body = fb != [0.0; 3];
         let gamma_wall = self.cfg.gamma_wall;
         let walls = self.eff_wall.as_ref().map(|eff| (eff, self.walls));
-        let (cy, cz) = self.cyl_center();
+        let (cy, cz) = cyl_center(&self.bx);
         let (ylo, yhi) = (self.bx.lo[1], self.bx.hi[1]);
         let (xlo, xhi) = (self.bx.lo[0], self.bx.hi[0]);
         let face = self.open_x.as_ref().and(self.eff_wall.as_ref());
@@ -472,7 +475,7 @@ impl DpdSim {
                 }
             }
             WallGeometry::CylinderX(r0) => {
-                let (cy, cz) = self.cyl_center();
+                let (cy, cz) = cyl_center(&self.bx);
                 for i in 0..n {
                     self.reflect(i, |pos, vel| bounce_back_cylinder(pos, vel, r0, cy, cz));
                 }
@@ -924,6 +927,83 @@ mod tests {
         let sim = periodic_box(1);
         assert!((sim.number_density() - 3.0).abs() < 0.01);
         assert_eq!(sim.particles.len(), 648);
+    }
+
+    /// The one-by-one fill [`DpdSim::fill_solvent`] reproduces bit for bit.
+    fn fill_reference(sim: &mut DpdSim) {
+        let n = (sim.cfg.density * sim.interior_volume()).round() as usize;
+        let vth = sim.cfg.kbt.sqrt();
+        for i in 0..n {
+            let mut lane = StreamLane::new(sim.cfg.seed, DOMAIN_FILL, sim.step_count, i as u64);
+            let p = random_interior_point(&sim.bx, sim.walls, &mut lane);
+            let v = [
+                vth * lane.gaussian(),
+                vth * lane.gaussian(),
+                vth * lane.gaussian(),
+            ];
+            sim.particles.push(p, v, 0);
+        }
+        let mom = sim.particles.momentum();
+        let n = sim.particles.len().max(1) as f64;
+        for i in 0..sim.particles.len() {
+            sim.particles.vx[i] -= mom[0] / n;
+            sim.particles.vy[i] -= mom[1] / n;
+            sim.particles.vz[i] -= mom[2] / n;
+        }
+    }
+
+    /// The bits of every `f64` component array.
+    fn component_bits(p: &Particles) -> Vec<u64> {
+        [&p.x, &p.y, &p.z, &p.vx, &p.vy, &p.vz, &p.fx, &p.fy, &p.fz]
+            .into_iter()
+            .flatten()
+            .map(|f| f.to_bits())
+            .collect()
+    }
+
+    /// The parallel fill is byte-identical to the one-by-one fill on pools
+    /// of 1, 2 and 4 threads: in a periodic box, a slab, a pipe (rejection
+    /// draws) and on top of a particle already present.
+    #[test]
+    fn fill_is_bitwise_the_serial_fill_at_every_pool_width() {
+        let cases = [
+            (WallGeometry::None, [true; 3], false),
+            (WallGeometry::SlabY, [true, false, true], false),
+            (WallGeometry::CylinderX(2.5), [true, false, false], false),
+            (WallGeometry::None, [true; 3], true),
+        ];
+        for (walls, periodic, preloaded) in cases {
+            let make = || {
+                let cfg = DpdConfig {
+                    seed: 41,
+                    ..Default::default()
+                };
+                let bx = Box3::new([0.0; 3], [7.0, 6.0, 6.0], periodic);
+                let mut sim = DpdSim::new(cfg, bx, walls);
+                sim.step_count = 3;
+                if preloaded {
+                    sim.particles
+                        .push_platelet([1.0, 2.0, 3.0], [0.5, 0.0, -0.5], 1);
+                }
+                sim
+            };
+            let mut reference = make();
+            fill_reference(&mut reference);
+            let expect = component_bits(&reference.particles);
+            assert!(reference.particles.len() > 100);
+            for width in [1, 2, 4] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(width)
+                    .build()
+                    .unwrap();
+                let mut sim = make();
+                pool.install(|| sim.fill_solvent());
+                let case = format!("{walls:?}, preloaded {preloaded}, width {width}");
+                assert!(component_bits(&sim.particles) == expect, "{case}");
+                assert_eq!(sim.particles.species, reference.particles.species, "{case}");
+                assert_eq!(sim.particles.state, reference.particles.state, "{case}");
+            }
+        }
     }
 
     #[test]

@@ -21,40 +21,17 @@ impl EffectiveWallForce {
     /// Precompute `F_eff(h)` for conservative coefficient `a`, fluid number
     /// density `rho` and cutoff `rc`:
     /// `F(h) = a ρ ∫_{u=h}^{rc} ∫_{ρ'=0}^{√(rc²−u²)} (1 − r/rc)(u/r) 2πρ' dρ' du`.
+    ///
+    /// The rows are independent and cost the same, so they are split over
+    /// the rayon pool; each row is the same arithmetic whatever the width.
     pub fn new(a: f64, rho: f64, rc: f64) -> Self {
-        let n = 128;
-        let mut table = Vec::with_capacity(n + 1);
-        for k in 0..=n {
-            let h = k as f64 / n as f64 * rc;
-            table.push(Self::integrate(a, rho, rc, h));
-        }
+        use rayon::prelude::*;
+        let mut table = vec![0.0; TABLE_ROWS];
+        let n = (TABLE_ROWS - 1) as f64;
+        table.par_iter_mut().enumerate().for_each(|(k, f)| {
+            *f = integrate(a, rho, rc, k as f64 / n * rc);
+        });
         Self { rc, table }
-    }
-
-    fn integrate(a: f64, rho: f64, rc: f64, h: f64) -> f64 {
-        // Midpoint rule in (u, rho').
-        let nu = 200;
-        let mut total = 0.0;
-        let du = (rc - h) / nu as f64;
-        if du <= 0.0 {
-            return 0.0;
-        }
-        for iu in 0..nu {
-            let u = h + (iu as f64 + 0.5) * du;
-            let rho_max = (rc * rc - u * u).max(0.0).sqrt();
-            let nr = 64;
-            let dr = rho_max / nr as f64;
-            let mut inner = 0.0;
-            for ir in 0..nr {
-                let rp = (ir as f64 + 0.5) * dr;
-                let r = (u * u + rp * rp).sqrt();
-                if r < rc {
-                    inner += (1.0 - r / rc) * (u / r) * 2.0 * std::f64::consts::PI * rp * dr;
-                }
-            }
-            total += inner * du;
-        }
-        a * rho * total
     }
 
     /// Normal force magnitude at wall distance `h` (0 beyond the cutoff).
@@ -75,6 +52,50 @@ impl EffectiveWallForce {
     pub fn rc(&self) -> f64 {
         self.rc
     }
+}
+
+/// Entries of the `F_eff` table: `h = k/128 · rc` for `k = 0..=128`.
+const TABLE_ROWS: usize = 129;
+/// Midpoint-rule intervals in `u` (normal distance) and `ρ'` (radius).
+const NU: usize = 200;
+const NR: usize = 64;
+
+/// One table entry by the midpoint rule in `(u, ρ')`.
+///
+/// Each `u`-row writes its `NR` terms into a buffer and sums it in index
+/// order, so the term loop has no carried dependency and vectorizes, while
+/// every product and sum rounds as in the plain double loop
+/// (`tests::integrate_reference`): a term outside the cutoff is stored as
+/// `+0.0`, and adding `+0.0` to a sum that starts at `+0.0` and only
+/// gathers non-negative terms changes no bit.
+fn integrate(a: f64, rho: f64, rc: f64, h: f64) -> f64 {
+    let du = (rc - h) / NU as f64;
+    if du <= 0.0 {
+        return 0.0;
+    }
+    let mid: [f64; NR] = std::array::from_fn(|ir| ir as f64 + 0.5);
+    let mut terms = [0.0; NR];
+    let mut total = 0.0;
+    for iu in 0..NU {
+        let u = h + (iu as f64 + 0.5) * du;
+        let uu = u * u;
+        let rho_max = (rc * rc - uu).max(0.0).sqrt();
+        let dr = rho_max / NR as f64;
+        for (t, &m) in terms.iter_mut().zip(&mid) {
+            let rp = m * dr;
+            let r = (uu + rp * rp).sqrt();
+            // Computed on both sides of the cutoff (`r ≥ u > 0`), so the
+            // choice is a select, not a branch.
+            let term = (1.0 - r / rc) * (u / r) * 2.0 * std::f64::consts::PI * rp * dr;
+            *t = if r < rc { term } else { 0.0 };
+        }
+        let mut inner = 0.0;
+        for &t in &terms {
+            inner += t;
+        }
+        total += inner * du;
+    }
+    a * rho * total
 }
 
 /// Apply the wall interaction for a particle at distance `h` from the wall
@@ -151,6 +172,60 @@ pub fn bounce_back_cylinder(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The plain double loop [`integrate`] reproduces bit for bit.
+    fn integrate_reference(a: f64, rho: f64, rc: f64, h: f64) -> f64 {
+        let nu = 200;
+        let mut total = 0.0;
+        let du = (rc - h) / nu as f64;
+        if du <= 0.0 {
+            return 0.0;
+        }
+        for iu in 0..nu {
+            let u = h + (iu as f64 + 0.5) * du;
+            let rho_max = (rc * rc - u * u).max(0.0).sqrt();
+            let nr = 64;
+            let dr = rho_max / nr as f64;
+            let mut inner = 0.0;
+            for ir in 0..nr {
+                let rp = (ir as f64 + 0.5) * dr;
+                let r = (u * u + rp * rp).sqrt();
+                if r < rc {
+                    inner += (1.0 - r / rc) * (u / r) * 2.0 * std::f64::consts::PI * rp * dr;
+                }
+            }
+            total += inner * du;
+        }
+        a * rho * total
+    }
+
+    /// The table is the reference double loop's, bit for bit, on pools of
+    /// 1, 2 and 4 threads, at the default parameters and at an `rc` that
+    /// is not 1 (so `r / rc` and `u / r` round as real divisions).
+    #[test]
+    fn table_is_bitwise_the_reference_at_every_pool_width() {
+        for (a, rho, rc) in [(25.0, 3.0, 1.0), (18.75, 4.0, 1.3)] {
+            let expect: Vec<u64> = (0..TABLE_ROWS)
+                .map(|k| {
+                    let h = k as f64 / (TABLE_ROWS - 1) as f64 * rc;
+                    integrate_reference(a, rho, rc, h).to_bits()
+                })
+                .collect();
+            assert!(expect[0] != 0 && expect[TABLE_ROWS - 1] == 0);
+            for width in [1, 2, 4] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(width)
+                    .build()
+                    .unwrap();
+                let eff = pool.install(|| EffectiveWallForce::new(a, rho, rc));
+                let got: Vec<u64> = eff.table.iter().map(|f| f.to_bits()).collect();
+                assert_eq!(
+                    got, expect,
+                    "(a, rho, rc) = ({a}, {rho}, {rc}), width {width}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn effective_force_monotone_decreasing() {

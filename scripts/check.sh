@@ -37,6 +37,9 @@ echo "== checkpoint pipeline on 1 rayon thread (one pool thread + continuum thre
 RAYON_NUM_THREADS=1 cargo test -q --test integration_ckpt --test integration_boundary
 cargo run --release -q -p nkg-bench --bin bench_ckpt -- --smoke
 
+echo "== DPD crate on 1 rayon thread: golden_soa and the set-up tables and fill, bitwise, on an inline pool =="
+RAYON_NUM_THREADS=1 cargo test -q -p nkg-dpd
+
 echo "== DPD one force evaluation per step: step_over_forces <= 1.35 on an open-boundary box =="
 cargo run --release -q -p nkg-bench --bin bench_dpd -- --smoke
 
