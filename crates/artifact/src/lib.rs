@@ -249,6 +249,11 @@ pub struct KindStats {
     /// Entries of this kind evicted by the LRU capacity bound (see
     /// [`ArtifactCache::with_capacity_bytes`]); 0 on unbounded caches.
     pub evictions: u64,
+    /// Resident bytes of this kind's entries whose `Arc` is also held
+    /// outside the map (by a caller, or inside another resident entry):
+    /// the part of the resident total an eviction could not free. A gauge
+    /// taken when the counters are read, not a running count.
+    pub pinned_bytes: u64,
 }
 
 impl KindStats {
@@ -270,6 +275,7 @@ impl KindStats {
         self.bytes += o.bytes;
         self.build_ns += o.build_ns;
         self.evictions += o.evictions;
+        self.pinned_bytes += o.pinned_bytes;
     }
 }
 
@@ -571,10 +577,19 @@ impl ArtifactCache {
         let _ = w.write_atomic(&path);
     }
 
-    /// Per-kind counters, sorted by kind name.
+    /// Per-kind counters, sorted by kind name, with
+    /// [`KindStats::pinned_bytes`] taken now.
     pub fn stats(&self) -> Vec<(&'static str, KindStats)> {
         let g = self.inner.lock().unwrap();
-        g.stats.iter().map(|(k, s)| (*k, *s)).collect()
+        let mut stats = g.stats.clone();
+        for ((kind, _), slot) in &g.map {
+            if let Slot::Ready { val, bytes, .. } = slot {
+                if Arc::strong_count(val) > 1 {
+                    stats.entry(*kind).or_default().pinned_bytes += bytes;
+                }
+            }
+        }
+        stats.into_iter().collect()
     }
 
     /// Counters summed over all kinds.
@@ -880,6 +895,24 @@ mod tests {
         let big = c.get_or_build("tab", key_of(9), || Table { xs: vec![0.0; 32] });
         assert_eq!(big.xs.len(), 32);
         assert!(c.totals().evictions >= 2, "{:?}", c.totals());
+    }
+
+    /// `pinned_bytes` counts the resident entries held outside the map,
+    /// per kind, at the moment the counters are read.
+    #[test]
+    fn pinned_bytes_counts_entries_held_outside_the_map() {
+        let c = ArtifactCache::new(CacheMode::Process);
+        let held = c.get_or_build("tab", key_of(1), || Table { xs: vec![1.0, 2.0] });
+        c.get_or_build("tab", key_of(2), || Table { xs: vec![3.0; 4] });
+        c.get_or_build("other", key_of(3), || Table { xs: vec![5.0] });
+        let stats = c.stats();
+        let of = |kind| stats.iter().find(|(k, _)| *k == kind).unwrap().1;
+        assert_eq!(of("tab").pinned_bytes, 16);
+        assert_eq!(of("other").pinned_bytes, 0);
+        assert_eq!(c.totals().pinned_bytes, 16);
+        assert_eq!(c.resident_bytes(), 16 + 32 + 8);
+        drop(held);
+        assert_eq!(c.totals().pinned_bytes, 0);
     }
 
     #[test]

@@ -2,13 +2,17 @@
 //! half sweeps, whole-`step()` rates per force backend, the parallel
 //! sweep over pool sizes with the cores it really got (cpu/wall), and
 //! `step_over_forces` — median `step()` ÷ median `compute_forces()` on an
-//! open-boundary box. That ratio is host-independent: ≈ 1.1 when a step
-//! evaluates forces once, ≈ 2.1 if a second evaluation ever comes back,
-//! and the run fails above 1.35. One `dpd_setup` row times the cold
-//! set-up of the `coupled_dpd` box (30 × 20 × 16, slab walls, 28 800
-//! particles) piece by piece: the effective wall-force table (on the
-//! default pool and on one thread), the cell grid's neighbour tables, the
-//! solvent fill, and the whole `DpdSim::new` plus fill.
+//! open-boundary box, 21 samples of each taken alternately. That ratio is
+//! host-independent: ≈ 1.1 when a step evaluates forces once, ≈ 2.1 if a
+//! second evaluation ever comes back, and the run fails above 1.35. One
+//! `dpd_setup` row times the cold set-up of the `coupled_dpd` box (30 × 20
+//! × 16, slab walls, 28 800 particles) piece by piece: the effective
+//! wall-force table (on the default pool and on one thread), the cell
+//! grid's neighbour tables, the solvent fill, and the whole `DpdSim::new`
+//! plus fill. One `dpd_coupled_box` row steps that box as the workload
+//! builds it (platelets, open x) and reports its sweep's pairs, spill
+//! entries and cell-ordered copy bytes, and `compute_forces` and `step`
+//! on the default pool and on one thread.
 //!
 //! Overwrites `BENCH_dpd.json` in the current directory (one row per leg,
 //! one per pool size) and prints the same tables. `--smoke` runs the same
@@ -20,6 +24,7 @@ use nkg_dpd::force::{
     accumulate_pair_forces, accumulate_pair_forces_par, SpeciesMatrix, SweepScratch,
 };
 use nkg_dpd::inflow::OpenBoundaryX;
+use nkg_dpd::platelet::WallSites;
 use nkg_dpd::sim::{DpdConfig, DpdSim, ForceBackend, WallGeometry};
 use nkg_dpd::walls::EffectiveWallForce;
 use nkg_dpd::Box3;
@@ -27,6 +32,10 @@ use std::time::Instant;
 
 /// Largest `step_over_forces` a one-evaluation step can plausibly show.
 const MAX_STEP_OVER_FORCES: f64 = 1.35;
+
+/// Samples of each kind behind `step_over_forces`, taken alternately so a
+/// drifting host moves both medians alike.
+const GATE_SAMPLES: usize = 21;
 
 /// Cubic box of about `n_target` solvent particles; `open` makes x an
 /// inflow/outflow axis with density feedback.
@@ -105,6 +114,81 @@ fn setup_row(reps: usize) -> Row {
         .num("cell_grid_ms", ms(t_grid))
         .num("fill_ms", ms(t_fill))
         .num("sim_new_and_fill_ms", ms(t_setup))
+}
+
+/// The `coupled_dpd` box as that workload builds it (30 × 20 × 16, slab
+/// walls, 6% platelets over 40 wall sites, open x with 20 × 16 bins):
+/// its sweep's counts, and `compute_forces` and `step` on the default pool
+/// and on one thread, the four kinds of sample taken in turn.
+fn coupled_box_row(reps: usize) -> Row {
+    let cfg = DpdConfig {
+        seed: 31,
+        ..Default::default()
+    };
+    let bx = Box3::new([0.0; 3], [30.0, 20.0, 16.0], [false, false, true]);
+    let mut sim = DpdSim::new(cfg, bx, WallGeometry::SlabY);
+    sim.fill_solvent();
+    sim.seed_platelets(0.06);
+    sim.sites = WallSites::on_plane(40, 1, 0.0, [9.0, 0.0, 0.0], [24.0, 0.0, 16.0], 5);
+    let mut ob = OpenBoundaryX::new(20, 16, cfg.density, cfg.kbt, [0.0; 3], 0);
+    ob.target_count = Some(sim.particles.len());
+    sim.set_open_x(ob);
+    for _ in 0..3 {
+        sim.step(); // bootstrap evaluation and buffer growth stay untimed
+    }
+    let mut grid = CellGrid::new(bx, cfg.rc);
+    let p = &mut sim.particles.clone();
+    grid.rebuild_soa(&p.x, &p.y, &p.z);
+    let mut scratch = SweepScratch::default();
+    p.clear_forces();
+    let pairs = accumulate_pair_forces_par(
+        p,
+        &grid,
+        &bx,
+        &sim.matrix,
+        cfg.rc,
+        cfg.kbt,
+        cfg.dt,
+        cfg.seed,
+        sim.step_count,
+        &mut scratch,
+    );
+    let one = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("pool build");
+    let mut samples = [(); 4].map(|_| Vec::with_capacity(reps));
+    for _ in 0..reps {
+        samples[0].push(time_median(1, || sim.compute_forces()));
+        samples[1].push(time_median(1, || sim.step()));
+        one.install(|| {
+            samples[2].push(time_median(1, || sim.compute_forces()));
+            samples[3].push(time_median(1, || sim.step()));
+        });
+    }
+    let [forces, step, forces_1t, step_1t] = samples.map(median);
+    let n = p.len();
+    println!(
+        "\ncoupled_dpd box (N = {n}, {pairs} pairs, {} spill entries, {} B cell-ordered copy), \
+         ms: compute_forces {:.3} ({:.3} on 1 thread), step {:.3} ({:.3} on 1 thread)",
+        scratch.spill_entries(),
+        scratch.copy_bytes(),
+        forces * 1e3,
+        forces_1t * 1e3,
+        step * 1e3,
+        step_1t * 1e3
+    );
+    let ms = |t: f64| format!("{:.4}", t * 1e3);
+    Row::new("dpd_coupled_box")
+        .num("n_particles", n)
+        .num("pairs", pairs)
+        .num("spill_entries", scratch.spill_entries())
+        .num("csr_copy_bytes", scratch.copy_bytes())
+        .num("reps", reps)
+        .num("compute_forces_ms", ms(forces))
+        .num("compute_forces_1_thread_ms", ms(forces_1t))
+        .num("step_ms", ms(step))
+        .num("step_1_thread_ms", ms(step_1t))
 }
 
 fn main() {
@@ -192,7 +276,7 @@ fn main() {
         open.step(); // bootstrap evaluation and buffer growth stay untimed
     }
     let mut samples = [Vec::new(), Vec::new()];
-    for _ in 0..reps {
+    for _ in 0..GATE_SAMPLES {
         samples[0].push(time_median(1, || open.step()));
         samples[1].push(time_median(1, || open.compute_forces()));
     }
@@ -205,6 +289,7 @@ fn main() {
     );
 
     let setup = setup_row(if smoke { 5 } else { 21 });
+    let coupled = coupled_box_row(if smoke { 3 } else { 21 });
 
     // --- Thread-pool sweep ---------------------------------------------
     // Each row records the size the pool *actually* provided (a container
@@ -232,11 +317,12 @@ fn main() {
             .num("parallel_backend_seconds", secs(t_step_par)),
         Row::new("dpd_open_box")
             .num("n_particles", open.particles.len())
-            .num("reps", reps)
+            .num("reps", GATE_SAMPLES)
             .num("step_seconds", secs(t_open_step))
             .num("compute_forces_seconds", secs(t_open_forces))
             .num("step_over_forces", format_args!("{step_over_forces:.3}")),
         setup,
+        coupled,
     ];
     let mut sweep_1t = 0.0;
     for &k in &sizes {

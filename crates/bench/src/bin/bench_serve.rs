@@ -71,6 +71,8 @@ struct Batch {
     wall: f64,
     totals: KindStats,
     stats: Vec<(&'static str, KindStats)>,
+    /// Resident bytes of the memory tier once the batch is done.
+    resident: u64,
 }
 
 impl Batch {
@@ -104,6 +106,7 @@ fn run_batch(ens: &Ensemble, specs: &[JobSpec<SweepJob>], cfg: &SchedulerConfig)
         wall,
         totals: ens.cache().totals(),
         stats: ens.stats(),
+        resident: ens.cache().resident_bytes(),
     }
 }
 
@@ -235,8 +238,8 @@ fn main() {
     for (kind, st) in &warm.stats {
         let build = st.build_ns as f64 / 1e9;
         println!(
-            "  kind {kind:16} hits {:4}  misses {:3}  bytes {:9}  build {build:.4} s",
-            st.hits, st.misses, st.bytes
+            "  kind {kind:16} hits {:4}  misses {:3}  bytes {:9}  pinned {:9}  build {build:.4} s",
+            st.hits, st.misses, st.bytes, st.pinned_bytes
         );
         rows.push(
             Row::new("serve_cache_kind")
@@ -314,9 +317,10 @@ fn main() {
     for (name, leg) in [("fifo", &fifo), ("affinity", &affinity)] {
         let [p50, p95, p99] = [50.0, 95.0, 99.0].map(|q| leg.latency(q));
         let (jph, hit_rate) = (leg.jobs_per_hour(), leg.totals.hit_rate());
-        let evictions = leg.totals.evictions;
+        let (evictions, pinned) = (leg.totals.evictions, leg.totals.pinned_bytes);
         println!(
-            "  {name:9} p50 {p50:.4} s  p95 {p95:.4} s  p99 {p99:.4} s  {jph:>8.0} jobs/h  hit rate {hit_rate:.3}  evictions {evictions}"
+            "  {name:9} p50 {p50:.4} s  p95 {p95:.4} s  p99 {p99:.4} s  {jph:>8.0} jobs/h  hit rate {hit_rate:.3}  evictions {evictions}  pinned {pinned} of {} resident bytes",
+            leg.resident
         );
         rows.push(
             Row::new("serve_scheduler")
@@ -331,6 +335,7 @@ fn main() {
                 .num("jobs_per_hour", format_args!("{jph:.1}"))
                 .num("warm_hit_rate", format_args!("{hit_rate:.4}"))
                 .num("evictions", evictions)
+                .num("pinned_bytes", pinned)
                 .text("golden_hash", &hex(combined_hash(&leg.hashes))),
         );
     }

@@ -33,14 +33,10 @@ pub struct CellGrid {
     starts: Vec<usize>,
     /// Particle indices, counting-sorted by cell (stable: ascending index
     /// within each cell).
-    order: Vec<usize>,
-    /// Inverse of `order`: `rank[i]` is the CSR position of particle `i`.
-    /// The chunked half-list sweep uses it to index dense per-chunk force
-    /// buffers by CSR position instead of particle id.
-    rank: Vec<usize>,
+    order: Vec<u32>,
     /// Scratch: cell id per particle (kept between rebuilds to avoid
     /// reallocation).
-    cell_id: Vec<usize>,
+    cell_id: Vec<u32>,
     /// Scratch: write cursors for the counting sort.
     cursor: Vec<usize>,
     /// Forward half-neighborhood per cell (flattened CSR): wrapped,
@@ -75,7 +71,6 @@ impl CellGrid {
             ncell,
             starts: vec![0; ncell + 1],
             order: Vec::new(),
-            rank: Vec::new(),
             cell_id: Vec::new(),
             cursor: vec![0; ncell],
             nbr_fwd,
@@ -83,11 +78,13 @@ impl CellGrid {
         }
     }
 
-    /// Cell index of a position (clamped to the box).
+    /// Cell index of a position (clamped to the box). The cast truncates
+    /// where a floor would round down, which differs only on `(-1, 0)`,
+    /// where both clamp to cell 0.
     pub fn cell_of(&self, p: [f64; 3]) -> usize {
         let mut c = [0usize; 3];
         for k in 0..3 {
-            let t = ((p[k] - self.bx.lo[k]) / self.cell[k]).floor() as isize;
+            let t = ((p[k] - self.bx.lo[k]) / self.cell[k]) as isize;
             c[k] = t.clamp(0, self.dims[k] as isize - 1) as usize;
         }
         (c[2] * self.dims[1] + c[1]) * self.dims[0] + c[0]
@@ -106,12 +103,13 @@ impl CellGrid {
     }
 
     fn rebuild_impl(&mut self, n: usize, pos: impl Fn(usize) -> [f64; 3]) {
+        assert!(n <= u32::MAX as usize, "particle count overflows u32");
         self.cell_id.clear();
         self.cell_id.reserve(n);
         self.starts.iter_mut().for_each(|s| *s = 0);
         for i in 0..n {
             let c = self.cell_of(pos(i));
-            self.cell_id.push(c);
+            self.cell_id.push(c as u32);
             self.starts[c + 1] += 1;
         }
         for c in 0..self.ncell {
@@ -120,31 +118,22 @@ impl CellGrid {
         self.order.resize(n, 0);
         self.cursor.copy_from_slice(&self.starts[..self.ncell]);
         for (i, &c) in self.cell_id.iter().enumerate() {
-            self.order[self.cursor[c]] = i;
+            let c = c as usize;
+            self.order[self.cursor[c]] = i as u32;
             self.cursor[c] += 1;
-        }
-        self.rank.resize(n, 0);
-        for (k, &i) in self.order.iter().enumerate() {
-            self.rank[i] = k;
         }
     }
 
     /// The particles of one cell, in ascending particle-index order.
     #[inline]
-    pub fn cell_particles(&self, c: usize) -> &[usize] {
+    pub fn cell_particles(&self, c: usize) -> &[u32] {
         &self.order[self.starts[c]..self.starts[c + 1]]
     }
 
     /// Particle indices sorted by `(cell, index)` — the CSR `order` array
     /// from the last `rebuild`.
-    pub fn sorted_order(&self) -> &[usize] {
+    pub fn sorted_order(&self) -> &[u32] {
         &self.order
-    }
-
-    /// Inverse permutation of [`CellGrid::sorted_order`]: CSR position of
-    /// each particle index.
-    pub fn rank(&self) -> &[usize] {
-        &self.rank
     }
 
     /// Number of cells.
@@ -222,7 +211,7 @@ impl CellGrid {
             // In-cell pairs.
             for (a, &i) in own.iter().enumerate() {
                 for &j in &own[a + 1..] {
-                    f(i, j);
+                    f(i as usize, j as usize);
                 }
             }
             // Cross-cell pairs with forward neighbors.
@@ -232,7 +221,7 @@ impl CellGrid {
                 let other = self.cell_particles(c2 as usize);
                 for &i in own {
                     for &j in other {
-                        f(i, j);
+                        f(i as usize, j as usize);
                     }
                 }
             }

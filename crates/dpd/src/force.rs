@@ -17,12 +17,15 @@
 //! (`seed ^ step·φ`) is hoisted out of the inner loop into
 //! [`PairParams::base`]; [`pair_noise`] remains bitwise identical.
 //!
-//! Two sweeps evaluate the identical pair kernel:
+//! Two sweeps run one kernel over a cell-ordered (CSR) copy of the
+//! positions, velocities and species, so an interior cell and its forward
+//! neighbours are five contiguous runs of each array. Per particle, a branch-free scan
+//! over the runs records the candidates inside the cutoff, then the force
+//! kernel runs on those hits. The particles stay in index order: the copy
+//! is rebuilt each sweep, and noise keys are particle indices.
 //!
-//! * [`accumulate_pair_forces`] — serial half-list sweep. Candidate
-//!   distances are precomputed per cell through the batched
-//!   `nkg-simd` min-image kernel (SoA gather, vectorized `r²` test), and
-//!   each unordered pair is evaluated once with `±F` scatter. Per-particle
+//! * [`accumulate_pair_forces`] — serial half-list sweep over all cells as
+//!   one range, `±F` straight into the particle arrays. Per-particle
 //!   accumulation order is identical to the historical pair-at-a-time
 //!   sweep, so results are bitwise stable across the refactor.
 //! * [`accumulate_pair_forces_par`] — parallel half-list sweep. Cells are
@@ -201,9 +204,11 @@ impl<'a> PairInputs<'a> {
     }
 }
 
-/// Post-cutoff Groot–Warren kernel: force on `i` from `j` given the
-/// already-computed minimum-image displacement `d` and squared distance
-/// `r2`. Arithmetic order matches the historical kernel exactly.
+/// Post-cutoff Groot–Warren kernel: force on entry `a` of `inp` from entry
+/// `b` given the already-computed minimum-image displacement `d`, squared
+/// distance `r2` and the pair's noise draw `zeta`. Arithmetic order matches
+/// the historical kernel exactly.
+#[allow(clippy::too_many_arguments)]
 #[inline]
 fn pair_force_from_d(
     prm: &PairParams,
@@ -211,22 +216,22 @@ fn pair_force_from_d(
     matrix: &SpeciesMatrix,
     d: [f64; 3],
     r2: f64,
-    i: usize,
-    j: usize,
+    a: usize,
+    b: usize,
+    zeta: f64,
 ) -> [f64; 3] {
     let r = r2.sqrt();
     let w = 1.0 - r / prm.rc;
     let e = [d[0] / r, d[1] / r, d[2] / r];
-    let (a, gamma) = matrix.get(inp.species[i], inp.species[j]);
+    let (a_ij, gamma) = matrix.get(inp.species[a], inp.species[b]);
     let sigma = (2.0 * gamma * prm.kbt).sqrt();
     let vij = [
-        inp.vx[i] - inp.vx[j],
-        inp.vy[i] - inp.vy[j],
-        inp.vz[i] - inp.vz[j],
+        inp.vx[a] - inp.vx[b],
+        inp.vy[a] - inp.vy[b],
+        inp.vz[a] - inp.vz[b],
     ];
     let ev = e[0] * vij[0] + e[1] * vij[1] + e[2] * vij[2];
-    let zeta = pair_noise_from_base(prm.base, i, j);
-    let fmag = a * w - gamma * w * w * ev + sigma * w * zeta * prm.inv_sqrt_dt;
+    let fmag = a_ij * w - gamma * w * w * ev + sigma * w * zeta * prm.inv_sqrt_dt;
     [fmag * e[0], fmag * e[1], fmag * e[2]]
 }
 
@@ -252,141 +257,248 @@ pub fn pair_force(
     if r2 >= prm.rc * prm.rc || r2 < 1e-24 {
         return None;
     }
-    Some(pair_force_from_d(prm, inp, matrix, d, r2, i, j))
+    let zeta = pair_noise_from_base(prm.base, i, j);
+    Some(pair_force_from_d(prm, inp, matrix, d, r2, i, j, zeta))
 }
 
-/// Gather/batch buffers of one cell sweep (one per thread of execution).
+/// One component of a minimum-image displacement: `d` on an axis of
+/// length `l`. On a periodic axis, two chained selects, bitwise
+/// [`Box3::min_image`]'s component: after the first, `d > -l/2`, so the
+/// second never undoes it. `periodic` is the same for a whole sweep, so
+/// the branch on it is always predicted.
+#[inline]
+fn min_image_component(d: f64, l: f64, periodic: bool) -> f64 {
+    if !periodic {
+        return d;
+    }
+    let d = if d > 0.5 * l { d - l } else { d };
+    if d < -0.5 * l {
+        d + l
+    } else {
+        d
+    }
+}
+
+/// The cell-ordered (CSR) copy of what the pair kernel reads: entry `r`
+/// holds particle `order[r]`'s position, velocity and species, so a cell
+/// and its forward neighbours are a few contiguous runs of every array.
 #[derive(Default)]
-struct CellScratch {
-    /// Candidate particle indices of the current cell neighborhood.
-    idx: Vec<u32>,
-    /// Gathered candidate coordinates (SoA).
-    gx: Vec<f64>,
-    gy: Vec<f64>,
-    gz: Vec<f64>,
-    /// Batched minimum-image displacements and squared distances.
-    dx: Vec<f64>,
-    dy: Vec<f64>,
-    dz: Vec<f64>,
-    r2: Vec<f64>,
+struct CsrCopy {
+    x: Vec<f64>,
+    y: Vec<f64>,
+    z: Vec<f64>,
+    vx: Vec<f64>,
+    vy: Vec<f64>,
+    vz: Vec<f64>,
+    species: Vec<u8>,
 }
 
-/// Working buffers and output of one chunk of the parallel half sweep.
+impl CsrCopy {
+    /// Copy `p` into the order `order`.
+    fn fill(&mut self, p: &Particles, order: &[u32]) {
+        assert_eq!(
+            order.len(),
+            p.len(),
+            "cell grid not rebuilt for these particles"
+        );
+        let n = order.len();
+        let CsrCopy {
+            x,
+            y,
+            z,
+            vx,
+            vy,
+            vz,
+            species,
+        } = self;
+        for v in [&mut *x, &mut *y, &mut *z, &mut *vx, &mut *vy, &mut *vz] {
+            v.resize(n, 0.0);
+        }
+        species.resize(n, 0);
+        for (r, &i) in order.iter().enumerate() {
+            let i = i as usize;
+            [x[r], y[r], z[r]] = p.pos(i);
+            [vx[r], vy[r], vz[r]] = p.vel(i);
+            species[r] = p.species[i];
+        }
+    }
+
+    fn inputs(&self) -> PairInputs<'_> {
+        PairInputs {
+            x: &self.x,
+            y: &self.y,
+            z: &self.z,
+            vx: &self.vx,
+            vy: &self.vy,
+            vz: &self.vz,
+            species: &self.species,
+        }
+    }
+}
+
+/// Output of one chunk of the parallel half sweep.
 #[derive(Default)]
 struct ChunkScratch {
-    cell: CellScratch,
+    /// Cutoff hits of the particle in flight (CSR positions).
+    hits: Vec<u32>,
     /// Dense `±F` accumulators for the chunk's own CSR range, indexed by
     /// CSR position minus the chunk base.
     own: Vec<[f64; 3]>,
     /// `−F` contributions to particles outside the chunk's CSR range
-    /// (forward-neighbor cells of the chunk's last cells), replayed during
-    /// the ordered reduction.
-    spill: Vec<(u32, [f64; 3])>,
-    hits: u64,
+    /// (forward-neighbour cells of the chunk's last cells), replayed in
+    /// order during the ordered reduction: particle index and force.
+    spill_idx: Vec<u32>,
+    spill_f: Vec<[f64; 3]>,
+    pairs: u64,
 }
 
 /// Buffers of the pair sweeps, kept by the caller between calls so the
 /// sweeps stop allocating once the buffers have grown to the box's
 /// occupancy. Carries no state from one sweep to the next: each sweep
-/// clears what it uses.
+/// overwrites what it uses.
 #[derive(Default)]
 pub struct SweepScratch {
-    serial: CellScratch,
+    copy: CsrCopy,
+    hits: Vec<u32>,
     chunks: Vec<ChunkScratch>,
 }
 
-/// Half-list sweep over the cell range `[clo, chi)`: every unordered pair
-/// whose *owning* cell (the lower cell id of the pair) lies in the range is
-/// evaluated exactly once, in deterministic order, and handed to `apply`.
-///
-/// Per cell, candidate coordinates (own cell + forward neighbors) are
-/// gathered once into contiguous SoA buffers and the cutoff test runs
-/// through the vectorized `nkg-simd` batch kernel; only surviving pairs
-/// evaluate the scalar force kernel. The enumeration guarantees each
-/// particle's contributions arrive in the same relative order as the
-/// historical pair-at-a-time loop, so per-particle sums are bitwise
-/// reproducible.
-#[allow(clippy::too_many_arguments)]
-fn sweep_half_cells(
-    prm: &PairParams,
-    bx: &Box3,
-    inp: &PairInputs<'_>,
-    matrix: &SpeciesMatrix,
-    grid: &CellGrid,
-    clo: usize,
-    chi: usize,
-    scratch: &mut CellScratch,
-    mut apply: impl FnMut(usize, usize, [f64; 3]),
-) -> u64 {
-    let l = bx.lengths();
-    let periodic = bx.periodic;
-    let rc2 = prm.rc * prm.rc;
-    let mut pairs = 0u64;
-    for c in clo..chi {
-        let own = grid.cell_particles(c);
-        if own.is_empty() {
-            continue;
-        }
-        scratch.idx.clear();
-        scratch.gx.clear();
-        scratch.gy.clear();
-        scratch.gz.clear();
-        let mut gather = |j: usize| {
-            scratch.idx.push(j as u32);
-            scratch.gx.push(inp.x[j]);
-            scratch.gy.push(inp.y[j]);
-            scratch.gz.push(inp.z[j]);
-        };
-        for &i in own {
-            gather(i);
-        }
-        for &c2 in grid.fwd_neighbors(c) {
-            for &j in grid.cell_particles(c2 as usize) {
-                gather(j);
-            }
-        }
-        let total = scratch.idx.len();
-        for (a, &i) in own.iter().enumerate() {
-            let lo = a + 1;
-            let m = total - lo;
-            if m == 0 {
-                continue;
-            }
-            scratch.dx.resize(m, 0.0);
-            scratch.dy.resize(m, 0.0);
-            scratch.dz.resize(m, 0.0);
-            scratch.r2.resize(m, 0.0);
-            nkg_simd::min_image_dist2_batch(
-                [inp.x[i], inp.y[i], inp.z[i]],
-                &scratch.gx[lo..],
-                &scratch.gy[lo..],
-                &scratch.gz[lo..],
-                l,
-                periodic,
-                &mut scratch.dx,
-                &mut scratch.dy,
-                &mut scratch.dz,
-                &mut scratch.r2,
-            );
-            for k in 0..m {
-                let r2 = scratch.r2[k];
-                if r2 >= rc2 || r2 < 1e-24 {
-                    continue;
-                }
-                let j = scratch.idx[lo + k] as usize;
-                let d = [scratch.dx[k], scratch.dy[k], scratch.dz[k]];
-                let fv = pair_force_from_d(prm, inp, matrix, d, r2, i, j);
-                pairs += 1;
-                apply(i, j, fv);
-            }
+impl SweepScratch {
+    /// Bytes of the cell-ordered copy the last sweep read.
+    pub fn copy_bytes(&self) -> usize {
+        self.copy.x.len() * (6 * std::mem::size_of::<f64>() + 1)
+    }
+
+    /// `−F` entries the last parallel sweep spilled across chunk bounds.
+    pub fn spill_entries(&self) -> usize {
+        self.chunks.iter().map(|c| c.spill_idx.len()).sum()
+    }
+}
+
+/// What a half sweep reads: the cell-ordered copy, the grid, and the box
+/// constants of the cutoff scan.
+struct CellSweep<'a> {
+    prm: PairParams,
+    matrix: &'a SpeciesMatrix,
+    grid: &'a CellGrid,
+    inp: PairInputs<'a>,
+    order: &'a [u32],
+    l: [f64; 3],
+    periodic: [bool; 3],
+}
+
+impl<'a> CellSweep<'a> {
+    fn new(
+        prm: PairParams,
+        bx: &Box3,
+        matrix: &'a SpeciesMatrix,
+        grid: &'a CellGrid,
+        copy: &'a CsrCopy,
+    ) -> Self {
+        Self {
+            prm,
+            matrix,
+            grid,
+            inp: copy.inputs(),
+            order: grid.sorted_order(),
+            l: bx.lengths(),
+            periodic: bx.periodic,
         }
     }
-    pairs
+
+    /// Cell `c`'s candidates as contiguous CSR runs: the cell itself, then
+    /// its forward neighbours in list order, consecutive cell ids merged
+    /// into one run (an interior cell has 5). Returns the run count.
+    fn runs(&self, c: usize, runs: &mut [(usize, usize); 27]) -> usize {
+        let g = self.grid;
+        runs[0] = (g.cell_start(c), g.cell_start(c + 1));
+        let (mut n, mut last) = (1, c);
+        for &c2 in g.fwd_neighbors(c) {
+            let c2 = c2 as usize;
+            if c2 == last + 1 {
+                runs[n - 1].1 = g.cell_start(c2 + 1);
+            } else {
+                runs[n] = (g.cell_start(c2), g.cell_start(c2 + 1));
+                n += 1;
+            }
+            last = c2;
+        }
+        n
+    }
+
+    /// Half-list sweep over the cell range `[clo, chi)`: every unordered
+    /// pair whose owning cell (the lower cell id) lies in the range is
+    /// evaluated once and handed to `apply` as CSR positions `(ri, rj)`.
+    ///
+    /// Per own particle, a branch-free scan over the cell's runs records
+    /// the candidates inside the cutoff, then the kernel runs on those hits
+    /// and recomputes `d` with the same arithmetic. Candidates come in the
+    /// historical order (own cell after `ri`, then forward neighbours in
+    /// list order), so each particle's sum takes its terms in the same
+    /// order, and the noise is keyed on particle indices through `order`.
+    fn sweep(
+        &self,
+        clo: usize,
+        chi: usize,
+        hits: &mut Vec<u32>,
+        mut apply: impl FnMut(usize, usize, [f64; 3]),
+    ) -> u64 {
+        let (inp, l, periodic) = (&self.inp, self.l, self.periodic);
+        let rc2 = self.prm.rc * self.prm.rc;
+        let mut runs = [(0usize, 0usize); 27];
+        let mut pairs = 0u64;
+        for c in clo..chi {
+            let (s0, s1) = (self.grid.cell_start(c), self.grid.cell_start(c + 1));
+            if s0 == s1 {
+                continue;
+            }
+            let nruns = self.runs(c, &mut runs);
+            let runs = &runs[..nruns];
+            let total: usize = runs.iter().map(|&(lo, hi)| hi - lo).sum();
+            if hits.len() < total {
+                hits.resize(total, 0);
+            }
+            for ri in s0..s1 {
+                let (xi, yi, zi) = (inp.x[ri], inp.y[ri], inp.z[ri]);
+                // Displacement from candidate `j` and its squared length.
+                let disp = |xj: f64, yj: f64, zj: f64| {
+                    let d = [
+                        min_image_component(xi - xj, l[0], periodic[0]),
+                        min_image_component(yi - yj, l[1], periodic[1]),
+                        min_image_component(zi - zj, l[2], periodic[2]),
+                    ];
+                    (d, d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+                };
+                let mut n = 0;
+                for (k, &(lo, hi)) in runs.iter().enumerate() {
+                    let lo = if k == 0 { ri + 1 } else { lo };
+                    let (xs, ys, zs) = (&inp.x[lo..hi], &inp.y[lo..hi], &inp.z[lo..hi]);
+                    for (rj, ((&xj, &yj), &zj)) in (lo..hi).zip(xs.iter().zip(ys).zip(zs)) {
+                        let (_, r2) = disp(xj, yj, zj);
+                        hits[n] = rj as u32;
+                        n += usize::from(!((r2 >= rc2) | (r2 < 1e-24)));
+                    }
+                }
+                let i = self.order[ri] as usize;
+                for &rj in &hits[..n] {
+                    let rj = rj as usize;
+                    let (d, r2) = disp(inp.x[rj], inp.y[rj], inp.z[rj]);
+                    let zeta = pair_noise_from_base(self.prm.base, i, self.order[rj] as usize);
+                    let f = pair_force_from_d(&self.prm, inp, self.matrix, d, r2, ri, rj, zeta);
+                    apply(ri, rj, f);
+                }
+                pairs += n as u64;
+            }
+        }
+        pairs
+    }
 }
 
 /// Serial half sweep: evaluate each unordered pair once and apply the
 /// force to both particles (`p` forces must be pre-zeroed or hold external
-/// forces to accumulate onto). Returns the number of interacting pairs.
+/// forces to accumulate onto). The same kernel as the parallel sweep, over
+/// all cells as one range, with `±F` straight into the particle arrays.
+/// Returns the number of interacting pairs.
 #[allow(clippy::too_many_arguments)]
 pub fn accumulate_pair_forces(
     p: &mut Particles,
@@ -400,38 +512,20 @@ pub fn accumulate_pair_forces(
     step: u64,
     scratch: &mut SweepScratch,
 ) -> u64 {
+    let order = grid.sorted_order();
+    scratch.copy.fill(p, order);
     let prm = PairParams::new(rc, kbt, dt, seed, step);
-    // Split borrows: read pos/vel/species, write the force components.
-    let inp = PairInputs {
-        x: &p.x,
-        y: &p.y,
-        z: &p.z,
-        vx: &p.vx,
-        vy: &p.vy,
-        vz: &p.vz,
-        species: &p.species,
-    };
-    let fx = &mut p.fx;
-    let fy = &mut p.fy;
-    let fz = &mut p.fz;
-    sweep_half_cells(
-        &prm,
-        bx,
-        &inp,
-        matrix,
-        grid,
-        0,
-        grid.num_cells(),
-        &mut scratch.serial,
-        |i, j, fv| {
-            fx[i] += fv[0];
-            fy[i] += fv[1];
-            fz[i] += fv[2];
-            fx[j] -= fv[0];
-            fy[j] -= fv[1];
-            fz[j] -= fv[2];
-        },
-    )
+    let sweep = CellSweep::new(prm, bx, matrix, grid, &scratch.copy);
+    let (fx, fy, fz) = (&mut p.fx, &mut p.fy, &mut p.fz);
+    sweep.sweep(0, grid.num_cells(), &mut scratch.hits, |ri, rj, f| {
+        let (i, j) = (order[ri] as usize, order[rj] as usize);
+        fx[i] += f[0];
+        fy[i] += f[1];
+        fz[i] += f[2];
+        fx[j] -= f[0];
+        fy[j] -= f[1];
+        fz[j] -= f[2];
+    })
 }
 
 /// Parallel half sweep: each unordered pair is computed once, `±F` lands
@@ -455,18 +549,17 @@ pub fn accumulate_pair_forces_par(
     scratch: &mut SweepScratch,
 ) -> u64 {
     use rayon::prelude::*;
-    let prm = PairParams::new(rc, kbt, dt, seed, step);
-    let ranges = grid.balanced_cell_chunks(HALF_SWEEP_CHUNKS);
-    let rank = grid.rank();
     let order = grid.sorted_order();
-    assert!(p.len() <= u32::MAX as usize, "particle count overflows u32");
+    scratch.copy.fill(p, order);
+    let prm = PairParams::new(rc, kbt, dt, seed, step);
+    let sweep = CellSweep::new(prm, bx, matrix, grid, &scratch.copy);
+    let ranges = grid.balanced_cell_chunks(HALF_SWEEP_CHUNKS);
     if scratch.chunks.len() < ranges.len() {
         scratch
             .chunks
             .resize_with(ranges.len(), ChunkScratch::default);
     }
     let chunks = &mut scratch.chunks[..ranges.len()];
-    let inp = PairInputs::of(p);
     chunks
         .par_iter_mut()
         .zip(&ranges)
@@ -474,48 +567,45 @@ pub fn accumulate_pair_forces_par(
             let base = grid.cell_start(clo);
             let own_n = grid.cell_start(chi) - base;
             let ChunkScratch {
-                cell,
-                own,
-                spill,
                 hits,
+                own,
+                spill_idx,
+                spill_f,
+                pairs,
             } = chunk;
             own.clear();
             own.resize(own_n, [0.0; 3]);
-            spill.clear();
-            *hits = sweep_half_cells(&prm, bx, &inp, matrix, grid, clo, chi, cell, |i, j, fv| {
-                let ri = rank[i] - base;
-                own[ri][0] += fv[0];
-                own[ri][1] += fv[1];
-                own[ri][2] += fv[2];
-                let rj = rank[j];
-                if rj >= base && rj < base + own_n {
-                    let rj = rj - base;
-                    own[rj][0] -= fv[0];
-                    own[rj][1] -= fv[1];
-                    own[rj][2] -= fv[2];
+            spill_idx.clear();
+            spill_f.clear();
+            *pairs = sweep.sweep(clo, chi, hits, |ri, rj, f| {
+                let a = ri - base;
+                own[a][0] += f[0];
+                own[a][1] += f[1];
+                own[a][2] += f[2];
+                // `rj > ri`: candidates follow `ri` in CSR order.
+                let b = rj - base;
+                if b < own_n {
+                    own[b][0] -= f[0];
+                    own[b][1] -= f[1];
+                    own[b][2] -= f[2];
                 } else {
-                    spill.push((j as u32, [-fv[0], -fv[1], -fv[2]]));
+                    spill_idx.push(order[rj]);
+                    spill_f.push([-f[0], -f[1], -f[2]]);
                 }
             });
         });
-    let mut hits = 0u64;
+    let mut pairs = 0u64;
     for (&(clo, _), chunk) in ranges.iter().zip(chunks.iter()) {
         let base = grid.cell_start(clo);
-        for (k, f) in chunk.own.iter().enumerate() {
-            let i = order[base + k];
-            p.fx[i] += f[0];
-            p.fy[i] += f[1];
-            p.fz[i] += f[2];
+        for (&i, f) in order[base..].iter().zip(&chunk.own) {
+            p.add_force(i as usize, *f);
         }
-        for &(j, f) in &chunk.spill {
-            let j = j as usize;
-            p.fx[j] += f[0];
-            p.fy[j] += f[1];
-            p.fz[j] += f[2];
+        for (&j, &f) in chunk.spill_idx.iter().zip(&chunk.spill_f) {
+            p.add_force(j as usize, f);
         }
-        hits += chunk.hits;
+        pairs += chunk.pairs;
     }
-    hits
+    pairs
 }
 
 #[cfg(test)]
@@ -720,6 +810,234 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The gather sweep the CSR kernel replaced: per cell, gather the
+    /// candidate indices (own cell, then forward neighbours in list order)
+    /// and run [`pair_force`] on every later candidate of each own
+    /// particle, on the particle arrays throughout. `Box3::min_image` is
+    /// bitwise the batched distance kernel that sweep used.
+    #[allow(clippy::too_many_arguments)]
+    fn gather_sweep_reference(
+        prm: &PairParams,
+        bx: &Box3,
+        inp: &PairInputs<'_>,
+        matrix: &SpeciesMatrix,
+        grid: &CellGrid,
+        clo: usize,
+        chi: usize,
+        mut apply: impl FnMut(usize, usize, [f64; 3]),
+    ) -> u64 {
+        let mut idx: Vec<u32> = Vec::new();
+        let mut pairs = 0;
+        for c in clo..chi {
+            idx.clear();
+            idx.extend_from_slice(grid.cell_particles(c));
+            let own = idx.len();
+            for &c2 in grid.fwd_neighbors(c) {
+                idx.extend_from_slice(grid.cell_particles(c2 as usize));
+            }
+            for a in 0..own {
+                let i = idx[a] as usize;
+                for &j in &idx[a + 1..] {
+                    if let Some(f) = pair_force(prm, bx, inp, matrix, i, j as usize) {
+                        pairs += 1;
+                        apply(i, j as usize, f);
+                    }
+                }
+            }
+        }
+        pairs
+    }
+
+    /// The historical serial sweep: the gather reference over all cells,
+    /// `±F` into the particle arrays.
+    fn serial_reference(p: &mut Particles, grid: &CellGrid, bx: &Box3, m: &SpeciesMatrix) -> u64 {
+        let prm = PairParams::new(1.0, 1.0, 0.01, 42, 3);
+        let mut f = vec![[0.0f64; 3]; p.len()];
+        let pairs = gather_sweep_reference(
+            &prm,
+            bx,
+            &PairInputs::of(p),
+            m,
+            grid,
+            0,
+            grid.num_cells(),
+            |i, j, fv| {
+                for k in 0..3 {
+                    f[i][k] += fv[k];
+                    f[j][k] -= fv[k];
+                }
+            },
+        );
+        for (i, fi) in f.iter().enumerate() {
+            p.add_force(i, *fi);
+        }
+        pairs
+    }
+
+    /// The historical parallel sweep, run chunk after chunk: the gather
+    /// reference per chunk into a buffer indexed by CSR position (through
+    /// the inverse of the grid's order), spills replayed in the fold.
+    fn parallel_reference(p: &mut Particles, grid: &CellGrid, bx: &Box3, m: &SpeciesMatrix) -> u64 {
+        let prm = PairParams::new(1.0, 1.0, 0.01, 42, 3);
+        let order = grid.sorted_order();
+        let mut rank = vec![0usize; order.len()];
+        for (r, &i) in order.iter().enumerate() {
+            rank[i as usize] = r;
+        }
+        let mut pairs = 0;
+        let mut folds = Vec::new();
+        for (clo, chi) in grid.balanced_cell_chunks(HALF_SWEEP_CHUNKS) {
+            let base = grid.cell_start(clo);
+            let own_n = grid.cell_start(chi) - base;
+            let mut own = vec![[0.0f64; 3]; own_n];
+            let mut spill = Vec::new();
+            pairs += gather_sweep_reference(
+                &prm,
+                bx,
+                &PairInputs::of(p),
+                m,
+                grid,
+                clo,
+                chi,
+                |i, j, fv| {
+                    let ri = rank[i] - base;
+                    for k in 0..3 {
+                        own[ri][k] += fv[k];
+                    }
+                    let rj = rank[j];
+                    if rj >= base && rj < base + own_n {
+                        for k in 0..3 {
+                            own[rj - base][k] -= fv[k];
+                        }
+                    } else {
+                        spill.push((j, [-fv[0], -fv[1], -fv[2]]));
+                    }
+                },
+            );
+            folds.push((base, own, spill));
+        }
+        for (base, own, spill) in folds {
+            for (k, f) in own.iter().enumerate() {
+                p.add_force(order[base + k] as usize, *f);
+            }
+            for (j, f) in spill {
+                p.add_force(j, f);
+            }
+        }
+        pairs
+    }
+
+    /// The bits of the three force arrays.
+    fn force_bits(p: &Particles) -> Vec<u64> {
+        [&p.fx, &p.fy, &p.fz]
+            .into_iter()
+            .flatten()
+            .map(|f| f.to_bits())
+            .collect()
+    }
+
+    /// Both CSR sweeps are bitwise their gather references, pair counts
+    /// included: every grid of 1..=4 cells per axis under all 8 periodic
+    /// patterns and the 30 × 20 × 16 box, two species with their own
+    /// coefficients, on pools of 1, 2, 4 and 8 threads.
+    #[test]
+    fn csr_sweeps_are_bitwise_the_gather_reference() {
+        let mut grids: Vec<[usize; 3]> = Vec::new();
+        for d0 in 1..=4 {
+            for d1 in 1..=4 {
+                for d2 in 1..=4 {
+                    grids.push([d0, d1, d2]);
+                }
+            }
+        }
+        grids.push([30, 20, 16]);
+        let mut m = SpeciesMatrix::uniform(2, 25.0, 4.5);
+        m.set(0, 1, 40.0, 9.0);
+        let pools = [1, 2, 4, 8].map(|w| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(w)
+                .build()
+                .unwrap()
+        });
+        let mut scratch = SweepScratch::default();
+        for (g, dims) in grids.into_iter().enumerate() {
+            for pattern in 0..8 {
+                let periodic = [pattern & 1 != 0, pattern & 2 != 0, pattern & 4 != 0];
+                let hi = dims.map(|d| d as f64 + 0.5);
+                let bx = Box3::new([0.0; 3], hi, periodic);
+                let n = (3.0 * bx.volume()) as usize;
+                let mut p = Particles::new();
+                let mut s = (g * 8 + pattern) as u64 + 1;
+                let mut r = || {
+                    s = s
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    (s >> 11) as f64 / (1u64 << 53) as f64
+                };
+                for _ in 0..n {
+                    let pos = [r() * hi[0], r() * hi[1], r() * hi[2]];
+                    let vel = [r() - 0.5, r() - 0.5, r() - 0.5];
+                    p.push(pos, vel, (r() * 2.0) as u8);
+                }
+                let mut grid = CellGrid::new(bx, 1.0);
+                assert_eq!(grid.dims, dims);
+                grid.rebuild_soa(&p.x, &p.y, &p.z);
+                let case = format!("dims {dims:?}, periodic {periodic:?}");
+                let mut want_serial = p.clone();
+                let want_pairs = serial_reference(&mut want_serial, &grid, &bx, &m);
+                let mut want_par = p.clone();
+                assert_eq!(
+                    parallel_reference(&mut want_par, &grid, &bx, &m),
+                    want_pairs
+                );
+                for pool in &pools {
+                    let width = pool.current_num_threads();
+                    pool.install(|| {
+                        for (name, sweep, want) in [
+                            ("serial", accumulate_pair_forces as Sweep, &want_serial),
+                            ("parallel", accumulate_pair_forces_par as Sweep, &want_par),
+                        ] {
+                            let mut q = p.clone();
+                            let pairs =
+                                sweep(&mut q, &grid, &bx, &m, 1.0, 1.0, 0.01, 42, 3, &mut scratch);
+                            assert_eq!(pairs, want_pairs, "{name} pairs, {case}, width {width}");
+                            assert!(
+                                force_bits(&q) == force_bits(want),
+                                "{name} forces, {case}, width {width}"
+                            );
+                        }
+                    });
+                }
+            }
+        }
+    }
+
+    /// The sweep's per-component minimum image is bitwise
+    /// `Box3::min_image` on periodic and bounded axes, on components that
+    /// wrap and on components that do not (the half length included).
+    #[test]
+    fn min_image_component_is_box_min_image() {
+        let bx = Box3::new([0.0; 3], [10.0, 9.0, 8.0], [true, false, true]);
+        let l = bx.lengths();
+        let coords = [0.0, 0.3, 1.0 / 3.0, 2.5, 4.0, 4.5, 5.0, 5.7, 7.9, 8.0, 9.99];
+        let (mut wrapped, mut kept) = (0, 0);
+        for &a in &coords {
+            for &b in &coords {
+                let want = bx.min_image([a; 3], [b; 3]);
+                for k in 0..3 {
+                    let got = min_image_component(a - b, l[k], bx.periodic[k]);
+                    assert_eq!(got.to_bits(), want[k].to_bits(), "a {a}, b {b}, axis {k}");
+                    if want[k] == a - b {
+                        kept += 1;
+                    } else {
+                        wrapped += 1;
+                    }
+                }
+            }
+        }
+        assert!(wrapped > 20 && kept > 20, "wrapped {wrapped}, kept {kept}");
     }
 
     /// Newton's third law holds bitwise in the kernel: an isolated pair's

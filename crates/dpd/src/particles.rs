@@ -2,10 +2,10 @@
 //!
 //! Every per-particle scalar lives in its own `Vec<f64>` component array
 //! (`x/y/z`, `vx/vy/vz`, `fx/fy/fz`), the layout the paper's Table-1
-//! SIMDization assumes: the force sweep streams each coordinate component
-//! contiguously, so the batched distance kernel in `nkg-simd` vectorizes
-//! without gather instructions. The kernels take slices and issue
-//! unaligned vector loads, so the arrays need no special alignment.
+//! SIMDization assumes: the per-particle passes of a step stream each
+//! component contiguously, and the force sweep copies the components it
+//! reads into cell order ([`crate::force`]). The loops take slices and
+//! use unaligned vector loads, so the arrays need no special alignment.
 
 /// Aggregation state of a platelet particle (solvent particles stay
 /// [`PlateletState::NotPlatelet`]).

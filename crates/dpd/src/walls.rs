@@ -42,8 +42,9 @@ impl EffectiveWallForce {
         if h >= self.rc {
             return 0.0;
         }
+        // `t > 0` here, so the truncating cast is the floor.
         let t = h / self.rc * (self.table.len() - 1) as f64;
-        let k = t.floor() as usize;
+        let k = t as usize;
         let frac = t - k as f64;
         self.table[k] * (1.0 - frac) + self.table[(k + 1).min(self.table.len() - 1)] * frac
     }

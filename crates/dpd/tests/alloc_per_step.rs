@@ -1,9 +1,11 @@
 //! A steady-state `DpdSim::step` allocates a bounded number of times,
 //! independent of the particle count: the step's `f(t)`/`v(t)` copies and
-//! the sweeps' gather, chunk and spill buffers are owned by the simulation
-//! and reused. Measured: 0 per step under `Serial`, 5 under `Parallel`
-//! (the chunk ranges and the pool driver's per-call bookkeeping); the
-//! bound of 8 leaves no room for a per-particle buffer to come back.
+//! the sweeps' cell-ordered copy, hit, chunk and spill buffers are owned by
+//! the simulation and reused. Measured: 0 per step under `Serial`; under
+//! `Parallel`, 1 at N = 5 184 (the chunk ranges) and up to 5 at N = 648,
+//! whose per-chunk spill lists are still growing after the ten warm-up
+//! steps (1 after 200); the bound of 8 leaves no room for a per-particle
+//! buffer to come back.
 //! Alone in its test binary because the counting allocator is
 //! process-global.
 

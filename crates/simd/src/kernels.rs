@@ -261,67 +261,6 @@ fn sweep_block<const K: usize, const W: usize>(
     y[i0..i0 + W].copy_from_slice(&acc);
 }
 
-/// Minimum-image displacement along one axis: `out[k] = a - b[k]`, wrapped
-/// into `(-l/2, l/2]` when the axis is periodic.
-///
-/// The chained selects are bitwise-equivalent to the scalar
-/// `if d > 0.5*l { d -= l } else if d < -0.5*l { d += l }` (the branches
-/// are mutually exclusive: `d > l/2` implies `d - l > -l/2`), and the
-/// branch-free form lets LLVM if-convert and vectorize the loop.
-#[inline]
-fn min_image_axis(a: f64, b: &[f64], l: f64, periodic: bool, out: &mut [f64]) {
-    assert_eq!(b.len(), out.len());
-    if periodic {
-        for (o, &bk) in out.iter_mut().zip(b.iter()) {
-            let d = a - bk;
-            let d = if d > 0.5 * l { d - l } else { d };
-            let d = if d < -0.5 * l { d + l } else { d };
-            *o = d;
-        }
-    } else {
-        for (o, &bk) in out.iter_mut().zip(b.iter()) {
-            *o = a - bk;
-        }
-    }
-}
-
-/// Minimum-image displacements and squared distances of one reference
-/// point against a batch of SoA candidate coordinates — the gather phase
-/// of the DPD pair sweep.
-///
-/// For each candidate `k`:
-/// `(dx,dy,dz)[k] = min_image(p - (xj,yj,zj)[k])` and
-/// `r2[k] = dx[k]*dx[k] + dy[k]*dy[k] + dz[k]*dz[k]`.
-///
-/// Per-lane operation order is identical to evaluating each pair through
-/// `Box3::min_image` individually, so results are bitwise identical to
-/// the scalar path — the property the DPD golden-value tests pin. Most
-/// candidates fail the cutoff, so batching this test vectorizes the bulk
-/// of the sweep's arithmetic even though the surviving force evaluations
-/// stay scalar.
-#[allow(clippy::too_many_arguments)]
-pub fn min_image_dist2_batch(
-    p: [f64; 3],
-    xj: &[f64],
-    yj: &[f64],
-    zj: &[f64],
-    l: [f64; 3],
-    periodic: [bool; 3],
-    dx: &mut [f64],
-    dy: &mut [f64],
-    dz: &mut [f64],
-    r2: &mut [f64],
-) {
-    let n = xj.len();
-    assert!(yj.len() == n && zj.len() == n && r2.len() == n);
-    min_image_axis(p[0], xj, l[0], periodic[0], dx);
-    min_image_axis(p[1], yj, l[1], periodic[1], dy);
-    min_image_axis(p[2], zj, l[2], periodic[2], dz);
-    for k in 0..n {
-        r2[k] = dx[k] * dx[k] + dy[k] * dy[k] + dz[k] * dz[k];
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,50 +273,6 @@ mod tests {
     /// Deterministic non-trivial test data: entry `i` of stream `s`.
     fn val(i: usize, s: f64) -> f64 {
         ((i as f64 + s) * 0.7311).sin()
-    }
-
-    #[test]
-    fn min_image_batch_is_bitwise_scalar() {
-        // Scalar reference: the exact branch structure of Box3::min_image.
-        fn scalar(a: f64, b: f64, l: f64, periodic: bool) -> f64 {
-            let mut d = a - b;
-            if periodic {
-                if d > 0.5 * l {
-                    d -= l;
-                } else if d < -0.5 * l {
-                    d += l;
-                }
-            }
-            d
-        }
-        let l = [10.0, 9.0, 8.0];
-        let periodic = [true, false, true];
-        let p = [7.3, 4.1, 0.2];
-        let n = 257;
-        let xj = (0..n)
-            .map(|i| (i as f64 * 0.37) % l[0])
-            .collect::<Vec<f64>>();
-        let yj = (0..n)
-            .map(|i| (i as f64 * 0.61) % l[1])
-            .collect::<Vec<f64>>();
-        let zj = (0..n)
-            .map(|i| (i as f64 * 0.83) % l[2])
-            .collect::<Vec<f64>>();
-        let (mut dx, mut dy, mut dz, mut r2) =
-            (vec![0.0; n], vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-        min_image_dist2_batch(
-            p, &xj, &yj, &zj, l, periodic, &mut dx, &mut dy, &mut dz, &mut r2,
-        );
-        for k in 0..n {
-            let ex = scalar(p[0], xj[k], l[0], periodic[0]);
-            let ey = scalar(p[1], yj[k], l[1], periodic[1]);
-            let ez = scalar(p[2], zj[k], l[2], periodic[2]);
-            assert_eq!(dx[k].to_bits(), ex.to_bits(), "x lane {k}");
-            assert_eq!(dy[k].to_bits(), ey.to_bits(), "y lane {k}");
-            assert_eq!(dz[k].to_bits(), ez.to_bits(), "z lane {k}");
-            let er2 = ex * ex + ey * ey + ez * ez;
-            assert_eq!(r2[k].to_bits(), er2.to_bits(), "r2 lane {k}");
-        }
     }
 
     /// Every column of a sweep has the bits of its own scalar loop, for

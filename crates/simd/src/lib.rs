@@ -34,6 +34,6 @@
 pub mod kernels;
 
 pub use kernels::{
-    axpy, dot, min_image_dist2_batch, mul_scalar, mul_vec, norm2, triple_dot_scalar,
-    triple_dot_vec, vecmat, vecmat_strided, wdot_scalar, wdot_vec, xpby,
+    axpy, dot, mul_scalar, mul_vec, norm2, triple_dot_scalar, triple_dot_vec, vecmat,
+    vecmat_strided, wdot_scalar, wdot_vec, xpby,
 };
