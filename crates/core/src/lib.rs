@@ -23,9 +23,6 @@
 //!   velocities interpolated at interface-bin midpoints, scaled by Eq. (1)
 //!   and imposed as DPD inflow targets with particle insertion/deletion;
 //!   DPD bin averages travel back for the continuity check;
-//! * [`oned_coupling`] — NεκTαr↔NεκTαr-1D coupling: a continuum outlet
-//!   closed by a 1D arterial network (flux → network, root pressure →
-//!   outlet Dirichlet), the paper's peripheral-network mechanism;
 //! * [`metasolver`] — the top-level [`metasolver::NektarG`] facade driving
 //!   a multipatch continuum domain with an embedded atomistic domain and
 //!   platelet aggregation through the full time progression;
@@ -43,7 +40,6 @@ pub mod ensemble;
 pub mod failover;
 pub mod metasolver;
 pub mod multipatch;
-pub mod oned_coupling;
 pub mod progression;
 pub mod scaling;
 pub mod scenario;

@@ -38,7 +38,6 @@ use nkg_sem::ns2d::{NsConfig, NsSolver2d, StepSolveStats};
 use nkg_sem::precon::EllipticSpace;
 use nkg_sem::space2d::Space2d;
 use rayon::prelude::*;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Resolve the interface trace of `points` against `patches`: each point's
@@ -100,9 +99,6 @@ pub struct Multipatch2d {
     /// step touches only its own fields, so the fan-out is bitwise
     /// identical to the serial order for any thread count.
     pub parallel: bool,
-    /// Externally imposed pressure overrides (e.g. from a 1D outflow
-    /// network), merged into every exchange so they survive time stepping.
-    pub extra_p_overrides: Vec<HashMap<usize, f64>>,
 }
 
 /// A patch's upstream link, receiving donor velocity, and its downstream
@@ -203,7 +199,6 @@ impl Multipatch2d {
             .collect();
         Self {
             links: vel.into_iter().zip(p).collect(),
-            extra_p_overrides: vec![HashMap::new(); np],
             patches,
             parallel: false,
         }
@@ -236,7 +231,6 @@ impl Multipatch2d {
             patches,
             links,
             parallel,
-            extra_p_overrides,
         } = self;
         let donors = &*patches;
         let evaluate = |(vel, p): &mut PatchLinks| {
@@ -253,17 +247,9 @@ impl Multipatch2d {
         } else {
             links.iter_mut().for_each(evaluate);
         }
-        for ((solver, (vel, p)), extra) in patches.iter_mut().zip(&*links).zip(&*extra_p_overrides)
-        {
+        for (solver, (vel, p)) in patches.iter_mut().zip(&*links) {
             vel.impose(solver.velocity_overrides_mut());
             p.impose(solver.pressure_overrides_mut());
-            // External overrides last, so they win on a shared DoF; one
-            // that names no pressure Dirichlet DoF has nothing to override.
-            for (dof, &val) in extra {
-                if let Ok(slot) = solver.pressure_bc_dofs().binary_search(dof) {
-                    solver.pressure_overrides_mut()[slot] = Some(val);
-                }
-            }
         }
     }
 
@@ -359,14 +345,10 @@ impl Snapshot for Multipatch2d {
         for solver in &self.patches {
             solver.snapshot(enc);
         }
-        for over in &self.extra_p_overrides {
-            let mut entries: Vec<(usize, f64)> = over.iter().map(|(&k, &v)| (k, v)).collect();
-            entries.sort_unstable_by_key(|&(k, _)| k);
-            enc.put(entries.len() as u64);
-            for (k, v) in entries {
-                enc.put(k as u64);
-                enc.put(v);
-            }
+        // One word per patch, always 0: the count of a retired map of
+        // external pressure overrides, kept so the format is unchanged.
+        for _ in &self.patches {
+            enc.put(0u64);
         }
     }
 
@@ -392,15 +374,13 @@ impl Snapshot for Multipatch2d {
         for solver in &mut self.patches {
             solver.restore(dec)?;
         }
-        for over in &mut self.extra_p_overrides {
-            let n = dec.take::<u64>()? as usize;
-            let mut map = HashMap::with_capacity(n);
-            for _ in 0..n {
-                let k = dec.take::<u64>()? as usize;
-                let v = dec.take::<f64>()?;
-                map.insert(k, v);
+        for pi in 0..self.patches.len() {
+            let n = dec.take::<u64>()?;
+            if n != 0 {
+                return Err(CkptError::Mismatch(format!(
+                    "patch {pi} carries {n} external pressure overrides; none are supported"
+                )));
             }
-            *over = map;
         }
         Ok(())
     }
@@ -496,7 +476,6 @@ mod tests {
     #[test]
     fn checkpoint_resume_is_bitwise() {
         let mut mp = poiseuille_multipatch(4.0, 1.0, 8, 2, 2, 3, 0.5, 0.4, 5e-3);
-        mp.extra_p_overrides[1].insert(3, 0.125);
         for _ in 0..6 {
             mp.step();
         }
@@ -515,7 +494,6 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits(), "p diverged after resume");
             }
         }
-        assert_eq!(resumed.extra_p_overrides[1].get(&3), Some(&0.125));
     }
 
     #[test]
@@ -525,6 +503,25 @@ mod tests {
         let mut other = poiseuille_multipatch(6.0, 1.0, 12, 2, 3, 3, 0.5, 0.4, 5e-3);
         assert!(matches!(
             nkg_ckpt::restore_bytes(&mut other, &bytes),
+            Err(CkptError::Mismatch(_))
+        ));
+    }
+
+    /// A snapshot ends in one override-count word per patch that only a
+    /// zero may fill: a snapshot carrying overrides is refused, not
+    /// resumed without them.
+    #[test]
+    fn restore_refuses_pressure_overrides() {
+        let mp = poiseuille_multipatch(4.0, 1.0, 8, 2, 2, 3, 0.5, 0.4, 5e-3);
+        let mut bytes = nkg_ckpt::snapshot_bytes(&mp);
+        let mut resumed = poiseuille_multipatch(4.0, 1.0, 8, 2, 2, 3, 0.5, 0.4, 5e-3);
+        nkg_ckpt::restore_bytes(&mut resumed, &bytes).unwrap();
+        // The last word is patch 1's count.
+        let last = bytes.len() - 8;
+        assert_eq!(bytes[last..], 0u64.to_le_bytes());
+        bytes[last..].copy_from_slice(&1u64.to_le_bytes());
+        assert!(matches!(
+            nkg_ckpt::restore_bytes(&mut resumed, &bytes),
             Err(CkptError::Mismatch(_))
         ));
     }

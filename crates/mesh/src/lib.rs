@@ -1,4 +1,4 @@
-//! Meshes and synthetic vasculature.
+//! Synthetic vessel meshes.
 //!
 //! The paper's continuum domain is a patient-specific reconstruction of the
 //! major brain arteries (circle of Willis with an aneurysm), decomposed into
@@ -7,13 +7,10 @@
 //! and one wall surface. MRI data is not available, so this crate generates
 //! *synthetic* equivalents that exercise identical code paths:
 //!
-//! * [`oned`] — 1D arterial networks (segments + bifurcations with
-//!   Murray-law radii, Windkessel-terminated outlets) for the NεκTαr-1D
-//!   solver;
-//! * [`quad`] — 2D quadrilateral spectral-element meshes (channels, mapped
-//!   geometries, overlapping patch decompositions);
-//! * [`hex`] — 3D hexahedral spectral-element meshes (boxes and mapped
-//!   tubes).
+//! * [`quad`] — 2D quadrilateral spectral-element meshes: channels,
+//!   curvilinear maps of them, and overlapping patch splits;
+//! * [`hex`] — 3D hexahedral spectral-element meshes: boxes, curvilinear
+//!   maps of them, and tubes.
 //!
 //! Element-adjacency extraction for partitioning (face-only vs. full
 //! vertex adjacency — the two strategies of Table 2) lives here too, since
@@ -22,11 +19,9 @@
 #![forbid(unsafe_code)]
 
 pub mod hex;
-pub mod oned;
 pub mod quad;
 
 pub use hex::HexMesh;
-pub use oned::{ArterialNetwork, Segment, Windkessel};
 pub use quad::{BoundaryTag, QuadMesh};
 
 /// A conforming mesh of `D`-dimensional tensor-product cells

@@ -105,26 +105,6 @@ impl QuadMesh {
         self
     }
 
-    /// A channel whose upper wall bulges into a smooth sac around
-    /// `x = center`, a 2D stand-in for an aneurysm on a vessel.
-    ///
-    /// `amplitude` is the sac height relative to the channel height.
-    pub fn aneurysm_channel(
-        nx: usize,
-        ny: usize,
-        length: f64,
-        height: f64,
-        amplitude: f64,
-    ) -> Self {
-        let center = length / 2.0;
-        let width = length / 6.0;
-        Self::rectangle(nx, ny, 0.0, length, 0.0, height).mapped(move |[x, y]| {
-            let bump = amplitude * height * (-((x - center) / width).powi(2)).exp();
-            // Stretch the y coordinate so the top wall follows the bump.
-            [x, y * (1.0 + bump / height * (y / height))]
-        })
-    }
-
     /// Number of elements.
     pub fn num_elems(&self) -> usize {
         self.elems.len()
@@ -327,16 +307,6 @@ mod tests {
         let elems = m.elems.clone();
         let mapped = m.mapped(|[x, y]| [x + y * 0.1, y]);
         assert_eq!(mapped.elems, elems);
-    }
-
-    #[test]
-    fn aneurysm_channel_bulges_upward() {
-        let m = QuadMesh::aneurysm_channel(12, 4, 6.0, 1.0, 0.8);
-        let max_y = m.coords.iter().map(|p| p[1]).fold(f64::MIN, f64::max);
-        assert!(max_y > 1.2, "sac should bulge above the channel: {max_y}");
-        // The inlet edge is still at x=0.
-        let min_x = m.coords.iter().map(|p| p[0]).fold(f64::MAX, f64::min);
-        assert_eq!(min_x, 0.0);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! family with (i) a 3D unsteady incompressible Navier–Stokes solver using
 //! semi-implicit (stiffly-stable) time stepping and CG-based Helmholtz /
 //! Poisson solves, and (ii) a 1D arterial solver for peripheral networks.
-//! No SEM library exists in Rust; this crate implements one from scratch:
+//! No SEM library exists in Rust; this crate implements the first from
+//! scratch (the 1D solver is not part of this reproduction):
 //!
 //! * [`basis`] — Gauss–Lobatto–Legendre quadrature, differentiation and
 //!   interpolation;
@@ -26,16 +27,12 @@
 //!   stiffly-stable velocity-correction splitting (Karniadakis–Israeli–
 //!   Orszag), order 1–2 in time: the owners of one stepper written over the
 //!   dimension;
-//! * [`oned`] — the NεκTαr-1D analogue: a discontinuous-Galerkin solver for
-//!   the nonlinear 1D blood-flow equations with characteristic upwinding,
-//!   bifurcation coupling and RCR Windkessel outlets;
 //! * [`analytic`] — Kovasznay, Poiseuille and Womersley reference solutions
 //!   used by the validation tests and benches.
 //!
 //! Verified behaviours (see module tests): spectral p-convergence of the
 //! elliptic solves in 2D and 3D, machine-precision steady Poiseuille flow,
-//! Kovasznay flow accuracy, Womersley phase/amplitude, and 1D wave speeds
-//! matching `c = sqrt(β √A / 2ρ)`.
+//! Kovasznay flow accuracy and Womersley phase/amplitude.
 
 #![forbid(unsafe_code)]
 
@@ -46,7 +43,6 @@ pub mod interp;
 mod ns;
 pub mod ns2d;
 pub mod ns3d;
-pub mod oned;
 pub mod precon;
 pub mod space;
 pub mod space2d;

@@ -66,6 +66,9 @@ diff <(awk '$1 == "bench_e2e" { w = $2 } $1 == "state_hash" { print w, $2 }' tar
 echo "== manifest edges: every [dependencies] entry is used by its src/, every [dev-dependencies] entry by its src/ or tests/ =="
 bash scripts/unused_deps.sh
 
+echo "== reachability table: DESIGN.md §3 has a row for every pub mod and crate root, and no other =="
+bash scripts/reach.sh
+
 echo "== tracked Rust lines per top-level directory =="
 bash scripts/loc.sh
 
